@@ -34,6 +34,8 @@ from .rings import (
     IntegerRing,
     LazyPolyRing,
     ModularRing,
+    _is_prime,
+    _poly_trim,
     check_same_ring,
     poly_quotient,
     quotient_ring,
@@ -195,7 +197,8 @@ class ClassificationReport:
         return out
 
 
-def nzd_classify(x, small_threshold=None, exact=True, hypothesis="ambient"):
+def nzd_classify(x, small_threshold=None, exact=True, hypothesis="ambient",
+                 cert=None):
     """Dichotomy check over a ring without zero divisors.
 
     Certifies K, computes the core 4X + X·4X, tests it for being a
@@ -206,6 +209,8 @@ def nzd_classify(x, small_threshold=None, exact=True, hypothesis="ambient"):
 
     ``hypothesis`` is "ambient" (whole-ring zero-divisor check) or
     "core-witnessed" (the weakened form local to Y = 4X + X·4X).
+    ``cert`` is a ring-mode certificate of X already computed with the
+    same ``exact``; without it K is certified here.
     """
     ring = x.ring
     if not is_symmetric(x):
@@ -227,7 +232,10 @@ def nzd_classify(x, small_threshold=None, exact=True, hypothesis="ambient"):
     else:
         raise ValueError(f"unknown hypothesis {hypothesis!r}")
 
-    cert = approx_constant(x, "ring", exact=exact)
+    if cert is None:
+        cert = approx_constant(x, "ring", exact=exact)
+    elif cert.x != x or cert.mode != "ring":
+        raise ValueError("cert must be a ring-mode certificate of x")
     k = cert.k
     k11 = k ** 11
     if small_threshold is None:
@@ -587,7 +595,7 @@ def gallery(name, **params):
     """
     if name == "y-set":
         p = params.get("p")
-        if not isinstance(p, int) or p < 3 or not _prime(p):
+        if not isinstance(p, int) or p < 3 or not _is_prime(p):
             raise InvalidParamsError("y-set needs an odd prime p >= 3")
         ring = GaloisField(p, 2)
         t = (0, 1)  # the class of t: outside the prime subfield by degree
@@ -600,18 +608,18 @@ def gallery(name, **params):
                            "exact ring-mode constant strictly increasing in p")
     if name == "linear-polys":
         p = params.get("p")
-        if not isinstance(p, int) or not _prime(p):
+        if not isinstance(p, int) or not _is_prime(p):
             raise InvalidParamsError("linear-polys needs a prime p")
         ring = LazyPolyRing(p)
-        elems = {_trim((a, b)) for a in range(p) for b in range(p)}
+        elems = {_poly_trim((a, b)) for a in range(p) for b in range(p)}
         return GalleryItem(name, {"p": p}, ring, FiniteSet(ring, elems),
                            "no additively commensurable subring contains it")
     if name == "linear-quo":
         p, d = params.get("p"), params.get("d")
-        if not isinstance(p, int) or not _prime(p) or not isinstance(d, int) or d < 2:
+        if not isinstance(p, int) or not _is_prime(p) or not isinstance(d, int) or d < 2:
             raise InvalidParamsError("linear-quo needs a prime p and degree d >= 2")
         ring = poly_quotient(p, (0,) * d + (1,))
-        elems = {_trim((a, b)) for a in range(p) for b in range(p)}
+        elems = {_poly_trim((a, b)) for a in range(p) for b in range(p)}
         return GalleryItem(name, {"p": p, "d": d}, ring, FiniteSet(ring, elems),
                            "commensurable with a subring inside the core")
     if name == "interval":
@@ -631,18 +639,6 @@ def gallery(name, **params):
                            FiniteSet(ring, {v % p for v in range(-n, n + 1)}),
                            "image of an integer window")
     raise InvalidParamsError(f"unknown gallery item {name!r}")
-
-
-def _prime(n):
-    from .rings import _is_prime
-    return _is_prime(n)
-
-
-def _trim(coeffs):
-    c = list(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
 
 
 GALLERY_NAMES = ("y-set", "linear-polys", "linear-quo", "interval",

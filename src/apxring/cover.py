@@ -14,8 +14,9 @@ approx_constant certifies the minimal K with X*X ∪ (X+X) ⊆ F + X
 the difference set T − X: any f with (f + X) ∩ T nonempty lies in it,
 and T − X sits inside the subring generated by X automatically, so the
 restriction is exact rather than heuristic.  Each chosen translate
-carries a formal derivation over X (used by the constructive covers and
-by the membership verification on lazy rings).
+carries a formal derivation over X: a term whose letters lie in X and
+which evaluates to the translate.  Checking it proves F ⊆ ⟨X⟩ on every
+backend, finite or lazy, and the constructive covers are built from it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .errors import NotSymmetricError, UncoverableError, VerificationFailedError
 from .rings import check_same_ring
 from .sets import (
     FiniteSet,
-    closure,
     difference_set,
     is_symmetric,
     negate,
@@ -301,8 +301,8 @@ class ApproxCertificate:
 
     ``derivations`` maps each element of F to a formal term over X (a
     tuple of words; a word (x_0,..,x_k) evaluates to x_k···x_0), which
-    both proves F ⊆ ⟨X⟩ on lazy rings and drives the constructive
-    covers.  ``f_location`` records where F was found.
+    proves F ⊆ ⟨X⟩ and drives the constructive covers.  ``f_location``
+    records where F was found.
     """
 
     x: FiniteSet
@@ -311,7 +311,6 @@ class ApproxCertificate:
     mode: str                        # "ring" | "group"
     minimal: bool
     derivations: dict = field(compare=False)
-    membership: str = "closure"      # how F ⊆ ⟨X⟩ was verified
     f_location: dict = field(default_factory=dict, compare=False)
     stats: dict = field(default_factory=dict, compare=False)
 
@@ -329,8 +328,8 @@ class ApproxCertificate:
         return self.ring.zero() in self.x
 
     def verify(self):
-        """Re-check symmetry, the covering inclusion, |F| = k and that
-        every derivation evaluates to its element."""
+        """Re-check symmetry, the covering inclusion, |F| = k and the
+        derivations (see ``derivation_error``)."""
         if not is_symmetric(self.x):
             return False, "x is not additively symmetric"
         if len(self.witness_f) != self.k:
@@ -342,18 +341,13 @@ class ApproxCertificate:
         for v in t:
             if v not in covered:
                 return False, f"uncovered {self.ring.render(v)}"
-        for f in self.witness_f:
-            term = self.derivations.get(f)
-            if term is None:
-                return False, f"no derivation for {self.ring.render(f)}"
-            if eval_term(self.ring, term) != f:
-                return False, f"derivation of {self.ring.render(f)} is wrong"
-        return True, None
+        why = derivation_error(self.x, self.witness_f, self.derivations)
+        return why is None, why
 
     def to_json(self):
         ring = self.ring
         return {
-            "schema_version": "1",
+            "schema_version": "2",
             "kind": "approx_certificate",
             "ring": ring.descriptor,
             "x": [ring.render(v) for v in self.x],
@@ -361,7 +355,6 @@ class ApproxCertificate:
             "f": [ring.render(v) for v in self.witness_f],
             "mode": self.mode,
             "minimal": self.minimal,
-            "membership": self.membership,
             "f_location": dict(self.f_location),
             "derivations": {
                 ring.render(f): [[ring.render(x) for x in word] for word in term]
@@ -380,6 +373,22 @@ def eval_term(ring, term):
             v = ring.mul(letter, v)
         acc = ring.add(acc, v)
     return acc
+
+
+def derivation_error(x, f, derivations):
+    """Why ``derivations`` fail to prove F ⊆ ⟨X⟩, or None when every
+    element of F has a term whose letters lie in X and which evaluates
+    to that element."""
+    ring = x.ring
+    for v in f:
+        term = derivations.get(v)
+        if term is None:
+            return f"no derivation for {ring.render(v)}"
+        if any(letter not in x for word in term for letter in word):
+            return f"derivation of {ring.render(v)} has a letter outside X"
+        if eval_term(ring, term) != v:
+            return f"derivation of {ring.render(v)} evaluates wrongly"
+    return None
 
 
 def _derive_term(x, value):
@@ -467,8 +476,7 @@ def approx_constant(x, mode="ring", exact=True, node_limit=DEFAULT_NODE_LIMIT):
         t = union(prodset(x, x), t)
     if len(x) == 0:
         f = FiniteSet(ring, ())
-        return ApproxCertificate(x, 0, f, mode, True, {}, "vacuous",
-                                 {"pool": "T-X"}, {})
+        return ApproxCertificate(x, 0, f, mode, True, {}, {"pool": "T-X"}, {})
     pool = difference_set(t, x)
     if exact:
         w = cover_exact(t, x, pool, node_limit)
@@ -477,30 +485,11 @@ def approx_constant(x, mode="ring", exact=True, node_limit=DEFAULT_NODE_LIMIT):
     f = FiniteSet(ring, w.translates)
 
     derivations = {v: _derive_term(x, v) for v in f}
-    if ring.is_finite:
-        gen = closure(x, budget=ring.cardinality)
-        if not all(v in gen.set for v in f):
-            raise VerificationFailedError("translate escaped the generated subring")
-        membership = "closure"
-    else:
-        for v in f:
-            if eval_term(ring, derivations[v]) != v:
-                raise VerificationFailedError("derivation mismatch")
-        membership = "derivation"
-
-    location = {"pool": "T-X", "in_x2": _f_in_x2(x, f)}
+    why = derivation_error(x, f, derivations)
+    if why is not None:
+        raise VerificationFailedError(why)
     return ApproxCertificate(x, len(f), f, mode, w.optimal, derivations,
-                             membership, location, dict(w.stats))
-
-
-def _f_in_x2(x, f, size_limit=4096):
-    from .sets import growth_step
-    try:
-        x1 = growth_step(x, cap=size_limit)
-        x2 = growth_step(x1, cap=size_limit)
-    except Exception:
-        return None
-    return all(v in x2 for v in f)
+                             {"pool": "T-X"}, dict(w.stats))
 
 
 def certificate_from_f(x, f_elems, mode="ring", minimal=False):
@@ -509,9 +498,7 @@ def certificate_from_f(x, f_elems, mode="ring", minimal=False):
     f = FiniteSet(ring, f_elems)
     cert = ApproxCertificate(
         x, len(f), f, mode, minimal,
-        {v: _derive_term(x, v) for v in f},
-        "closure" if ring.is_finite else "derivation",
-        {"pool": "manual", "in_x2": _f_in_x2(x, f)}, {})
+        {v: _derive_term(x, v) for v in f}, {"pool": "manual"}, {})
     ok, why = cert.verify()
     if not ok:
         raise VerificationFailedError(f"invalid certificate: {why}")

@@ -126,11 +126,13 @@ def load_set_file(ring, path):
     return FiniteSet(ring, elems)
 
 
-def _guard(ring, elems, cap):
-    if len(elems) > cap:
+def _guard(out, cap):
+    """The derived set ``out``, or BudgetExceededError when it has more
+    than ``cap`` elements."""
+    if len(out) > cap:
         raise BudgetExceededError(
-            f"derived set exceeded cap {cap}", partial=FiniteSet(ring, elems))
-    return FiniteSet(ring, elems)
+            f"derived set exceeded cap {cap}", partial=out)
+    return out
 
 
 def _sumset_sparse(a, b):
@@ -164,8 +166,8 @@ def sumset(a, b, cap=DEFAULT_SET_CAP):
     """{x + y : x in a, y in b}."""
     check_same_ring(a.ring, b.ring)
     if a.rep == "dense" and b.rep == "dense":
-        return FiniteSet._from_mask(a.ring, _sumset_dense(a, b))
-    return _guard(a.ring, _sumset_sparse(a, b), cap)
+        return _guard(FiniteSet._from_mask(a.ring, _sumset_dense(a, b)), cap)
+    return _guard(FiniteSet(a.ring, _sumset_sparse(a, b)), cap)
 
 
 def prodset(a, b, cap=DEFAULT_SET_CAP):
@@ -176,7 +178,7 @@ def prodset(a, b, cap=DEFAULT_SET_CAP):
     for x in a.elements():
         for y in b.elements():
             out.add(ring.mul(x, y))
-    return _guard(ring, out, cap)
+    return _guard(FiniteSet(ring, out), cap)
 
 
 def negate(a):
@@ -276,7 +278,7 @@ def power_products(x, m, cap=DEFAULT_SET_CAP):
     acc = set()
     for pw in powers:
         acc |= pw.elements()
-    return powers[-1], _guard(x.ring, acc, cap)
+    return powers[-1], _guard(FiniteSet(x.ring, acc), cap)
 
 
 def iterated_sum(a, m, cap=DEFAULT_SET_CAP):

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from .classify import nzd_classify, pos_char_search
 from .cover import approx_constant
 from .errors import ApxError, BudgetExceededError, ParseError
-from .rings import parse_ring
+from .rings import _split_top_level, parse_ring
 from .sets import FiniteSet
 
 SCHEMA_VERSION = "1"
@@ -87,8 +87,7 @@ class SweepSpec:
                 return False
             raise ParseError(f"{key} must be boolean", text, 0)
 
-        rings = tuple(s.strip() for s in kv.get("rings", "").split(",")
-                      if s.strip())
+        rings = tuple(_split_top_level(kv.get("rings", "")))
         return cls(
             mode=mode,
             rings=rings,
@@ -201,7 +200,8 @@ def _run_row(args):
             return row
         if mode == "nzd":
             threshold = None if small_threshold < 0 else small_threshold
-            report = nzd_classify(x, small_threshold=threshold, exact=exact)
+            report = nzd_classify(x, small_threshold=threshold, exact=exact,
+                                  cert=cert)
             row.update({
                 "verdict": report.verdict,
                 "core_size": len(report.core),

@@ -1,5 +1,6 @@
 """Cover solvers, approximation certificates, commensurability, genericity."""
 
+import dataclasses
 import math
 import random
 
@@ -159,6 +160,20 @@ def test_certificate_derivations_stay_in_generated_subring():
         assert ok, why
 
 
+def test_certificate_rejects_derivation_letter_outside_x():
+    from apxring.serialize import verify_payload
+    x = iset(-1, 1)
+    cert = ax.approx_constant(x, "ring", exact=True)
+    # 2 + (-1) evaluates to 1, but 2 is not a letter of X
+    forged = dict(cert.derivations)
+    forged[1] = ((2,), (-1,))
+    bad = dataclasses.replace(cert, derivations=forged)
+    ok, why = bad.verify()
+    assert not ok and "outside X" in why
+    ok, details = verify_payload(bad.to_json())
+    assert not ok and "outside X" in details[0]
+
+
 def test_certificate_soundness_reverify():
     rng = random.Random(17)
     for _ in range(25):
@@ -223,7 +238,10 @@ def test_witness_json_round_trip():
 def test_certificate_json_round_trip():
     from apxring.serialize import verify_payload
     cert = ax.approx_constant(iset(-2, 2), "ring", exact=True)
-    ok, details = verify_payload(cert.to_json())
+    payload = cert.to_json()
+    assert payload["schema_version"] == "2"
+    assert "membership" not in payload and "in_x2" not in payload["f_location"]
+    ok, details = verify_payload(payload)
     assert ok, details
     tampered = cert.to_json()
     tampered["k"] = 1

@@ -181,9 +181,16 @@ def test_ideal_generated_examples():
 
 
 def test_budget_exceeded_typed():
-    with pytest.raises(BudgetExceededError) as exc:
-        ax.sumset(iset(-300, 300), iset(-300, 300), cap=100)
-    assert exc.value.partial is not None
+    m199 = ax.modular(199)
+    gf9 = ax.galois_field(3, 2, (1, 0, 1))
+    cases = [(iset(-300, 300), 100),                      # sparse
+             (FiniteSet(m199, range(100)), 10),           # dense, rotation kernel
+             (FiniteSet(gf9, gf9.elements()), 5)]         # dense, generic kernel
+    for a, cap in cases:
+        with pytest.raises(BudgetExceededError) as exc:
+            ax.sumset(a, a, cap=cap)
+        assert len(exc.value.partial) > cap
+        assert len(ax.sumset(a, a, cap=len(exc.value.partial))) == len(exc.value.partial)
 
 
 def test_representation_tags():

@@ -42,6 +42,17 @@ def test_spec_round_trip():
     assert spec == again
 
 
+def test_spec_product_ring():
+    spec = SweepSpec.parse(spec_text(mode="poschar",
+                                     rings="prod:(zmod:2,zmod:3), zmod:5",
+                                     max_size="4"))
+    assert spec.rings == ("prod:(zmod:2,zmod:3)", "zmod:5")
+    assert SweepSpec.parse(spec.render()) == spec
+    report = run_sweep(spec)
+    prod_rows = [r for r in report.rows if r["ring"] == "prod:(zmod:2,zmod:3)"]
+    assert prod_rows and all(r["status"] == "ok" for r in prod_rows)
+
+
 def test_empty_family():
     spec = SweepSpec.parse(spec_text(rings=""))
     report = run_sweep(spec)
@@ -82,6 +93,33 @@ def test_sweep_deterministic_and_parallel_identical():
     assert a == b
     c = run_sweep(spec, jobs=2).to_csv()
     assert a == c
+
+
+def test_nzd_rows_certify_k_once(monkeypatch):
+    import apxring.classify as classify_mod
+    import apxring.sweep as sweep_mod
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return ax.approx_constant(*args, **kwargs)
+
+    monkeypatch.setattr(sweep_mod, "approx_constant", counted)
+    monkeypatch.setattr(classify_mod, "approx_constant", counted)
+    report = run_sweep(SweepSpec.parse(spec_text()))
+    assert len(calls) == len(report.rows) > 0
+
+
+def test_nzd_classify_reuses_certificate():
+    ring = ax.modular(7)
+    x = ax.parse_set(ring, "{0,1,6}")
+    cert = ax.approx_constant(x, "ring", exact=True)
+    given_cert = ax.nzd_classify(x, small_threshold=1, cert=cert)
+    assert given_cert.certificate is cert
+    assert given_cert == ax.nzd_classify(x, small_threshold=1)
+    other = ax.approx_constant(ax.parse_set(ring, "{0,2,5}"), "ring")
+    with pytest.raises(ValueError):
+        ax.nzd_classify(x, cert=other)
 
 
 def test_sweep_random_policy_deterministic():
@@ -191,6 +229,19 @@ def test_cli_verify_round_trip(tmp_path):
     bad_path.write_text(json.dumps(payload))
     code, out, _ = run_cli("verify", "--input", str(bad_path))
     assert code == 4 and "FAILED" in out
+
+
+def test_cli_verify_accepts_v1_certificate(tmp_path):
+    # v1 payloads carried "membership" and f_location["in_x2"]; the
+    # derivations alone prove F inside the generated subring
+    cert = ax.approx_constant(ax.parse_set(ax.modular(7), "{0,1,6}"), "ring")
+    payload = cert.to_json()
+    payload.update(schema_version="1", membership="closure")
+    payload["f_location"]["in_x2"] = True
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(payload))
+    code, out, _ = run_cli("verify", "--input", str(path))
+    assert code == 0 and "VERIFIED" in out and "schema v1" in out
 
 
 def test_cli_sweep_deterministic_csv(tmp_path):
