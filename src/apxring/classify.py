@@ -461,6 +461,9 @@ def finite_model_check(x, ideal, depth_cap=_MODEL_DEPTH_CAP,
             ``subset_limit`` of them, a seeded sample plus {0} and the
             full quotient otherwise); the max exact constant is reported
       (iii) f⁻¹[π[X_m]] is additively commensurable with X
+
+    The ideal check is ``quotient_ring``'s, run on the table of ⟨X⟩; a
+    NotAnIdealError carries its witness as elements of the ring.
     """
     ring = x.ring
     if not ring.is_finite:
@@ -472,16 +475,16 @@ def finite_model_check(x, ideal, depth_cap=_MODEL_DEPTH_CAP,
     if not ideal.elements() <= gen.elements():
         raise NotAnIdealError("ideal is not inside the subring generated by x",
                               witness=None)
-    # two-sided ideal of <x>
-    for a in ideal:
-        if ring.neg(a) not in ideal:
-            raise NotAnIdealError("ideal not closed under negation", (a,))
-        for b in ideal:
-            if ring.add(a, b) not in ideal:
-                raise NotAnIdealError("ideal not closed under addition", (a, b))
-        for r in gen:
-            if ring.mul(r, a) not in ideal or ring.mul(a, r) not in ideal:
-                raise NotAnIdealError("ideal not absorbing in the subring", (r, a))
+    handle, embed, restrict = subring_table(ring, gen.elements())
+    try:
+        quotient, project = quotient_ring(
+            handle, [restrict(e) for e in ideal.elements()])
+    except NotAnIdealError as err:
+        witness = tuple(embed(i) for i in err.witness)
+        raise NotAnIdealError(
+            f"not an ideal of ⟨X⟩: {err} (subring-table indices); ring "
+            f"elements ({','.join(ring.render(e) for e in witness)})",
+            witness) from err
 
     xm = x
     m = 0
@@ -491,10 +494,6 @@ def finite_model_check(x, ideal, depth_cap=_MODEL_DEPTH_CAP,
                 f"ideal not inside any X_m for m <= {depth_cap}")
         xm = growth_step(xm)
         m += 1
-
-    handle, embed, restrict = subring_table(ring, gen.elements())
-    quotient, project = quotient_ring(
-        handle, [restrict(e) for e in ideal.elements()])
 
     def proj(e):
         return project(restrict(e))

@@ -257,7 +257,6 @@ def build_parser():
     p = sub.add_parser("approx", help="approximation constant certificate")
     common(p)
     p.add_argument("--mode", choices=("ring", "group"), default="ring")
-    p.add_argument("--exact", action="store_true", default=True)
     p.add_argument("--greedy", action="store_true",
                    help="greedy upper bound instead of the exact constant")
     p.set_defaults(fn=_cmd_approx)

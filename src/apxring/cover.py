@@ -72,16 +72,20 @@ class CoverWitness:
         }
 
 
-def verify_witness(w):
-    """(ok, first uncovered element or None), checked from scratch."""
-    ring = w.target.ring
+def first_uncovered(target, base, translates):
+    """Least target element (canonical order) outside ∪ (t + base), or
+    None when the translates cover the target; checked from scratch."""
     covered = set()
-    for t in w.translates:
-        covered |= translate(t, w.base).elements()
-    for x in sorted(w.target.elements(), key=ring.sort_key):
-        if x not in covered:
-            return False, x
-    return True, None
+    for t in translates:
+        covered |= translate(t, base).elements()
+    missing = target.elements() - covered
+    return min(missing, key=target.ring.sort_key) if missing else None
+
+
+def verify_witness(w):
+    """(ok, first uncovered element or None)."""
+    missing = first_uncovered(w.target, w.base, w.translates)
+    return missing is None, missing
 
 
 def make_witness(target, base, translates, optimal, method, stats=None):
@@ -137,6 +141,13 @@ def cover_greedy(a, b, pool):
         return make_witness(a, b, (), False, "greedy",
                             {"elapsed": time.perf_counter() - t0})
     targets, pool_sorted, masks, full = _instance(a, b, pool)
+    chosen = [pool_sorted[r] for r in _greedy_ranks(masks, full)]
+    return make_witness(a, b, chosen, False, "greedy",
+                        {"elapsed": time.perf_counter() - t0})
+
+
+def _greedy_ranks(masks, full):
+    """Pool ranks in greedy pick order; ``masks`` must reach ``full``."""
     heap = [(-m.bit_count(), rank) for rank, m in enumerate(masks) if m]
     heapq.heapify(heap)
     covered = 0
@@ -150,9 +161,8 @@ def cover_greedy(a, b, pool):
             if fresh:
                 heapq.heappush(heap, (-fresh, rank))
         covered |= masks[rank]
-        chosen.append(pool_sorted[rank])
-    return make_witness(a, b, chosen, False, "greedy",
-                        {"elapsed": time.perf_counter() - t0})
+        chosen.append(rank)
+    return chosen
 
 
 def _element_frequencies(masks, uncovered, n_targets):
@@ -184,8 +194,7 @@ def cover_exact(a, b, pool, node_limit=DEFAULT_NODE_LIMIT, max_size=None):
     n_targets = len(targets)
     base_size = len(b)
 
-    greedy_w = cover_greedy(a, b, pool)
-    incumbent = [pool_sorted.index(t) for t in greedy_w.translates]
+    incumbent = _greedy_ranks(masks, full)
     best_size = len(incumbent)
     cutoff = best_size if max_size is None else min(best_size, max_size + 1)
 
@@ -334,13 +343,9 @@ class ApproxCertificate:
             return False, "x is not additively symmetric"
         if len(self.witness_f) != self.k:
             return False, "|F| != k"
-        t = self.target()
-        covered = set()
-        for f in self.witness_f:
-            covered |= translate(f, self.x).elements()
-        for v in t:
-            if v not in covered:
-                return False, f"uncovered {self.ring.render(v)}"
+        missing = first_uncovered(self.target(), self.x, self.witness_f)
+        if missing is not None:
+            return False, f"uncovered {self.ring.render(missing)}"
         why = derivation_error(self.x, self.witness_f, self.derivations)
         return why is None, why
 

@@ -663,9 +663,10 @@ class ProductRing(Ring):
 class TableRing(Ring):
     """Ring given by explicit Cayley tables; elements are indices 0..n-1.
 
-    Construction verifies the full ring axioms exhaustively: addition is
-    an abelian group with 0 at index 0, multiplication is associative
-    and distributes over addition on both sides.
+    Construction checks the table shapes and that every element has an
+    additive order.  ``table_ring`` and ``load_table_file`` also check the
+    ring axioms (``_check_tables``); ``subring_table`` and ``quotient_ring``
+    build rings by construction and skip that O(n^3) check.
     """
 
     def __init__(self, add_table, mul_table, name=None):
@@ -680,7 +681,6 @@ class TableRing(Ring):
         self.n = n
         self.add_table = tuple(tuple(r) for r in add_table)
         self.mul_table = tuple(tuple(r) for r in mul_table)
-        self._verify_axioms()
         tag = name or f"#{self._content_hash()}"
         self.descriptor = f"table:{n}:{tag}"
         self.cardinality = n
@@ -689,43 +689,14 @@ class TableRing(Ring):
     def _content_hash(self):
         return format(hash((self.add_table, self.mul_table)) & 0xFFFFFFFF, "08x")
 
-    def _verify_axioms(self):
-        n, A, M = self.n, self.add_table, self.mul_table
-        rng = range(n)
-        for i in rng:
-            if A[0][i] != i or A[i][0] != i:
-                raise RingConstructionError(
-                    f"index 0 is not the additive zero (fails at {i})")
-        for i in rng:
-            if 0 not in A[i]:
-                raise RingConstructionError(f"element {i} has no additive inverse")
-            for j in rng:
-                if A[i][j] != A[j][i]:
-                    raise RingConstructionError(
-                        f"addition not commutative at ({i},{j})")
-        for i in rng:
-            for j in rng:
-                aij = A[i][j]
-                mij = M[i][j]
-                for k in rng:
-                    if A[aij][k] != A[i][A[j][k]]:
-                        raise RingConstructionError(
-                            f"addition not associative at ({i},{j},{k})")
-                    if M[mij][k] != M[i][M[j][k]]:
-                        raise RingConstructionError(
-                            f"multiplication not associative at ({i},{j},{k})")
-                    if M[i][A[j][k]] != A[M[i][j]][M[i][k]]:
-                        raise RingConstructionError(
-                            f"left distributivity fails at ({i},{j},{k})")
-                    if M[A[i][j]][k] != A[M[i][k]][M[j][k]]:
-                        raise RingConstructionError(
-                            f"right distributivity fails at ({i},{j},{k})")
-
     def _exponent(self):
         out = 1
         for i in range(self.n):
             order, acc = 1, i
             while acc != 0:
+                if order >= self.n:
+                    raise RingConstructionError(
+                        f"element {i} has no additive order <= {self.n}")
                 acc = self.add_table[acc][i]
                 order += 1
             out = math.lcm(out, order)
@@ -766,11 +737,43 @@ class TableRing(Ring):
         return str(x)
 
 
+def _check_tables(add, mul, zero):
+    """Why index tables fail the ring axioms, or None.
+
+    Exhaustive O(n^3): index ``zero`` is an additive identity, every
+    element has an additive inverse, addition commutes, both operations
+    associate and multiplication distributes over addition on both sides.
+    """
+    rng_n = range(len(add))
+    for i in rng_n:
+        if add[zero][i] != i or add[i][zero] != i:
+            return f"index {zero} is not the additive zero (fails at {i})"
+        if zero not in add[i]:
+            return f"element {i} has no additive inverse"
+    for i in rng_n:
+        row_a, row_m = add[i], mul[i]
+        for j in rng_n:
+            aij, mij = row_a[j], row_m[j]
+            if aij != add[j][i]:
+                return f"addition not commutative at ({i},{j})"
+            arow_j, mrow_j = add[j], mul[j]
+            for k in rng_n:
+                if add[aij][k] != row_a[arow_j[k]]:
+                    return f"addition not associative at ({i},{j},{k})"
+                if mul[mij][k] != row_m[mrow_j[k]]:
+                    return f"multiplication not associative at ({i},{j},{k})"
+                if row_m[arow_j[k]] != add[row_m[j]][row_m[k]]:
+                    return f"left distributivity fails at ({i},{j},{k})"
+                if mul[aij][k] != add[row_m[k]][mul[j][k]]:
+                    return f"right distributivity fails at ({i},{j},{k})"
+    return None
+
+
 def zero_multiplication_ring(n):
     """Z/n addition with xy = 0 for all x, y: non-unital by construction."""
     add = [[(i + j) % n for j in range(n)] for i in range(n)]
     mul = [[0] * n for _ in range(n)]
-    return TableRing(add, mul, name=f"zeromul{n}")
+    return table_ring(add, mul, name=f"zeromul{n}")
 
 
 # ---------------------------------------------------------------------------
@@ -829,7 +832,7 @@ def load_table_file(path):
         raise RingConstructionError(
             f"table file {path} must hold {2 * n} rows after the size line")
     rows = [[int(v) for v in ln.split()] for ln in tokens[1:]]
-    return TableRing(rows[:n], rows[n:])
+    return table_ring(rows[:n], rows[n:])
 
 
 def parse_ring(dsl):
@@ -917,7 +920,13 @@ def poly_ring(p):
 
 
 def table_ring(add_table, mul_table, name=None):
-    return TableRing(add_table, mul_table, name)
+    """Table ring from outside tables; raises RingConstructionError
+    naming the first ring axiom they violate."""
+    ring = TableRing(add_table, mul_table, name)
+    why = _check_tables(ring.add_table, ring.mul_table, 0)
+    if why is not None:
+        raise RingConstructionError(why)
+    return ring
 
 
 # ---------------------------------------------------------------------------
@@ -929,19 +938,19 @@ def quotient_ring(ring, ideal):
 
     ``ideal`` is any iterable of elements of ``ring``.  Checks that it is
     an additive subgroup with r*I and I*r inside I (raising NotAnIdealError
-    with a violating pair otherwise), then returns ``(quotient, project)``
-    where the quotient is table-backed and ``project`` maps elements to
-    quotient elements.  The projection is re-verified exhaustively to be
-    a ring homomorphism.
+    with a tuple of violating elements otherwise), then returns
+    ``(quotient, project)`` where the quotient is table-backed and
+    ``project`` maps elements to quotient elements.  The projection is
+    re-verified exhaustively to be a ring homomorphism, so the quotient
+    tables skip the O(n^3) axiom check.  This is the package's one ideal
+    check.
     """
     if not ring.is_finite:
         raise InfiniteRingError("quotients need a finite ring")
     ideal_set = frozenset(ideal)
-    if not ideal_set:
-        raise NotAnIdealError("ideal must contain 0", None)
     zero = ring.zero()
     if zero not in ideal_set:
-        raise NotAnIdealError("ideal does not contain 0", zero)
+        raise NotAnIdealError("ideal does not contain 0", (zero,))
     for a in ideal_set:
         if ring.neg(a) not in ideal_set:
             raise NotAnIdealError(f"not closed under negation at {ring.render(a)}", (a,))
@@ -992,8 +1001,9 @@ def subring_table(ring, subset):
 
     Returns ``(handle, embed, restrict)`` where ``restrict`` maps ambient
     elements inside ``subset`` to handle elements and ``embed`` inverts it.
-    Raises NotAnIdealError-style construction errors via TableRing when
-    the subset is not closed.
+    Raises RingConstructionError when the subset is not closed under
+    addition or multiplication.  A closed finite subset is a ring, so the
+    O(n^3) axiom check is skipped.
     """
     elems = sorted(subset, key=ring.sort_key)
     if not elems or elems[0] != ring.zero():
@@ -1021,60 +1031,39 @@ def subring_table(ring, subset):
 
 
 # ---------------------------------------------------------------------------
-# axiom spot checks (used by tests and make_ring validation helpers)
+# ring-axiom check of any handle, exhaustive for small finite rings
 
 
 def check_ring_axioms(ring, rng=None):
-    """Raise if sampled triples violate the ring axioms.
+    """Raise AssertionError if the ring axioms fail.
 
-    Exhaustive when |R| <= 512 (over precomputed index tables, so the
-    n^3 loop stays cheap); otherwise 10^4 pseudorandom triples (a seeded
-    Random must be supplied for the sampled path).
+    Exhaustive when |R| <= 512: ``_check_tables`` over precomputed index
+    tables, plus ``neg`` against them; otherwise 10^4 pseudorandom triples
+    (a seeded Random must be supplied for the sampled path).
     """
     if ring.is_finite and ring.cardinality <= _AXIOM_EXHAUSTIVE:
-        n = ring.cardinality
         pool = list(ring.elements())
         add = [[ring.index_of(ring.add(a, b)) for b in pool] for a in pool]
         mul = [[ring.index_of(ring.mul(a, b)) for b in pool] for a in pool]
-        rng_n = range(n)
-        for i in rng_n:
-            row_a, row_m = add[i], mul[i]
-            for j in rng_n:
-                aij, mij = row_a[j], row_m[j]
-                if aij != add[j][i]:
-                    raise AssertionError(f"add not commutative at {i},{j}")
-                arow_j, mrow_j = add[j], mul[j]
-                for k in rng_n:
-                    if add[aij][k] != row_a[arow_j[k]]:
-                        raise AssertionError(f"add not associative at {i},{j},{k}")
-                    if mul[mij][k] != row_m[mrow_j[k]]:
-                        raise AssertionError(f"mul not associative at {i},{j},{k}")
-                    if row_m[arow_j[k]] != add[row_m[j]][row_m[k]]:
-                        raise AssertionError(
-                            f"left distributivity fails at {i},{j},{k}")
-                    if mul[aij][k] != add[row_m[k]][mul[j][k]]:
-                        raise AssertionError(
-                            f"right distributivity fails at {i},{j},{k}")
         zero = ring.zero()
-        zero_idx = ring.index_of(zero)
-        for i, x in enumerate(pool):
-            if zero_idx not in add[i]:
-                raise AssertionError(f"no additive inverse at index {i}")
+        why = _check_tables(add, mul, ring.index_of(zero))
+        if why is not None:
+            raise AssertionError(why)
+        for x in pool:
             if ring.add(x, ring.neg(x)) != zero:
                 raise AssertionError(f"neg fails at {x}")
         return
+    if rng is None:
+        raise ValueError("sampled axiom check needs a seeded Random")
+    if ring.is_finite:
+        def draw():
+            return ring.element_at(rng.randrange(ring.cardinality))
     else:
-        if rng is None:
-            raise ValueError("sampled axiom check needs a seeded Random")
-        if ring.is_finite:
-            def draw():
-                return ring.element_at(rng.randrange(ring.cardinality))
-        else:
-            sample = list(itertools.islice(ring.sample_stream(), 200))
+        sample = list(itertools.islice(ring.sample_stream(), 200))
 
-            def draw():
-                return rng.choice(sample)
-        triples = ((draw(), draw(), draw()) for _ in range(_AXIOM_SAMPLE))
+        def draw():
+            return rng.choice(sample)
+    triples = ((draw(), draw(), draw()) for _ in range(_AXIOM_SAMPLE))
     zero = ring.zero()
     for a, b, c in triples:
         if ring.add(a, b) != ring.add(b, a):

@@ -2,17 +2,22 @@
 
 Every witness / certificate / report serializes with its ring DSL and
 rendered elements, so ``verify_payload`` can rebuild the objects and
-re-check them without any ambient state.  It returns (ok, details) and
-never raises on a merely *invalid* payload — malformed ones do raise.
+re-check them without any ambient state.  The re-checks are the
+package's own checkers, not copies: ``cover.first_uncovered`` for cover
+witnesses, ``ApproxCertificate.verify`` for certificates, and
+``classify.core_set`` / ``classify.is_subring`` for reports.  It returns
+(ok, details) and never raises on a merely *invalid* payload — malformed
+ones do raise.
 """
 
 from __future__ import annotations
 
 import json
 
-from .cover import CoverWitness, derivation_error, verify_witness
+from .classify import core_set, is_subring
+from .cover import ApproxCertificate, first_uncovered
 from .rings import parse_ring
-from .sets import FiniteSet, iterated_sum, prodset, sumset, union
+from .sets import FiniteSet
 
 
 def _ring_and_set(payload, key):
@@ -23,41 +28,25 @@ def _ring_and_set(payload, key):
 def _verify_cover_witness(payload):
     ring, target = _ring_and_set(payload, "target")
     base = FiniteSet(ring, (ring.parse(e) for e in payload["base"]))
-    translates = tuple(ring.parse(e) for e in payload["translates"])
-    w = CoverWitness(target, base, translates, bool(payload.get("optimal")),
-                     payload.get("method", "unknown"), {})
-    ok, missing = verify_witness(w)
-    if not ok:
+    translates = [ring.parse(e) for e in payload["translates"]]
+    missing = first_uncovered(target, base, translates)
+    if missing is not None:
         return False, [f"uncovered element {ring.render(missing)}"]
     return True, [f"cover of {len(target)} elements by {len(translates)} translates"]
 
 
 def _verify_certificate(payload):
     ring, x = _ring_and_set(payload, "x")
-    f = FiniteSet(ring, (ring.parse(e) for e in payload["f"]))
-    details = []
-    if len(f) != payload["k"]:
-        return False, [f"|F| = {len(f)} but k = {payload['k']}"]
-    for v in x:
-        if ring.neg(v) not in x:
-            return False, [f"x not symmetric at {ring.render(v)}"]
-    t = sumset(x, x)
-    if payload.get("mode", "ring") == "ring":
-        t = union(prodset(x, x), t)
-    covered = set()
-    for fv in f:
-        covered |= {ring.add(fv, xv) for xv in x.elements()}
-    for v in t:
-        if v not in covered:
-            return False, [f"target element {ring.render(v)} uncovered"]
     derivs = {ring.parse(f_text): tuple(tuple(ring.parse(e) for e in word)
                                         for word in words)
               for f_text, words in payload.get("derivations", {}).items()}
-    why = derivation_error(x, f, derivs)
-    if why is not None:
+    cert = ApproxCertificate(
+        x, payload["k"], FiniteSet(ring, (ring.parse(e) for e in payload["f"])),
+        payload.get("mode", "ring"), bool(payload.get("minimal")), derivs)
+    ok, why = cert.verify()
+    if not ok:
         return False, [why]
-    details.append(f"K = {payload['k']} certificate re-verified "
-                   f"({len(derivs)} derivations)")
+    details = [f"K = {cert.k} certificate re-verified ({len(derivs)} derivations)"]
     if payload.get("schema_version") == "1":
         details.append("schema v1: membership and f_location.in_x2 ignored, "
                        "F ⊆ ⟨X⟩ re-proven from the derivations")
@@ -68,9 +57,8 @@ def _verify_classification(payload):
     ok, details = _verify_certificate(payload["certificate"])
     if not ok:
         return ok, details
-    ring, x = _ring_and_set(payload, "x")
-    four = iterated_sum(x, 4) if len(x) else x
-    core = sumset(four, prodset(x, four)) if len(x) else x
+    x = _ring_and_set(payload, "x")[1]
+    core = core_set(x)
     if len(core) != payload["core_size"]:
         return False, [f"core size {len(core)} != reported {payload['core_size']}"]
     for key in ("comm_core_by_x", "comm_x_by_core"):
@@ -87,14 +75,10 @@ def _verify_subring_search(payload):
     if "subring" not in payload:
         return True, ["no subring found (heuristic outcome)"]
     ring, s = _ring_and_set(payload, "subring")
-    for a in s:
-        if ring.neg(a) not in s:
-            return False, [f"not closed under negation at {ring.render(a)}"]
-        for b in s:
-            if ring.add(a, b) not in s:
-                return False, ["not closed under addition"]
-            if ring.mul(a, b) not in s:
-                return False, ["not closed under multiplication"]
+    ok, bad = is_subring(s)
+    if not ok:
+        return False, ["not a subring: "
+                       + " ".join([bad[0], *map(ring.render, bad[1:])])]
     for key in ("comm_s_by_x", "comm_x_by_s"):
         if key in payload:
             w_ok, w_det = _verify_cover_witness(payload[key])

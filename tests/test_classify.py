@@ -185,6 +185,36 @@ def test_finite_model_check_rejects_non_ideal():
         ax.finite_model_check(x, ax.parse_set(m9, "{0,3}"))
 
 
+def test_finite_model_check_witness_in_ring():
+    # {0,1} is an additive subgroup of F_4 but t·1 = t escapes it
+    f4 = ax.parse_ring("gf:2^2:t^2+t+1")
+    x = FiniteSet(f4, f4.elements())
+    ideal = ax.parse_set(f4, "{0,1}")
+    with pytest.raises(NotAnIdealError) as info:
+        ax.finite_model_check(x, ideal)
+    witness = info.value.witness
+    assert len(witness) == 2 and set(witness) <= set(f4.elements())
+    assert f4.mul(*witness) not in ideal
+
+
+def test_verify_payload_rechecks_core_and_subring():
+    from apxring.serialize import verify_payload
+    rep = ax.nzd_classify(ax.parse_set(ax.modular(7), "{0,1,6}"),
+                          small_threshold=0)
+    payload = rep.to_json()
+    assert verify_payload(payload)[0]
+    payload["core_size"] -= 1
+    ok, details = verify_payload(payload)
+    assert not ok and "core size" in details[0]
+
+    res = ax.pos_char_search(ax.parse_set(ax.modular(8), "{0,2,4,6}"))
+    payload = res.to_json()
+    assert verify_payload(payload)[0]
+    payload["subring"] = ["0", "2", "4"]       # 2 + 4 = 6 escapes
+    ok, details = verify_payload(payload)
+    assert not ok and details == ["not a subring: add 2 4"]
+
+
 def test_gallery_y_set():
     item = ax.gallery("y-set", p=3)
     assert len(item.xset) == 7

@@ -14,7 +14,12 @@ from apxring.errors import (
     ParseError,
     RingConstructionError,
 )
-from apxring.rings import check_ring_axioms, find_irreducible, parse_ring
+from apxring.rings import (
+    TableRing,
+    check_ring_axioms,
+    find_irreducible,
+    parse_ring,
+)
 
 
 def all_backends():
@@ -54,6 +59,25 @@ def test_invalid_descriptors():
     assert ax.table_ring(add, ok_mul).cardinality == 2
     with pytest.raises(RingConstructionError, match="associative|distributivity"):
         ax.table_ring(add, [[0, 1], [1, 1]])
+    with pytest.raises(RingConstructionError, match="additive order"):
+        TableRing([[0, 1], [1, 1]], ok_mul)        # 1 + 1 + ... never 0
+
+
+def test_direct_table_ring_checked_by_check_ring_axioms():
+    # TableRing checks shape only; the axioms are check_ring_axioms' job
+    add = [[(i + j) % 2 for j in range(2)] for i in range(2)]
+    bad = TableRing(add, [[0, 1], [1, 1]])
+    with pytest.raises(AssertionError, match="associative|distributivity"):
+        check_ring_axioms(bad)
+    # F_2^2 with the bilinear product e1·e1 = e2, e2·e1 = e1: distributive,
+    # but (e1·e1)·e1 = e1 while e1·(e1·e1) = 0
+    xor = [[i ^ j for j in range(4)] for i in range(4)]
+    mul = [[((a & b & 1) << 1) ^ (a >> 1 & b & 1) for b in range(4)]
+           for a in range(4)]
+    with pytest.raises(AssertionError, match="multiplication not associative"):
+        check_ring_axioms(TableRing(xor, mul))
+    with pytest.raises(RingConstructionError, match="multiplication not assoc"):
+        ax.table_ring(xor, mul)
 
 
 def test_element_ops_examples():
@@ -200,6 +224,7 @@ def test_quotient_examples():
     r = ax.modular(9)
     q, proj = ax.quotient_ring(r, [0, 3, 6])
     assert q.cardinality == 3
+    check_ring_axioms(q)
     assert proj(0) == q.zero()
     # modular-isomorphic to Z/3: nonzero coset generates additively
     assert q.characteristic == 3
@@ -207,9 +232,13 @@ def test_quotient_examples():
     r6 = ax.modular(6)
     with pytest.raises(NotAnIdealError):
         ax.quotient_ring(r6, [0, 2])               # 2+2=4 escapes
+    with pytest.raises(NotAnIdealError) as info:
+        ax.quotient_ring(r6, [3])
+    assert info.value.witness == (0,)              # every witness is a tuple
 
     q1, proj1 = ax.quotient_ring(r6, [0])
     assert q1.cardinality == 6
+    check_ring_axioms(q1)
     for x in r6.elements():
         for y in r6.elements():
             assert proj1(r6.add(x, y)) == q1.add(proj1(x), proj1(y))
@@ -221,6 +250,7 @@ def test_quotient_projection_homomorphism_exhaustive():
     ideal = [(), (0, 1)]                           # (t)
     q, proj = ax.quotient_ring(r, ideal)
     assert q.cardinality == 2
+    check_ring_axioms(q)
     for x in r.elements():
         for y in r.elements():
             assert proj(r.add(x, y)) == q.add(proj(x), proj(y))
@@ -248,5 +278,6 @@ def test_subring_table():
     r = ax.modular(8)
     handle, embed, restrict = ax.subring_table(r, [0, 2, 4, 6])
     assert handle.cardinality == 4
+    check_ring_axioms(handle)
     assert embed(restrict(4)) == 4
     assert handle.add(restrict(2), restrict(6)) == restrict(0)

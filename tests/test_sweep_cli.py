@@ -162,7 +162,7 @@ def run_cli(*args):
 
 def test_cli_approx_exact():
     code, out, _ = run_cli("approx", "--ring", "zmod:7", "--set", "{1,6,0}",
-                           "--exact", "--json")
+                           "--json")
     assert code == 0
     payload = json.loads(out)
     assert payload["k"] == 2 and payload["kind"] == "approx_certificate"
