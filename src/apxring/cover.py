@@ -165,17 +165,6 @@ def _greedy_ranks(masks, full):
     return chosen
 
 
-def _element_frequencies(masks, uncovered, n_targets):
-    freq = [0] * n_targets
-    for m in masks:
-        live = m & uncovered
-        while live:
-            low = live & -live
-            freq[low.bit_length() - 1] += 1
-            live ^= low
-    return freq
-
-
 def cover_exact(a, b, pool, node_limit=DEFAULT_NODE_LIMIT, max_size=None):
     """Minimum-cardinality cover of a by pool translates of b.
 

@@ -663,8 +663,9 @@ class ProductRing(Ring):
 class TableRing(Ring):
     """Ring given by explicit Cayley tables; elements are indices 0..n-1.
 
-    Construction checks the table shapes and that every element has an
-    additive order.  ``table_ring`` and ``load_table_file`` also check the
+    Construction checks the table shapes, that every element has an
+    additive order and that every row of the addition table holds 0 (the
+    negation table).  ``table_ring`` and ``load_table_file`` also check the
     ring axioms (``_check_tables``); ``subring_table`` and ``quotient_ring``
     build rings by construction and skip that O(n^3) check.
     """
@@ -685,6 +686,10 @@ class TableRing(Ring):
         self.descriptor = f"table:{n}:{tag}"
         self.cardinality = n
         self.characteristic = self._exponent()
+        for i, row in enumerate(self.add_table):
+            if 0 not in row:
+                raise RingConstructionError(f"element {i} has no additive inverse")
+        self._neg = tuple(row.index(0) for row in self.add_table)
 
     def _content_hash(self):
         return format(hash((self.add_table, self.mul_table)) & 0xFFFFFFFF, "08x")
@@ -706,7 +711,7 @@ class TableRing(Ring):
         return self.add_table[x][y]
 
     def neg(self, x):
-        return self.add_table[x].index(0)
+        return self._neg[x]
 
     def mul(self, x, y):
         return self.mul_table[x][y]

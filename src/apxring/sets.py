@@ -7,8 +7,17 @@ closure and two-sided ideal generation.
 Sets are immutable and duplicate-free.  On finite rings up to the dense
 threshold they carry a bit-indexed representation (one bit per dense
 index); elsewhere they are plain hashed sets of canonical encodings.
-Both representations implement every operation and must agree; modular
-rings get a word-parallel sumset kernel (translation is a bit rotation).
+A sumset runs one of three kernels:
+
+- dense mask (finite rings up to the dense threshold): on Z/nZ one
+  shifted copy of the larger operand's mask per element of the smaller,
+  then one fold of the bits at n and above; on other finite rings one
+  index bit per pair;
+- Z offset mask: the larger operand as one integer bitmask offset by
+  its minimum, shifted once per element of the smaller, unless the
+  result spans more than 64 bits per element of the larger operand;
+- hashed pairs (F_p[t], and Z sets past that span): ``ring.add`` on
+  every pair.
 
 All derived sets respect a cardinality cap; exceeding it raises the
 typed BudgetExceededError so parameter sweeps can skip rather than die.
@@ -17,9 +26,10 @@ typed BudgetExceededError so parameter sweeps can skip rather than die.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import BudgetExceededError, CrossRingError, ParseError
-from .rings import check_same_ring, _split_top_level
+from .rings import IntegerRing, ModularRing, check_same_ring, _split_top_level
 
 DENSE_THRESHOLD = 2 ** 20    # bit-indexed representation below this ring size
 DEFAULT_SET_CAP = 2 ** 24    # cardinality cap for derived sets
@@ -48,13 +58,7 @@ class FiniteSet:
 
     @classmethod
     def _from_mask(cls, ring, mask):
-        elems = []
-        m = mask
-        while m:
-            low = m & -m
-            elems.append(ring.element_at(low.bit_length() - 1))
-            m ^= low
-        return cls(ring, elems, _mask=mask)
+        return cls(ring, map(ring.element_at, _bits(mask)), _mask=mask)
 
     def mask(self):
         """Bitmask over dense indices (dense representation only)."""
@@ -135,6 +139,23 @@ def _guard(out, cap):
     return out
 
 
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bits(m, lo=0):
+    """lo + i for each set bit i of m >= 0, ascending: one C-level scan
+    of ``bin(m)``, linear in its width."""
+    flags = bin(m)[:1:-1].encode().translate(_BIT_FLAGS)
+    return compress(range(lo, lo + len(flags)), flags)
+
+
+def _shift_or(mask, shifts):
+    out = 0
+    for t in shifts:
+        out |= mask << t
+    return out
+
+
 def _sumset_sparse(a, b):
     ring = a.ring
     out = set()
@@ -145,29 +166,52 @@ def _sumset_sparse(a, b):
 
 
 def _sumset_dense(a, b):
-    """Mask kernel; modular rings reduce translation to a rotation."""
+    """Dense mask kernel, for finite rings up to DENSE_THRESHOLD.
+
+    On Z/nZ, b's mask shifted by each index of a and ORed, then one fold
+    of the bits at n and above; on other finite rings one index bit per
+    pair.  Z sets go to ``_sumset_int``, other lazy rings (F_p[t]) and Z
+    sets past its span bound to ``_sumset_sparse``.
+    """
     ring = a.ring
-    n = ring.cardinality
     bm = b.mask()
+    if isinstance(ring, ModularRing):
+        out = _shift_or(bm, map(ring.index_of, a.elements()))
+        return (out | out >> ring.n) & ((1 << ring.n) - 1)
     out = 0
-    if type(ring).__name__ == "ModularRing":
-        full = (1 << n) - 1
-        for x in a.elements():
-            t = ring.index_of(x)
-            out |= ((bm << t) | (bm >> (n - t))) & full if t else bm
-    else:
-        for x in a.elements():
-            for y in b.elements():
-                out |= 1 << ring.index_of(ring.add(x, y))
+    for x in a.elements():
+        for y in b.elements():
+            out |= 1 << ring.index_of(ring.add(x, y))
     return out
+
+
+def _sumset_int(a, b):
+    """Z offset-mask kernel: the elements of a + b, or None when the
+    result spans more than 64 bits per element of b."""
+    xs, ys = a.elements(), b.elements()
+    if not xs or not ys:
+        return ()
+    lo_a, lo_b, hi_b = min(xs), min(ys), max(ys)
+    if max(xs) - lo_a + hi_b - lo_b >= 64 * len(ys):
+        return None
+    buf = bytearray(b"0") * (hi_b - lo_b + 1)
+    for y in ys:
+        buf[hi_b - y] = 49           # ord("1"); bit y - lo_b of the mask
+    out = _shift_or(int(buf, 2), (x - lo_a for x in xs))
+    return _bits(out, lo_a + lo_b)
 
 
 def sumset(a, b, cap=DEFAULT_SET_CAP):
     """{x + y : x in a, y in b}."""
     check_same_ring(a.ring, b.ring)
+    if len(a) > len(b):
+        a, b = b, a
     if a.rep == "dense" and b.rep == "dense":
         return _guard(FiniteSet._from_mask(a.ring, _sumset_dense(a, b)), cap)
-    return _guard(FiniteSet(a.ring, _sumset_sparse(a, b)), cap)
+    out = _sumset_int(a, b) if isinstance(a.ring, IntegerRing) else None
+    if out is None:
+        out = _sumset_sparse(a, b)
+    return _guard(FiniteSet(a.ring, out), cap)
 
 
 def prodset(a, b, cap=DEFAULT_SET_CAP):

@@ -61,10 +61,15 @@ def test_invalid_descriptors():
         ax.table_ring(add, [[0, 1], [1, 1]])
     with pytest.raises(RingConstructionError, match="additive order"):
         TableRing([[0, 1], [1, 1]], ok_mul)        # 1 + 1 + ... never 0
+    # every element has an additive order (1 -> 2 -> 0 along column 1),
+    # but row 1 holds no 0, so 1 has no negative
+    with pytest.raises(RingConstructionError, match="element 1 has no additive inverse"):
+        TableRing([[0, 1, 2], [1, 2, 2], [2, 0, 0]], [[0] * 3] * 3)
 
 
 def test_direct_table_ring_checked_by_check_ring_axioms():
-    # TableRing checks shape only; the axioms are check_ring_axioms' job
+    # TableRing checks shape, additive orders and negatives only; the
+    # axioms are check_ring_axioms' job
     add = [[(i + j) % 2 for j in range(2)] for i in range(2)]
     bad = TableRing(add, [[0, 1], [1, 1]])
     with pytest.raises(AssertionError, match="associative|distributivity"):

@@ -11,7 +11,9 @@ import apxring as ax
 from apxring.errors import BudgetExceededError, CrossRingError
 from apxring.sets import (
     FiniteSet,
+    _bits,
     _sumset_dense,
+    _sumset_int,
     _sumset_sparse,
     intersect,
     is_symmetric,
@@ -183,9 +185,11 @@ def test_ideal_generated_examples():
 def test_budget_exceeded_typed():
     m199 = ax.modular(199)
     gf9 = ax.galois_field(3, 2, (1, 0, 1))
-    cases = [(iset(-300, 300), 100),                      # sparse
-             (FiniteSet(m199, range(100)), 10),           # dense, rotation kernel
-             (FiniteSet(gf9, gf9.elements()), 5)]         # dense, generic kernel
+    f5t = ax.poly_ring(5)
+    cases = [(iset(-300, 300), 100),                      # Z offset-mask kernel
+             (FiniteSet(m199, range(100)), 10),           # dense, shift-or and fold
+             (FiniteSet(gf9, gf9.elements()), 5),         # dense, generic kernel
+             (FiniteSet(f5t, (f5t.parse(f"t^{i}") for i in range(10))), 20)]  # hashed pairs
     for a, cap in cases:
         with pytest.raises(BudgetExceededError) as exc:
             ax.sumset(a, a, cap=cap)
@@ -213,6 +217,58 @@ def test_dense_sparse_agree():
         sparse = FiniteSet(ring, _sumset_sparse(a, b))
         assert dense == sparse
         assert ax.sumset(a, b) == sparse
+    for _ in range(300):                 # spans stay under 64 bits per element of b
+        lo, width = rng.randrange(-500, 500), rng.choice((1, 10, 30))
+        a = FiniteSet(Z, rng.sample(range(lo, lo + width), min(width, rng.randrange(1, 8))))
+        b = FiniteSet(Z, rng.sample(range(-30, 30), rng.randrange(2, 8)))
+        offset_mask = FiniteSet(Z, _sumset_int(a, b))
+        assert offset_mask == FiniteSet(Z, _sumset_sparse(a, b))
+        assert ax.sumset(a, b) == offset_mask
+
+
+def _naive_bits(m):
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
+def test_bits_matches_lowest_bit_loop():
+    rng = random.Random(17)
+    assert list(_bits(0)) == []
+    assert list(_bits((1 << 2 ** 17) - 1)) == list(range(2 ** 17))
+    widths = [1, 2, 63, 64, 65] + [rng.randrange(66, 2 ** 17) for _ in range(4)] + [2 ** 17]
+    for w in widths:
+        m = rng.getrandbits(w)
+        if w > 2 ** 14:                  # one bit in eight: the reference loop is quadratic
+            m &= rng.getrandbits(w) & rng.getrandbits(w)
+        m |= 1 << (w - 1)
+        assert list(_bits(m)) == _naive_bits(m)
+
+
+def test_int_kernel_span_fallback():
+    wide = FiniteSet(Z, [0, 10 ** 18])
+    assert _sumset_int(FiniteSet(Z, [0, 1]), wide) is None
+    assert ax.sumset(wide, FiniteSet(Z, [0, 1])).elements() == {0, 1, 10 ** 18, 10 ** 18 + 1}
+    assert _sumset_int(iset(-3, 3), iset(-3, 3)) is not None
+    assert ax.sumset(FiniteSet(Z, []), iset(0, 2)) == FiniteSet(Z, [])
+
+
+_int_sets = st.one_of(
+    st.sets(st.integers(-40, 40), min_size=1, max_size=12),       # offset mask
+    st.sets(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=6),  # span fallback
+)
+
+
+@settings(max_examples=300)
+@given(_int_sets, _int_sets, st.booleans())
+def test_int_kernel_matches_pairs(xs, ys, same):
+    a = FiniteSet(Z, xs)
+    b = a if same else FiniteSet(Z, ys)
+    assert ax.sumset(a, b) == FiniteSet(Z, _sumset_sparse(a, b))
+    assert ax.sumset(a, FiniteSet(Z, [7])) == ax.translate(7, a)
 
 
 @settings(max_examples=200)
