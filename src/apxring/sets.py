@@ -4,19 +4,17 @@ Sum and product sets, translates, the growth recursion
 X_{n+1} = X_n*X_n + (X_n + X_n), iterated sums and products, subring
 closure and two-sided ideal generation.
 
-Sets are immutable and duplicate-free.  On finite rings up to the dense
-threshold they carry a bit-indexed representation (one bit per dense
-index); elsewhere they are plain hashed sets of canonical encodings.
-A sumset runs one of three kernels:
+Sets are immutable and duplicate-free: a ring plus a frozenset of
+canonical encodings, on every ring.  A sumset runs one of two kernels:
 
-- dense mask (finite rings up to the dense threshold): on Z/nZ one
-  shifted copy of the larger operand's mask per element of the smaller,
-  then one fold of the bits at n and above; on other finite rings one
-  index bit per pair;
-- Z offset mask: the larger operand as one integer bitmask offset by
-  its minimum, shifted once per element of the smaller, unless the
-  result spans more than 64 bits per element of the larger operand;
-- hashed pairs (F_p[t], and Z sets past that span): ``ring.add`` on
+- offset mask (Z and Z/nZ): the larger operand as one integer bitmask
+  offset by its minimum, shifted once per element of the smaller; on
+  Z/nZ the bits at n and above are folded down once and the residues
+  are read in two runs, split where they wrap round to 0, so the cost
+  follows the span of the sets, not n.  It gives way to hashed pairs
+  when the unreduced span of the result plus 128 reaches 4·|a|·|b|,
+  where decoding the mask would cost more than adding the pairs;
+- hashed pairs (every other ring, and the case above): ``ring.add`` on
   every pair.
 
 All derived sets respect a cardinality cap; exceeding it raises the
@@ -26,50 +24,27 @@ typed BudgetExceededError so parameter sweeps can skip rather than die.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 
 from .errors import BudgetExceededError, CrossRingError, ParseError
 from .rings import IntegerRing, ModularRing, check_same_ring, _split_top_level
 
-DENSE_THRESHOLD = 2 ** 20    # bit-indexed representation below this ring size
 DEFAULT_SET_CAP = 2 ** 24    # cardinality cap for derived sets
 
 
 class FiniteSet:
-    """Immutable finite subset of one ring.
-
-    ``rep`` is "dense" when the ring is finite and small enough for the
-    bit-indexed form, else "sparse".  Iteration is always in canonical
-    order (dense index, or the backend's sort key).
+    """Immutable finite subset of one ring: a frozenset of canonical
+    encodings, the same on every ring.  ``sumset`` adds two of them by
+    an offset mask on Z and Z/nZ and by hashed pairs elsewhere (see the
+    module docstring).  Iteration is in the backend's canonical order
+    (its sort key: the dense index on finite rings).
     """
 
-    __slots__ = ("ring", "_elems", "_mask", "rep")
+    __slots__ = ("ring", "_elems")
 
-    def __init__(self, ring, elements, _mask=None):
+    def __init__(self, ring, elements):
         self.ring = ring
         self._elems = frozenset(elements)
-        self.rep = ("dense" if ring.is_finite and ring.cardinality <= DENSE_THRESHOLD
-                    else "sparse")
-        self._mask = _mask
-
-    @classmethod
-    def of(cls, ring, elements):
-        return cls(ring, elements)
-
-    @classmethod
-    def _from_mask(cls, ring, mask):
-        return cls(ring, map(ring.element_at, _bits(mask)), _mask=mask)
-
-    def mask(self):
-        """Bitmask over dense indices (dense representation only)."""
-        if self.rep != "dense":
-            raise ValueError("mask requires the dense representation")
-        if self._mask is None:
-            m = 0
-            for x in self._elems:
-                m |= 1 << self.ring.index_of(x)
-            self._mask = m
-        return self._mask
 
     def __len__(self):
         return len(self._elems)
@@ -149,13 +124,6 @@ def _bits(m, lo=0):
     return compress(range(lo, lo + len(flags)), flags)
 
 
-def _shift_or(mask, shifts):
-    out = 0
-    for t in shifts:
-        out |= mask << t
-    return out
-
-
 def _sumset_sparse(a, b):
     ring = a.ring
     out = set()
@@ -165,40 +133,35 @@ def _sumset_sparse(a, b):
     return out
 
 
-def _sumset_dense(a, b):
-    """Dense mask kernel, for finite rings up to DENSE_THRESHOLD.
-
-    On Z/nZ, b's mask shifted by each index of a and ORed, then one fold
-    of the bits at n and above; on other finite rings one index bit per
-    pair.  Z sets go to ``_sumset_int``, other lazy rings (F_p[t]) and Z
-    sets past its span bound to ``_sumset_sparse``.
-    """
-    ring = a.ring
-    bm = b.mask()
-    if isinstance(ring, ModularRing):
-        out = _shift_or(bm, map(ring.index_of, a.elements()))
-        return (out | out >> ring.n) & ((1 << ring.n) - 1)
-    out = 0
-    for x in a.elements():
-        for y in b.elements():
-            out |= 1 << ring.index_of(ring.add(x, y))
-    return out
-
-
-def _sumset_int(a, b):
-    """Z offset-mask kernel: the elements of a + b, or None when the
-    result spans more than 64 bits per element of b."""
+def _sumset_mask(a, b, n=None):
+    """Offset-mask kernel for Z, or for Z/nZ given its modulus n: the
+    elements of a + b, or None when the unreduced span of the result
+    plus 128 is at least 4·|a|·|b|.  Decoding a mask bit costs about a
+    quarter of adding a pair, and the kernel's fixed cost is about that
+    of 32 pairs."""
     xs, ys = a.elements(), b.elements()
     if not xs or not ys:
         return ()
     lo_a, lo_b, hi_b = min(xs), min(ys), max(ys)
-    if max(xs) - lo_a + hi_b - lo_b >= 64 * len(ys):
+    if max(xs) - lo_a + hi_b - lo_b + 128 >= 4 * len(xs) * len(ys):
         return None
     buf = bytearray(b"0") * (hi_b - lo_b + 1)
     for y in ys:
         buf[hi_b - y] = 49           # ord("1"); bit y - lo_b of the mask
-    out = _shift_or(int(buf, 2), (x - lo_a for x in xs))
-    return _bits(out, lo_a + lo_b)
+    mask, out = int(buf, 2), 0
+    for x in xs:
+        out |= mask << (x - lo_a)
+    lo = lo_a + lo_b
+    if n is None:
+        return _bits(out, lo)
+    # Z/nZ: bit p stands for the residue of lo + p.  Bits p and p + n
+    # agree and p < 2n - 1, so one fold leaves only bits below n; from
+    # bit n - lo on, the residues wrap round to 0.
+    if out >> n:
+        out = out & ((1 << n) - 1) | out >> n
+    lo %= n
+    hi = out >> (n - lo)
+    return chain(_bits(out ^ hi << (n - lo), lo), _bits(hi))
 
 
 def sumset(a, b, cap=DEFAULT_SET_CAP):
@@ -206,12 +169,15 @@ def sumset(a, b, cap=DEFAULT_SET_CAP):
     check_same_ring(a.ring, b.ring)
     if len(a) > len(b):
         a, b = b, a
-    if a.rep == "dense" and b.rep == "dense":
-        return _guard(FiniteSet._from_mask(a.ring, _sumset_dense(a, b)), cap)
-    out = _sumset_int(a, b) if isinstance(a.ring, IntegerRing) else None
+    ring = a.ring
+    out = None
+    if isinstance(ring, IntegerRing):
+        out = _sumset_mask(a, b)
+    elif isinstance(ring, ModularRing):
+        out = _sumset_mask(a, b, ring.n)
     if out is None:
         out = _sumset_sparse(a, b)
-    return _guard(FiniteSet(a.ring, out), cap)
+    return _guard(FiniteSet(ring, out), cap)
 
 
 def prodset(a, b, cap=DEFAULT_SET_CAP):

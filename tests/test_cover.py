@@ -221,6 +221,13 @@ def test_is_generic_examples():
     r = ax.is_generic(ax.parse_set(m9, "{0,3,6}"),
                       ax.parse_set(m9, "{0,1,2,3,4,5,6,7,8}"), 3)
     assert r.generic and r.constant == 3
+    # the node limit binds: a verified cover within the bound still answers yes
+    d, big = FiniteSet(Z, [0, 1, 3]), FiniteSet(Z, range(20))
+    r = ax.is_generic(d, big, bound=10 ** 6, node_limit=5)
+    assert not r.witness.optimal and r.generic and r.constant is None
+    assert ax.verify_witness(r.witness)[0]
+    r = ax.is_generic(d, big, bound=len(r.witness.translates) - 1, node_limit=5)
+    assert not r.generic and r.constant is None
 
 
 def test_witness_json_round_trip():

@@ -12,8 +12,7 @@ from apxring.errors import BudgetExceededError, CrossRingError
 from apxring.sets import (
     FiniteSet,
     _bits,
-    _sumset_dense,
-    _sumset_int,
+    _sumset_mask,
     _sumset_sparse,
     intersect,
     is_symmetric,
@@ -187,8 +186,8 @@ def test_budget_exceeded_typed():
     gf9 = ax.galois_field(3, 2, (1, 0, 1))
     f5t = ax.poly_ring(5)
     cases = [(iset(-300, 300), 100),                      # Z offset-mask kernel
-             (FiniteSet(m199, range(100)), 10),           # dense, shift-or and fold
-             (FiniteSet(gf9, gf9.elements()), 5),         # dense, generic kernel
+             (FiniteSet(m199, range(100)), 10),           # Z/nZ offset mask and fold
+             (FiniteSet(gf9, gf9.elements()), 5),         # hashed pairs
              (FiniteSet(f5t, (f5t.parse(f"t^{i}") for i in range(10))), 20)]  # hashed pairs
     for a, cap in cases:
         with pytest.raises(BudgetExceededError) as exc:
@@ -197,33 +196,44 @@ def test_budget_exceeded_typed():
         assert len(ax.sumset(a, a, cap=len(exc.value.partial))) == len(exc.value.partial)
 
 
-def test_representation_tags():
-    assert iset(-1, 1).rep == "sparse"
-    assert ax.parse_set(ax.modular(7), "{1}").rep == "dense"
-
-
-def test_dense_sparse_agree():
+def test_mask_kernel_agrees_with_pairs():
     rng = random.Random(11)
-    rings = [ax.modular(n) for n in (6, 7, 12, 31)] + [
-        ax.galois_field(3, 2, (1, 0, 1)), ax.matrix_ring("zmod:2", 2)]
+
+    def check(a, b, n=None):
+        pairs = FiniteSet(a.ring, _sumset_sparse(a, b))
+        out = _sumset_mask(a, b, n)
+        if out is not None:
+            out = FiniteSet(a.ring, out)
+            assert out == pairs
+        assert ax.sumset(a, b) == pairs
+        return out
+
+    rings = [ax.modular(n) for n in (2, 6, 7, 12, 31)]
+    took = 0
     for trial in range(1000):
         ring = rings[trial % len(rings)]
-        n = ring.cardinality
-        a = FiniteSet(ring, {ring.element_at(rng.randrange(n))
-                             for _ in range(rng.randrange(1, 6))})
-        b = FiniteSet(ring, {ring.element_at(rng.randrange(n))
-                             for _ in range(rng.randrange(1, 6))})
-        dense = FiniteSet._from_mask(ring, _sumset_dense(a, b))
-        sparse = FiniteSet(ring, _sumset_sparse(a, b))
-        assert dense == sparse
-        assert ax.sumset(a, b) == sparse
-    for _ in range(300):                 # spans stay under 64 bits per element of b
-        lo, width = rng.randrange(-500, 500), rng.choice((1, 10, 30))
-        a = FiniteSet(Z, rng.sample(range(lo, lo + width), min(width, rng.randrange(1, 8))))
-        b = FiniteSet(Z, rng.sample(range(-30, 30), rng.randrange(2, 8)))
-        offset_mask = FiniteSet(Z, _sumset_int(a, b))
-        assert offset_mask == FiniteSet(Z, _sumset_sparse(a, b))
-        assert ax.sumset(a, b) == offset_mask
+        a, b = (FiniteSet(ring, rng.sample(range(ring.n), rng.randrange(1, ring.n + 1)))
+                for _ in range(2))
+        took += check(a, b, ring.n) is not None
+    assert 0 < took < 1000               # both sides of the span rule
+    for n in (7, 31, 1000003):           # fold edges: 2n - 2 folds to n - 2, 0 stays 0
+        ring = ax.modular(n)
+        top, low = (FiniteSet(ring, r) for r in (range(max(n - 12, 0), n), range(min(n, 12))))
+        assert n - 2 in check(top, top, n) and 0 in check(low, low, n)
+        assert len(check(top, low, n)) == min(n, 23)   # residues wrap round to 0
+    m10007 = ax.modular(10007)
+    for k in (128, 256, 512):
+        a, b = (FiniteSet(m10007, rng.sample(range(10007), k)) for _ in range(2))
+        assert check(a, b, 10007) is not None
+    m1000003 = ax.modular(1000003)
+    assert check(FiniteSet(m1000003, [0, 500000]), FiniteSet(m1000003, [0, 1]), 1000003) is None
+    took = 0
+    for _ in range(300):
+        lo, width = rng.randrange(-500, 500), rng.choice((1, 10, 30, 60))
+        a = FiniteSet(Z, rng.sample(range(lo, lo + width), rng.randrange(1, width + 1)))
+        b = FiniteSet(Z, rng.sample(range(-30, 30), rng.randrange(2, 40)))
+        took += check(a, b) is not None
+    assert 0 < took < 300
 
 
 def _naive_bits(m):
@@ -250,9 +260,16 @@ def test_bits_matches_lowest_bit_loop():
 
 def test_int_kernel_span_fallback():
     wide = FiniteSet(Z, [0, 10 ** 18])
-    assert _sumset_int(FiniteSet(Z, [0, 1]), wide) is None
+    assert _sumset_mask(FiniteSet(Z, [0, 1]), wide) is None
     assert ax.sumset(wide, FiniteSet(Z, [0, 1])).elements() == {0, 1, 10 ** 18, 10 ** 18 + 1}
-    assert _sumset_int(iset(-3, 3), iset(-3, 3)) is not None
+    assert _sumset_mask(iset(-3, 3), iset(-3, 3)) is not None
+    # |a| = 1, |b| = 64: the kernel runs up to a span of 4·64 - 129 and
+    # gives way one above it
+    b = FiniteSet(Z, [*range(63), 4 * 64 - 129])
+    assert _sumset_mask(FiniteSet(Z, [5]), b) is not None
+    b = FiniteSet(Z, [*range(63), 4 * 64 - 128])
+    assert _sumset_mask(FiniteSet(Z, [5]), b) is None
+    assert ax.sumset(FiniteSet(Z, [5]), b) == ax.translate(5, b)
     assert ax.sumset(FiniteSet(Z, []), iset(0, 2)) == FiniteSet(Z, [])
 
 
