@@ -77,7 +77,6 @@ from .sets import (
     difference_set,
     growth_sequence,
     growth_step,
-    ideal_generated,
     iterated_sum,
     msum,
     negate,

@@ -112,7 +112,7 @@ _ZD_EXHAUSTIVE = 2 ** 12
 _ZD_SAMPLES = 10 ** 5
 
 
-def find_zero_divisor(ring, rng=None):
+def find_zero_divisor(ring):
     """(pair or None, method).  Exhaustive on small finite rings,
     sampled above 2^12 elements, known-domain shortcut on lazy rings."""
     if not ring.is_finite:
@@ -129,7 +129,7 @@ def find_zero_divisor(ring, rng=None):
                 if b != zero and ring.mul(a, b) == zero:
                     return (a, b), "exhaustive"
         return None, "exhaustive"
-    rng = rng or random.Random(0)
+    rng = random.Random(0)
     n = ring.cardinality
     for _ in range(_ZD_SAMPLES):
         a = ring.element_at(rng.randrange(1, n))
@@ -294,53 +294,55 @@ class SubringSearchResult:
 def _additive_subgroups_within(ring, box):
     """All additive subgroups of the ring contained in ``box``.
 
-    Closure-extension BFS from {0}; only useful below ~32 elements.
+    Search from {0}, growing each subgroup H by one element g at a time
+    through its cosets: ⟨H, g⟩ = ⋃_k (H + k·g), adding H + k·g for
+    k = 1, 2, ... until k·g lies in H, and dropping g as soon as a coset
+    leaves the box.  Every g of one coset H + g gives the same ⟨H, g⟩,
+    so one representative per coset is tried.  Only useful for boxes of
+    a few dozen elements: the number of subgroups grows fast.
     """
     zero = ring.zero()
-    box_set = set(box.elements())
+    box_set = box.elements()
     if zero not in box_set:
         return []
     seed = frozenset((zero,))
     seen = {seed}
     queue = [seed]
-    out = [seed]
     while queue:
         h = queue.pop()
+        tried = set(h)
         for g in box_set - h:
-            grown = set(h)
-            frontier = {g}
-            ok = True
-            while frontier:
-                e = frontier.pop()
-                if e not in box_set:
-                    ok = False
-                    break
-                grown.add(e)
-                cand = {ring.neg(e)}
-                cand.update(ring.add(e, b) for b in grown)
-                frontier |= {c for c in cand if c not in grown}
-            if not ok:
+            if g in tried:
                 continue
-            key = frozenset(grown)
-            if key not in seen:
-                seen.add(key)
-                queue.append(key)
-                out.append(key)
-    return out
+            grown = set(h)
+            kg = g
+            while kg not in h:
+                coset = {ring.add(e, kg) for e in h}
+                if not coset <= box_set:
+                    break
+                grown |= coset
+                kg = ring.add(kg, g)
+            else:
+                key = frozenset(grown)
+                if key not in seen:
+                    seen.add(key)
+                    queue.append(key)
+            tried.update(ring.add(e, g) for e in h)
+    return list(seen)
 
 
 POS_CHAR_EXHAUSTIVE_LIMIT = 32
 
 
-def pos_char_search(x, strategies=("generated", "seeded", "exhaustive"),
-                    exhaustive_limit=POS_CHAR_EXHAUSTIVE_LIMIT, exact=True):
+def pos_char_search(x, exact=True):
     """Search for a subring S ⊆ 4X + X·4X minimizing commensurability
-    with X.  Strategies, in order:
+    with X.  Three strategies, in this order:
 
       generated   S = ⟨X⟩ when it stays inside the core
       seeded      S = ⟨X ∩ D⟩ for D among {kX : k <= 4} ∩ core
       exhaustive  every multiplication-closed additive subgroup inside
-                  the core (cores up to ``exhaustive_limit`` elements)
+                  the core, grown by cosets (``_additive_subgroups_within``),
+                  on cores of at most POS_CHAR_EXHAUSTIVE_LIMIT elements
 
     Returns the best candidate (smallest constant, then smallest set),
     tagged with the winning strategy and whether the exhaustive pass ran.
@@ -365,19 +367,16 @@ def pos_char_search(x, strategies=("generated", "seeded", "exhaustive"),
             if ok and all(fs != c for c, _r, _tag in candidates):
                 candidates.append((fs, rank, tag))
 
-    if "generated" in strategies:
-        gen = closure(x, budget=ring.cardinality).set
-        offer(gen.elements(), 0, "generated")
-    if "seeded" in strategies:
-        for k in range(1, 5):
-            d = intersect(iterated_sum(x, k), core)
-            seed = intersect(x, d)
-            if len(seed):
-                offer(closure(seed, budget=ring.cardinality).set.elements(),
-                      1, f"seeded:{k}X")
-    ran_exhaustive = False
-    if "exhaustive" in strategies and len(core) <= exhaustive_limit:
-        ran_exhaustive = True
+    gen = closure(x, budget=ring.cardinality).set
+    offer(gen.elements(), 0, "generated")
+    for k in range(1, 5):
+        d = intersect(iterated_sum(x, k), core)
+        seed = intersect(x, d)
+        if len(seed):
+            offer(closure(seed, budget=ring.cardinality).set.elements(),
+                  1, f"seeded:{k}X")
+    ran_exhaustive = len(core) <= POS_CHAR_EXHAUSTIVE_LIMIT
+    if ran_exhaustive:
         for sub in _additive_subgroups_within(ring, core):
             offer(sub, 2, "exhaustive")
 
@@ -448,18 +447,17 @@ _SUBSET_ENUM_LIMIT = 4096
 _MODEL_DEPTH_CAP = 6
 
 
-def finite_model_check(x, ideal, depth_cap=_MODEL_DEPTH_CAP,
-                       subset_limit=_SUBSET_ENUM_LIMIT, seed=0):
+def finite_model_check(x, ideal):
     """Quotient-map checks of ⟨X⟩ / I at finite scale.
 
     I must be a two-sided ideal of ⟨X⟩ contained in some X_m (the least
-    such m is found up to ``depth_cap``).  With f the projection:
+    such m is found up to m = 6).  With f the projection:
 
       (i)   U := {a + I : a + I ⊆ X_m} contains 0 and f⁻¹[U] ⊆ X_m
       (ii)  f⁻¹[U] is generic relative to X for every tested U ∋ 0
-            (all 0-containing subsets when there are at most
-            ``subset_limit`` of them, a seeded sample plus {0} and the
-            full quotient otherwise); the max exact constant is reported
+            (all 0-containing subsets when there are at most 4096 of
+            them, a fixed-seed random sample plus {0} and the full
+            quotient otherwise); the max exact constant is reported
       (iii) f⁻¹[π[X_m]] is additively commensurable with X
 
     The ideal check is ``quotient_ring``'s, run on the table of ⟨X⟩; a
@@ -489,9 +487,9 @@ def finite_model_check(x, ideal, depth_cap=_MODEL_DEPTH_CAP,
     xm = x
     m = 0
     while not ideal.elements() <= xm.elements():
-        if m >= depth_cap:
+        if m >= _MODEL_DEPTH_CAP:
             raise InvalidParamsError(
-                f"ideal not inside any X_m for m <= {depth_cap}")
+                f"ideal not inside any X_m for m <= {_MODEL_DEPTH_CAP}")
         xm = growth_step(xm)
         m += 1
 
@@ -515,17 +513,17 @@ def finite_model_check(x, ideal, depth_cap=_MODEL_DEPTH_CAP,
     # clause (ii): genericity of preimages of 0-neighborhoods
     others = [c for c in range(q) if c != quotient.zero()]
     n_subsets = 2 ** len(others)
-    exhaustive = n_subsets <= subset_limit
+    exhaustive = n_subsets <= _SUBSET_ENUM_LIMIT
     if exhaustive:
         subsets = (frozenset({quotient.zero()}) | frozenset(
             c for i, c in enumerate(others) if mask >> i & 1)
             for mask in range(n_subsets))
         n_tested = n_subsets
     else:
-        rng = random.Random(seed)
+        rng = random.Random(0)
         picks = {frozenset({quotient.zero()}),
                  frozenset(range(q))}
-        while len(picks) < subset_limit:
+        while len(picks) < _SUBSET_ENUM_LIMIT:
             picks.add(frozenset({quotient.zero()}) | frozenset(
                 c for c in others if rng.random() < 0.5))
         subsets = picks

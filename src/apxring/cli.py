@@ -40,9 +40,11 @@ from .sets import difference_set, growth_sequence, load_set_file, parse_set
 from .sweep import SweepSpec, run_sweep
 from .rings import make_ring
 
+# unreadable input files (missing, not JSON) are precondition failures too
 _PRECONDITION = (ParseError, RingConstructionError, CrossRingError,
                  InfiniteRingError, NotAnIdealError, NotSymmetricError,
-                 UncoverableError, InvalidParamsError, ZeroDivisorError)
+                 UncoverableError, InvalidParamsError, ZeroDivisorError,
+                 OSError, json.JSONDecodeError)
 
 
 def _load_set(ring, spec_text):

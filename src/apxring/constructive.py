@@ -283,12 +283,6 @@ class ConstructiveCoverReport:
     exact_size: int | None           # None = skipped (size threshold)
     bound_formula_value: int
 
-    @property
-    def ratio(self):
-        if not self.exact_size:
-            return None
-        return self.constructed_size / self.exact_size
-
     def to_json(self):
         return {
             "schema_version": "1",
@@ -305,12 +299,12 @@ class ConstructiveCoverReport:
 BOUND_TABLE_EXACT_LIMIT = 512
 
 
-def bound_table(cert, m_max, cap=INTERMEDIATE_CAP,
-                exact_limit=BOUND_TABLE_EXACT_LIMIT):
+def bound_table(cert, m_max, cap=INTERMEDIATE_CAP):
     """Constructive |F_m| against the exact covering number of X^m.
 
     The exact column is computed by the branch-and-bound solver and
-    skipped (None) when X^m outgrows ``exact_limit``.
+    skipped (None) when X^m has more than BOUND_TABLE_EXACT_LIMIT
+    elements or its translate pool more than four times that.
     """
     _require_ring_cert(cert)
     b = _Builder(cert, cap)
@@ -318,9 +312,9 @@ def bound_table(cert, m_max, cap=INTERMEDIATE_CAP,
     for m in range(1, m_max + 1):
         w, fm, _ = claim2_cover(m, cert, cap, _builder=b)
         exact = None
-        if len(w.target) and len(w.target) <= exact_limit:
+        if len(w.target) and len(w.target) <= BOUND_TABLE_EXACT_LIMIT:
             pool = difference_set(w.target, cert.x)
-            if len(pool) <= 4 * exact_limit:
+            if len(pool) <= 4 * BOUND_TABLE_EXACT_LIMIT:
                 exact = len(cover_exact(w.target, cert.x, pool).translates)
         elif len(w.target) == 0:
             exact = 0

@@ -52,10 +52,6 @@ class CoverWitness:
     method: str                      # "exact" | "greedy" | "constructive"
     stats: dict = field(default_factory=dict, compare=False)
 
-    @property
-    def size(self):
-        return len(self.translates)
-
     def to_json(self):
         ring = self.target.ring
         return {
@@ -165,13 +161,11 @@ def _greedy_ranks(masks, full):
     return chosen
 
 
-def cover_exact(a, b, pool, node_limit=DEFAULT_NODE_LIMIT, max_size=None):
+def cover_exact(a, b, pool, node_limit=DEFAULT_NODE_LIMIT):
     """Minimum-cardinality cover of a by pool translates of b.
 
     Returns an optimal witness, or the best incumbent flagged
-    non-optimal when the node limit is hit.  ``max_size`` caps the
-    search: if no cover of that size exists the result is the best
-    (possibly larger) incumbent with stats["proved_above"] set.
+    non-optimal when the node limit is hit.
     """
     if len(b) == 0:
         raise UncoverableError("base set is empty")
@@ -183,9 +177,8 @@ def cover_exact(a, b, pool, node_limit=DEFAULT_NODE_LIMIT, max_size=None):
     n_targets = len(targets)
     base_size = len(b)
 
-    incumbent = _greedy_ranks(masks, full)
-    best_size = len(incumbent)
-    cutoff = best_size if max_size is None else min(best_size, max_size + 1)
+    best = _greedy_ranks(masks, full)
+    cutoff = len(best)
 
     coverers = [[] for _ in range(n_targets)]
     for rank, m in enumerate(masks):
@@ -197,10 +190,9 @@ def cover_exact(a, b, pool, node_limit=DEFAULT_NODE_LIMIT, max_size=None):
 
     nodes = 0
     hit_limit = False
-    best = list(incumbent)
 
     def dfs(covered, chosen):
-        nonlocal nodes, best, cutoff, hit_limit
+        nonlocal nodes, cutoff, hit_limit
         nodes += 1
         if nodes > node_limit:
             hit_limit = True
@@ -237,14 +229,10 @@ def cover_exact(a, b, pool, node_limit=DEFAULT_NODE_LIMIT, max_size=None):
             chosen.pop()
 
     dfs(0, [])
-    proved_above = max_size is not None and not hit_limit and len(best) > max_size
-    optimal = not hit_limit and (max_size is None or len(best) <= max_size)
     chosen_elems = sorted((pool_sorted[r] for r in best), key=a.ring.sort_key)
     stats = {"nodes": nodes, "elapsed": time.perf_counter() - t0,
              "node_limit_hit": hit_limit}
-    if proved_above:
-        stats["proved_above"] = max_size
-    return make_witness(a, b, chosen_elems, optimal, "exact", stats)
+    return make_witness(a, b, chosen_elems, not hit_limit, "exact", stats)
 
 
 def cover_brute_force(a, b, pool):
@@ -512,10 +500,6 @@ class CommensurabilityResult:
     @property
     def constant(self):
         return max(self.k_ab, self.k_ba)
-
-    @property
-    def exact(self):
-        return self.witness_ab.optimal and self.witness_ba.optimal
 
 
 def commensurability(a, b, exact=True, node_limit=DEFAULT_NODE_LIMIT):

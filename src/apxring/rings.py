@@ -249,7 +249,7 @@ class Ring:
         return self.index_of(x)
 
     def sample_stream(self):
-        """Canonical element stream for budget-limited heuristics."""
+        """Canonical element stream; the sampled axiom check reads it."""
         if self.is_finite:
             return self.elements()
         raise InfiniteRingError(f"{self.descriptor} provides no samples")
@@ -260,14 +260,6 @@ class Ring:
 
     def render(self, x):
         raise NotImplementedError
-
-    def contains(self, x):
-        """Cheap validity check of an encoding (not a membership oracle)."""
-        try:
-            self.index_of(x)
-            return True
-        except Exception:
-            return False
 
     # identity ----------------------------------------------------------
     def __eq__(self, other):
@@ -373,9 +365,6 @@ class IntegerRing(Ring):
 
     def render(self, x):
         return str(x)
-
-    def contains(self, x):
-        return isinstance(x, int)
 
 
 class PolyQuotientRing(Ring):
@@ -510,10 +499,6 @@ class LazyPolyRing(Ring):
 
     def render(self, x):
         return _poly_render(x)
-
-    def contains(self, x):
-        return isinstance(x, tuple) and (not x or x[-1] != 0) and all(
-            isinstance(c, int) and 0 <= c < self.p for c in x)
 
 
 class MatrixRing(Ring):
@@ -668,6 +653,10 @@ class TableRing(Ring):
     negation table).  ``table_ring`` and ``load_table_file`` also check the
     ring axioms (``_check_tables``); ``subring_table`` and ``quotient_ring``
     build rings by construction and skip that O(n^3) check.
+
+    The descriptor is ``table:<n>:<name>``.  Unnamed tables, and the
+    rings ``subring_table`` and ``quotient_ring`` build, carry a hash of
+    the tables in it, so rings with different tables compare unequal.
     """
 
     def __init__(self, add_table, mul_table, name=None):
@@ -682,7 +671,7 @@ class TableRing(Ring):
         self.n = n
         self.add_table = tuple(tuple(r) for r in add_table)
         self.mul_table = tuple(tuple(r) for r in mul_table)
-        tag = name or f"#{self._content_hash()}"
+        tag = name or f"#{self._content_hash(self.add_table, self.mul_table)}"
         self.descriptor = f"table:{n}:{tag}"
         self.cardinality = n
         self.characteristic = self._exponent()
@@ -691,8 +680,11 @@ class TableRing(Ring):
                 raise RingConstructionError(f"element {i} has no additive inverse")
         self._neg = tuple(row.index(0) for row in self.add_table)
 
-    def _content_hash(self):
-        return format(hash((self.add_table, self.mul_table)) & 0xFFFFFFFF, "08x")
+    @staticmethod
+    def _content_hash(add_table, mul_table):
+        """Eight hex digits naming the tables' content (any row form)."""
+        key = (tuple(map(tuple, add_table)), tuple(map(tuple, mul_table)))
+        return format(hash(key) & 0xFFFFFFFF, "08x")
 
     def _exponent(self):
         out = 1
@@ -987,7 +979,8 @@ def quotient_ring(ring, ideal):
     q = len(reps)
     add = [[coset_of[ring.add(reps[i], reps[j])] for j in range(q)] for i in range(q)]
     mul = [[coset_of[ring.mul(reps[i], reps[j])] for j in range(q)] for i in range(q)]
-    quotient = TableRing(add, mul, name=f"{ring.descriptor}/|I|={len(ideal_set)}")
+    quotient = TableRing(add, mul, name=f"{ring.descriptor}/|I|={len(ideal_set)}"
+                                        f"#{TableRing._content_hash(add, mul)}")
 
     def project(x):
         return coset_of[x]
@@ -1024,7 +1017,8 @@ def subring_table(ring, subset):
 
     add = [[look(ring.add(a, b), "addition") for b in elems] for a in elems]
     mul = [[look(ring.mul(a, b), "multiplication") for b in elems] for a in elems]
-    handle = TableRing(add, mul, name=f"sub({ring.descriptor},n={n})")
+    handle = TableRing(add, mul, name=f"sub({ring.descriptor},n={n})"
+                                      f"#{TableRing._content_hash(add, mul)}")
 
     def embed(i):
         return elems[i]

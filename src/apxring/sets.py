@@ -1,8 +1,8 @@
 """Finite-set arithmetic over a ring.
 
 Sum and product sets, translates, the growth recursion
-X_{n+1} = X_n*X_n + (X_n + X_n), iterated sums and products, subring
-closure and two-sided ideal generation.
+X_{n+1} = X_n*X_n + (X_n + X_n), iterated sums and products and subring
+closure.
 
 Sets are immutable and duplicate-free: a ring plus a frozenset of
 canonical encodings, on every ring.  A sumset runs one of two kernels:
@@ -311,10 +311,7 @@ def msum(x, m, cap=DEFAULT_SET_CAP):
 class ClosureResult:
     generated: FiniteSet | None      # None when the budget ran out
     complete: bool
-    steps: int
-    budget: int
     partial: FiniteSet | None = None
-    heuristic: bool = False          # lazy-ring ideal closure is sampled
 
     @property
     def set(self):
@@ -332,9 +329,7 @@ def closure(gens, budget=DEFAULT_SET_CAP):
         raise ValueError("budget smaller than the generating set")
     current = set(gens.elements())
     frontier = set(current)
-    steps = 0
     while frontier:
-        steps += 1
         new = set()
         for a in frontier:
             na = ring.neg(a)
@@ -348,55 +343,7 @@ def closure(gens, budget=DEFAULT_SET_CAP):
         new -= current
         current |= new
         if len(current) > budget:
-            return ClosureResult(None, False, steps, budget,
-                                 partial=FiniteSet(ring, current))
+            return ClosureResult(None, False, FiniteSet(ring, current))
         frontier = new
-    return ClosureResult(FiniteSet(ring, current), True, steps, budget)
+    return ClosureResult(FiniteSet(ring, current), True)
 
-
-_LAZY_IDEAL_SAMPLE = 64
-
-
-def ideal_generated(ring, gens, budget=DEFAULT_SET_CAP):
-    """Smallest two-sided ideal containing gens.
-
-    Finite rings multiply by every ring element (exact).  Lazy rings
-    multiply by the first elements of the backend's canonical sample
-    stream under the budget and mark the result heuristic.
-    """
-    check_same_ring(ring, gens.ring)
-    if ring.is_finite:
-        multipliers = list(ring.elements())
-        heuristic = False
-    else:
-        import itertools as _it
-        multipliers = list(_it.islice(ring.sample_stream(), _LAZY_IDEAL_SAMPLE))
-        heuristic = True
-    current = set(gens.elements())
-    current.add(ring.zero())
-    frontier = set(current)
-    steps = 0
-    while frontier:
-        steps += 1
-        new = set()
-        for a in frontier:
-            na = ring.neg(a)
-            if na not in current:
-                new.add(na)
-            for b in current:
-                s = ring.add(a, b)
-                if s not in current:
-                    new.add(s)
-            for r in multipliers:
-                for v in (ring.mul(r, a), ring.mul(a, r)):
-                    if v not in current:
-                        new.add(v)
-        new -= current
-        current |= new
-        if len(current) > budget:
-            return ClosureResult(None, False, steps, budget,
-                                 partial=FiniteSet(ring, current),
-                                 heuristic=heuristic)
-        frontier = new
-    return ClosureResult(FiniteSet(ring, current), True, steps, budget,
-                         heuristic=heuristic)

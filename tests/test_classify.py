@@ -3,7 +3,11 @@
 import pytest
 
 import apxring as ax
-from apxring.classify import core_set_bruteforce, find_zero_divisor
+from apxring.classify import (
+    _additive_subgroups_within,
+    core_set_bruteforce,
+    find_zero_divisor,
+)
 from apxring.errors import (
     InvalidParamsError,
     NotAnIdealError,
@@ -149,6 +153,43 @@ def test_pos_char_search_exhaustive_flag():
     assert res.exhaustive                     # core is the 5-element field
     assert res.found is not None
     assert res.containment_ok
+
+
+def _closed_subsets_bruteforce(ring, box):
+    """Every subset of ``box`` holding 0 and closed under + and −."""
+    zero = ring.zero()
+    others = sorted(box.elements() - {zero}, key=ring.sort_key)
+    add = {(a, b): ring.add(a, b) for a in box.elements() for b in box.elements()}
+    out = set()
+    for mask in range(1 << len(others)):
+        s = {zero}.union(e for i, e in enumerate(others) if mask >> i & 1)
+        if all(add[a, b] in s for a in s for b in s) and \
+                all(ring.neg(a) in s for a in s):
+            out.add(frozenset(s))
+    return out
+
+
+def test_additive_subgroups_match_brute_force():
+    boxes = []
+    for dsl in ("zmod:8", "zmod:12", "polyquo:2:t^3", "prod:(zmod:2,zmod:4)",
+                "mat:2:zmod:2"):
+        ring = ax.parse_ring(dsl)
+        boxes.append((ring, FiniteSet(ring, ring.elements())))
+    # the core of a poschar row: 8 of the 16 matrices
+    mat = ax.parse_ring("mat:2:zmod:2")
+    x = ax.parse_set(mat, "{[[0,0],[0,0]], [[1,0],[1,0]], [[1,0],[1,1]]}")
+    boxes.append((mat, ax.core_set(x)))
+    assert len(boxes[-1][1]) == 8
+    # a box that is no subgroup (2 + 3 = 5 escapes), so cosets leave it
+    m12 = ax.modular(12)
+    boxes.append((m12, ax.parse_set(m12, "{0,2,3,4,6,8,9}")))
+    for ring, box in boxes:
+        got = _additive_subgroups_within(ring, box)
+        assert len(got) == len(set(got))
+        assert set(got) == _closed_subsets_bruteforce(ring, box), ring
+    assert {len(h) for h in _additive_subgroups_within(m12, boxes[-1][1])} \
+        == {1, 2, 3, 4}
+    assert _additive_subgroups_within(m12, ax.parse_set(m12, "{1,11}")) == []
 
 
 def test_finite_model_check_example():

@@ -7,7 +7,7 @@ import random
 import pytest
 
 import apxring as ax
-from apxring.cover import cover_brute_force, make_witness
+from apxring.cover import cover_brute_force, eval_term, make_witness
 from apxring.errors import (
     NotSymmetricError,
     UncoverableError,
@@ -196,6 +196,25 @@ def test_manual_certificate():
     assert cert.k == 1
     with pytest.raises(VerificationFailedError):
         ax.certificate_from_f(iset(-1, 1), [0], "ring")  # K=1 insufficient
+
+
+def test_certificate_fallback_derivation(monkeypatch):
+    # 5 is outside T - X = {-3..3}, so its term comes from the closure
+    # search (negated and multiplied terms), not the t - x decomposition
+    from apxring import cover
+    from apxring.serialize import verify_payload
+    searched = []
+    search = cover._closure_term_search
+    monkeypatch.setattr(cover, "_closure_term_search",
+                        lambda x, v: searched.append(v) or search(x, v))
+    x = iset(-1, 1)
+    cert = ax.certificate_from_f(x, [-1, 1, 5])
+    assert searched == [5]
+    term = cert.derivations[5]
+    assert eval_term(Z, term) == 5
+    assert all(letter in x for word in term for letter in word)
+    ok, details = verify_payload(cert.to_json())
+    assert ok, details
 
 
 def test_commensurability_examples():

@@ -286,3 +286,22 @@ def test_subring_table():
     check_ring_axioms(handle)
     assert embed(restrict(4)) == 4
     assert handle.add(restrict(2), restrict(6)) == restrict(0)
+
+
+def test_distinct_table_rings_compare_unequal():
+    # same size, different tables: the descriptors must tell them apart
+    r = ax.product_ring(["zmod:4", "zmod:2"])
+    a, _, _ = ax.subring_table(r, [(0, 0), (2, 0)])     # zero product
+    b, _, _ = ax.subring_table(r, [(0, 0), (0, 1)])     # (0,1)^2 = (0,1)
+    assert a.mul_table != b.mul_table
+    assert a != b and a.descriptor != b.descriptor
+    assert ax.subring_table(r, [(0, 0), (2, 0)])[0] == a
+    q1, _ = ax.quotient_ring(r, [(0, 0), (0, 1)])       # Z/4
+    q2, _ = ax.quotient_ring(r, [(0, 0), (2, 0)])       # Z/2 x Z/2
+    assert q1.cardinality == q2.cardinality == 4
+    assert q1 != q2 and q1.descriptor != q2.descriptor
+    for x, y in ((a, b), (q1, q2)):
+        one_x, one_y = ax.FiniteSet(x, {1}), ax.FiniteSet(y, {1})
+        assert one_x != one_y
+        with pytest.raises(CrossRingError):
+            ax.sumset(one_x, one_y)

@@ -167,20 +167,6 @@ def test_closure_matches_brute_force_small():
         assert got.elements() == frozenset(best)
 
 
-def test_ideal_generated_examples():
-    m9 = ax.modular(9)
-    r = ax.ideal_generated(m9, ax.parse_set(m9, "{3}"))
-    assert r.set == ax.parse_set(m9, "{0,3,6}") and not r.heuristic
-    r = ax.ideal_generated(m9, ax.parse_set(m9, "{0}"))
-    assert r.set == ax.parse_set(m9, "{0}")
-    m7 = ax.modular(7)
-    r = ax.ideal_generated(m7, ax.parse_set(m7, "{2}"))
-    assert len(r.set) == 7
-    # lazy rings: budget-limited, flagged heuristic
-    r = ax.ideal_generated(Z, FiniteSet(Z, [2]), budget=50)
-    assert r.heuristic and not r.complete
-
-
 def test_budget_exceeded_typed():
     m199 = ax.modular(199)
     gf9 = ax.galois_field(3, 2, (1, 0, 1))

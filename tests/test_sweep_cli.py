@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -266,3 +267,25 @@ def test_cli_sweep_empty_family(tmp_path):
     code, out, _ = run_cli("sweep", "--config", str(cfg))
     assert code == 0
     assert "0 instances" in out
+
+
+def test_poschar_sweep_csv_golden():
+    # byte-for-byte pin of the chosen S, its strategy tag and the
+    # exhaustive flag on a small random-policy config (cores <= 16)
+    data = Path(__file__).parent / "data"
+    spec = SweepSpec.load(str(data / "poschar_small.cfg"))
+    csv = run_sweep(spec).to_csv()
+    assert csv == (data / "poschar_small.csv").read_text(encoding="utf-8")
+    assert "exhaustive,True" in csv and ",generated," in csv
+
+
+def test_cli_unreadable_input_exits_2(tmp_path, capsys):
+    from apxring.cli import main
+    missing = tmp_path / "missing.json"
+    not_json = tmp_path / "not.json"
+    not_json.write_text("{ not json")
+    for argv in (["verify", "--input", str(missing)],
+                 ["verify", "--input", str(not_json)],
+                 ["approx", "--ring", "zmod:7", "--set", f"@{missing}"]):
+        assert main(argv) == 2, argv
+        assert "precondition failed:" in capsys.readouterr().err
