@@ -28,12 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .classify import core_set
 from .cover import cover_exact, eval_term, make_witness
 from .errors import BudgetExceededError, VerificationFailedError
 from .sets import (
     FiniteSet,
     difference_set,
-    iterated_sum,
     msum,
     power_products,
     prodset,
@@ -264,8 +264,7 @@ def k11_cover(cert, cap=INTERMEDIATE_CAP):
     s = cert.witness_f
     for _ in range(10):
         s = sumset(s, cert.witness_f, cap)
-    four = iterated_sum(x, 4, cap)
-    target = sumset(four, prodset(x, four, cap), cap)
+    target = core_set(x, cap)
     bound = cert.k ** 11
     if len(s) > bound:
         raise VerificationFailedError(

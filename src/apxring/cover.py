@@ -21,11 +21,18 @@ backend, finite or lazy, and the constructive covers are built from it.
 
 from __future__ import annotations
 
+import functools
 import heapq
+import operator
 import time
 from dataclasses import dataclass, field
 
-from .errors import NotSymmetricError, UncoverableError, VerificationFailedError
+from .errors import (
+    BudgetExceededError,
+    NotSymmetricError,
+    UncoverableError,
+    VerificationFailedError,
+)
 from .rings import check_same_ring
 from .sets import (
     FiniteSet,
@@ -372,7 +379,9 @@ def derivation_error(x, f, derivations):
 
 def _derive_term(x, value):
     """Term over X for ``value``: X-element, t − x decomposition over the
-    certificate target, or a term-tracking closure search."""
+    certificate target, or a closure search.  VerificationFailedError
+    when the closure completes without ``value``; BudgetExceededError
+    when its budget binds first."""
     ring = x.ring
     if value in x:
         return ((value,),)
@@ -388,7 +397,7 @@ def _derive_term(x, value):
             for b in elems:
                 if ring.mul(a, b) == t:
                     return ((b, a), (ring.neg(w),))
-    # fall back to a closure search carrying terms
+    # fall back to a closure search recording how each value was made
     term = _closure_term_search(x, value)
     if term is None:
         raise VerificationFailedError(
@@ -397,31 +406,55 @@ def _derive_term(x, value):
 
 
 def _closure_term_search(x, value, budget=20000):
+    """Term over X for ``value`` from a breadth-first closure of X under
+    −, + and ·, or None when the closure completes without it.
+
+    Each value keeps only how it was first made, and the term is built
+    for ``value`` alone from that record, since whole terms grow
+    exponentially with the round.  Raises BudgetExceededError as soon as
+    ``budget`` values are known and the closure needs more.
+    """
     ring = x.ring
+    how = dict.fromkeys(x.elements())        # value -> None for a letter
+    frontier = list(how)
+    while frontier and value not in how:
+        known = list(how)
+        new = []
+        for v, step in _closure_steps(ring, frontier, known):
+            if v in how:
+                continue
+            if len(how) >= budget:
+                raise BudgetExceededError(
+                    f"closure search for {ring.render(value)} passed "
+                    f"{budget} elements")
+            how[v] = step
+            if v == value:
+                break
+            new.append(v)
+        frontier = new
+    if value not in how:
+        return None
     terms = {}
-    for e in x.elements():
-        terms.setdefault(e, ((e,),))
-    frontier = list(terms)
-    while frontier and len(terms) < budget:
-        if value in terms:
-            return terms[value]
-        new = {}
 
-        def note(v, term):
-            if v not in terms and v not in new:
-                new[v] = term
+    def term(v):
+        if v not in terms:
+            step = how[v]
+            terms[v] = ((v,),) if step is None else step[0](*map(term, step[1:]))
+        return terms[v]
 
-        for a in frontier:
-            ta = terms[a]
-            note(ring.neg(a), _neg_term(ring, ta))
-            for b in list(terms):
-                tb = terms[b]
-                note(ring.add(a, b), ta + tb)
-                note(ring.mul(a, b), _mul_terms(ta, tb))
-                note(ring.mul(b, a), _mul_terms(tb, ta))
-        terms.update(new)
-        frontier = list(new)
-    return terms.get(value)
+    return term(value)
+
+
+def _closure_steps(ring, frontier, known):
+    """(value, (combine, a[, b])) for −a, a + b, a·b and b·a; ``combine``
+    maps the operands' terms to the value's term."""
+    neg = functools.partial(_neg_term, ring)
+    for a in frontier:
+        yield ring.neg(a), (neg, a)
+        for b in known:
+            yield ring.add(a, b), (operator.add, a, b)
+            yield ring.mul(a, b), (_mul_terms, a, b)
+            yield ring.mul(b, a), (_mul_terms, b, a)
 
 
 def _neg_term(ring, term):

@@ -13,7 +13,8 @@ from apxring.errors import (
     NotAnIdealError,
     ZeroDivisorError,
 )
-from apxring.sets import FiniteSet
+from apxring.cover import cover_brute_force
+from apxring.sets import FiniteSet, closure, difference_set
 
 Z = ax.integers()
 
@@ -59,9 +60,15 @@ def test_is_subring_examples():
 
 
 def test_zero_divisor_oracle():
-    assert find_zero_divisor(ax.modular(7))[0] is None
+    # fields are domains: no scan of the ring
+    assert find_zero_divisor(ax.modular(7)) == (None, "known-domain")
+    assert find_zero_divisor(ax.parse_ring("gf:3^2:t^2+1")) == \
+        (None, "known-domain")
     pair, method = find_zero_divisor(ax.modular(6))
     assert pair is not None and method == "exhaustive"
+    assert ax.modular(6).mul(*pair) == 0
+    assert find_zero_divisor(ax.parse_ring("polyquo:3:t^2")) == \
+        (((0, 1), (0, 1)), "exhaustive")
     assert find_zero_divisor(ax.integers()) == (None, "known-domain")
 
 
@@ -146,13 +153,30 @@ def test_pos_char_search_examples():
     assert res.found == sub
 
 
+def test_pos_char_search_seeded_strategy():
+    # 0 ∉ X: the seed X ∩ 2X ∩ core is a proper part of X and its
+    # closure beats ⟨X⟩, which is the whole ring
+    m12 = ax.modular(12)
+    res = ax.pos_char_search(ax.parse_set(m12, "{3,4,8,9}"))
+    assert res.strategy_used == "seeded:2X"
+    assert res.found == ax.parse_set(m12, "{0,4,8}")
+    assert res.commensurability == 3
+    m27 = ax.modular(27)
+    res = ax.pos_char_search(ax.parse_set(m27, "{1,9,18,26}"))
+    assert res.strategy_used == "seeded:2X"
+    assert res.found == ax.parse_set(m27, "{0,9,18}")
+
+
 def test_pos_char_search_exhaustive_flag():
     m5 = ax.modular(5)
     x = ax.parse_set(m5, "{0,1,4}")
     res = ax.pos_char_search(x)
     assert res.exhaustive                     # core is the 5-element field
     assert res.found is not None
-    assert res.containment_ok
+    assert res.found.elements() <= res.core.elements()
+    assert ax.is_subring(res.found) == (True, None)
+    payload = res.to_json()
+    assert payload["schema_version"] == "2" and "containment_ok" not in payload
 
 
 def _closed_subsets_bruteforce(ring, box):
@@ -200,8 +224,57 @@ def test_finite_model_check_example():
     assert rep.all_pass
     assert rep.m == 1 and rep.quotient_size == 3
     assert rep.max_genericity == 3
-    assert rep.subsets_exhaustive
-    assert rep.comm_constants == (3, 1)
+    assert rep.neighborhood_size == 1          # only the coset I ⊆ X_1
+    assert rep.comm_constants == (3, 1) and rep.comm_exact
+    payload = rep.to_json()
+    assert payload["schema_version"] == "2" and payload["comm_exact"]
+    assert not {"subsets_tested", "subsets_exhaustive"} & set(payload)
+
+
+# (ring, X, ideal): some X without 0, quotients of 2 to 14 cosets
+# (zmod:28 by {0,14}: 2^13 neighborhoods U ∋ 0)
+_MODEL_ORACLE_CASES = [
+    ("zmod:8", "{0,1,7}", "{0,4}"),
+    ("zmod:8", "{0,1,7}", "{0,2,4,6}"),
+    ("zmod:8", "{1,2,6,7}", "{0,4}"),
+    ("zmod:9", "{0,1,8}", "{0,3,6}"),
+    ("zmod:12", "{0,1,11}", "{0,6}"),
+    ("zmod:12", "{0,1,11}", "{0,4,8}"),
+    ("zmod:12", "{3,4,8,9}", "{0,6}"),
+    ("zmod:27", "{0,1,26}", "{0,9,18}"),
+    ("zmod:27", "{0,3,24}", "{0,9,18}"),
+    ("zmod:27", "{1,9,18,26}", "{0,9,18}"),
+    ("polyquo:2:t^3", "{0,1,t}", "{0,t^2}"),
+    ("polyquo:2:t^3", "{1,t}", "{0,t,t^2,t^2+t}"),
+    ("prod:(zmod:2,zmod:4)", "{(0,0),(1,1),(1,3)}", "{(0,0),(0,2)}"),
+    ("prod:(zmod:2,zmod:4)", "{(0,0),(0,1),(1,1),(0,3),(1,3)}",
+     "{(0,0),(1,0)}"),
+    ("zmod:28", "{0,1,2,26,27}", "{0,14}"),
+]
+
+
+def test_max_genericity_matches_every_neighborhood():
+    # oracle: the largest brute-force cover number of X by f⁻¹[U] over
+    # every U ∋ 0, with cosets of I in ⟨X⟩ formed by plain addition
+    for dsl, x_text, ideal_text in _MODEL_ORACLE_CASES:
+        ring = ax.parse_ring(dsl)
+        x = ax.parse_set(ring, x_text)
+        ideal = ax.parse_set(ring, ideal_text)
+        gen = closure(x, budget=ring.cardinality).set
+        cosets = {frozenset(ring.add(g, i) for i in ideal) for g in gen}
+        zero = frozenset(ideal.elements())
+        others = sorted(cosets - {zero}, key=lambda c: sorted(c))
+        most = 0
+        for mask in range(1 << len(others)):
+            pre = set(zero).union(*(c for i, c in enumerate(others)
+                                    if mask >> i & 1))
+            pre = FiniteSet(ring, pre)
+            most = max(most, cover_brute_force(x, pre,
+                                               difference_set(x, pre))[0])
+        rep = ax.finite_model_check(x, ideal)
+        assert rep.quotient_size == len(cosets), (dsl, x_text)
+        assert rep.max_genericity == most, (dsl, x_text, ideal_text)
+    assert len(cosets) == 14 and most == 5
 
 
 def test_finite_model_check_trivial_ideal():
@@ -251,6 +324,9 @@ def test_verify_payload_rechecks_core_and_subring():
     res = ax.pos_char_search(ax.parse_set(ax.modular(8), "{0,2,4,6}"))
     payload = res.to_json()
     assert verify_payload(payload)[0]
+    # schema 1 carried containment_ok, which the verifier never read
+    assert verify_payload(dict(payload, schema_version="1",
+                               containment_ok=True))[0]
     payload["subring"] = ["0", "2", "4"]       # 2 + 4 = 6 escapes
     ok, details = verify_payload(payload)
     assert not ok and details == ["not a subring: add 2 4"]

@@ -3,12 +3,14 @@
 import dataclasses
 import math
 import random
+import time
 
 import pytest
 
 import apxring as ax
 from apxring.cover import cover_brute_force, eval_term, make_witness
 from apxring.errors import (
+    BudgetExceededError,
     NotSymmetricError,
     UncoverableError,
     VerificationFailedError,
@@ -215,6 +217,32 @@ def test_certificate_fallback_derivation(monkeypatch):
     assert all(letter in x for word in term for letter in word)
     ok, details = verify_payload(cert.to_json())
     assert ok, details
+
+
+def test_certificate_fallback_budget_and_unreachable():
+    # 1 is odd, every value reachable from {-2, 0, 2} is even: the closure
+    # over Z never completes, so the budget binds and says so
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        ax.certificate_from_f(FiniteSet(Z, [-2, 0, 2]), [1])
+    assert time.perf_counter() - start < 1.0
+    # the closure of {0} completes at once without 1: a proven no
+    with pytest.raises(VerificationFailedError, match="not reachable"):
+        ax.certificate_from_f(FiniteSet(Z, [0]), [1])
+
+
+def test_closure_term_search_noncommutative():
+    # in M_2(F_2) a·b ≠ b·a, so every recorded product must keep its order
+    from apxring.cover import _closure_term_search
+    from apxring.sets import closure
+    mat = ax.parse_ring("mat:2:zmod:2")
+    x = ax.parse_set(mat, "{[[0,0],[0,1]], [[0,1],[1,0]]}")
+    gen = closure(x, budget=mat.cardinality).set
+    assert len(gen) > 4
+    for v in gen:
+        term = _closure_term_search(x, v)
+        assert eval_term(mat, term) == v, mat.render(v)
+        assert all(letter in x for word in term for letter in word)
 
 
 def test_commensurability_examples():

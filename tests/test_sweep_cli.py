@@ -209,6 +209,8 @@ def test_cli_model():
     code, out, _ = run_cli("model", "--ring", "zmod:9", "--set", "{0,1,8}",
                            "--ideal", "{0,3,6}")
     assert code == 0
+    assert "max constant 3 = cosets of I meeting X" in out
+    assert "constants (3, 1) (exact)" in out and "subsets" not in out
 
 
 def test_cli_classify():
@@ -277,6 +279,18 @@ def test_poschar_sweep_csv_golden():
     csv = run_sweep(spec).to_csv()
     assert csv == (data / "poschar_small.csv").read_text(encoding="utf-8")
     assert "exhaustive,True" in csv and ",generated," in csv
+
+
+def test_nzd_sweep_csv_golden():
+    # byte-for-byte pin of K, verdict, core and commensurability over
+    # prime zmod and gf rings; fields are known domains, so the ambient
+    # hypothesis holds without a scan of the ring
+    data = Path(__file__).parent / "data"
+    report = run_sweep(SweepSpec.load(str(data / "nzd_small.cfg")))
+    assert report.to_csv() == \
+        (data / "nzd_small.csv").read_text(encoding="utf-8")
+    assert {r["_witness"]["hypothesis"] for r in report.rows} == \
+        {"ambient/known-domain"}
 
 
 def test_cli_unreadable_input_exits_2(tmp_path, capsys):
