@@ -242,7 +242,10 @@ def nzd_classify(x, small_threshold=None, exact=True, hypothesis="ambient",
     k11 = k ** 11
     if small_threshold is None:
         small_threshold = 4 * k * k
-    subring_ok, violation = is_subring(core)
+    if ring.is_finite and len(core) == ring.cardinality:
+        subring_ok, violation = True, None       # the whole ring
+    else:
+        subring_ok, violation = is_subring(core)
     comm = None
     comm_constant = None
     if len(x) and len(core):
@@ -383,12 +386,17 @@ def pos_char_search(x, exact=True):
 
     if not candidates:
         return SubringSearchResult(None, None, "none", ran_exhaustive, core=core)
-    # ties on the constant resolve by strategy order, then smaller S
+    # ties on the constant resolve by strategy order, then smaller S; a
+    # candidate whose counting bound max(⌈|S|/|X|⌉, ⌈|X|/|S|⌉) already
+    # loses cannot win with its real constant
     best = None
     for fs, rank, tag in candidates:
+        order = (rank, len(fs), tuple(ring.sort_key(e) for e in fs))
+        floor = max(-(-len(fs) // len(x)), -(-len(x) // len(fs)))
+        if best is not None and (floor, *order) >= best[0]:
+            continue
         comm = commensurability(fs, x, exact=exact)
-        key = (comm.constant, rank, len(fs),
-               tuple(ring.sort_key(e) for e in fs))
+        key = (comm.constant, *order)
         if best is None or key < best[0]:
             best = (key, fs, tag, comm)
     _, fs, tag, comm = best

@@ -9,6 +9,19 @@ incumbent).  Everything is deterministic: pools are processed in
 canonical element order and ties always break toward the smaller
 canonical encoding, so repeated runs reproduce witnesses bit for bit.
 
+The exact search stops as soon as its incumbent meets a lower bound.
+Every bound is one vector of integer weights on the targets over a
+common denominator, evaluated exactly as a Lagrangian bound of the
+covering LP (Beasley 1990), so any weights >= 0 give a valid bound:
+counting (w = 1 over |base|), cheap fractional (1 / largest translate
+holding the element), a greedy packing (targets pairwise in no common
+translate), and, only when the search stalls on an irregular instance,
+a subgradient ascent whose float weights are rounded before evaluation.
+The weights travel with the witness, so ``apx verify`` re-checks the
+minimality claim instead of trusting it.  Covers of the whole finite
+ring by all its translates shift onto covers holding 0 + base, so that
+search starts from 0 + base.
+
 approx_constant certifies the minimal K with X*X ∪ (X+X) ⊆ F + X
 (ring mode; group mode drops the product part).  The translate pool is
 the difference set T − X: any f with (f + X) ∩ T nonempty lies in it,
@@ -58,14 +71,18 @@ class CoverWitness:
     optimal: bool
     method: str                      # "exact" | "greedy" | "constructive"
     stats: dict = field(default_factory=dict, compare=False)
+    # (weights: target element -> int >= 0, denominator): see lagrangian_floor
+    lower_bound: tuple | None = field(default=None, compare=False)
 
     def to_json(self):
         ring = self.target.ring
-        return {
-            "schema_version": "1",
+        # the bound's keys reuse these strings: sweeps keep many payloads
+        names = {x: ring.render(x) for x in self.target}
+        out = {
+            "schema_version": "2",
             "kind": "cover_witness",
             "ring": ring.descriptor,
-            "target": [ring.render(x) for x in self.target],
+            "target": list(names.values()),
             "base": [ring.render(x) for x in self.base],
             "translates": [ring.render(t) for t in self.translates],
             "optimal": self.optimal,
@@ -73,6 +90,15 @@ class CoverWitness:
             "stats": {k: v for k, v in self.stats.items()
                       if isinstance(v, (int, float, str, bool))},
         }
+        if self.lower_bound is not None:
+            out["lower_bound"] = _bound_json(names.__getitem__, self.lower_bound)
+        return out
+
+
+def _bound_json(render, lower_bound):
+    weights, d = lower_bound
+    return {"weights": {render(e): w for e, w in weights.items()},
+            "denominator": d}
 
 
 def first_uncovered(target, base, translates):
@@ -91,9 +117,10 @@ def verify_witness(w):
     return missing is None, missing
 
 
-def make_witness(target, base, translates, optimal, method, stats=None):
+def make_witness(target, base, translates, optimal, method, stats=None,
+                 lower_bound=None):
     w = CoverWitness(target, base, tuple(translates), optimal, method,
-                     dict(stats or {}))
+                     dict(stats or {}), lower_bound)
     ok, missing = verify_witness(w)
     if not ok:
         raise VerificationFailedError(
@@ -171,47 +198,67 @@ def _greedy_ranks(masks, full):
 def cover_exact(a, b, pool, node_limit=DEFAULT_NODE_LIMIT):
     """Minimum-cardinality cover of a by pool translates of b.
 
-    Returns an optimal witness, or the best incumbent flagged
-    non-optimal when the node limit is hit.
+    Depth-first branch and bound from the greedy incumbent: branch on the
+    uncovered element with fewest live coverers, prune a node by
+    ceil(|uncovered| / |b|).  The search stops as soon as the incumbent
+    meets a proven lower bound: the best root bound of ``_root_floor``,
+    raised by ``_ascent`` once the search has spent |targets| × |distinct
+    masks| nodes without closing (skipped on regular instances, where
+    counting already equals the LP optimum).  When a and the pool are
+    the whole finite ring, every cover shifts to one that holds 0 + b,
+    so the search starts from that translate.
+
+    Returns an optimal witness, or the best incumbent flagged non-optimal
+    when the node limit is hit before the bound is met.  The witness
+    carries the bound's integer weights as ``lower_bound`` and its value
+    as ``stats["lower_bound"]``.
     """
     if len(b) == 0:
         raise UncoverableError("base set is empty")
     check_same_ring(a.ring, b.ring, pool.ring)
     t0 = time.perf_counter()
     if len(a) == 0:
-        return make_witness(a, b, (), True, "exact", {"nodes": 0})
+        return make_witness(a, b, (), True, "exact",
+                            {"nodes": 0, "lower_bound": 0}, ({}, 1))
     targets, pool_sorted, masks, full = _instance(a, b, pool)
     n_targets = len(targets)
     base_size = len(b)
 
     best = _greedy_ranks(masks, full)
     cutoff = len(best)
-
-    coverers = [[] for _ in range(n_targets)]
-    for rank, m in enumerate(masks):
-        live = m
-        while live:
-            low = live & -live
-            coverers[low.bit_length() - 1].append(rank)
-            live ^= low
+    # counting first: it alone closes many small instances; weight 1 on
+    # (floor - 1)·|b| + 1 targets over |b| already proves its floor
+    floor = -(-n_targets // base_size)
+    ones = (floor - 1) * base_size + 1
+    bound = (floor, [1] * ones + [0] * (n_targets - ones), base_size)
+    coverers = None
+    if bound[0] < cutoff:
+        coverers = _coverers(masks, n_targets)
+        bound = _root_floor(coverers, masks, bound, cutoff)
+    floor = bound[0]
 
     nodes = 0
     hit_limit = False
+    stall_at = n_targets * len(set(masks)) if floor < cutoff else 0
 
     def dfs(covered, chosen):
-        nonlocal nodes, cutoff, hit_limit
+        nonlocal nodes, cutoff, hit_limit, bound, floor
         nodes += 1
         if nodes > node_limit:
             hit_limit = True
             return
+        if nodes == stall_at and not _regular(coverers, masks, base_size):
+            raised = _ascent(coverers, masks, floor, cutoff)
+            if raised is not None:
+                bound = raised
+                floor = bound[0]
         if covered == full:
             if len(chosen) < cutoff:
                 best[:] = chosen
                 cutoff = len(chosen)
             return
         remaining = (full & ~covered).bit_count()
-        bound = -(-remaining // base_size)
-        if len(chosen) + bound >= cutoff:
+        if len(chosen) - (-remaining // base_size) >= cutoff:
             return
         # branch on the uncovered element with fewest live coverers
         pick, pick_opts = None, None
@@ -229,17 +276,153 @@ def cover_exact(a, b, pool, node_limit=DEFAULT_NODE_LIMIT):
             return
         pick_opts.sort(key=lambda r: (-(masks[r] & ~covered).bit_count(), r))
         for r in pick_opts:
-            if hit_limit or len(chosen) + 1 >= cutoff:
+            if hit_limit or len(chosen) + 1 >= cutoff or cutoff <= floor:
                 break
             chosen.append(r)
             dfs(covered | masks[r], chosen)
             chosen.pop()
 
-    dfs(0, [])
+    if floor < cutoff:
+        ring = a.ring
+        if ring.is_finite and n_targets == len(pool_sorted) == ring.cardinality:
+            # covers of the whole ring shift by -t_1 onto covers holding 0 + b
+            r0 = pool_sorted.index(ring.zero())
+            dfs(masks[r0], [r0])
+        else:
+            dfs(0, [])
     chosen_elems = sorted((pool_sorted[r] for r in best), key=a.ring.sort_key)
     stats = {"nodes": nodes, "elapsed": time.perf_counter() - t0,
-             "node_limit_hit": hit_limit}
-    return make_witness(a, b, chosen_elems, not hit_limit, "exact", stats)
+             "node_limit_hit": hit_limit, "lower_bound": floor}
+    weights = {targets[e]: w for e, w in enumerate(bound[1]) if w}
+    return make_witness(a, b, chosen_elems, not hit_limit or cutoff <= floor,
+                        "exact", stats, (weights, bound[2]))
+
+
+def _coverers(masks, n_targets):
+    """For each target index, the pool ranks whose masks hold it."""
+    coverers = [[] for _ in range(n_targets)]
+    for rank, m in enumerate(masks):
+        live = m
+        while live:
+            low = live & -live
+            coverers[low.bit_length() - 1].append(rank)
+            live ^= low
+    return coverers
+
+
+# ---------------------------------------------------------------------------
+# lower bounds: integer weights w_e >= 0 on the targets over a denominator
+# d > 0.  For any such weights, every cover has at least
+#   ceil((sum_e w_e - sum_rows max(0, w(row) - d)) / d)
+# translates, a row being the targets of one translate (the Lagrangian
+# bound of the covering LP, Beasley 1990).  Floats only search for weights;
+# every claimed bound is evaluated in integers.
+
+
+def _weights_floor(weights, d, coverers, masks):
+    """The bound above for integer ``weights`` (one per target index)."""
+    load = [0] * len(masks)
+    for e, w in enumerate(weights):
+        if w:
+            for r in coverers[e]:
+                load[r] += w
+    rows = dict(zip(masks, load))        # equal masks are one row
+    over = sum(v - d for v in rows.values() if v > d)
+    return -((over - sum(weights)) // d)
+
+
+def lagrangian_floor(target, base, weights, d):
+    """Least cover size that integer ``weights`` (target element -> int,
+    missing = 0) over ``d`` prove for target by translates of base.
+
+    The rows are those of every translate meeting the target, i.e. of
+    the pool target − base, so the bound holds for any pool.
+    """
+    targets, _pool, masks, _full = _instance(
+        target, base, difference_set(target, base))
+    w = [weights.get(e, 0) for e in targets]
+    return _weights_floor(w, d, _coverers(masks, len(targets)), masks)
+
+
+def _root_floor(coverers, masks, counting, cutoff):
+    """Best of counting, cheap fractional and packing bounds as
+    (floor, weights, d), stopping at the first that reaches ``cutoff``.
+
+    cheap fractional: w_e = 1 / (largest mask holding e), so no row
+    exceeds 1.  packing: w = 1 on targets that pairwise share no
+    translate, taken greedily by fewest coverers.
+    """
+    from math import lcm
+    sizes = [m.bit_count() for m in masks]
+    big = [max(map(sizes.__getitem__, cov)) for cov in coverers]
+    d = lcm(*set(big))
+    w = [d // s for s in big]
+    cheap = (-(-sum(w) // d), w, d)
+    bound = max(counting, cheap, key=lambda t: t[0])
+    if bound[0] >= cutoff:
+        return bound
+    blocked = set()
+    w = [0] * len(coverers)
+    for e in sorted(range(len(coverers)), key=lambda e: len(coverers[e])):
+        if blocked.isdisjoint(coverers[e]):
+            blocked.update(coverers[e])
+            w[e] = 1
+    return max(bound, (sum(w), w, 1), key=lambda t: t[0])
+
+
+def _regular(coverers, masks, base_size):
+    """Every mask holds |base| targets and every target has the same
+    number of coverers: then ceil(|targets| / |base|) is the LP bound."""
+    return (all(m.bit_count() == base_size for m in masks)
+            and len({len(cov) for cov in coverers}) == 1)
+
+
+def _ascent(coverers, masks, floor, cutoff):
+    """Subgradient ascent on the Lagrangian weights u >= 0 (Beasley 1990)
+    from u_e = 1 / (largest mask holding e), Polyak steps towards
+    ``cutoff``.  Whenever the float bound passes ``floor``, u is rounded
+    down to d = 2^30 and evaluated in integers.  Returns the best
+    (floor, weights, d) above ``floor``, or None.
+    """
+    sizes = [m.bit_count() for m in masks]
+    u = [1.0 / max(map(sizes.__getitem__, cov)) for cov in coverers]
+    rows = list({m: r for r, m in enumerate(masks)}.values())
+    d = 1 << 30
+    found = None
+    scale, best_value, stalled = 2.0, float("-inf"), 0
+    for _ in range(200):
+        load = [0.0] * len(masks)
+        for e, ue in enumerate(u):
+            if ue:
+                for r in coverers[e]:
+                    load[r] += ue
+        over = bytearray(len(masks))
+        value = sum(u)
+        for r in rows:
+            if load[r] > 1.0:
+                over[r] = 1
+                value += 1.0 - load[r]
+        if value > floor + 1e-9:
+            w = [int(ue * d) for ue in u]
+            exact = _weights_floor(w, d, coverers, masks)
+            if exact > floor:
+                floor = exact
+                found = (floor, w, d)
+                if floor >= cutoff:
+                    break
+        if value > best_value + 1e-9:
+            best_value, stalled = value, 0
+        else:
+            stalled += 1
+            if stalled == 5:
+                scale, stalled = scale / 2, 0
+        g = [1 - sum(map(over.__getitem__, cov)) for cov in coverers]
+        norm = sum(x * x for x in g)
+        if norm == 0 or scale < 1e-3:
+            break
+        step = scale * (cutoff - value) / norm
+        u = [max(0.0, ue + step * ge) for ue, ge in zip(u, g)]
+    return found
 
 
 def cover_brute_force(a, b, pool):
@@ -295,7 +478,9 @@ class ApproxCertificate:
     ``derivations`` maps each element of F to a formal term over X (a
     tuple of words; a word (x_0,..,x_k) evaluates to x_k···x_0), which
     proves F ⊆ ⟨X⟩ and drives the constructive covers.  ``f_location``
-    records where F was found.
+    records where F was found.  ``lower_bound`` is (weights, denominator)
+    as in ``lagrangian_floor`` over the target and X; it proves
+    minimality when its value reaches k.
     """
 
     x: FiniteSet
@@ -306,6 +491,7 @@ class ApproxCertificate:
     derivations: dict = field(compare=False)
     f_location: dict = field(default_factory=dict, compare=False)
     stats: dict = field(default_factory=dict, compare=False)
+    lower_bound: tuple | None = field(default=None, compare=False)
 
     @property
     def ring(self):
@@ -332,8 +518,8 @@ class ApproxCertificate:
 
     def to_json(self):
         ring = self.ring
-        return {
-            "schema_version": "2",
+        out = {
+            "schema_version": "3",
             "kind": "approx_certificate",
             "ring": ring.descriptor,
             "x": [ring.render(v) for v in self.x],
@@ -348,6 +534,9 @@ class ApproxCertificate:
             "stats": {k: v for k, v in self.stats.items()
                       if isinstance(v, (int, float, str, bool))},
         }
+        if self.lower_bound is not None:
+            out["lower_bound"] = _bound_json(ring.render, self.lower_bound)
+        return out
 
 
 def eval_term(ring, term):
@@ -488,7 +677,8 @@ def approx_constant(x, mode="ring", exact=True, node_limit=DEFAULT_NODE_LIMIT):
         t = union(prodset(x, x), t)
     if len(x) == 0:
         f = FiniteSet(ring, ())
-        return ApproxCertificate(x, 0, f, mode, True, {}, {"pool": "T-X"}, {})
+        return ApproxCertificate(x, 0, f, mode, True, {}, {"pool": "T-X"}, {},
+                                 ({}, 1))
     pool = difference_set(t, x)
     if exact:
         w = cover_exact(t, x, pool, node_limit)
@@ -501,7 +691,7 @@ def approx_constant(x, mode="ring", exact=True, node_limit=DEFAULT_NODE_LIMIT):
     if why is not None:
         raise VerificationFailedError(why)
     return ApproxCertificate(x, len(f), f, mode, w.optimal, derivations,
-                             {"pool": "T-X"}, dict(w.stats))
+                             {"pool": "T-X"}, dict(w.stats), w.lower_bound)
 
 
 def certificate_from_f(x, f_elems, mode="ring", minimal=False):
@@ -550,15 +740,20 @@ def commensurability(a, b, exact=True, node_limit=DEFAULT_NODE_LIMIT):
 
 @dataclass(frozen=True)
 class GenericityResult:
-    generic: bool
+    generic: bool | None             # None: neither a cover nor a bound decides
     bound: int
     witness: CoverWitness | None
     constant: int | None             # exact cover number when established
 
 
 def is_generic(d, x, bound, node_limit=DEFAULT_NODE_LIMIT):
-    """Do <= bound additive translates of d cover x?  Exact search; a
-    cover within ``bound`` answers yes even when the node limit binds."""
+    """Do <= bound additive translates of d cover x?  Exact search.
+
+    ``generic`` is True when a verified cover within ``bound`` is found
+    (even if the node limit binds), False when the proven lower bound
+    (the optimum, once the search completes) exceeds ``bound``, and None
+    when the node limit binds between the two.
+    """
     check_same_ring(d.ring, x.ring)
     if len(x) == 0:
         w = make_witness(x, d, (), True, "exact", {})
@@ -569,4 +764,6 @@ def is_generic(d, x, bound, node_limit=DEFAULT_NODE_LIMIT):
     w = cover_exact(x, d, pool, node_limit)
     size = len(w.translates)
     constant = size if w.optimal else None
-    return GenericityResult(size <= bound, bound, w, constant)
+    lower = size if w.optimal else w.stats["lower_bound"]
+    generic = True if size <= bound else False if lower > bound else None
+    return GenericityResult(generic, bound, w, constant)

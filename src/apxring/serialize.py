@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 
 from .classify import core_set, is_subring
-from .cover import ApproxCertificate, first_uncovered
+from .cover import ApproxCertificate, first_uncovered, lagrangian_floor
 from .rings import parse_ring
 from .sets import FiniteSet
 
@@ -25,6 +25,27 @@ def _ring_and_set(payload, key):
     return ring, FiniteSet(ring, (ring.parse(e) for e in payload[key]))
 
 
+def _minimality(payload, target, base, k):
+    """(ok, note) for the payload's ``lower_bound``, re-evaluated in
+    integers over the rows of target − base (``cover.lagrangian_floor``).
+    Malformed weights fail; a bound short of k only goes uncertified."""
+    lb = payload.get("lower_bound")
+    if lb is None:
+        return True, "minimality not certified (no lower bound)"
+    ring = target.ring
+    d = lb["denominator"]
+    weights = {ring.parse(e): w for e, w in lb["weights"].items()}
+    if not all(type(v) is int and v >= 0 for v in (d, *weights.values())) \
+            or d == 0:
+        return False, "lower bound needs integer weights >= 0 over d > 0"
+    if not weights.keys() <= target.elements():
+        return False, "lower bound weights an element outside the target"
+    floor = lagrangian_floor(target, base, weights, d)
+    if floor >= k:
+        return True, f"minimality certified: every cover needs {floor}"
+    return True, f"minimality not certified (lower bound {floor} < {k})"
+
+
 def _verify_cover_witness(payload):
     ring, target = _ring_and_set(payload, "target")
     base = FiniteSet(ring, (ring.parse(e) for e in payload["base"]))
@@ -32,7 +53,11 @@ def _verify_cover_witness(payload):
     missing = first_uncovered(target, base, translates)
     if missing is not None:
         return False, [f"uncovered element {ring.render(missing)}"]
-    return True, [f"cover of {len(target)} elements by {len(translates)} translates"]
+    k = len(set(translates))
+    ok, note = _minimality(payload, target, base, k)
+    if not ok:
+        return False, [note]
+    return True, [f"cover of {len(target)} elements by {k} translates", note]
 
 
 def _verify_certificate(payload):
@@ -46,7 +71,11 @@ def _verify_certificate(payload):
     ok, why = cert.verify()
     if not ok:
         return False, [why]
-    details = [f"K = {cert.k} certificate re-verified ({len(derivs)} derivations)"]
+    ok, note = _minimality(payload, cert.target(), x, cert.k)
+    if not ok:
+        return False, [note]
+    details = [f"K = {cert.k} certificate re-verified ({len(derivs)} derivations)",
+               note]
     if payload.get("schema_version") == "1":
         details.append("schema v1: membership and f_location.in_x2 ignored, "
                        "F ⊆ ⟨X⟩ re-proven from the derivations")

@@ -273,8 +273,13 @@ def test_is_generic_examples():
     r = ax.is_generic(d, big, bound=10 ** 6, node_limit=5)
     assert not r.witness.optimal and r.generic and r.constant is None
     assert ax.verify_witness(r.witness)[0]
-    r = ax.is_generic(d, big, bound=len(r.witness.translates) - 1, node_limit=5)
-    assert not r.generic and r.constant is None
+    assert (r.witness.stats["lower_bound"], len(r.witness.translates)) == (7, 10)
+    # between the lower bound 7 and the witness 10 the answer is unknown
+    r = ax.is_generic(d, big, bound=9, node_limit=5)
+    assert r.generic is None and r.constant is None
+    # below the lower bound it is a proven no
+    r = ax.is_generic(d, big, bound=6, node_limit=5)
+    assert r.generic is False and r.constant is None
 
 
 def test_witness_json_round_trip():
@@ -293,10 +298,11 @@ def test_certificate_json_round_trip():
     from apxring.serialize import verify_payload
     cert = ax.approx_constant(iset(-2, 2), "ring", exact=True)
     payload = cert.to_json()
-    assert payload["schema_version"] == "2"
+    assert payload["schema_version"] == "3"
     assert "membership" not in payload and "in_x2" not in payload["f_location"]
     ok, details = verify_payload(payload)
     assert ok, details
+    assert details[1].startswith("minimality certified")
     tampered = cert.to_json()
     tampered["k"] = 1
     ok, _ = verify_payload(tampered)
@@ -312,3 +318,130 @@ def test_interval_oracle_small():
         k_oracle, _ = cover_brute_force(t, x, pool)
         cert = ax.approx_constant(x, "ring", exact=True)
         assert cert.k == k_oracle
+
+
+def _random_instance(rng):
+    ring = rng.choice([ax.modular(n) for n in range(7, 18)]
+                      + [Z, ax.parse_ring("gf:2^2:t^2+t+1")])
+    if ring.is_finite:
+        elems = list(ring.elements())
+    else:
+        elems = list(range(-12, 13))
+    a = FiniteSet(ring, rng.sample(elems, rng.randrange(1, min(12, len(elems)))))
+    b = FiniteSet(ring, rng.sample(elems, rng.randrange(1, 4)))
+    return a, b
+
+
+def test_lower_bound_oracle():
+    # every bound sits below the complete-search optimum; the recorded
+    # weights reproduce it in integers; a claimed optimum is the optimum
+    from apxring import cover
+    rng = random.Random(90)
+    for _ in range(200):
+        a, b = _random_instance(rng)
+        pool = difference_set(a, b)
+        w = ax.cover_exact(a, b, pool)
+        k, _ = cover_brute_force(a, b, pool)
+        lower = w.stats["lower_bound"]
+        assert lower <= k <= len(w.translates)
+        assert w.optimal and len(w.translates) == k
+        weights, d = w.lower_bound
+        assert cover.lagrangian_floor(a, b, weights, d) == lower
+        # the ascent, run from scratch, stays below the optimum too
+        targets, _p, masks, _f = cover._instance(a, b, pool)
+        coverers = cover._coverers(masks, len(targets))
+        raised = cover._ascent(coverers, masks, 0, len(w.translates))
+        if raised is not None:
+            floor, aw, ad = raised
+            assert floor <= k
+            assert cover._weights_floor(aw, ad, coverers, masks) == floor
+
+
+def test_lower_bound_evaluator_charges_overloaded_rows():
+    # rows of {0..5} by translates of {0,1}: {0}, {0,1}, ..., {4,5}, {5};
+    # weight 1 everywhere over d = 1 sums to 6, but five rows hold 2 > 1
+    # and each costs 1, so only 1 is proven (the optimum is 3)
+    from apxring.cover import lagrangian_floor
+    a, b = iset(0, 5), iset(0, 1)
+    assert lagrangian_floor(a, b, dict.fromkeys(range(6), 1), 1) == 1
+    assert lagrangian_floor(a, b, {0: 1, 2: 1, 4: 1}, 1) == 3
+    assert lagrangian_floor(a, b, {0: 1, 1: 1}, 1) == 1
+
+
+def test_whole_ring_symmetry_oracle():
+    rng = random.Random(12)
+    for desc in ("zmod:12", "gf:5^2:t^2+2", "mat:2:zmod:2"):
+        ring = ax.parse_ring(desc)
+        whole = FiniteSet(ring, ring.elements())
+        elems = sorted(whole.elements(), key=ring.sort_key)
+        for _ in range(4):
+            b = FiniteSet(ring, rng.sample(elems, rng.randrange(2, 6)))
+            w = ax.cover_exact(whole, b, whole)
+            k, _ = cover_brute_force(whole, b, whole)
+            assert w.optimal and len(w.translates) == k, (desc, b)
+            assert ring.zero() in w.translates or w.stats["nodes"] == 0
+        # without 0 in the pool the search may not start from 0 + b
+        pool = FiniteSet(ring, elems[1:])
+        w = ax.cover_exact(whole, b, pool)
+        assert len(w.translates) == cover_brute_force(whole, b, pool)[0]
+
+
+def test_anchors_proven_under_default_limit():
+    # each of these ran into the 10^6-node limit or took 10^5 nodes
+    # with the counting bound alone
+    from apxring.classify import gallery
+    from apxring.constructive import bound_table
+    for name, params, k in (("interval", {"n": 20}, 19),
+                            ("y-set", {"p": 11}, 6),
+                            ("y-set", {"p": 13}, 7),
+                            ("linear-quo", {"p": 5, "d": 3}, 5),
+                            ("linear-quo", {"p": 7, "d": 3}, 7)):
+        cert = ax.approx_constant(gallery(name, **params).xset, "ring")
+        assert (cert.k, cert.minimal) == (k, True), name
+        assert not cert.stats["node_limit_hit"] and cert.stats["lower_bound"] == k
+    cert = ax.approx_constant(gallery("interval-mod", p=101, n=4).xset, "ring")
+    row = bound_table(cert, 3)[-1]
+    target = row.constructed.target
+    w = ax.cover_exact(target, cert.x, difference_set(target, cert.x))
+    assert w.optimal and len(w.translates) == row.exact_size == 10
+
+
+def test_minimality_certificate_checked_not_trusted():
+    from apxring.serialize import verify_payload
+    a, b = iset(0, 9), FiniteSet(Z, [0, 1, 3])
+    w = ax.cover_exact(a, b, difference_set(a, b))
+    payload = w.to_json()
+    assert payload["schema_version"] == "2"
+    ok, details = verify_payload(payload)
+    assert ok and details[1].startswith("minimality certified"), details
+    # a worse cover with weights that would claim its size without the
+    # row charges: still a valid cover, never certified minimal
+    g = ax.cover_greedy(a, iset(0, 1), difference_set(a, iset(0, 1)))
+    tampered = dict(g.to_json(), lower_bound={
+        "weights": {str(v): 1 for v in range(10)}, "denominator": 1})
+    ok, details = verify_payload(tampered)
+    assert ok and details[1].startswith("minimality not certified"), details
+    for bad in ({"weights": {"0": -1}, "denominator": 1},
+                {"weights": {"0": 1}, "denominator": 0},
+                {"weights": {"0": 1}, "denominator": -2},
+                {"weights": {"0": 0.5}, "denominator": 1},
+                {"weights": {"42": 1}, "denominator": 1}):
+        ok, details = verify_payload(dict(payload, lower_bound=bad))
+        assert not ok, bad
+    # a payload without a bound, or from before bounds, still verifies
+    old = dict(payload, schema_version="1")
+    del old["lower_bound"]
+    ok, details = verify_payload(old)
+    assert ok and details[1].startswith("minimality not certified")
+    cert = ax.approx_constant(iset(-2, 2), "ring")
+    old = dict(cert.to_json(), schema_version="2")
+    del old["lower_bound"]
+    ok, details = verify_payload(old)
+    assert ok and details[1].startswith("minimality not certified")
+    # over the pool {0, 1, 3, 5} four translates of {0,1} are optimal for
+    # {0..5}; over every translate three are, so the bound is not certified
+    a, b = iset(0, 5), iset(0, 1)
+    w = ax.cover_exact(a, b, FiniteSet(Z, [0, 1, 3, 5]))
+    assert w.optimal and len(w.translates) == 4
+    ok, details = verify_payload(w.to_json())
+    assert ok and details[1] == "minimality not certified (lower bound 3 < 4)"
