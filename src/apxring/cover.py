@@ -4,10 +4,12 @@ A cover witness certifies target ⊆ ∪_i (t_i + base) and is re-verified
 element-wise on construction.  Two solvers are provided: a greedy cover
 with the classical (1 + ln |target|) guarantee, and an exact
 branch-and-bound (branch on the uncovered element with fewest covering
-translates, bound by ceil(|uncovered| / |base|) and the greedy
-incumbent).  Everything is deterministic: pools are processed in
-canonical element order and ties always break toward the smaller
-canonical encoding, so repeated runs reproduce witnesses bit for bit.
+translates, bound by ceil(|uncovered| / |base|) and an incumbent, the
+smaller of the greedy cover and one dive: a path without backtracking
+that starts where the coverers reach least).  Everything is
+deterministic: pools are processed in canonical element order and ties
+always break toward the smaller canonical encoding, so repeated runs
+reproduce witnesses bit for bit.
 
 The exact search stops as soon as its incumbent meets a lower bound.
 Every bound is one vector of integer weights on the targets over a
@@ -198,13 +200,15 @@ def _greedy_ranks(masks, full):
 def cover_exact(a, b, pool, node_limit=DEFAULT_NODE_LIMIT):
     """Minimum-cardinality cover of a by pool translates of b.
 
-    Depth-first branch and bound from the greedy incumbent: branch on the
-    uncovered element with fewest live coverers, prune a node by
-    ceil(|uncovered| / |b|).  The search stops as soon as the incumbent
-    meets a proven lower bound: the best root bound of ``_root_floor``,
-    raised by ``_ascent`` once the search has spent |targets| × |distinct
-    masks| nodes without closing (skipped on regular instances, where
-    counting already equals the LP optimum).  When a and the pool are
+    Depth-first branch and bound from the greedy incumbent, replaced by
+    the cover of ``_dive`` when the root bound leaves greedy unproven
+    and the dive is strictly smaller: branch on the uncovered element
+    with fewest live coverers, prune a node by ceil(|uncovered| / |b|).
+    The search stops as soon as the incumbent meets a proven lower
+    bound: the best root bound of ``_root_floor``, raised by ``_ascent``
+    once the search has spent |targets| × |distinct masks| nodes without
+    closing (skipped on regular instances, where counting already
+    equals the LP optimum).  When a and the pool are
     the whole finite ring, every cover shifts to one that holds 0 + b,
     so the search starts from that translate.
 
@@ -236,6 +240,10 @@ def cover_exact(a, b, pool, node_limit=DEFAULT_NODE_LIMIT):
         coverers = _coverers(masks, n_targets)
         bound = _root_floor(coverers, masks, bound, cutoff)
     floor = bound[0]
+    if floor < cutoff:
+        dive = _dive(coverers, masks, full)
+        if len(dive) < cutoff:
+            best, cutoff = dive, len(dive)
 
     nodes = 0
     hit_limit = False
@@ -296,6 +304,40 @@ def cover_exact(a, b, pool, node_limit=DEFAULT_NODE_LIMIT):
     weights = {targets[e]: w for e, w in enumerate(bound[1]) if w}
     return make_witness(a, b, chosen_elems, not hit_limit or cutoff <= floor,
                         "exact", stats, (weights, bound[2]))
+
+
+def _dive(coverers, masks, full):
+    """Pool ranks of one branch-and-bound path without backtracking:
+    cover the uncovered element whose coverers reach the fewest
+    uncovered elements (ties toward the lower index) by its coverer with
+    the most uncovered elements (ties toward the lower rank).
+
+    The DFS branches on the fewest live coverers, which on an interval
+    of Z sorted 0, 1, -1, 2, ... starts at its centre; the dive starts
+    where the coverers reach least, an end, and sweeps across.
+    """
+    reach = []
+    for cov in coverers:
+        m = 0
+        for r in cov:
+            m |= masks[r]
+        reach.append(m)
+    left = full
+    chosen = []
+    while left:
+        pick, least = 0, None
+        live = left
+        while live:
+            low = live & -live
+            idx = low.bit_length() - 1
+            n = (reach[idx] & left).bit_count()
+            if least is None or n < least:
+                pick, least = idx, n
+            live ^= low
+        r = max(coverers[pick], key=lambda r: ((masks[r] & left).bit_count(), -r))
+        left &= ~masks[r]
+        chosen.append(r)
+    return chosen
 
 
 def _coverers(masks, n_targets):

@@ -47,7 +47,7 @@ from .errors import (
 )
 
 _AXIOM_SAMPLE = 10_000       # random triples checked when |R| > exhaustive cap
-_AXIOM_EXHAUSTIVE = 512      # full triple check below this size
+_AXIOM_EXHAUSTIVE = 512      # complete table check up to this size
 
 
 def _is_prime(n):
@@ -651,8 +651,9 @@ class TableRing(Ring):
     Construction checks the table shapes, that every element has an
     additive order and that every row of the addition table holds 0 (the
     negation table).  ``table_ring`` and ``load_table_file`` also check the
-    ring axioms (``_check_tables``); ``subring_table`` and ``quotient_ring``
-    build rings by construction and skip that O(n^3) check.
+    ring axioms (``_check_tables``, O(n^2 |G|) for a generating set G of
+    the additive group, |G| <= log2 n); ``subring_table`` and
+    ``quotient_ring`` build rings by construction and skip that check.
 
     The descriptor is ``table:<n>:<name>``.  Unnamed tables, and the
     rings ``subring_table`` and ``quotient_ring`` build, carry a hash of
@@ -737,9 +738,16 @@ class TableRing(Ring):
 def _check_tables(add, mul, zero):
     """Why index tables fail the ring axioms, or None.
 
-    Exhaustive O(n^3): index ``zero`` is an additive identity, every
-    element has an additive inverse, addition commutes, both operations
-    associate and multiplication distributes over addition on both sides.
+    Index ``zero`` is an additive identity, every element has an additive
+    inverse and addition commutes: checked on every element and pair.
+    Both operations associate and multiplication distributes over
+    addition on both sides: checked only where one argument lies in a
+    generating set G of (A, +), O(n^2 |G|) in all, which decides them on
+    all of A.  The elements a with (x + a) + y = x + (a + y) for all x, y
+    are closed under + (Light's test); so, for each a, are the c with
+    a(b + c) = ab + ac for all b, and likewise on the right; and once
+    both laws hold, (ab)c − a(bc) is additive in each argument, so G^3
+    decides it.
     """
     rng_n = range(len(add))
     for i in rng_n:
@@ -747,23 +755,68 @@ def _check_tables(add, mul, zero):
             return f"index {zero} is not the additive zero (fails at {i})"
         if zero not in add[i]:
             return f"element {i} has no additive inverse"
-    for i in rng_n:
-        row_a, row_m = add[i], mul[i]
-        for j in rng_n:
-            aij, mij = row_a[j], row_m[j]
-            if aij != add[j][i]:
-                return f"addition not commutative at ({i},{j})"
-            arow_j, mrow_j = add[j], mul[j]
-            for k in rng_n:
-                if add[aij][k] != row_a[arow_j[k]]:
-                    return f"addition not associative at ({i},{j},{k})"
-                if mul[mij][k] != row_m[mrow_j[k]]:
+    for i, col in enumerate(zip(*add)):
+        j = _first_difference(add[i], col)
+        if j is not None:
+            return f"addition not commutative at ({i},{j})"
+    gens = _additive_generators(add, zero)
+    for g in gens:
+        arow_g = add[g]
+        for i in rng_n:
+            row_a = add[i]
+            k = _first_difference(add[row_a[g]], [row_a[v] for v in arow_g])
+            if k is not None:
+                return f"addition not associative at ({i},{g},{k})"
+    for g in gens:
+        arow_g, mrow_g = add[g], mul[g]
+        for i in rng_n:
+            row_m = mul[i]
+            arow = add[row_m[g]]
+            # i(j + g) against ij + ig, with j + g = g + j
+            k = _first_difference([row_m[v] for v in arow_g],
+                                  [arow[v] for v in row_m])
+            if k is not None:
+                return f"left distributivity fails at ({i},{k},{g})"
+            k = _first_difference(mul[add[i][g]],
+                                  [add[u][v] for u, v in zip(row_m, mrow_g)])
+            if k is not None:
+                return f"right distributivity fails at ({i},{g},{k})"
+    for i in gens:
+        for j in gens:
+            for k in gens:
+                if mul[mul[i][j]][k] != mul[i][mul[j][k]]:
                     return f"multiplication not associative at ({i},{j},{k})"
-                if row_m[arow_j[k]] != add[row_m[j]][row_m[k]]:
-                    return f"left distributivity fails at ({i},{j},{k})"
-                if mul[aij][k] != add[row_m[k]][mul[j][k]]:
-                    return f"right distributivity fails at ({i},{j},{k})"
     return None
+
+
+def _additive_generators(add, zero):
+    """Indices generating every element from ``zero`` under s -> s + g:
+    greedily the least index not yet reached, then close under all
+    chosen generators."""
+    reached = bytearray(len(add))
+    reached[zero] = 1
+    seen = [zero]
+    gens = []
+    while len(seen) < len(add):
+        gens.append(reached.index(0))
+        todo = list(seen)
+        for s in todo:
+            row = add[s]
+            for g in gens:
+                t = row[g]
+                if not reached[t]:
+                    reached[t] = 1
+                    seen.append(t)
+                    todo.append(t)
+    return gens
+
+
+def _first_difference(have, want):
+    """Least index where two equal-length rows differ, or None."""
+    have, want = list(have), list(want)
+    if have == want:
+        return None
+    return next(k for k, (u, v) in enumerate(zip(have, want)) if u != v)
 
 
 def zero_multiplication_ring(n):
@@ -939,7 +992,7 @@ def quotient_ring(ring, ideal):
     ``(quotient, project)`` where the quotient is table-backed and
     ``project`` maps elements to quotient elements.  The projection is
     re-verified exhaustively to be a ring homomorphism, so the quotient
-    tables skip the O(n^3) axiom check.  This is the package's one ideal
+    tables skip the axiom check.  This is the package's one ideal
     check.
     """
     if not ring.is_finite:
@@ -1001,7 +1054,7 @@ def subring_table(ring, subset):
     elements inside ``subset`` to handle elements and ``embed`` inverts it.
     Raises RingConstructionError when the subset is not closed under
     addition or multiplication.  A closed finite subset is a ring, so the
-    O(n^3) axiom check is skipped.
+    axiom check is skipped.
     """
     elems = sorted(subset, key=ring.sort_key)
     if not elems or elems[0] != ring.zero():
@@ -1030,13 +1083,13 @@ def subring_table(ring, subset):
 
 
 # ---------------------------------------------------------------------------
-# ring-axiom check of any handle, exhaustive for small finite rings
+# ring-axiom check of any handle, complete for small finite rings
 
 
 def check_ring_axioms(ring, rng=None):
     """Raise AssertionError if the ring axioms fail.
 
-    Exhaustive when |R| <= 512: ``_check_tables`` over precomputed index
+    Complete when |R| <= 512: ``_check_tables`` over precomputed index
     tables, plus ``neg`` against them; otherwise 10^4 pseudorandom triples
     (a seeded Random must be supplied for the sampled path).
     """

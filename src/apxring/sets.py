@@ -138,12 +138,17 @@ def _sumset_mask(a, b, n=None):
     elements of a + b, or None when the unreduced span of the result
     plus 128 is at least 4·|a|·|b|.  Decoding a mask bit costs about a
     quarter of adding a pair, and the kernel's fixed cost is about that
-    of 32 pairs."""
+    of 32 pairs.  On Z/nZ an element outside 0..n−1 raises ValueError,
+    whichever kernel would run."""
     xs, ys = a.elements(), b.elements()
     if not xs or not ys:
         return ()
-    lo_a, lo_b, hi_b = min(xs), min(ys), max(ys)
-    if max(xs) - lo_a + hi_b - lo_b + 128 >= 4 * len(xs) * len(ys):
+    lo_a, hi_a, lo_b, hi_b = min(xs), max(xs), min(ys), max(ys)
+    if n is not None:
+        for v in (min(lo_a, lo_b), max(hi_a, hi_b)):
+            if not 0 <= v < n:
+                raise ValueError(f"{v!r} is not an element of zmod:{n}")
+    if hi_a - lo_a + hi_b - lo_b + 128 >= 4 * len(xs) * len(ys):
         return None
     buf = bytearray(b"0") * (hi_b - lo_b + 1)
     for y in ys:

@@ -269,16 +269,16 @@ def test_is_generic_examples():
                       ax.parse_set(m9, "{0,1,2,3,4,5,6,7,8}"), 3)
     assert r.generic and r.constant == 3
     # the node limit binds: a verified cover within the bound still answers yes
-    d, big = FiniteSet(Z, [0, 1, 3]), FiniteSet(Z, range(20))
+    d, big = FiniteSet(Z, [0, 1, 4]), FiniteSet(Z, range(30))
     r = ax.is_generic(d, big, bound=10 ** 6, node_limit=5)
     assert not r.witness.optimal and r.generic and r.constant is None
     assert ax.verify_witness(r.witness)[0]
-    assert (r.witness.stats["lower_bound"], len(r.witness.translates)) == (7, 10)
-    # between the lower bound 7 and the witness 10 the answer is unknown
-    r = ax.is_generic(d, big, bound=9, node_limit=5)
+    assert (r.witness.stats["lower_bound"], len(r.witness.translates)) == (10, 13)
+    # between the lower bound 10 and the witness 13 the answer is unknown
+    r = ax.is_generic(d, big, bound=12, node_limit=5)
     assert r.generic is None and r.constant is None
     # below the lower bound it is a proven no
-    r = ax.is_generic(d, big, bound=6, node_limit=5)
+    r = ax.is_generic(d, big, bound=9, node_limit=5)
     assert r.generic is False and r.constant is None
 
 
@@ -404,6 +404,36 @@ def test_anchors_proven_under_default_limit():
     target = row.constructed.target
     w = ax.cover_exact(target, cert.x, difference_set(target, cert.x))
     assert w.optimal and len(w.translates) == row.exact_size == 10
+
+
+def test_dive_covers_and_never_beats_the_optimum():
+    from apxring import cover
+    rng = random.Random(10)
+    for _ in range(200):
+        a, b = _random_instance(rng)
+        pool = difference_set(a, b)
+        targets, pool_sorted, masks, full = cover._instance(a, b, pool)
+        ranks = cover._dive(cover._coverers(masks, len(targets)), masks, full)
+        chosen = [pool_sorted[r] for r in ranks]
+        assert cover.first_uncovered(a, b, chosen) is None
+        assert len(chosen) >= cover_brute_force(a, b, pool)[0]
+
+
+def test_dive_incumbent_meets_the_root_bound():
+    # greedy covers these with one translate too many; the dive sweeps
+    # from an end of the interval and meets the root bound, so no node
+    # is searched
+    x = iset(-6, 6)
+    entry = ax.growth_sequence(x, 1, with_covering=True).entries[1]
+    assert (entry.size, entry.covering, entry.covering_method) == (97, 8, "exact")
+    w = ax.cover_exact(entry.xset, x, difference_set(entry.xset, x))
+    assert (len(w.translates), w.stats["nodes"], w.stats["lower_bound"]) == (8, 0, 8)
+    from apxring.classify import gallery
+    from apxring.constructive import bound_table
+    cert = ax.approx_constant(gallery("interval-mod", p=101, n=4).xset, "ring")
+    target = bound_table(cert, 3)[-1].constructed.target
+    w = ax.cover_exact(target, cert.x, difference_set(target, cert.x))
+    assert w.optimal and len(w.translates) == 10 and w.stats["nodes"] == 0
 
 
 def test_minimality_certificate_checked_not_trusted():

@@ -1,5 +1,6 @@
 """Ring backends: construction, axioms, encodings, quotients."""
 
+import itertools
 import random
 
 import pytest
@@ -305,3 +306,122 @@ def test_distinct_table_rings_compare_unequal():
         assert one_x != one_y
         with pytest.raises(CrossRingError):
             ax.sumset(one_x, one_y)
+
+
+def _exhaustive_table_check(add, mul, zero):
+    """Reference for ``rings._check_tables``: every axiom on every pair
+    and triple, O(n^3)."""
+    n = range(len(add))
+    for i in n:
+        if add[zero][i] != i or add[i][zero] != i:
+            return "zero"
+        if zero not in add[i]:
+            return "inverse"
+    for i in n:
+        for j in n:
+            if add[i][j] != add[j][i]:
+                return "commutative"
+            for k in n:
+                if (add[add[i][j]][k] != add[i][add[j][k]]
+                        or mul[mul[i][j]][k] != mul[i][mul[j][k]]
+                        or mul[i][add[j][k]] != add[mul[i][j]][mul[i][k]]
+                        or mul[add[i][j]][k] != add[mul[i][k]][mul[j][k]]):
+                    return f"fails at ({i},{j},{k})"
+    return None
+
+
+def _index_tables(ring):
+    pool = list(ring.elements())
+    add = [[ring.index_of(ring.add(a, b)) for b in pool] for a in pool]
+    mul = [[ring.index_of(ring.mul(a, b)) for b in pool] for a in pool]
+    return add, mul, ring.index_of(ring.zero())
+
+
+def _bilinear_over_f2(k, rng):
+    # F_2^k with a random bilinear product: distributive, often not
+    # associative
+    basis = [[rng.getrandbits(k) for _ in range(k)] for _ in range(k)]
+
+    def mul(x, y):
+        out = 0
+        for a in range(k):
+            for b in range(k):
+                if x >> a & y >> b & 1:
+                    out ^= basis[a][b]
+        return out
+
+    n = 1 << k
+    return ([[i ^ j for j in range(n)] for i in range(n)],
+            [[mul(i, j) for j in range(n)] for i in range(n)], 0)
+
+
+def _carry_tables():
+    # F_2^3 whose addition xors and carries into bit 2 for the pairs of
+    # low parts that ``bits`` selects: a group exactly when the carry is
+    # a cocycle; with generators 1, 2, ... some fail only away from 1
+    pairs = [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
+    for bits in range(1 << len(pairs)):
+        carry = {p: bits >> i & 1 for i, p in enumerate(pairs)}
+        add = [[x ^ y ^ carry.get(tuple(sorted((x & 3, y & 3))), 0) << 2
+                for y in range(8)] for x in range(8)]
+        yield add, [[0] * 8 for _ in range(8)], 0
+
+
+def _one_sided_tables():
+    # xy = (x odd)·q(y) on F_2^3, q additive along 1 but not along 2
+    # and 4: right distributive, left distributive only along 1
+    add = [[i ^ j for j in range(8)] for i in range(8)]
+    for q4, q6 in ((0, 2), (2, 0), (2, 2)):
+        q = [0, 0, 0, 0, q4, q4, q6, q6]
+        mul = [[(i & 1) * q[j] for j in range(8)] for i in range(8)]
+        yield add, mul, 0
+        yield add, [list(r) for r in zip(*mul)], 0
+
+
+def test_table_check_matches_exhaustive_oracle():
+    from apxring.rings import _check_tables
+    laws = {
+        "addition not associative":
+            lambda a, m, i, j, k: a[a[i][j]][k] != a[i][a[j][k]],
+        "multiplication not associative":
+            lambda a, m, i, j, k: m[m[i][j]][k] != m[i][m[j][k]],
+        "left distributivity fails":
+            lambda a, m, i, j, k: m[i][a[j][k]] != a[m[i][j]][m[i][k]],
+        "right distributivity fails":
+            lambda a, m, i, j, k: m[a[i][j]][k] != a[m[i][k]][m[j][k]],
+    }
+    rings = [ax.modular(n) for n in range(2, 10)] + [
+        ax.galois_field(2, 2, (1, 1, 1)), ax.product_ring(["zmod:2", "zmod:2"]),
+        ax.product_ring(["zmod:2", "zmod:3"]), ax.poly_quotient(2, (0, 0, 0, 1)),
+        ax.zero_multiplication_ring(8), ax.matrix_ring("zmod:2", 1)]
+    tables = [_index_tables(r) for r in rings] + [([[0]], [[0]], 0)]
+    rng = random.Random(3)
+
+    def corrupted():
+        for trial in range(1500):
+            if trial % 5 == 0:
+                add, mul, zero = _bilinear_over_f2(rng.randrange(1, 4), rng)
+            else:
+                add, mul, zero = rng.choice(tables)
+                add, mul = [list(r) for r in add], [list(r) for r in mul]
+            n = len(add)
+            for _ in range(rng.choice((0, 1, 1, 2, 3))):
+                i, j, v = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+                if rng.random() < 0.3:
+                    add[i][j] = add[j][i] = v      # keeps + commutative
+                else:
+                    mul[i][j] = v
+            yield add, mul, zero
+
+    verdicts = set()
+    for add, mul, zero in itertools.chain(
+            corrupted(), _carry_tables(), _one_sided_tables()):
+        why = _check_tables(add, mul, zero)
+        expect = _exhaustive_table_check(add, mul, zero)
+        assert (why is None) == (expect is None), (add, mul, why, expect)
+        verdicts.add(why is None)
+        if why is not None and why.count(",") == 2:
+            law, args = why.split(" at ")
+            i, j, k = map(int, args.strip("()").split(","))
+            assert laws[law](add, mul, i, j, k), why
+    assert verdicts == {True, False}

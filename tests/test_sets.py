@@ -259,6 +259,15 @@ def test_int_kernel_span_fallback():
     assert ax.sumset(FiniteSet(Z, []), iset(0, 2)) == FiniteSet(Z, [])
 
 
+def test_zmod_sumset_rejects_non_canonical_elements():
+    m7 = ax.modular(7)
+    with pytest.raises(ValueError, match="19 is not an element of zmod:7"):
+        ax.sumset(FiniteSet(m7, range(20)), FiniteSet(m7, range(20)))
+    # small sets that the kernel hands to hashed pairs are checked too
+    with pytest.raises(ValueError, match="-1 is not an element of zmod:7"):
+        ax.sumset(FiniteSet(m7, [0, -1]), FiniteSet(m7, [3]))
+
+
 _int_sets = st.one_of(
     st.sets(st.integers(-40, 40), min_size=1, max_size=12),       # offset mask
     st.sets(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=6),  # span fallback
