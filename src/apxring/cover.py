@@ -215,7 +215,9 @@ def cover_exact(a, b, pool, node_limit=DEFAULT_NODE_LIMIT):
     Returns an optimal witness, or the best incumbent flagged non-optimal
     when the node limit is hit before the bound is met.  The witness
     carries the bound's integer weights as ``lower_bound`` and its value
-    as ``stats["lower_bound"]``.
+    as ``stats["lower_bound"]``.  ``stats["nodes"]`` counts the dive's
+    path, one node per translate, plus the nodes of the search; the
+    node limit bounds the search alone.
     """
     if len(b) == 0:
         raise UncoverableError("base set is empty")
@@ -240,9 +242,11 @@ def cover_exact(a, b, pool, node_limit=DEFAULT_NODE_LIMIT):
         coverers = _coverers(masks, n_targets)
         bound = _root_floor(coverers, masks, bound, cutoff)
     floor = bound[0]
+    dived = 0
     if floor < cutoff:
         dive = _dive(coverers, masks, full)
-        if len(dive) < cutoff:
+        dived = len(dive)
+        if dived < cutoff:
             best, cutoff = dive, len(dive)
 
     nodes = 0
@@ -299,7 +303,7 @@ def cover_exact(a, b, pool, node_limit=DEFAULT_NODE_LIMIT):
         else:
             dfs(0, [])
     chosen_elems = sorted((pool_sorted[r] for r in best), key=a.ring.sort_key)
-    stats = {"nodes": nodes, "elapsed": time.perf_counter() - t0,
+    stats = {"nodes": dived + nodes, "elapsed": time.perf_counter() - t0,
              "node_limit_hit": hit_limit, "lower_bound": floor}
     weights = {targets[e]: w for e, w in enumerate(bound[1]) if w}
     return make_witness(a, b, chosen_elems, not hit_limit or cutoff <= floor,

@@ -421,19 +421,19 @@ def test_dive_covers_and_never_beats_the_optimum():
 
 def test_dive_incumbent_meets_the_root_bound():
     # greedy covers these with one translate too many; the dive sweeps
-    # from an end of the interval and meets the root bound, so no node
-    # is searched
+    # from an end of the interval and meets the root bound, so the only
+    # nodes are the dive's own path, one per translate
     x = iset(-6, 6)
     entry = ax.growth_sequence(x, 1, with_covering=True).entries[1]
     assert (entry.size, entry.covering, entry.covering_method) == (97, 8, "exact")
     w = ax.cover_exact(entry.xset, x, difference_set(entry.xset, x))
-    assert (len(w.translates), w.stats["nodes"], w.stats["lower_bound"]) == (8, 0, 8)
+    assert (len(w.translates), w.stats["nodes"], w.stats["lower_bound"]) == (8, 8, 8)
     from apxring.classify import gallery
     from apxring.constructive import bound_table
     cert = ax.approx_constant(gallery("interval-mod", p=101, n=4).xset, "ring")
     target = bound_table(cert, 3)[-1].constructed.target
     w = ax.cover_exact(target, cert.x, difference_set(target, cert.x))
-    assert w.optimal and len(w.translates) == 10 and w.stats["nodes"] == 0
+    assert w.optimal and len(w.translates) == 10 and w.stats["nodes"] == 10
 
 
 def test_minimality_certificate_checked_not_trusted():
