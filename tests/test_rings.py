@@ -16,11 +16,82 @@ from apxring.errors import (
     RingConstructionError,
 )
 from apxring.rings import (
+    TABLE_LIMIT,
+    IntegerRing,
+    Ring,
     TableRing,
-    check_ring_axioms,
+    _TupleRing,
+    _check_tables,
+    _poly_trim,
     find_irreducible,
     parse_ring,
 )
+
+_AXIOM_SAMPLE = 10_000       # random triples checked when |R| > exhaustive cap
+_AXIOM_EXHAUSTIVE = 512      # complete table check up to this size
+
+
+def sample_stream(ring):
+    """Canonical elements of a lazy ring: 0, 1, -1, 2, -2, ... over Z,
+    and over F_p[t] the polynomials by degree, each once."""
+    if isinstance(ring, IntegerRing):
+        yield 0
+        for k in itertools.count(1):
+            yield k
+            yield -k
+    d = 0
+    while True:
+        for tail in itertools.product(range(ring.p), repeat=d):
+            lead = range(1, ring.p) if d else range(ring.p)
+            for c in lead:
+                poly = _poly_trim(tail + (c,))
+                if d == 0 or poly:
+                    yield poly
+        d += 1
+
+
+def check_ring_axioms(ring, rng=None):
+    """Oracle: raise AssertionError if the ring axioms fail.
+
+    Complete when |R| <= 512: ``_check_tables`` over index tables read
+    off ``add``/``mul`` pair by pair, plus ``neg`` against them;
+    otherwise 10^4 pseudorandom triples (a seeded Random must be
+    supplied for the sampled path).
+    """
+    if ring.is_finite and ring.cardinality <= _AXIOM_EXHAUSTIVE:
+        why = _check_tables(*_index_tables(ring))
+        if why is not None:
+            raise AssertionError(why)
+        zero = ring.zero()
+        for x in ring.elements():
+            if ring.add(x, ring.neg(x)) != zero:
+                raise AssertionError(f"neg fails at {x}")
+        return
+    if rng is None:
+        raise ValueError("sampled axiom check needs a seeded Random")
+    if ring.is_finite:
+        def draw():
+            return ring.element_at(rng.randrange(ring.cardinality))
+    else:
+        sample = list(itertools.islice(sample_stream(ring), 200))
+
+        def draw():
+            return rng.choice(sample)
+    triples = ((draw(), draw(), draw()) for _ in range(_AXIOM_SAMPLE))
+    zero = ring.zero()
+    for a, b, c in triples:
+        if ring.add(a, b) != ring.add(b, a):
+            raise AssertionError(f"add not commutative at {a},{b}")
+        if ring.add(ring.add(a, b), c) != ring.add(a, ring.add(b, c)):
+            raise AssertionError(f"add not associative at {a},{b},{c}")
+        if ring.mul(ring.mul(a, b), c) != ring.mul(a, ring.mul(b, c)):
+            raise AssertionError(f"mul not associative at {a},{b},{c}")
+        if ring.mul(a, ring.add(b, c)) != ring.add(ring.mul(a, b), ring.mul(a, c)):
+            raise AssertionError(f"left distributivity fails at {a},{b},{c}")
+        if ring.mul(ring.add(a, b), c) != ring.add(ring.mul(a, c), ring.mul(b, c)):
+            raise AssertionError(f"right distributivity fails at {a},{b},{c}")
+        if ring.add(a, ring.neg(a)) != zero:
+            raise AssertionError(f"neg fails at {a}")
 
 
 def all_backends():
@@ -70,7 +141,7 @@ def test_invalid_descriptors():
 
 def test_direct_table_ring_checked_by_check_ring_axioms():
     # TableRing checks shape, additive orders and negatives only; the
-    # axioms are check_ring_axioms' job
+    # axioms are table_ring's job, and the oracle's here
     add = [[(i + j) % 2 for j in range(2)] for i in range(2)]
     bad = TableRing(add, [[0, 1], [1, 1]])
     with pytest.raises(AssertionError, match="associative|distributivity"):
@@ -142,8 +213,7 @@ def test_parse_render_round_trip():
             sample = [backend.element_at(rng.randrange(backend.cardinality))
                       for _ in range(1000)]
         else:
-            import itertools
-            stream = list(itertools.islice(backend.sample_stream(), 1000))
+            stream = list(itertools.islice(sample_stream(backend), 1000))
             sample = [rng.choice(stream) for _ in range(1000)]
         for x in sample:
             assert backend.parse(backend.render(x)) == x
@@ -379,7 +449,6 @@ def _one_sided_tables():
 
 
 def test_table_check_matches_exhaustive_oracle():
-    from apxring.rings import _check_tables
     laws = {
         "addition not associative":
             lambda a, m, i, j, k: a[a[i][j]][k] != a[i][a[j][k]],
@@ -425,3 +494,103 @@ def test_table_check_matches_exhaustive_oracle():
             i, j, k = map(int, args.strip("()").split(","))
             assert laws[law](add, mul, i, j, k), why
     assert verdicts == {True, False}
+
+
+TABULATED = ["gf:5^2:t^2+2", "polyquo:5:t^3", "mat:2:zmod:3",
+             "mat:2:polyquo:2:t^2", "prod:(gf:2^2:t^2+t+1,zmod:4)"]
+
+
+def test_index_tables_match_raw_arithmetic():
+    # oracle: the tables built from additive generators against the raw
+    # tuple arithmetic on every pair; the small backends above included
+    rings = {r.descriptor: r for r in all_backends() if isinstance(r, _TupleRing)}
+    rings.update((d, parse_ring(d)) for d in TABULATED)
+    assert rings["mat:2:polyquo:2:t^2"].cardinality == TABLE_LIMIT
+    for ring in rings.values():
+        assert ring._index is not None, ring
+        pool = [ring._element_at_raw(i) for i in range(ring.cardinality)]
+        assert list(ring.elements()) == pool
+        assert [ring.neg(a) for a in pool] == [ring._neg_raw(a) for a in pool]
+        for i, a in enumerate(pool):
+            assert ring.index_of(a) == ring.sort_key(a) == ring._index_of_raw(a) == i
+            assert ring.parse(ring.render(a)) == a
+            assert ([ring.add(a, b) for b in pool]
+                    == [ring._add_raw(a, b) for b in pool]), (ring, a)
+            assert ([ring.mul(a, b) for b in pool]
+                    == [ring._mul_raw(a, b) for b in pool]), (ring, a)
+    # encodings, text and index order as before the tables
+    g = parse_ring("gf:5^2:t^2+2")
+    assert g.element_at(7) == (2, 1) and g.render((2, 1)) == "t+2"
+    assert g.parse("3t^2") == (4,) and g.index_of((0, 1)) == 5
+    m = parse_ring("mat:2:polyquo:2:t^2")
+    top = ((1, 1), (1, 1))
+    assert m.element_at(255) == (top, top) and m.index_of((((), ()), ((), (1,)))) == 1
+    assert m.render(m.element_at(255)) == "[[t+1,t+1],[t+1,t+1]]"
+    p = parse_ring("prod:(gf:2^2:t^2+t+1,zmod:4)")
+    assert p.parse("(t,3)") == ((0, 1), 3) and p.index_of(((0, 1), 3)) == 11
+
+
+def test_rings_above_table_limit_run_raw():
+    ring = parse_ring("mat:2:zmod:5")
+    assert ring.cardinality > TABLE_LIMIT and ring._index is None
+    rng = random.Random(5)
+    for _ in range(200):
+        a, b = (ring.element_at(rng.randrange(625)) for _ in range(2))
+        assert ring.add(a, b) == ring._add_raw(a, b)
+        assert ring.mul(a, b) == ring._mul_raw(a, b)
+        assert ring.index_of(a) == ring._index_of_raw(a)
+    assert ring.mul(((1, 2), (3, 4)), ((0, 1), (1, 0))) == ((2, 1), (4, 3))
+
+
+def test_tabulated_ring_rejects_non_canonical_operands():
+    ring = parse_ring("gf:5^2:t^2+2")
+    one = ring.parse("1")
+    for bad in [(5,), (1, 0), (0, 0, 1), 3]:
+        for call in (lambda: ring.add(one, bad), lambda: ring.add(bad, one),
+                     lambda: ring.mul(bad, one), lambda: ring.neg(bad),
+                     lambda: ring.index_of(bad)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert f"{bad!r} is not an element of gf:5^2:t^2+2" in str(info.value)
+    m = parse_ring("mat:2:zmod:3")
+    with pytest.raises(ValueError, match=r"\(\(0, 3\), \(0, 0\)\) is not an element of mat:2:zmod:3"):
+        m.add(m.zero(), ((0, 3), (0, 0)))
+
+
+def test_class_level_wrappers_see_every_tabulated_op(monkeypatch):
+    # the benchmark tracer counts ring ops by wrapping the add/neg/mul
+    # each Ring subclass defines; a tabulated ring must not bypass them
+    before = parse_ring("gf:5^2:t^2+2")
+    seen = []
+
+    def classes(cls):
+        yield cls
+        for sub in cls.__subclasses__():
+            yield from classes(sub)
+
+    def counting(method, op):
+        def counted(*args):
+            seen.append(op)
+            return method(*args)
+        return counted
+
+    for cls in classes(Ring):
+        for op in ("add", "neg", "mul"):
+            if op in vars(cls):
+                monkeypatch.setattr(cls, op, counting(vars(cls)[op], op))
+    after = parse_ring("mat:2:zmod:3")
+    for ring in (before, after):
+        assert ring._index is not None
+        del seen[:]
+        pool = list(ring.elements())[:9]
+        for a in pool:
+            ring.neg(a)
+            for b in pool:
+                ring.add(a, b)
+                ring.mul(a, b)
+        assert seen.count("add") == seen.count("mul") == 81
+        assert seen.count("neg") == 9
+    del seen[:]
+    x = ax.FiniteSet(before, list(before.elements())[:6])
+    ax.sumset(x, x)
+    assert seen.count("add") == 36
