@@ -3,26 +3,30 @@
 A cover witness certifies target ⊆ ∪_i (t_i + base) and is re-verified
 element-wise on construction.  Two solvers are provided: a greedy cover
 with the classical (1 + ln |target|) guarantee, and an exact
-branch-and-bound (branch on the uncovered element with fewest covering
-translates, bound by ceil(|uncovered| / |base|) and an incumbent, the
-smaller of the greedy cover and one dive: a path without backtracking
-that starts where the coverers reach least).  Everything is
-deterministic: pools are processed in canonical element order and ties
-always break toward the smaller canonical encoding, so repeated runs
-reproduce witnesses bit for bit.
+branch-and-bound.  It branches on the first uncovered target in one
+order fixed per call, fewest covering translates first, and starts
+from an incumbent, the smaller of the greedy cover and one dive: a
+path without backtracking that starts where the coverers reach least.
+Everything is deterministic: pools are processed in canonical element
+order and ties always break toward the smaller canonical encoding, so
+repeated runs reproduce witnesses bit for bit.
 
 The exact search stops as soon as its incumbent meets a lower bound.
-Every bound is one vector of integer weights on the targets over a
-common denominator, evaluated exactly as a Lagrangian bound of the
-covering LP (Beasley 1990), so any weights >= 0 give a valid bound:
-counting (w = 1 over |base|), cheap fractional (1 / largest translate
-holding the element), a greedy packing (targets pairwise in no common
-translate), and, only when the search stalls on an irregular instance,
-a subgradient ascent whose float weights are rounded before evaluation.
-The weights travel with the witness, so ``apx verify`` re-checks the
-minimality claim instead of trusting it.  Covers of the whole finite
-ring by all its translates shift onto covers holding 0 + base, so that
-search starts from 0 + base.
+Every translate lies in one connected component of the target/translate
+incidence, so a cover needs the sum over components of each
+component's own bound.  A node is pruned by Σ_C ceil(|C ∖ covered| /
+|base|).  Every other bound is one vector of integer weights on the
+targets over a common denominator, evaluated exactly, component by
+component, as a Lagrangian bound of the covering LP (Beasley 1990), so
+any weights >= 0 give a valid bound: counting (w = 1 over |base|),
+cheap fractional (1 / largest translate holding the element), a greedy
+packing (targets pairwise in no common translate), and, only when the
+search stalls on an irregular instance, a subgradient ascent whose
+float weights are rounded before evaluation.  The weights travel with
+the witness, so ``apx verify`` recomputes the components and re-checks
+the minimality claim instead of trusting it.  Covers of the whole
+finite ring by all its translates shift onto covers holding 0 + base,
+so that search starts from 0 + base.
 
 approx_constant certifies the minimal K with X*X ∪ (X+X) ⊆ F + X
 (ring mode; group mode drops the product part).  The translate pool is
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import math
 import operator
 import time
 from dataclasses import dataclass, field
@@ -56,7 +61,6 @@ from .sets import (
     negate,
     prodset,
     sumset,
-    translate,
     union,
 )
 
@@ -106,9 +110,8 @@ def _bound_json(render, lower_bound):
 def first_uncovered(target, base, translates):
     """Least target element (canonical order) outside ∪ (t + base), or
     None when the translates cover the target; checked from scratch."""
-    covered = set()
-    for t in translates:
-        covered |= translate(t, base).elements()
+    add = target.ring.add
+    covered = {add(t, x) for t in translates for x in base.elements()}
     missing = target.elements() - covered
     return min(missing, key=target.ring.sort_key) if missing else None
 
@@ -135,29 +138,27 @@ def make_witness(target, base, translates, optimal, method, stats=None,
 
 
 def _instance(a, b, pool):
+    """(targets, pool_sorted, masks, full): bit i of masks[r] says that
+    pool_sorted[r] + b holds targets[i].  t + b holds e iff t = e − x
+    for some x in b, so each target looks its coverers up among the
+    pool ranks instead of each translate looking its sums up."""
     ring = a.ring
     targets = sorted(a.elements(), key=ring.sort_key)
-    pos = {x: i for i, x in enumerate(targets)}
     pool_sorted = sorted(pool.elements(), key=ring.sort_key)
-    masks = []
-    for t in pool_sorted:
-        m = 0
-        for x in b.elements():
-            i = pos.get(ring.add(t, x))
-            if i is not None:
-                m |= 1 << i
-        masks.append(m)
-    full = (1 << len(targets)) - 1
-    reach = 0
-    for m in masks:
-        reach |= m
-    if reach != full:
-        missing = full & ~reach
-        idx = (missing & -missing).bit_length() - 1
-        raise UncoverableError(
-            f"{ring.render(targets[idx])} lies in no pool translate",
-            element=targets[idx])
-    return targets, pool_sorted, masks, full
+    rank = {t: r for r, t in enumerate(pool_sorted)}
+    neg_b = [ring.neg(x) for x in b.elements()]
+    masks = [0] * len(pool_sorted)
+    for i, e in enumerate(targets):
+        hit = False
+        for y in neg_b:
+            r = rank.get(ring.add(e, y))
+            if r is not None:
+                masks[r] |= 1 << i
+                hit = True
+        if not hit:
+            raise UncoverableError(
+                f"{ring.render(e)} lies in no pool translate", element=e)
+    return targets, pool_sorted, masks, (1 << len(targets)) - 1
 
 
 def cover_greedy(a, b, pool):
@@ -202,15 +203,22 @@ def cover_exact(a, b, pool, node_limit=DEFAULT_NODE_LIMIT):
 
     Depth-first branch and bound from the greedy incumbent, replaced by
     the cover of ``_dive`` when the root bound leaves greedy unproven
-    and the dive is strictly smaller: branch on the uncovered element
-    with fewest live coverers, prune a node by ceil(|uncovered| / |b|).
-    The search stops as soon as the incumbent meets a proven lower
-    bound: the best root bound of ``_root_floor``, raised by ``_ascent``
-    once the search has spent |targets| × |distinct masks| nodes without
-    closing (skipped on regular instances, where counting already
-    equals the LP optimum).  When a and the pool are
-    the whole finite ring, every cover shifts to one that holds 0 + b,
-    so the search starts from that translate.
+    and the dive is strictly smaller.  A node branches on its first
+    uncovered target in one order fixed per call, fewest coverers first
+    (ties toward the lower index), and tries its coverers by most
+    uncovered targets (ties toward the lower rank).  Every coverer of an
+    uncovered target still holds it, so that target is the one with
+    fewest live coverers.  A node is pruned by Σ_C ceil(|C ∖ covered| /
+    |b|) over the connected components C of the target/translate
+    incidence, since each translate lies in one of them; the components
+    are found only when counting leaves a gap.  The search stops as
+    soon as the incumbent meets a proven lower bound: the best root
+    bound of ``_root_floor``, raised by ``_ascent`` once the search has
+    spent |targets| × |distinct masks| nodes without closing (skipped
+    on regular instances, where counting already equals the LP
+    optimum).  Both are summed over the components.  When a and the
+    pool are the whole finite ring, every cover shifts to one that holds
+    0 + b, so the search starts from that translate.
 
     Returns an optimal witness, or the best incumbent flagged non-optimal
     when the node limit is hit before the bound is met.  The witness
@@ -232,15 +240,12 @@ def cover_exact(a, b, pool, node_limit=DEFAULT_NODE_LIMIT):
 
     best = _greedy_ranks(masks, full)
     cutoff = len(best)
-    # counting first: it alone closes many small instances; weight 1 on
-    # (floor - 1)·|b| + 1 targets over |b| already proves its floor
-    floor = -(-n_targets // base_size)
-    ones = (floor - 1) * base_size + 1
-    bound = (floor, [1] * ones + [0] * (n_targets - ones), base_size)
-    coverers = None
+    # counting first: it alone closes many small instances
+    bound = _counting([full], base_size)
     if bound[0] < cutoff:
         coverers = _coverers(masks, n_targets)
-        bound = _root_floor(coverers, masks, bound, cutoff)
+        parts = _components(masks)
+        bound = _root_floor(coverers, masks, bound, cutoff, parts)
     floor = bound[0]
     dived = 0
     if floor < cutoff:
@@ -251,16 +256,16 @@ def cover_exact(a, b, pool, node_limit=DEFAULT_NODE_LIMIT):
 
     nodes = 0
     hit_limit = False
-    stall_at = n_targets * len(set(masks)) if floor < cutoff else 0
 
-    def dfs(covered, chosen):
+    def dfs(covered, chosen, at):
+        # order[:at] is covered
         nonlocal nodes, cutoff, hit_limit, bound, floor
         nodes += 1
         if nodes > node_limit:
             hit_limit = True
             return
         if nodes == stall_at and not _regular(coverers, masks, base_size):
-            raised = _ascent(coverers, masks, floor, cutoff)
+            raised = _ascent(coverers, masks, floor, cutoff, parts)
             if raised is not None:
                 bound = raised
                 floor = bound[0]
@@ -269,39 +274,37 @@ def cover_exact(a, b, pool, node_limit=DEFAULT_NODE_LIMIT):
                 best[:] = chosen
                 cutoff = len(chosen)
             return
-        remaining = (full & ~covered).bit_count()
-        if len(chosen) - (-remaining // base_size) >= cutoff:
+        left = full & ~covered
+        if len(parts) > 1:
+            need = sum(-(-(m & left).bit_count() // base_size) for m in parts)
+        else:
+            need = -(-left.bit_count() // base_size)
+        if len(chosen) + need >= cutoff:
             return
-        # branch on the uncovered element with fewest live coverers
-        pick, pick_opts = None, None
-        live = full & ~covered
-        while live:
-            low = live & -live
-            idx = low.bit_length() - 1
-            opts = [r for r in coverers[idx] if masks[r] & ~covered]
-            if pick_opts is None or len(opts) < len(pick_opts):
-                pick, pick_opts = idx, opts
-                if len(opts) <= 1:
-                    break
-            live ^= low
-        if not pick_opts:
-            return
-        pick_opts.sort(key=lambda r: (-(masks[r] & ~covered).bit_count(), r))
-        for r in pick_opts:
+        while covered >> order[at] & 1:
+            at += 1
+        opts = sorted([(-(masks[r] & left).bit_count(), r)
+                       for r in coverers[order[at]]])
+        for _fresh, r in opts:
             if hit_limit or len(chosen) + 1 >= cutoff or cutoff <= floor:
                 break
             chosen.append(r)
-            dfs(covered | masks[r], chosen)
+            dfs(covered | masks[r], chosen, at + 1)
             chosen.pop()
 
     if floor < cutoff:
+        stall_at = n_targets * len(set(masks))
+        order = sorted(range(n_targets), key=lambda e: (len(coverers[e]), e))
         ring = a.ring
         if ring.is_finite and n_targets == len(pool_sorted) == ring.cardinality:
             # covers of the whole ring shift by -t_1 onto covers holding 0 + b
             r0 = pool_sorted.index(ring.zero())
-            dfs(masks[r0], [r0])
+            dfs(masks[r0], [r0], 0)
         else:
-            dfs(0, [])
+            dfs(0, [], 0)
+    # dfs refers to itself: drop the cycle so its lists go now, not at a
+    # garbage collection
+    dfs = None
     chosen_elems = sorted((pool_sorted[r] for r in best), key=a.ring.sort_key)
     stats = {"nodes": dived + nodes, "elapsed": time.perf_counter() - t0,
              "node_limit_hit": hit_limit, "lower_bound": floor}
@@ -356,33 +359,75 @@ def _coverers(masks, n_targets):
     return coverers
 
 
+def _components(masks):
+    """Target masks of the connected components of the target/translate
+    incidence, in order of their least target: a row joins every
+    component it meets."""
+    parts = []
+    for m in set(masks):
+        if m:
+            keep = []
+            for part in parts:
+                if part & m:
+                    m |= part
+                else:
+                    keep.append(part)
+            keep.append(m)
+            parts = keep
+    return sorted(parts, key=lambda part: part & -part)
+
+
+def _labels(parts, n_targets):
+    """Component index of each target; a row's is its lowest target's."""
+    label = [0] * n_targets
+    for c, part in enumerate(parts[1:], 1):
+        while part:
+            low = part & -part
+            label[low.bit_length() - 1] = c
+            part ^= low
+    return label
+
+
 # ---------------------------------------------------------------------------
 # lower bounds: integer weights w_e >= 0 on the targets over a denominator
-# d > 0.  For any such weights, every cover has at least
-#   ceil((sum_e w_e - sum_rows max(0, w(row) - d)) / d)
-# translates, a row being the targets of one translate (the Lagrangian
-# bound of the covering LP, Beasley 1990).  Floats only search for weights;
-# every claimed bound is evaluated in integers.
+# d > 0.  For any such weights, the translates inside a connected
+# component C of the target/translate incidence number at least
+#   ceil((sum_{e in C} w_e - sum_{rows in C} max(0, w(row) - d)) / d),
+# and at least 1, a row being the targets of one translate (the
+# Lagrangian bound of the covering LP, Beasley 1990).  Every translate
+# lies in one component, so every cover has at least the sum of these
+# over the components, which is at least the same ceiling taken over all
+# targets at once.  Floats only search for weights; every claimed bound
+# is evaluated in integers.
 
 
-def _weights_floor(weights, d, coverers, masks):
-    """The bound above for integer ``weights`` (one per target index)."""
+def _weights_floor(weights, d, coverers, masks, parts=None):
+    """The bound above for integer ``weights`` (one per target index);
+    ``parts`` is ``_components(masks)``, computed when None."""
+    parts = parts or _components(masks)
+    label = _labels(parts, len(coverers))
     load = [0] * len(masks)
+    net = [0] * len(parts)
     for e, w in enumerate(weights):
         if w:
+            net[label[e]] += w
             for r in coverers[e]:
                 load[r] += w
-    rows = dict(zip(masks, load))        # equal masks are one row
-    over = sum(v - d for v in rows.values() if v > d)
-    return -((over - sum(weights)) // d)
+    rows = {m: r for r, m in enumerate(masks)}      # equal masks are one row
+    for m, r in rows.items():
+        if load[r] > d:
+            net[label[(m & -m).bit_length() - 1]] -= load[r] - d
+    return sum(max(1, -(-v // d)) for v in net)
 
 
 def lagrangian_floor(target, base, weights, d):
     """Least cover size that integer ``weights`` (target element -> int,
-    missing = 0) over ``d`` prove for target by translates of base.
+    missing = 0) over ``d`` prove for target by translates of base,
+    summed over the components of the incidence.
 
     The rows are those of every translate meeting the target, i.e. of
-    the pool target − base, so the bound holds for any pool.
+    the pool target − base, so the bound holds for any pool; the
+    components are recomputed from the same rows.
     """
     targets, _pool, masks, _full = _instance(
         target, base, difference_set(target, base))
@@ -390,21 +435,45 @@ def lagrangian_floor(target, base, weights, d):
     return _weights_floor(w, d, _coverers(masks, len(targets)), masks)
 
 
-def _root_floor(coverers, masks, counting, cutoff):
-    """Best of counting, cheap fractional and packing bounds as
+def _counting(parts, base_size):
+    """Counting bound sum_C ceil(|C| / |b|) over the component masks
+    ``parts`` as (floor, weights, d) with d = |b|.  One component needs
+    weight 1 on only (floor - 1)·|b| + 1 targets; several take every
+    target."""
+    if len(parts) > 1:
+        sizes = [part.bit_count() for part in parts]
+        floor = sum(-(-n // base_size) for n in sizes)
+        return floor, [1] * sum(sizes), base_size
+    n_targets = parts[0].bit_count()
+    floor = -(-n_targets // base_size)
+    ones = (floor - 1) * base_size + 1
+    return floor, [1] * ones + [0] * (n_targets - ones), base_size
+
+
+def _root_floor(coverers, masks, counting, cutoff, parts):
+    """Best of counting (``counting`` over all targets, redone over the
+    component masks ``parts``), cheap fractional and packing bounds as
     (floor, weights, d), stopping at the first that reaches ``cutoff``.
 
     cheap fractional: w_e = 1 / (largest mask holding e), so no row
     exceeds 1.  packing: w = 1 on targets that pairwise share no
-    translate, taken greedily by fewest coverers.
+    translate, taken greedily by fewest coverers.  No row is charged
+    under either, so each component's ceiling needs only its weights.
     """
-    from math import lcm
+    bound = counting
+    if len(parts) > 1:
+        bound = _counting(parts, counting[2])       # counting's d is |b|
+    if bound[0] >= cutoff:
+        return bound
     sizes = [m.bit_count() for m in masks]
     big = [max(map(sizes.__getitem__, cov)) for cov in coverers]
-    d = lcm(*set(big))
+    d = math.lcm(*set(big))
     w = [d // s for s in big]
-    cheap = (-(-sum(w) // d), w, d)
-    bound = max(counting, cheap, key=lambda t: t[0])
+    net = [0] * len(parts)
+    for c, we in zip(_labels(parts, len(w)), w):
+        net[c] += we
+    cheap = (sum(max(1, -(-v // d)) for v in net), w, d)
+    bound = max(bound, cheap, key=lambda t: t[0])
     if bound[0] >= cutoff:
         return bound
     blocked = set()
@@ -413,6 +482,7 @@ def _root_floor(coverers, masks, counting, cutoff):
         if blocked.isdisjoint(coverers[e]):
             blocked.update(coverers[e])
             w[e] = 1
+    # the first target of each component in this order is packed
     return max(bound, (sum(w), w, 1), key=lambda t: t[0])
 
 
@@ -423,34 +493,40 @@ def _regular(coverers, masks, base_size):
             and len({len(cov) for cov in coverers}) == 1)
 
 
-def _ascent(coverers, masks, floor, cutoff):
+def _ascent(coverers, masks, floor, cutoff, parts=None):
     """Subgradient ascent on the Lagrangian weights u >= 0 (Beasley 1990)
     from u_e = 1 / (largest mask holding e), Polyak steps towards
-    ``cutoff``.  Whenever the float bound passes ``floor``, u is rounded
-    down to d = 2^30 and evaluated in integers.  Returns the best
+    ``cutoff``.  Whenever the float bound, summed over the components
+    ``parts`` (computed when None), passes ``floor``, u is rounded down
+    to d = 2^30 and evaluated in integers.  Returns the best
     (floor, weights, d) above ``floor``, or None.
     """
+    parts = parts or _components(masks)
+    label = _labels(parts, len(coverers))
     sizes = [m.bit_count() for m in masks]
     u = [1.0 / max(map(sizes.__getitem__, cov)) for cov in coverers]
-    rows = list({m: r for r, m in enumerate(masks)}.values())
+    rows = {m: r for r, m in enumerate(masks)}
     d = 1 << 30
     found = None
     scale, best_value, stalled = 2.0, float("-inf"), 0
     for _ in range(200):
         load = [0.0] * len(masks)
+        net = [0.0] * len(parts)
         for e, ue in enumerate(u):
             if ue:
+                net[label[e]] += ue
                 for r in coverers[e]:
                     load[r] += ue
         over = bytearray(len(masks))
         value = sum(u)
-        for r in rows:
+        for m, r in rows.items():
             if load[r] > 1.0:
                 over[r] = 1
                 value += 1.0 - load[r]
-        if value > floor + 1e-9:
+                net[label[(m & -m).bit_length() - 1]] += 1.0 - load[r]
+        if sum(max(1, math.ceil(v - 1e-9)) for v in net) > floor:
             w = [int(ue * d) for ue in u]
-            exact = _weights_floor(w, d, coverers, masks)
+            exact = _weights_floor(w, d, coverers, masks, parts)
             if exact > floor:
                 floor = exact
                 found = (floor, w, d)
@@ -482,13 +558,7 @@ def cover_brute_force(a, b, pool):
     if len(a) == 0:
         return 0, ()
     targets, pool_sorted, masks, full = _instance(a, b, pool)
-    coverers = [[] for _ in targets]
-    for rank, m in enumerate(masks):
-        live = m
-        while live:
-            low = live & -live
-            coverers[low.bit_length() - 1].append(rank)
-            live ^= low
+    coverers = _coverers(masks, len(targets))
 
     def search(covered, depth, chosen):
         if covered == full:

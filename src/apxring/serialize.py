@@ -27,8 +27,9 @@ def _ring_and_set(payload, key):
 
 def _minimality(payload, target, base, k):
     """(ok, note) for the payload's ``lower_bound``, re-evaluated in
-    integers over the rows of target − base (``cover.lagrangian_floor``).
-    Malformed weights fail; a bound short of k only goes uncertified."""
+    integers over the rows of target − base and summed over the
+    components those rows form (``cover.lagrangian_floor``).  Malformed
+    weights fail; a bound short of k only goes uncertified."""
     lb = payload.get("lower_bound")
     if lb is None:
         return True, "minimality not certified (no lower bound)"

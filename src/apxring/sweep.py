@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import io
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .classify import nzd_classify, pos_char_search
@@ -276,10 +275,13 @@ class SweepReport:
 
 def run_sweep(spec, jobs=1):
     """Run every instance of the family; never aborts on row errors."""
-    inputs = [(i, dsl, tuple(parse_ring(dsl).render(e) for e in elems),
+    rings = {dsl: parse_ring(dsl) for dsl in spec.rings}
+    inputs = [(i, dsl, tuple(map(rings[dsl].render, elems)),
                spec.mode, spec.exact, spec.small_threshold, spec.k_max)
               for i, (dsl, elems) in enumerate(generate_instances(spec))]
     if jobs > 1 and len(inputs) > 1:
+        # imported here: multiprocessing costs every other command its start-up
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_run_row, inputs, chunksize=8))
     else:

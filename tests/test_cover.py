@@ -15,7 +15,14 @@ from apxring.errors import (
     UncoverableError,
     VerificationFailedError,
 )
-from apxring.sets import FiniteSet, difference_set, prodset, sumset, union
+from apxring.sets import (
+    FiniteSet,
+    difference_set,
+    prodset,
+    sumset,
+    translate,
+    union,
+)
 
 Z = ax.integers()
 
@@ -330,6 +337,100 @@ def _random_instance(rng):
     a = FiniteSet(ring, rng.sample(elems, rng.randrange(1, min(12, len(elems)))))
     b = FiniteSet(ring, rng.sample(elems, rng.randrange(1, 4)))
     return a, b
+
+
+def _pool_first_masks(a, b, pool):
+    # each pool translate adds every element of b and looks the sums up
+    # among the targets
+    ring = a.ring
+    targets = sorted(a.elements(), key=ring.sort_key)
+    pos = {x: i for i, x in enumerate(targets)}
+    masks = []
+    for t in sorted(pool.elements(), key=ring.sort_key):
+        m = 0
+        for x in b.elements():
+            i = pos.get(ring.add(t, x))
+            if i is not None:
+                m |= 1 << i
+        masks.append(m)
+    return targets, masks
+
+
+def test_instance_masks_match_the_pool_first_oracle():
+    # pools are random parts of target − base, some with translates that
+    # meet no target, so some targets lie in no pool translate
+    from apxring import cover
+    rng = random.Random(31)
+    raised = 0
+    for _ in range(300):
+        a, b = _random_instance(rng)
+        ring = a.ring
+        diff = sorted(difference_set(a, b).elements(), key=ring.sort_key)
+        extra = range(30, 40) if ring is Z else ring.elements()
+        part = rng.sample(diff, rng.randrange(1, len(diff) + 1))
+        pool = FiniteSet(ring, part + rng.sample(list(extra), 3))
+        targets, expected = _pool_first_masks(a, b, pool)
+        reach = 0
+        for m in expected:
+            reach |= m
+        missing = [e for i, e in enumerate(targets) if not reach >> i & 1]
+        if missing:
+            raised += 1
+            with pytest.raises(UncoverableError) as exc:
+                cover._instance(a, b, pool)
+            assert exc.value.element == missing[0]
+            continue
+        got = cover._instance(a, b, pool)
+        assert got == (targets, sorted(pool.elements(), key=ring.sort_key),
+                       expected, (1 << len(targets)) - 1)
+    assert 30 < raised < 270
+
+
+def _one_ceiling(target, base, weights, d):
+    # the Lagrangian bound over all targets at once, rows from scratch
+    rows = {translate(t, base).elements() & target.elements()
+            for t in difference_set(target, base)}
+    over = sum(max(0, sum(weights.get(e, 0) for e in row) - d) for row in rows)
+    return -((over - sum(weights.values())) // d)
+
+
+def test_lagrangian_floor_sums_components():
+    from apxring.cover import lagrangian_floor
+    # translates of {0, 1, 2} never meet two of the blocks: 2 + 2 + 2
+    a = FiniteSet(Z, [*range(4), *range(10, 14), *range(20, 24)])
+    ones = dict.fromkeys(a, 1)
+    assert _one_ceiling(a, iset(0, 2), ones, 3) == 4
+    assert lagrangian_floor(a, iset(0, 2), ones, 3) == 6
+    # on random weights the sum over components is at least the one
+    # ceiling, so bounds written before components still certify, and it
+    # stays below the optimum
+    rng = random.Random(44)
+    split = 0
+    for _ in range(150):
+        a, b = _random_instance(rng)
+        weights = {e: rng.randrange(4) for e in a}
+        d = rng.randrange(1, 5)
+        floor = lagrangian_floor(a, b, weights, d)
+        assert _one_ceiling(a, b, weights, d) <= floor
+        assert floor <= cover_brute_force(a, b, difference_set(a, b))[0]
+        split += floor > max(1, _one_ceiling(a, b, weights, d))
+    assert split > 10
+
+
+def test_whole_ring_components_proven_at_the_root():
+    # X = {0, t, -t} in F_25: translates of X meet only inside the 5
+    # cosets of F_5·t, each needs ceil(5 / 3) = 2 of them, so the sum
+    # over components proves 10 where counting all 25 gives 9
+    from apxring.serialize import verify_payload
+    ring = ax.parse_ring("gf:5^2:t^2+2")
+    whole = FiniteSet(ring, ring.elements())
+    t = ring.parse("t")
+    x = FiniteSet(ring, [ring.zero(), t, ring.neg(t)])
+    w = ax.cover_exact(whole, x, whole)
+    assert (len(w.translates), w.optimal) == (10, True)
+    assert (w.stats["nodes"], w.stats["lower_bound"]) == (0, 10)
+    ok, details = verify_payload(w.to_json())
+    assert ok and details[1] == "minimality certified: every cover needs 10"
 
 
 def test_lower_bound_oracle():

@@ -151,6 +151,15 @@ def test_sweep_poschar_smoke():
     assert ok, details
 
 
+def test_cli_import_leaves_process_pool_out():
+    # only run_sweep with jobs > 1 needs multiprocessing
+    code = ("import sys, apxring.cli; "
+            "print('concurrent.futures' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
