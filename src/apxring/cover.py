@@ -55,6 +55,7 @@ from .errors import (
 )
 from .rings import check_same_ring
 from .sets import (
+    _BIT_FLAGS,
     FiniteSet,
     difference_set,
     is_symmetric,
@@ -240,12 +241,14 @@ def cover_exact(a, b, pool, node_limit=DEFAULT_NODE_LIMIT):
 
     best = _greedy_ranks(masks, full)
     cutoff = len(best)
-    # counting first: it alone closes many small instances
-    bound = _counting([full], base_size)
-    if bound[0] < cutoff:
+    # counting over all targets alone closes many small instances, and
+    # then the components are not needed
+    if -(-n_targets // base_size) >= cutoff:
+        bound = _counting([full], base_size)
+    else:
         coverers = _coverers(masks, n_targets)
         parts = _components(masks)
-        bound = _root_floor(coverers, masks, bound, cutoff, parts)
+        bound = _root_floor(coverers, masks, base_size, cutoff, parts)
     floor = bound[0]
     dived = 0
     if floor < cutoff:
@@ -265,7 +268,7 @@ def cover_exact(a, b, pool, node_limit=DEFAULT_NODE_LIMIT):
             hit_limit = True
             return
         if nodes == stall_at and not _regular(coverers, masks, base_size):
-            raised = _ascent(coverers, masks, floor, cutoff, parts)
+            raised = _ascent(coverers, masks, floor, cutoff)
             if raised is not None:
                 bound = raised
                 floor = bound[0]
@@ -275,11 +278,10 @@ def cover_exact(a, b, pool, node_limit=DEFAULT_NODE_LIMIT):
                 cutoff = len(chosen)
             return
         left = full & ~covered
-        if len(parts) > 1:
-            need = sum(-(-(m & left).bit_count() // base_size) for m in parts)
-        else:
-            need = -(-left.bit_count() // base_size)
-        if len(chosen) + need >= cutoff:
+        need = len(chosen)
+        for m in parts:
+            need += -(-(m & left).bit_count() // base_size)
+        if need >= cutoff:
             return
         while covered >> order[at] & 1:
             at += 1
@@ -401,10 +403,9 @@ def _labels(parts, n_targets):
 # is evaluated in integers.
 
 
-def _weights_floor(weights, d, coverers, masks, parts=None):
-    """The bound above for integer ``weights`` (one per target index);
-    ``parts`` is ``_components(masks)``, computed when None."""
-    parts = parts or _components(masks)
+def _weights_floor(weights, d, coverers, masks):
+    """The bound above for integer ``weights`` (one per target index)."""
+    parts = _components(masks)
     label = _labels(parts, len(coverers))
     load = [0] * len(masks)
     net = [0] * len(parts)
@@ -437,32 +438,39 @@ def lagrangian_floor(target, base, weights, d):
 
 def _counting(parts, base_size):
     """Counting bound sum_C ceil(|C| / |b|) over the component masks
-    ``parts`` as (floor, weights, d) with d = |b|.  One component needs
-    weight 1 on only (floor - 1)·|b| + 1 targets; several take every
-    target."""
-    if len(parts) > 1:
-        sizes = [part.bit_count() for part in parts]
-        floor = sum(-(-n // base_size) for n in sizes)
-        return floor, [1] * sum(sizes), base_size
-    n_targets = parts[0].bit_count()
-    floor = -(-n_targets // base_size)
-    ones = (floor - 1) * base_size + 1
-    return floor, [1] * ones + [0] * (n_targets - ones), base_size
+    ``parts`` as (floor, weights, d) with d = |b|: weight 1 on the
+    lowest k = (ceil(|C| / |b|) - 1)·|b| + 1 targets of each component C
+    already forces its ceiling."""
+    floor, ones = 0, 0
+    for part in parts:
+        need = -(-part.bit_count() // base_size)
+        floor += need
+        # bisect for the least cut with k targets of part below it
+        k = (need - 1) * base_size + 1
+        lo, hi = k, part.bit_length()
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if (part & ((1 << mid) - 1)).bit_count() < k:
+                lo = mid + 1
+            else:
+                hi = mid
+        ones |= part & ((1 << lo) - 1)
+    n_targets = sum(map(int.bit_count, parts))
+    flags = bin(ones | 1 << n_targets)[:2:-1].encode().translate(_BIT_FLAGS)
+    return floor, list(flags), base_size
 
 
-def _root_floor(coverers, masks, counting, cutoff, parts):
-    """Best of counting (``counting`` over all targets, redone over the
-    component masks ``parts``), cheap fractional and packing bounds as
-    (floor, weights, d), stopping at the first that reaches ``cutoff``.
+def _root_floor(coverers, masks, base_size, cutoff, parts):
+    """Best of counting, cheap fractional and packing bounds over the
+    component masks ``parts`` as (floor, weights, d), stopping at the
+    first that reaches ``cutoff``.
 
     cheap fractional: w_e = 1 / (largest mask holding e), so no row
     exceeds 1.  packing: w = 1 on targets that pairwise share no
     translate, taken greedily by fewest coverers.  No row is charged
     under either, so each component's ceiling needs only its weights.
     """
-    bound = counting
-    if len(parts) > 1:
-        bound = _counting(parts, counting[2])       # counting's d is |b|
+    bound = _counting(parts, base_size)
     if bound[0] >= cutoff:
         return bound
     sizes = [m.bit_count() for m in masks]
@@ -493,15 +501,15 @@ def _regular(coverers, masks, base_size):
             and len({len(cov) for cov in coverers}) == 1)
 
 
-def _ascent(coverers, masks, floor, cutoff, parts=None):
+def _ascent(coverers, masks, floor, cutoff):
     """Subgradient ascent on the Lagrangian weights u >= 0 (Beasley 1990)
     from u_e = 1 / (largest mask holding e), Polyak steps towards
-    ``cutoff``.  Whenever the float bound, summed over the components
-    ``parts`` (computed when None), passes ``floor``, u is rounded down
-    to d = 2^30 and evaluated in integers.  Returns the best
-    (floor, weights, d) above ``floor``, or None.
+    ``cutoff``.  Whenever the float bound, summed over the components,
+    passes ``floor``, u is rounded down to d = 2^30 and evaluated in
+    integers.  Returns the best (floor, weights, d) above ``floor``, or
+    None.
     """
-    parts = parts or _components(masks)
+    parts = _components(masks)
     label = _labels(parts, len(coverers))
     sizes = [m.bit_count() for m in masks]
     u = [1.0 / max(map(sizes.__getitem__, cov)) for cov in coverers]
@@ -526,7 +534,7 @@ def _ascent(coverers, masks, floor, cutoff, parts=None):
                 net[label[(m & -m).bit_length() - 1]] += 1.0 - load[r]
         if sum(max(1, math.ceil(v - 1e-9)) for v in net) > floor:
             w = [int(ue * d) for ue in u]
-            exact = _weights_floor(w, d, coverers, masks, parts)
+            exact = _weights_floor(w, d, coverers, masks)
             if exact > floor:
                 floor = exact
                 found = (floor, w, d)
