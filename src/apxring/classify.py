@@ -242,24 +242,34 @@ def nzd_classify(x, small_threshold=None, exact=True, hypothesis="ambient",
     k11 = k ** 11
     if small_threshold is None:
         small_threshold = 4 * k * k
-    if ring.is_finite and len(core) == ring.cardinality:
-        subring_ok, violation = True, None       # the whole ring
-    else:
-        subring_ok, violation = is_subring(core)
+    subring_ok, violation = _core_is_subring(core)
     comm = None
     comm_constant = None
     if len(x) and len(core):
         comm = commensurability(core, x, exact=exact)
         comm_constant = comm.constant
-    if len(x) < small_threshold:
-        verdict = "small"
-    elif subring_ok and comm_constant is not None and comm_constant <= k11:
-        verdict = "structured"
-    else:
-        verdict = "counterexample-candidate"
+    verdict = _verdict(len(x), small_threshold, subring_ok, comm_constant, k11)
     return ClassificationReport(x, k, cert, core, subring_ok, violation,
                                 comm_constant, k11, verdict, small_threshold,
                                 hyp, comm)
+
+
+def _core_is_subring(core):
+    """``is_subring(core)``, answered without a check when the core is the
+    whole finite ring."""
+    ring = core.ring
+    if ring.is_finite and len(core) == ring.cardinality:
+        return True, None
+    return is_subring(core)
+
+
+def _verdict(x_size, small_threshold, subring_ok, comm_constant, k11):
+    """``nzd_classify``'s verdict from the fields of its report."""
+    if x_size < small_threshold:
+        return "small"
+    if subring_ok and comm_constant is not None and comm_constant <= k11:
+        return "structured"
+    return "counterexample-candidate"
 
 
 # ---------------------------------------------------------------------------

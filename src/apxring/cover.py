@@ -12,21 +12,23 @@ order and ties always break toward the smaller canonical encoding, so
 repeated runs reproduce witnesses bit for bit.
 
 The exact search stops as soon as its incumbent meets a lower bound.
-Every translate lies in one connected component of the target/translate
-incidence, so a cover needs the sum over components of each
-component's own bound.  A node is pruned by Σ_C ceil(|C ∖ covered| /
-|base|).  Every other bound is one vector of integer weights on the
-targets over a common denominator, evaluated exactly, component by
-component, as a Lagrangian bound of the covering LP (Beasley 1990), so
-any weights >= 0 give a valid bound: counting (w = 1 over |base|),
-cheap fractional (1 / largest translate holding the element), a greedy
-packing (targets pairwise in no common translate), and, only when the
-search stalls on an irregular instance, a subgradient ascent whose
-float weights are rounded before evaluation.  The weights travel with
-the witness, so ``apx verify`` recomputes the components and re-checks
-the minimality claim instead of trusting it.  Covers of the whole
-finite ring by all its translates shift onto covers holding 0 + base,
-so that search starts from 0 + base.
+The target/translate incidence is built once per instance: a target
+mask per translate and a coverer list per target.  Every translate lies
+in one of its connected components, found at most once per call, so a
+cover needs the sum over components of each component's own bound.  A
+node is pruned by Σ_C ceil(|C ∖ covered| / |base|).  Every other bound
+is one vector of integer weights on the targets over a common
+denominator, evaluated exactly by one function, component by component,
+as a Lagrangian bound of the covering LP (Beasley 1990), so any weights
+>= 0 give a valid bound: counting (w = 1 over |base|), cheap fractional
+(1 / largest translate holding the element), a greedy packing (targets
+pairwise in no common translate), and, only when the search stalls on
+an irregular instance, a subgradient ascent whose float weights are
+rounded before evaluation.  The weights travel with the witness, so
+``apx verify`` recomputes the components and re-checks the minimality
+claim instead of trusting it.  Covers of the whole finite ring by all
+its translates shift onto covers holding 0 + base, so that search
+starts from 0 + base.
 
 approx_constant certifies the minimal K with X*X ∪ (X+X) ⊆ F + X
 (ring mode; group mode drops the product part).  The translate pool is
@@ -55,7 +57,6 @@ from .errors import (
 )
 from .rings import check_same_ring
 from .sets import (
-    _BIT_FLAGS,
     FiniteSet,
     difference_set,
     is_symmetric,
@@ -139,27 +140,27 @@ def make_witness(target, base, translates, optimal, method, stats=None,
 
 
 def _instance(a, b, pool):
-    """(targets, pool_sorted, masks, full): bit i of masks[r] says that
-    pool_sorted[r] + b holds targets[i].  t + b holds e iff t = e − x
-    for some x in b, so each target looks its coverers up among the
-    pool ranks instead of each translate looking its sums up."""
+    """(targets, pool_sorted, coverers, masks, full): coverers[i] lists,
+    in no fixed order, the ranks r with targets[i] in pool_sorted[r] + b,
+    and bit i of masks[r] says the same.  t + b holds e iff t = e − x
+    for some x in b, so each target looks its coverers up by rank."""
     ring = a.ring
     targets = sorted(a.elements(), key=ring.sort_key)
     pool_sorted = sorted(pool.elements(), key=ring.sort_key)
     rank = {t: r for r, t in enumerate(pool_sorted)}
     neg_b = [ring.neg(x) for x in b.elements()]
     masks = [0] * len(pool_sorted)
+    coverers = []
     for i, e in enumerate(targets):
-        hit = False
-        for y in neg_b:
-            r = rank.get(ring.add(e, y))
-            if r is not None:
-                masks[r] |= 1 << i
-                hit = True
-        if not hit:
+        cov = [r for y in neg_b if (r := rank.get(ring.add(e, y))) is not None]
+        if not cov:
             raise UncoverableError(
                 f"{ring.render(e)} lies in no pool translate", element=e)
-    return targets, pool_sorted, masks, (1 << len(targets)) - 1
+        bit = 1 << i
+        for r in cov:
+            masks[r] |= bit
+        coverers.append(cov)
+    return targets, pool_sorted, coverers, masks, (1 << len(targets)) - 1
 
 
 def cover_greedy(a, b, pool):
@@ -174,7 +175,7 @@ def cover_greedy(a, b, pool):
     if len(a) == 0:
         return make_witness(a, b, (), False, "greedy",
                             {"elapsed": time.perf_counter() - t0})
-    targets, pool_sorted, masks, full = _instance(a, b, pool)
+    _targets, pool_sorted, _coverers, masks, full = _instance(a, b, pool)
     chosen = [pool_sorted[r] for r in _greedy_ranks(masks, full)]
     return make_witness(a, b, chosen, False, "greedy",
                         {"elapsed": time.perf_counter() - t0})
@@ -235,7 +236,7 @@ def cover_exact(a, b, pool, node_limit=DEFAULT_NODE_LIMIT):
     if len(a) == 0:
         return make_witness(a, b, (), True, "exact",
                             {"nodes": 0, "lower_bound": 0}, ({}, 1))
-    targets, pool_sorted, masks, full = _instance(a, b, pool)
+    targets, pool_sorted, coverers, masks, full = _instance(a, b, pool)
     n_targets = len(targets)
     base_size = len(b)
 
@@ -246,9 +247,8 @@ def cover_exact(a, b, pool, node_limit=DEFAULT_NODE_LIMIT):
     if -(-n_targets // base_size) >= cutoff:
         bound = _counting([full], base_size)
     else:
-        coverers = _coverers(masks, n_targets)
-        parts = _components(masks)
-        bound = _root_floor(coverers, masks, base_size, cutoff, parts)
+        parts, label = _components(masks, n_targets)
+        bound = _root_floor(coverers, masks, base_size, cutoff, parts, label)
     floor = bound[0]
     dived = 0
     if floor < cutoff:
@@ -268,7 +268,7 @@ def cover_exact(a, b, pool, node_limit=DEFAULT_NODE_LIMIT):
             hit_limit = True
             return
         if nodes == stall_at and not _regular(coverers, masks, base_size):
-            raised = _ascent(coverers, masks, floor, cutoff)
+            raised = _ascent(coverers, masks, floor, cutoff, label)
             if raised is not None:
                 bound = raised
                 floor = bound[0]
@@ -349,22 +349,11 @@ def _dive(coverers, masks, full):
     return chosen
 
 
-def _coverers(masks, n_targets):
-    """For each target index, the pool ranks whose masks hold it."""
-    coverers = [[] for _ in range(n_targets)]
-    for rank, m in enumerate(masks):
-        live = m
-        while live:
-            low = live & -live
-            coverers[low.bit_length() - 1].append(rank)
-            live ^= low
-    return coverers
-
-
-def _components(masks):
-    """Target masks of the connected components of the target/translate
-    incidence, in order of their least target: a row joins every
-    component it meets."""
+def _components(masks, n_targets):
+    """(parts, label): the target masks of the connected components of
+    the target/translate incidence, a row joining every component it
+    meets, and the index in parts of each target's component.  A row's
+    component is its lowest target's."""
     parts = []
     for m in set(masks):
         if m:
@@ -376,18 +365,13 @@ def _components(masks):
                     keep.append(part)
             keep.append(m)
             parts = keep
-    return sorted(parts, key=lambda part: part & -part)
-
-
-def _labels(parts, n_targets):
-    """Component index of each target; a row's is its lowest target's."""
     label = [0] * n_targets
     for c, part in enumerate(parts[1:], 1):
         while part:
             low = part & -part
             label[low.bit_length() - 1] = c
             part ^= low
-    return label
+    return parts, label
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +387,11 @@ def _labels(parts, n_targets):
 # is evaluated in integers.
 
 
-def _weights_floor(weights, d, coverers, masks):
-    """The bound above for integer ``weights`` (one per target index)."""
-    parts = _components(masks)
-    label = _labels(parts, len(coverers))
+def _weights_floor(weights, d, coverers, masks, label):
+    """The bound above for integer ``weights`` (one per target index),
+    with ``label`` the component index of each target."""
     load = [0] * len(masks)
-    net = [0] * len(parts)
+    net = [0] * (max(label) + 1)
     for e, w in enumerate(weights):
         if w:
             net[label[e]] += w
@@ -430,40 +413,34 @@ def lagrangian_floor(target, base, weights, d):
     the pool target − base, so the bound holds for any pool; the
     components are recomputed from the same rows.
     """
-    targets, _pool, masks, _full = _instance(
+    targets, _pool, coverers, masks, _full = _instance(
         target, base, difference_set(target, base))
     w = [weights.get(e, 0) for e in targets]
-    return _weights_floor(w, d, _coverers(masks, len(targets)), masks)
+    _parts, label = _components(masks, len(targets))
+    return _weights_floor(w, d, coverers, masks, label)
 
 
 def _counting(parts, base_size):
     """Counting bound sum_C ceil(|C| / |b|) over the component masks
     ``parts`` as (floor, weights, d) with d = |b|: weight 1 on the
-    lowest k = (ceil(|C| / |b|) - 1)·|b| + 1 targets of each component C
+    lowest (ceil(|C| / |b|) - 1)·|b| + 1 targets of each component C
     already forces its ceiling."""
-    floor, ones = 0, 0
+    floor = 0
+    w = [0] * sum(map(int.bit_count, parts))
     for part in parts:
         need = -(-part.bit_count() // base_size)
         floor += need
-        # bisect for the least cut with k targets of part below it
-        k = (need - 1) * base_size + 1
-        lo, hi = k, part.bit_length()
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if (part & ((1 << mid) - 1)).bit_count() < k:
-                lo = mid + 1
-            else:
-                hi = mid
-        ones |= part & ((1 << lo) - 1)
-    n_targets = sum(map(int.bit_count, parts))
-    flags = bin(ones | 1 << n_targets)[:2:-1].encode().translate(_BIT_FLAGS)
-    return floor, list(flags), base_size
+        for _ in range((need - 1) * base_size + 1):
+            low = part & -part
+            w[low.bit_length() - 1] = 1
+            part ^= low
+    return floor, w, base_size
 
 
-def _root_floor(coverers, masks, base_size, cutoff, parts):
+def _root_floor(coverers, masks, base_size, cutoff, parts, label):
     """Best of counting, cheap fractional and packing bounds over the
-    component masks ``parts`` as (floor, weights, d), stopping at the
-    first that reaches ``cutoff``.
+    components (``parts`` and ``label`` of ``_components``) as (floor,
+    weights, d), stopping at the first that reaches ``cutoff``.
 
     cheap fractional: w_e = 1 / (largest mask holding e), so no row
     exceeds 1.  packing: w = 1 on targets that pairwise share no
@@ -477,10 +454,7 @@ def _root_floor(coverers, masks, base_size, cutoff, parts):
     big = [max(map(sizes.__getitem__, cov)) for cov in coverers]
     d = math.lcm(*set(big))
     w = [d // s for s in big]
-    net = [0] * len(parts)
-    for c, we in zip(_labels(parts, len(w)), w):
-        net[c] += we
-    cheap = (sum(max(1, -(-v // d)) for v in net), w, d)
+    cheap = (_weights_floor(w, d, coverers, masks, label), w, d)
     bound = max(bound, cheap, key=lambda t: t[0])
     if bound[0] >= cutoff:
         return bound
@@ -501,16 +475,15 @@ def _regular(coverers, masks, base_size):
             and len({len(cov) for cov in coverers}) == 1)
 
 
-def _ascent(coverers, masks, floor, cutoff):
+def _ascent(coverers, masks, floor, cutoff, label):
     """Subgradient ascent on the Lagrangian weights u >= 0 (Beasley 1990)
     from u_e = 1 / (largest mask holding e), Polyak steps towards
-    ``cutoff``.  Whenever the float bound, summed over the components,
-    passes ``floor``, u is rounded down to d = 2^30 and evaluated in
-    integers.  Returns the best (floor, weights, d) above ``floor``, or
-    None.
+    ``cutoff``.  Whenever the float bound, summed over the components
+    that ``label`` gives each target, passes ``floor``, u is rounded
+    down to d = 2^30 and evaluated in integers.  Returns the best
+    (floor, weights, d) above ``floor``, or None.
     """
-    parts = _components(masks)
-    label = _labels(parts, len(coverers))
+    n_parts = max(label) + 1
     sizes = [m.bit_count() for m in masks]
     u = [1.0 / max(map(sizes.__getitem__, cov)) for cov in coverers]
     rows = {m: r for r, m in enumerate(masks)}
@@ -519,7 +492,7 @@ def _ascent(coverers, masks, floor, cutoff):
     scale, best_value, stalled = 2.0, float("-inf"), 0
     for _ in range(200):
         load = [0.0] * len(masks)
-        net = [0.0] * len(parts)
+        net = [0.0] * n_parts
         for e, ue in enumerate(u):
             if ue:
                 net[label[e]] += ue
@@ -534,7 +507,7 @@ def _ascent(coverers, masks, floor, cutoff):
                 net[label[(m & -m).bit_length() - 1]] += 1.0 - load[r]
         if sum(max(1, math.ceil(v - 1e-9)) for v in net) > floor:
             w = [int(ue * d) for ue in u]
-            exact = _weights_floor(w, d, coverers, masks)
+            exact = _weights_floor(w, d, coverers, masks, label)
             if exact > floor:
                 floor = exact
                 found = (floor, w, d)
@@ -565,8 +538,7 @@ def cover_brute_force(a, b, pool):
     """
     if len(a) == 0:
         return 0, ()
-    targets, pool_sorted, masks, full = _instance(a, b, pool)
-    coverers = _coverers(masks, len(targets))
+    _targets, pool_sorted, coverers, masks, full = _instance(a, b, pool)
 
     def search(covered, depth, chosen):
         if covered == full:
@@ -622,10 +594,7 @@ class ApproxCertificate:
         return self.x.ring
 
     def target(self):
-        t = sumset(self.x, self.x)
-        if self.mode == "ring":
-            t = union(prodset(self.x, self.x), t)
-        return t
+        return _certificate_target(self.x, self.mode)
 
     def verify(self):
         """Re-check symmetry, the covering inclusion, |F| = k and the
@@ -661,6 +630,12 @@ class ApproxCertificate:
         if self.lower_bound is not None:
             out["lower_bound"] = _bound_json(ring.render, self.lower_bound)
         return out
+
+
+def _certificate_target(x, mode):
+    """X*X ∪ (X+X) in ring mode, X+X in group mode."""
+    t = sumset(x, x)
+    return union(prodset(x, x), t) if mode == "ring" else t
 
 
 def eval_term(ring, term):
@@ -796,9 +771,7 @@ def approx_constant(x, mode="ring", exact=True, node_limit=DEFAULT_NODE_LIMIT):
             raise NotSymmetricError(
                 f"set is not symmetric: missing {ring.render(ring.neg(v))}",
                 witness=v)
-    t = sumset(x, x)
-    if mode == "ring":
-        t = union(prodset(x, x), t)
+    t = _certificate_target(x, mode)
     if len(x) == 0:
         f = FiniteSet(ring, ())
         return ApproxCertificate(x, 0, f, mode, True, {}, {"pool": "T-X"}, {},

@@ -5,7 +5,12 @@ rendered elements, so ``verify_payload`` can rebuild the objects and
 re-check them without any ambient state.  The re-checks are the
 package's own checkers, not copies: ``cover.first_uncovered`` for cover
 witnesses, ``ApproxCertificate.verify`` for certificates, and
-``classify.core_set`` / ``classify.is_subring`` for reports.  It returns
+``classify.core_set`` / ``classify.is_subring`` for reports.  A report's
+constants are re-derived from its set, its certificate and its two
+commensurability witnesses, whose targets and bases must be the core (or
+subring) and X: K, K^11, whether the core is a subring, the
+commensurability constant, the core size and, by ``nzd_classify``'s own
+rule, the verdict.  It returns
 (ok, details) and never raises on a merely *invalid* payload — malformed
 ones do raise.
 """
@@ -14,7 +19,7 @@ from __future__ import annotations
 
 import json
 
-from .classify import core_set, is_subring
+from .classify import _core_is_subring, _verdict, core_set, is_subring
 from .cover import ApproxCertificate, first_uncovered, lagrangian_floor
 from .rings import parse_ring
 from .sets import FiniteSet
@@ -22,7 +27,11 @@ from .sets import FiniteSet
 
 def _ring_and_set(payload, key):
     ring = parse_ring(payload["ring"])
-    return ring, FiniteSet(ring, (ring.parse(e) for e in payload[key]))
+    return ring, _parse_set(ring, payload[key])
+
+
+def _parse_set(ring, texts):
+    return FiniteSet(ring, (ring.parse(e) for e in texts))
 
 
 def _minimality(payload, target, base, k):
@@ -83,21 +92,54 @@ def _verify_certificate(payload):
     return True, details
 
 
+def _commensurability(payload, ring, keys, a, b):
+    """(failure or None, constant): the witnesses under ``keys`` must
+    cover a by translates of b and b by translates of a; the constant is
+    the larger of their sizes."""
+    sizes = []
+    for key, target, base in ((keys[0], a, b), (keys[1], b, a)):
+        w = payload[key]
+        ok, det = _verify_cover_witness(w)
+        if not ok:
+            return f"{key}: {det[0]}", None
+        if w["ring"] != ring.descriptor or _parse_set(ring, w["target"]) != target \
+                or _parse_set(ring, w["base"]) != base:
+            return f"{key}: covers the wrong target or base", None
+        sizes.append(len({ring.parse(t) for t in w["translates"]}))
+    return None, max(sizes)
+
+
 def _verify_classification(payload):
     ok, details = _verify_certificate(payload["certificate"])
     if not ok:
         return ok, details
-    x = _ring_and_set(payload, "x")[1]
+    ring, x = _ring_and_set(payload, "x")
+    cert, k = payload["certificate"], payload["k"]
+    if (cert["ring"], cert.get("mode", "ring"), cert["k"]) \
+            != (ring.descriptor, "ring", k) or _parse_set(ring, cert["x"]) != x:
+        return False, ["the certificate is not a ring-mode certificate of x and k"]
+    k11 = k ** 11
+    if payload["k11_bound"] != k11:
+        return False, [f"k11_bound {payload['k11_bound']} != {k}^11"]
     core = core_set(x)
     if len(core) != payload["core_size"]:
         return False, [f"core size {len(core)} != reported {payload['core_size']}"]
-    for key in ("comm_core_by_x", "comm_x_by_core"):
-        if key in payload:
-            w_ok, w_det = _verify_cover_witness(payload[key])
-            if not w_ok:
-                return False, [f"{key}: {w_det[0]}"]
-    details.append(f"core recomputed, size {len(core)}, verdict "
-                   f"{payload.get('verdict')}")
+    subring = _core_is_subring(core)[0]
+    if payload["core_is_subring"] != subring:
+        return False, [f"core_is_subring {payload['core_is_subring']} != {subring}"]
+    comm = None
+    if len(x) and len(core):
+        why, comm = _commensurability(
+            payload, ring, ("comm_core_by_x", "comm_x_by_core"), core, x)
+        if why is not None:
+            return False, [why]
+    if payload["commensurability_to_x"] != comm:
+        return False, [f"commensurability_to_x {payload['commensurability_to_x']} "
+                       f"!= {comm}"]
+    verdict = _verdict(len(x), payload["small_threshold"], subring, comm, k11)
+    if payload["verdict"] != verdict:
+        return False, [f"verdict {payload['verdict']} != {verdict}"]
+    details.append(f"core recomputed, size {len(core)}, verdict {verdict}")
     return True, details
 
 
@@ -109,11 +151,18 @@ def _verify_subring_search(payload):
     if not ok:
         return False, ["not a subring: "
                        + " ".join([bad[0], *map(ring.render, bad[1:])])]
-    for key in ("comm_s_by_x", "comm_x_by_s"):
-        if key in payload:
-            w_ok, w_det = _verify_cover_witness(payload[key])
-            if not w_ok:
-                return False, [f"{key}: {w_det[0]}"]
+    x = _parse_set(ring, payload["comm_s_by_x"]["base"])
+    why, comm = _commensurability(
+        payload, ring, ("comm_s_by_x", "comm_x_by_s"), s, x)
+    if why is not None:
+        return False, [why]
+    if payload["commensurability"] != comm:
+        return False, [f"commensurability {payload['commensurability']} != {comm}"]
+    core = core_set(x)
+    if payload["core_size"] != len(core):
+        return False, [f"core size {len(core)} != reported {payload['core_size']}"]
+    if not s <= core:
+        return False, ["subring outside the core 4X + X·4X"]
     return True, [f"subring of size {len(s)} re-verified"]
 
 

@@ -381,8 +381,14 @@ def test_instance_masks_match_the_pool_first_oracle():
             assert exc.value.element == missing[0]
             continue
         got = cover._instance(a, b, pool)
-        assert got == (targets, sorted(pool.elements(), key=ring.sort_key),
-                       expected, (1 << len(targets)) - 1)
+        assert (got[:2], got[3:]) == (
+            (targets, sorted(pool.elements(), key=ring.sort_key)),
+            (expected, (1 << len(targets)) - 1))
+        # each target's coverers, in any order, are the ranks whose
+        # oracle mask holds it
+        assert [sorted(cov) for cov in got[2]] == [
+            [r for r, m in enumerate(expected) if m >> i & 1]
+            for i in range(len(targets))]
     assert 30 < raised < 270
 
 
@@ -449,13 +455,13 @@ def test_lower_bound_oracle():
         weights, d = w.lower_bound
         assert cover.lagrangian_floor(a, b, weights, d) == lower
         # the ascent, run from scratch, stays below the optimum too
-        targets, _p, masks, _f = cover._instance(a, b, pool)
-        coverers = cover._coverers(masks, len(targets))
-        raised = cover._ascent(coverers, masks, 0, len(w.translates))
+        targets, _p, coverers, masks, _f = cover._instance(a, b, pool)
+        _parts, label = cover._components(masks, len(targets))
+        raised = cover._ascent(coverers, masks, 0, len(w.translates), label)
         if raised is not None:
             floor, aw, ad = raised
             assert floor <= k
-            assert cover._weights_floor(aw, ad, coverers, masks) == floor
+            assert cover._weights_floor(aw, ad, coverers, masks, label) == floor
 
 
 def test_lower_bound_evaluator_charges_overloaded_rows():
@@ -513,8 +519,8 @@ def test_dive_covers_and_never_beats_the_optimum():
     for _ in range(200):
         a, b = _random_instance(rng)
         pool = difference_set(a, b)
-        targets, pool_sorted, masks, full = cover._instance(a, b, pool)
-        ranks = cover._dive(cover._coverers(masks, len(targets)), masks, full)
+        _t, pool_sorted, coverers, masks, full = cover._instance(a, b, pool)
+        ranks = cover._dive(coverers, masks, full)
         chosen = [pool_sorted[r] for r in ranks]
         assert cover.first_uncovered(a, b, chosen) is None
         assert len(chosen) >= cover_brute_force(a, b, pool)[0]

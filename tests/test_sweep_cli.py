@@ -1,6 +1,7 @@
 """Sweep harness determinism and the apx command line surface."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,11 @@ import apxring as ax
 from apxring.errors import ParseError
 from apxring.serialize import verify_payload
 from apxring.sweep import SweepSpec, generate_instances, run_sweep
+
+# the subprocesses import the package from this checkout's src/
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                os.environ.get("PYTHONPATH")) if p))
 
 
 def spec_text(**over):
@@ -151,12 +157,57 @@ def test_sweep_poschar_smoke():
     assert ok, details
 
 
+def _tampered(payload):
+    """Copies of a report payload, each with one claimed constant changed."""
+    if payload["kind"] == "subring_search":
+        yield dict(payload, commensurability=payload["commensurability"] + 1)
+        yield dict(payload, core_size=payload["core_size"] + 1)
+        return
+    yield dict(payload, k=payload["k"] + 1)
+    yield dict(payload, k11_bound=payload["k11_bound"] + 1)
+    yield dict(payload, core_is_subring=not payload["core_is_subring"])
+    yield dict(payload, commensurability_to_x=payload["commensurability_to_x"] + 1)
+    yield dict(payload, verdict=next(
+        v for v in ("small", "structured", "counterexample-candidate")
+        if v != payload["verdict"]))
+    ab, ba = payload["comm_core_by_x"], payload["comm_x_by_core"]
+    if ab["target"] != ab["base"]:
+        yield dict(payload, comm_core_by_x=ba, comm_x_by_core=ab)
+
+
+def test_verify_payload_rederives_report_constants():
+    # every row of an nzd and a poschar sweep verifies, and so does a
+    # report whose core is no subring; each tampered copy fails, alone and
+    # inside its sweep report
+    z = ax.nzd_classify(ax.parse_set(ax.integers(), "{-1,0,1}"),
+                        small_threshold=0).to_json()
+    assert (z["core_is_subring"], z["verdict"]) == (False, "counterexample-candidate")
+    payloads = [z]
+    for mode, rings in (("nzd", "zmod:5, zmod:7, gf:2^2:t^2+t+1"),
+                        ("poschar", "zmod:4, zmod:8, polyquo:2:t^2")):
+        report = run_sweep(SweepSpec.parse(
+            spec_text(mode=mode, rings=rings, max_size="5"))).to_json()
+        rows = report["rows"]
+        assert len(rows) > 10 and all(row.get("_witness") for row in rows)
+        payloads += [row["_witness"] for row in rows]
+        bad_row = dict(rows[0], _witness=next(_tampered(rows[0]["_witness"])))
+        assert not verify_payload(dict(report, rows=[bad_row, *rows[1:]]))[0]
+    checked = 0
+    for payload in payloads:
+        ok, details = verify_payload(payload)
+        assert ok, details
+        for bad in _tampered(payload):
+            assert not verify_payload(bad)[0], bad
+            checked += 1
+    assert checked > 100
+
+
 def test_cli_import_leaves_process_pool_out():
     # only run_sweep with jobs > 1 needs multiprocessing
     code = ("import sys, apxring.cli; "
             "print('concurrent.futures' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=60)
+                          text=True, timeout=60, env=ENV)
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
@@ -166,7 +217,7 @@ def test_cli_import_leaves_process_pool_out():
 
 def run_cli(*args):
     proc = subprocess.run([sys.executable, "-m", "apxring.cli", *args],
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=300, env=ENV)
     return proc.returncode, proc.stdout, proc.stderr
 
 
