@@ -391,7 +391,7 @@ def _weights_floor(weights, d, coverers, masks, label):
     """The bound above for integer ``weights`` (one per target index),
     with ``label`` the component index of each target."""
     load = [0] * len(masks)
-    net = [0] * (max(label) + 1)
+    net = [0] * (max(label, default=-1) + 1)
     for e, w in enumerate(weights):
         if w:
             net[label[e]] += w

@@ -10,9 +10,10 @@ constants are re-derived from its set, its certificate and its two
 commensurability witnesses, whose targets and bases must be the core (or
 subring) and X: K, K^11, whether the core is a subring, the
 commensurability constant, the core size and, by ``nzd_classify``'s own
-rule, the verdict.  It returns
-(ok, details) and never raises on a merely *invalid* payload — malformed
-ones do raise.
+rule, the verdict.  A sweep report's rows must agree with their
+witnesses on every field they copy from them.  It returns (ok, details)
+and never raises on a merely *invalid* payload — malformed ones do
+raise.
 """
 
 from __future__ import annotations
@@ -56,18 +57,23 @@ def _minimality(payload, target, base, k):
     return True, f"minimality not certified (lower bound {floor} < {k})"
 
 
-def _verify_cover_witness(payload):
+def _cover_witness(payload):
+    """(ok, details, target, base, k) of a cover witness, k being its
+    number of distinct translates."""
     ring, target = _ring_and_set(payload, "target")
-    base = FiniteSet(ring, (ring.parse(e) for e in payload["base"]))
+    base = _parse_set(ring, payload["base"])
     translates = [ring.parse(e) for e in payload["translates"]]
+    k = len(set(translates))
     missing = first_uncovered(target, base, translates)
     if missing is not None:
-        return False, [f"uncovered element {ring.render(missing)}"]
-    k = len(set(translates))
+        return False, [f"uncovered element {ring.render(missing)}"], target, base, k
     ok, note = _minimality(payload, target, base, k)
-    if not ok:
-        return False, [note]
-    return True, [f"cover of {len(target)} elements by {k} translates", note]
+    details = [f"cover of {len(target)} elements by {k} translates", note]
+    return ok, details if ok else [note], target, base, k
+
+
+def _verify_cover_witness(payload):
+    return _cover_witness(payload)[:2]
 
 
 def _verify_certificate(payload):
@@ -76,7 +82,7 @@ def _verify_certificate(payload):
                                         for word in words)
               for f_text, words in payload.get("derivations", {}).items()}
     cert = ApproxCertificate(
-        x, payload["k"], FiniteSet(ring, (ring.parse(e) for e in payload["f"])),
+        x, payload["k"], _parse_set(ring, payload["f"]),
         payload.get("mode", "ring"), bool(payload.get("minimal")), derivs)
     ok, why = cert.verify()
     if not ok:
@@ -99,13 +105,12 @@ def _commensurability(payload, ring, keys, a, b):
     sizes = []
     for key, target, base in ((keys[0], a, b), (keys[1], b, a)):
         w = payload[key]
-        ok, det = _verify_cover_witness(w)
+        ok, det, w_target, w_base, k = _cover_witness(w)
         if not ok:
             return f"{key}: {det[0]}", None
-        if w["ring"] != ring.descriptor or _parse_set(ring, w["target"]) != target \
-                or _parse_set(ring, w["base"]) != base:
+        if w["ring"] != ring.descriptor or w_target != target or w_base != base:
             return f"{key}: covers the wrong target or base", None
-        sizes.append(len({ring.parse(t) for t in w["translates"]}))
+        sizes.append(k)
     return None, max(sizes)
 
 
@@ -166,20 +171,43 @@ def _verify_subring_search(payload):
     return True, [f"subring of size {len(s)} re-verified"]
 
 
+def _row_claims(w):
+    """The fields a sweep row copies from its witness ``w``."""
+    if w["kind"] == "classification_report":
+        return {"ring": w["ring"], "x": w["x"], "x_size": len(w["x"]),
+                "K": w["k"], "verdict": w["verdict"], "core_size": w["core_size"],
+                "core_is_subring": w["core_is_subring"],
+                "commensurability": w["commensurability_to_x"],
+                "k11_bound": w["k11_bound"]}
+    claims = {"strategy": w["strategy"], "exhaustive": w["exhaustive"],
+              "found": "subring" in w, "s_size": len(w.get("subring", ())),
+              "commensurability": w["commensurability"]}
+    if "subring" in w:
+        x = w["comm_s_by_x"]["base"]
+        claims.update(ring=w["ring"], x=x, x_size=len(x), core_size=w["core_size"])
+    return claims
+
+
 def _verify_sweep(payload):
+    """Every row witness must verify, and every row field taken from a
+    witness must equal the witness's value (x as a set)."""
     details = []
-    bad = 0
+    n = 0
     for row in payload.get("rows", []):
         w = row.get("_witness")
         if not w:
             continue
+        n += 1
         ok, det = verify_payload(w)
-        if not ok:
-            bad += 1
+        if ok:
+            det = [f"{key} {row.get(key)!r} differs from the witness's {value!r}"
+                   for key, value in _row_claims(w).items()
+                   if (sorted(row.get(key, ())) != sorted(value) if key == "x"
+                       else row.get(key) != value)]
+        if det:     # the witness's failure, or the row's first wrong field
             details.append(f"row {row.get('instance_id')}: {det[0]}")
-    if bad:
+    if details:
         return False, details
-    n = sum(1 for r in payload.get("rows", []) if r.get("_witness"))
     return True, [f"all {n} row witnesses re-verified"]
 
 

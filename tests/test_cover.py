@@ -158,6 +158,17 @@ def test_approx_constant_empty():
     assert cert.k == 0 and len(cert.witness_f) == 0
 
 
+def test_empty_target_payloads_verify():
+    # both write the lower bound ({}, 1): every cover needs 0 translates
+    from apxring.serialize import verify_payload
+    empty = FiniteSet(Z, [])
+    for payload in (ax.approx_constant(empty, "ring").to_json(),
+                    ax.cover_exact(empty, FiniteSet(Z, [0]), empty).to_json()):
+        assert payload["lower_bound"] == {"weights": {}, "denominator": 1}
+        ok, details = verify_payload(payload)
+        assert ok and "every cover needs 0" in details[-1], details
+
+
 def test_certificate_derivations_stay_in_generated_subring():
     for name, lit, ring in (("w7", "{0,1,6}", ax.modular(7)),
                             ("w12", "{0,1,11}", ax.modular(12))):

@@ -202,6 +202,41 @@ def test_verify_payload_rederives_report_constants():
     assert checked > 100
 
 
+def _bumped(value):
+    """A different value of the same JSON type."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, str):
+        return value + "?"
+    if isinstance(value, (list, tuple)):
+        return list(value[1:])
+    return 1        # None
+
+
+def test_verify_sweep_checks_row_fields():
+    # a row field the CSV prints must equal its witness's value; tampering
+    # the field, not the witness, fails the report
+    fields = {"nzd": ("ring", "x", "x_size", "K", "verdict", "core_size",
+                      "core_is_subring", "commensurability", "k11_bound"),
+              "poschar": ("ring", "x", "x_size", "strategy", "exhaustive",
+                          "found", "s_size", "commensurability", "core_size")}
+    for mode, rings in (("nzd", "zmod:5, zmod:7"), ("poschar", "zmod:4, zmod:8")):
+        report = run_sweep(SweepSpec.parse(
+            spec_text(mode=mode, rings=rings, max_size="4"))).to_json()
+        rows = report["rows"]
+        found = next(r for r in rows if r.get("found", True))
+        assert verify_payload(dict(report, rows=[found]))[0]
+        # x in another order is the same set
+        shuffled = dict(found, x=list(reversed(found["x"])))
+        assert verify_payload(dict(report, rows=[shuffled]))[0]
+        for key in fields[mode]:
+            bad = dict(found, **{key: _bumped(found[key])})
+            ok, details = verify_payload(dict(report, rows=[bad]))
+            assert not ok and f": {key} " in details[0], (key, details)
+
+
 def test_cli_import_leaves_process_pool_out():
     # only run_sweep with jobs > 1 needs multiprocessing
     code = ("import sys, apxring.cli; "
