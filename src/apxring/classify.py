@@ -214,26 +214,10 @@ def nzd_classify(x, small_threshold=None, exact=True, hypothesis="ambient",
     ``cert`` is a ring-mode certificate of X already computed with the
     same ``exact``; without it K is certified here.
     """
-    ring = x.ring
     if not is_symmetric(x):
         raise NotSymmetricError("classification needs a symmetric set")
     core = core_set(x)
-    if hypothesis == "ambient":
-        pair, method = find_zero_divisor(ring)
-        if pair is not None:
-            raise ZeroDivisorError(
-                f"zero divisors {ring.render(pair[0])}·{ring.render(pair[1])} = 0",
-                pair=pair)
-        hyp = f"ambient/{method}"
-    elif hypothesis == "core-witnessed":
-        pair = _core_witnessed_zero_divisor(core)
-        if pair is not None:
-            raise ZeroDivisorError(
-                "zero divisor inside the core window", pair=pair)
-        hyp = "core-witnessed"
-    else:
-        raise ValueError(f"unknown hypothesis {hypothesis!r}")
-
+    hyp = _hypothesis(core, hypothesis)
     if cert is None:
         cert = approx_constant(x, "ring", exact=exact)
     elif cert.x != x or cert.mode != "ring":
@@ -252,6 +236,28 @@ def nzd_classify(x, small_threshold=None, exact=True, hypothesis="ambient",
     return ClassificationReport(x, k, cert, core, subring_ok, violation,
                                 comm_constant, k11, verdict, small_threshold,
                                 hyp, comm)
+
+
+def _hypothesis(core, hypothesis):
+    """The report's ``hypothesis`` field once no zero divisor is found:
+    "ambient/<method>" after ``find_zero_divisor`` on the whole ring for
+    "ambient", "core-witnessed" after the check inside the core window.
+    ZeroDivisorError when one is found."""
+    ring = core.ring
+    if hypothesis == "ambient":
+        pair, method = find_zero_divisor(ring)
+        if pair is not None:
+            raise ZeroDivisorError(
+                f"zero divisors {ring.render(pair[0])}·{ring.render(pair[1])} = 0",
+                pair=pair)
+        return f"ambient/{method}"
+    if hypothesis == "core-witnessed":
+        pair = _core_witnessed_zero_divisor(core)
+        if pair is not None:
+            raise ZeroDivisorError(
+                "zero divisor inside the core window", pair=pair)
+        return "core-witnessed"
+    raise ValueError(f"unknown hypothesis {hypothesis!r}")
 
 
 def _core_is_subring(core):
@@ -345,6 +351,10 @@ def _additive_subgroups_within(ring, box):
 
 
 POS_CHAR_EXHAUSTIVE_LIMIT = 32
+_SEED_MULTIPLES = range(1, 5)
+# every strategy tag ``pos_char_search`` can report
+_STRATEGY_TAGS = frozenset({"none", "generated", "exhaustive",
+                           *(f"seeded:{k}X" for k in _SEED_MULTIPLES)})
 
 
 def pos_char_search(x, exact=True):
@@ -383,7 +393,7 @@ def pos_char_search(x, exact=True):
 
     offer(closure(x, budget=ring.cardinality).set, 0, "generated")
     seeds = {x}
-    for k in range(1, 5):
+    for k in _SEED_MULTIPLES:
         seed = intersect(x, intersect(iterated_sum(x, k), core))
         if len(seed) and seed not in seeds:
             seeds.add(seed)

@@ -13,7 +13,8 @@ repeated runs reproduce witnesses bit for bit.
 
 The exact search stops as soon as its incumbent meets a lower bound.
 The target/translate incidence is built once per instance: a target
-mask per translate and a coverer list per target.  Every translate lies
+mask per translate and a coverer list per target; the greedy cover
+alone counts on the lists and builds no masks.  Every translate lies
 in one of its connected components, found at most once per call, so a
 cover needs the sum over components of each component's own bound.  A
 node is pruned by Σ_C ceil(|C ∖ covered| / |base|).  Every other bound
@@ -139,27 +140,36 @@ def make_witness(target, base, translates, optimal, method, stats=None,
 # solver core: targets become bit positions, translates become masks
 
 
-def _instance(a, b, pool):
-    """(targets, pool_sorted, coverers, masks, full): coverers[i] lists,
-    in no fixed order, the ranks r with targets[i] in pool_sorted[r] + b,
-    and bit i of masks[r] says the same.  t + b holds e iff t = e − x
-    for some x in b, so each target looks its coverers up by rank."""
+def _incidence(a, b, pool):
+    """(targets, pool_sorted, coverers): coverers[i] lists, in no fixed
+    order, the ranks r with targets[i] in pool_sorted[r] + b.  t + b
+    holds e iff t = e − x for some x in b, so each target looks its
+    coverers up by rank."""
     ring = a.ring
     targets = sorted(a.elements(), key=ring.sort_key)
     pool_sorted = sorted(pool.elements(), key=ring.sort_key)
     rank = {t: r for r, t in enumerate(pool_sorted)}
     neg_b = [ring.neg(x) for x in b.elements()]
-    masks = [0] * len(pool_sorted)
     coverers = []
-    for i, e in enumerate(targets):
+    for e in targets:
         cov = [r for y in neg_b if (r := rank.get(ring.add(e, y))) is not None]
         if not cov:
             raise UncoverableError(
                 f"{ring.render(e)} lies in no pool translate", element=e)
+        coverers.append(cov)
+    return targets, pool_sorted, coverers
+
+
+def _instance(a, b, pool):
+    """(targets, pool_sorted, coverers, masks, full): ``_incidence``
+    plus a target mask per translate, bit i of masks[r] set iff r
+    covers targets[i], and the mask of all targets."""
+    targets, pool_sorted, coverers = _incidence(a, b, pool)
+    masks = [0] * len(pool_sorted)
+    for i, cov in enumerate(coverers):
         bit = 1 << i
         for r in cov:
             masks[r] |= bit
-        coverers.append(cov)
     return targets, pool_sorted, coverers, masks, (1 << len(targets)) - 1
 
 
@@ -175,10 +185,42 @@ def cover_greedy(a, b, pool):
     if len(a) == 0:
         return make_witness(a, b, (), False, "greedy",
                             {"elapsed": time.perf_counter() - t0})
-    _targets, pool_sorted, _coverers, masks, full = _instance(a, b, pool)
-    chosen = [pool_sorted[r] for r in _greedy_ranks(masks, full)]
+    _targets, pool_sorted, coverers = _incidence(a, b, pool)
+    chosen = [pool_sorted[r] for r in _greedy_lists(coverers, len(pool_sorted))]
     return make_witness(a, b, chosen, False, "greedy",
                         {"elapsed": time.perf_counter() - t0})
+
+
+def _greedy_lists(coverers, n_pool):
+    """``_greedy_ranks`` counted on lists: the same picks from the
+    coverer lists and each translate's target list, without masks.  A
+    pick costs the coverers of the targets it covers, not a pass over
+    every target, which pays on large targets; ``cover_exact`` has its
+    masks already and keeps the mask greedy."""
+    members = [[] for _ in range(n_pool)]
+    for i, cov in enumerate(coverers):
+        for r in cov:
+            members[r].append(i)
+    fresh = list(map(len, members))
+    heap = [(-n, r) for r, n in enumerate(fresh) if n]
+    heapq.heapify(heap)
+    covered = bytearray(len(coverers))
+    left = len(coverers)
+    chosen = []
+    while left:
+        negcnt, r = heapq.heappop(heap)
+        if fresh[r] != -negcnt:
+            if fresh[r]:
+                heapq.heappush(heap, (-fresh[r], r))
+            continue
+        chosen.append(r)
+        left -= fresh[r]
+        for i in members[r]:
+            if not covered[i]:
+                covered[i] = 1
+                for q in coverers[i]:
+                    fresh[q] -= 1
+    return chosen
 
 
 def _greedy_ranks(masks, full):

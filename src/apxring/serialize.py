@@ -10,18 +10,30 @@ constants are re-derived from its set, its certificate and its two
 commensurability witnesses, whose targets and bases must be the core (or
 subring) and X: K, K^11, whether the core is a subring, the
 commensurability constant, the core size and, by ``nzd_classify``'s own
-rule, the verdict.  A sweep report's rows must agree with their
-witnesses on every field they copy from them.  It returns (ok, details)
-and never raises on a merely *invalid* payload — malformed ones do
-raise.
+rule, the verdict; its no-zero-divisor hypothesis is checked again by
+the classifier's own step.  A subring search's strategy must be a tag
+``pos_char_search`` reports for its outcome, and its exhaustive flag
+must match the recomputed core's size.  A sweep report's rows must
+agree with their witnesses on every field they copy from them.  It
+returns (ok, details) and never raises on a merely *invalid* payload —
+malformed ones do raise.
 """
 
 from __future__ import annotations
 
 import json
 
-from .classify import _core_is_subring, _verdict, core_set, is_subring
+from .classify import (
+    POS_CHAR_EXHAUSTIVE_LIMIT,
+    _STRATEGY_TAGS,
+    _core_is_subring,
+    _hypothesis,
+    _verdict,
+    core_set,
+    is_subring,
+)
 from .cover import ApproxCertificate, first_uncovered, lagrangian_floor
+from .errors import ZeroDivisorError
 from .rings import parse_ring
 from .sets import FiniteSet
 
@@ -127,6 +139,13 @@ def _verify_classification(payload):
     if payload["k11_bound"] != k11:
         return False, [f"k11_bound {payload['k11_bound']} != {k}^11"]
     core = core_set(x)
+    claimed = payload["hypothesis"]
+    try:
+        hyp = _hypothesis(core, claimed.split("/")[0])
+    except (ValueError, ZeroDivisorError) as exc:
+        return False, [f"hypothesis {claimed!r} fails: {exc}"]
+    if hyp != claimed:
+        return False, [f"hypothesis {claimed!r} != {hyp!r}"]
     if len(core) != payload["core_size"]:
         return False, [f"core size {len(core)} != reported {payload['core_size']}"]
     subring = _core_is_subring(core)[0]
@@ -149,7 +168,10 @@ def _verify_classification(payload):
 
 
 def _verify_subring_search(payload):
-    if "subring" not in payload:
+    strategy, found = payload["strategy"], "subring" in payload
+    if strategy not in _STRATEGY_TAGS or (strategy == "none") == found:
+        return False, [f"strategy {strategy!r} does not match the outcome"]
+    if not found:
         return True, ["no subring found (heuristic outcome)"]
     ring, s = _ring_and_set(payload, "subring")
     ok, bad = is_subring(s)
@@ -166,6 +188,10 @@ def _verify_subring_search(payload):
     core = core_set(x)
     if payload["core_size"] != len(core):
         return False, [f"core size {len(core)} != reported {payload['core_size']}"]
+    exhaustive = len(core) <= POS_CHAR_EXHAUSTIVE_LIMIT
+    if payload["exhaustive"] != exhaustive:
+        return False, [f"exhaustive {payload['exhaustive']} != {exhaustive} "
+                       f"for a core of {len(core)} elements"]
     if not s <= core:
         return False, ["subring outside the core 4X + X·4X"]
     return True, [f"subring of size {len(s)} re-verified"]

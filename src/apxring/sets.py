@@ -5,7 +5,7 @@ X_{n+1} = X_n*X_n + (X_n + X_n), iterated sums and products and subring
 closure.
 
 Sets are immutable and duplicate-free: a ring plus a frozenset of
-canonical encodings, on every ring.  A sumset runs one of two kernels:
+canonical encodings, on every ring.  A sumset runs one of three kernels:
 
 - offset mask (Z and Z/nZ): the larger operand as one integer bitmask
   offset by its minimum, shifted once per element of the smaller; on
@@ -14,8 +14,21 @@ canonical encodings, on every ring.  A sumset runs one of two kernels:
   follows the span of the sets, not n.  It gives way to hashed pairs
   when the unreduced span of the result plus 128 reaches 4·|a|·|b|,
   where decoding the mask would cost more than adding the pairs;
-- hashed pairs (every other ring, and the case above): ``ring.add`` on
-  every pair.
+- packed digits (F_p[t]): each polynomial as one integer with w bits
+  per coefficient, constant term lowest.  Sums use w = bit_length(p) + 1,
+  so adding two packed ints carries no digit into the next; each
+  distinct raw sum is then reduced mod p on every digit at once, and
+  only the distinct results are unpacked.  Products use the same
+  packing (Kronecker substitution) with digits wide enough for any
+  coefficient of the product, reduced mod p while unpacking.  A
+  coefficient outside 0..p−1 or a trailing zero would carry into the
+  next digit, so each operand element is checked while it is packed and
+  raises ValueError;
+- hashed pairs (every other ring, and the Z and Z/nZ case above):
+  ``ring.add`` on every pair.
+
+A product set runs the packed-digit kernel on F_p[t] and ``ring.mul`` on
+every pair elsewhere.
 
 All derived sets respect a cardinality cap; exceeding it raises the
 typed BudgetExceededError so parameter sweeps can skip rather than die.
@@ -27,7 +40,13 @@ from dataclasses import dataclass
 from itertools import chain, compress
 
 from .errors import BudgetExceededError, CrossRingError, ParseError
-from .rings import IntegerRing, ModularRing, check_same_ring, _split_top_level
+from .rings import (
+    IntegerRing,
+    LazyPolyRing,
+    ModularRing,
+    _split_top_level,
+    check_same_ring,
+)
 
 DEFAULT_SET_CAP = 2 ** 24    # cardinality cap for derived sets
 
@@ -35,9 +54,10 @@ DEFAULT_SET_CAP = 2 ** 24    # cardinality cap for derived sets
 class FiniteSet:
     """Immutable finite subset of one ring: a frozenset of canonical
     encodings, the same on every ring.  ``sumset`` adds two of them by
-    an offset mask on Z and Z/nZ and by hashed pairs elsewhere (see the
-    module docstring).  Iteration is in the backend's canonical order
-    (its sort key: the dense index on finite rings).
+    an offset mask on Z and Z/nZ, by packed digits on F_p[t] and by
+    hashed pairs elsewhere (see the module docstring).  Iteration is in
+    the backend's canonical order (its sort key: the dense index on
+    finite rings).
     """
 
     __slots__ = ("ring", "_elems")
@@ -169,6 +189,62 @@ def _sumset_mask(a, b, n=None):
     return chain(_bits(out ^ hi << (n - lo), lo), _bits(hi))
 
 
+def _packed(a, w):
+    """The F_p[t] elements of a as ints, coefficient i in bits w·i to
+    w·i + w − 1; ValueError on an element with a coefficient outside
+    0..p−1 or a trailing zero, which would carry into the next digit."""
+    ring = a.ring
+    p = ring.p
+    out = []
+    for x in a.elements():
+        if x and not (x[-1] and 0 <= min(x) and max(x) < p):
+            raise ValueError(f"{x!r} is not an element of {ring.descriptor}")
+        v = 0
+        for c in reversed(x):
+            v = v << w | c
+        out.append(v)
+    return out
+
+
+def _unpacked(vs, w, p):
+    """The trimmed coefficient tuples of the packed ints vs, each digit
+    reduced mod p.  The top digit of every v must stay nonzero mod p."""
+    digit = (1 << w) - 1
+    out = set()
+    for v in vs:
+        c = []
+        while v:
+            c.append((v & digit) % p)
+            v >>= w
+        out.add(tuple(c))
+    return out
+
+
+def _sumset_poly(a, b):
+    """Packed-digit kernel for F_p[t] sums: w = bit_length(p) + 1 bits a
+    digit hold 2p − 2, and a digit d of a raw sum is at least p exactly
+    when d + 2^(w−1) − p sets the digit's top bit."""
+    p = a.ring.p
+    w = p.bit_length() + 1
+    n = max(map(len, chain(a.elements(), b.elements())), default=0)
+    ones = ((1 << w * n) - 1) // ((1 << w) - 1)         # 1 in every digit
+    lift, top = ((1 << w - 1) - p) * ones, ones << w - 1
+    xs, ys = _packed(a, w), _packed(b, w)
+    raw = {u + v for u in xs for v in ys}
+    return _unpacked({s - (((s + lift) & top) >> w - 1) * p for s in raw}, w, p)
+
+
+def _prodset_poly(a, b):
+    """Packed-digit kernel for F_p[t] products (Kronecker substitution):
+    a coefficient of x·y sums at most min(len x, len y) products of
+    digits below p, so w bits a digit hold it without carries."""
+    p = a.ring.p
+    terms = min(max(map(len, s.elements()), default=0) for s in (a, b))
+    w = (terms * (p - 1) ** 2).bit_length() or 1
+    xs, ys = _packed(a, w), _packed(b, w)
+    return _unpacked({u * v for u in xs for v in ys}, w, p)
+
+
 def sumset(a, b, cap=DEFAULT_SET_CAP):
     """{x + y : x in a, y in b}."""
     check_same_ring(a.ring, b.ring)
@@ -180,6 +256,8 @@ def sumset(a, b, cap=DEFAULT_SET_CAP):
         out = _sumset_mask(a, b)
     elif isinstance(ring, ModularRing):
         out = _sumset_mask(a, b, ring.n)
+    elif isinstance(ring, LazyPolyRing):
+        out = _sumset_poly(a, b)
     if out is None:
         out = _sumset_sparse(a, b)
     return _guard(FiniteSet(ring, out), cap)
@@ -189,6 +267,8 @@ def prodset(a, b, cap=DEFAULT_SET_CAP):
     """{x * y : x in a, y in b}."""
     check_same_ring(a.ring, b.ring)
     ring = a.ring
+    if isinstance(ring, LazyPolyRing):
+        return _guard(FiniteSet(ring, _prodset_poly(a, b)), cap)
     out = set()
     for x in a.elements():
         for y in b.elements():

@@ -332,6 +332,29 @@ def test_verify_payload_rechecks_core_and_subring():
     assert not ok and details == ["not a subring: add 2 4"]
 
 
+def test_verify_payload_rechecks_the_hypothesis():
+    # a report built by hand for zmod:8, which has zero divisors, claims
+    # either hypothesis; nzd_classify itself raises on both
+    from apxring.classify import ClassificationReport, _core_is_subring, _verdict
+    from apxring.serialize import verify_payload
+    x = ax.parse_set(ax.modular(8), "{0,1,7}")
+    cert = ax.approx_constant(x, "ring")
+    core = ax.core_set(x)
+    comm = ax.commensurability(core, x)
+    subring_ok, violation = _core_is_subring(core)
+    k11 = cert.k ** 11
+    verdict = _verdict(len(x), 0, subring_ok, comm.constant, k11)
+    assert verdict == "structured"
+    for hypothesis, why in (("ambient/exhaustive", "zero divisors 2·4 = 0"),
+                            ("core-witnessed", "zero divisor inside the core")):
+        with pytest.raises(ZeroDivisorError):
+            ax.nzd_classify(x, small_threshold=0, hypothesis=hypothesis.split("/")[0])
+        report = ClassificationReport(x, cert.k, cert, core, subring_ok, violation,
+                                      comm.constant, k11, verdict, 0, hypothesis, comm)
+        ok, details = verify_payload(report.to_json())
+        assert not ok and why in details[0], details
+
+
 def test_gallery_y_set():
     item = ax.gallery("y-set", p=3)
     assert len(item.xset) == 7

@@ -403,6 +403,24 @@ def test_instance_masks_match_the_pool_first_oracle():
     assert 30 < raised < 270
 
 
+def test_list_greedy_picks_the_mask_greedy_ranks():
+    # cover_greedy counts on lists, cover_exact's incumbent on masks:
+    # the same picks in the same order, ties included
+    from apxring import cover
+    rng = random.Random(23)
+    instances = [_random_instance(rng) for _ in range(200)]
+    for _ in range(20):
+        instances.append((FiniteSet(Z, rng.sample(range(-60, 60), rng.randrange(20, 80))),
+                          FiniteSet(Z, rng.sample(range(-6, 6), rng.randrange(2, 6)))))
+    x = iset(-2, 2)
+    instances.append((ax.growth_sequence(x, 2).entries[2].xset, x))
+    for a, b in instances:
+        _t, pool_sorted, coverers, masks, full = cover._instance(
+            a, b, difference_set(a, b))
+        assert (cover._greedy_lists(coverers, len(pool_sorted))
+                == cover._greedy_ranks(masks, full)), (a, b)
+
+
 def _one_ceiling(target, base, weights, d):
     # the Lagrangian bound over all targets at once, rows from scratch
     rows = {translate(t, base).elements() & target.elements()

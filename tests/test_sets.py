@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -220,6 +221,64 @@ def test_mask_kernel_agrees_with_pairs():
         b = FiniteSet(Z, rng.sample(range(-30, 30), rng.randrange(2, 40)))
         took += check(a, b) is not None
     assert 0 < took < 300
+
+
+def test_poly_kernels_agree_with_pairs():
+    rng = random.Random(14)
+    for p in (2, 3, 5, 31, 101):
+        ring = ax.parse_ring(f"poly:{p}")
+
+        def poly():
+            d = rng.randrange(-1, 9)             # degree, -1 for zero
+            if d < 0:
+                return ()
+            return (*(rng.randrange(p) for _ in range(d)), rng.randrange(1, p))
+
+        def check(a, b):
+            assert ax.sumset(a, b) == FiniteSet(ring, _sumset_sparse(a, b))
+            assert ax.prodset(a, b) == FiniteSet(
+                ring, {ring.mul(x, y) for x in a for y in b})
+
+        for _ in range(30):
+            a, b = (FiniteSet(ring, [poly() for _ in range(rng.randrange(10))])
+                    for _ in range(2))
+            check(a, b)
+        # widest digits: sums of p − 1 and nine products of p − 1 in one
+        # coefficient; operands of different lengths; zero; empty sets
+        top = FiniteSet(ring, [(p - 1,) * 9, (p - 1,)])
+        check(top, top)
+        check(top, FiniteSet(ring, [(), (1,), (0, 0, p - 1)]))
+        check(FiniteSet(ring, [()]), top)
+        check(FiniteSet(ring, []), top)
+
+
+def test_poly_kernels_reject_non_canonical_elements():
+    ring = ax.parse_ring("poly:5")
+    ok = FiniteSet(ring, [(), (1,), (0, 4)])
+    for bad in ((5,), (1, 0), (2, -1), (0,)):
+        a = FiniteSet(ring, [(3,), bad])
+        for op in (ax.sumset, ax.prodset):
+            for x, y in ((a, ok), (ok, a)):
+                with pytest.raises(ValueError, match=re.escape(
+                        f"{bad!r} is not an element of poly:5")):
+                    op(x, y)
+
+
+def _growth_step_by_pairs(x):
+    ring = x.ring
+    prods = {ring.mul(a, b) for a in x for b in x}
+    sums = {ring.add(a, b) for a in x for b in x}
+    return FiniteSet(ring, {ring.add(u, v) for u in prods for v in sums})
+
+
+def test_linear_polys_growth():
+    x = ax.gallery("linear-polys", p=3).xset
+    entries = ax.growth_sequence(x, 2).entries
+    assert [e.size for e in entries] == [9, 27, 243]
+    assert entries[1].xset == _growth_step_by_pairs(x)
+    assert entries[2].xset == _growth_step_by_pairs(entries[1].xset)
+    x = ax.gallery("linear-polys", p=5).xset
+    assert [e.size for e in ax.growth_sequence(x, 2).entries] == [25, 125, 3125]
 
 
 def _naive_bits(m):

@@ -162,7 +162,11 @@ def _tampered(payload):
     if payload["kind"] == "subring_search":
         yield dict(payload, commensurability=payload["commensurability"] + 1)
         yield dict(payload, core_size=payload["core_size"] + 1)
+        yield dict(payload, exhaustive=not payload["exhaustive"])
+        yield dict(payload, strategy="seeded:5X")
+        yield dict(payload, strategy="none")
         return
+    yield dict(payload, hypothesis=payload["hypothesis"] + "?")
     yield dict(payload, k=payload["k"] + 1)
     yield dict(payload, k11_bound=payload["k11_bound"] + 1)
     yield dict(payload, core_is_subring=not payload["core_is_subring"])
