@@ -10,6 +10,13 @@ of their elements with the additive zero at index 0 (lexicographic on
 coordinates / coefficients, documented per backend below); lazy backends
 expose hashable canonical encodings only and refuse enumeration loudly.
 
+Every element has one canonical encoding, and a set holds no other:
+``sets.FiniteSet`` hands every set it builds to ``Ring.check_elements``,
+which raises ValueError naming the first element that is not one.
+Finite backends look each element up in their dense indexing (Z/nZ and
+table rings test only the least and the greatest int), F_p[t] tests each
+coefficient tuple, and Z checks nothing: every int is canonical.
+
 Ring DSL, one line per ring:
 
     zmod:<n>              integers mod n, n >= 2
@@ -85,6 +92,10 @@ def _is_prime(n):
 # polynomial helpers (coefficient tuples, lowest degree first, no trailing 0)
 
 
+def _is_poly(x, p):
+    return type(x) is tuple and (not x or x[-1] != 0 and 0 <= min(x) and max(x) < p)
+
+
 def _poly_trim(coeffs):
     c = list(coeffs)
     while c and c[-1] == 0:
@@ -93,13 +104,8 @@ def _poly_trim(coeffs):
 
 
 def _poly_add(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, v in enumerate(a):
-        out[i] = v
-    for i, v in enumerate(b):
-        out[i] = (out[i] + v) % p
-    return _poly_trim(out)
+    pairs = itertools.zip_longest(a, b, fillvalue=0)
+    return _poly_trim([(u + v) % p for u, v in pairs])
 
 
 def _poly_neg(a, p):
@@ -264,6 +270,12 @@ class Ring:
         """Total order on encodings; dense index on finite backends."""
         return self.index_of(x)
 
+    def check_elements(self, elems):
+        """Raise ValueError("<x!r> is not an element of <descriptor>") for
+        the first x of the set ``elems`` that is not a canonical encoding."""
+        for x in elems:
+            self.index_of(x)
+
     # text --------------------------------------------------------------
     def parse(self, text):
         raise NotImplementedError
@@ -290,8 +302,33 @@ def check_same_ring(ring, *others):
                 f"operands mix rings {ring.descriptor} and {o.descriptor}")
 
 
-class ModularRing(Ring):
-    """Z/nZ; encodings are ints in 0..n-1, index = value."""
+class _RangeRing(Ring):
+    """Finite backend whose encodings are the ints 0..n-1, index = value,
+    so the least and the greatest element decide a set's check."""
+
+    def zero(self):
+        return 0
+
+    def element_at(self, i):
+        if not 0 <= i < self.n:
+            raise IndexError(i)
+        return i
+
+    def index_of(self, x):
+        if not isinstance(x, int) or not 0 <= x < self.n:
+            raise ValueError(f"{x!r} is not an element of {self.descriptor}")
+        return x
+
+    def check_elements(self, elems):
+        for x in (min(elems), max(elems)) if elems else ():
+            self.index_of(x)
+
+    def render(self, x):
+        return str(x)
+
+
+class ModularRing(_RangeRing):
+    """Z/nZ."""
 
     def __init__(self, n, prime_required=False):
         if n < 2:
@@ -312,27 +349,11 @@ class ModularRing(Ring):
     def mul(self, x, y):
         return (x * y) % self.n
 
-    def zero(self):
-        return 0
-
-    def element_at(self, i):
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        return i
-
-    def index_of(self, x):
-        if not isinstance(x, int) or not 0 <= x < self.n:
-            raise ValueError(f"{x!r} is not an element of {self.descriptor}")
-        return x
-
     def parse(self, text):
         s = text.strip()
         if not re.fullmatch(r"[+-]?\d+", s):
             raise ParseError("expected an integer", text, 0)
         return int(s) % self.n
-
-    def render(self, x):
-        return str(x)
 
 
 class IntegerRing(Ring):
@@ -358,6 +379,9 @@ class IntegerRing(Ring):
     def sort_key(self, x):
         # 0, 1, -1, 2, -2, ...: a canonical enumeration order of Z
         return (abs(x), 0 if x >= 0 else 1)
+
+    def check_elements(self, elems):
+        pass                     # every int is canonical
 
     def parse(self, text):
         s = text.strip()
@@ -432,12 +456,16 @@ class _TupleRing(Ring):
 
     def index_of(self, x):
         index = self._index
-        if index is None:
-            return self._index_of_raw(x)
         try:
-            return index[x]
-        except KeyError:
-            raise self._not_element(x) from None
+            return self._index_of_raw(x) if index is None else index[x]
+        except (KeyError, TypeError, ValueError):
+            raise ValueError(f"{x!r} is not an element of {self.descriptor}") from None
+
+    def check_elements(self, elems):
+        if self._index is None:
+            super().check_elements(elems)
+        elif not self._index.keys() >= elems:
+            raise self._not_element(*elems)
 
 
 class PolyQuotientRing(_TupleRing):
@@ -493,14 +521,9 @@ class PolyQuotientRing(_TupleRing):
         return _poly_trim(coeffs)
 
     def _index_of_raw(self, x):
-        if not isinstance(x, tuple) or len(x) > self.degree:
-            raise ValueError(f"{x!r} is not an element of {self.descriptor}")
-        i = 0
-        for e, c in enumerate(x):
-            if not 0 <= c < self.p:
-                raise ValueError(f"{x!r} has out-of-range coefficients")
-            i += c * self.p ** e
-        return i
+        if len(x) > self.degree or not _is_poly(x, self.p):
+            raise ValueError
+        return sum(c * self.p ** e for e, c in enumerate(x))
 
     def parse(self, text):
         coeffs = _poly_parse(text, self.p)
@@ -556,6 +579,17 @@ class LazyPolyRing(Ring):
 
     def sort_key(self, x):
         return (len(x), tuple(reversed(x)))
+
+    def check_elements(self, elems):
+        # whole-set passes over types, all and leading coefficients cost
+        # about a third of testing each tuple; the loop names a bad one
+        if set(map(type, elems)) <= {tuple}:
+            coeffs = set(itertools.chain.from_iterable(elems))
+            if (not coeffs or 0 <= min(coeffs) and max(coeffs) < self.p) \
+                    and 0 not in (x[-1] for x in elems if x):
+                return
+        bad = next(x for x in elems if not _is_poly(x, self.p))
+        raise ValueError(f"{bad!r} is not an element of {self.descriptor}")
 
     def parse(self, text):
         return _poly_parse(text, self.p)
@@ -625,6 +659,8 @@ class MatrixRing(_TupleRing):
                      for _ in range(self.d))
 
     def _index_of_raw(self, x):
+        if {len(x), *map(len, x)} != {self.d}:
+            raise ValueError
         n = self.base.cardinality
         i = 0
         for row in x:
@@ -633,16 +669,12 @@ class MatrixRing(_TupleRing):
         return i
 
     def parse(self, text):
-        rows = _split_bracketed(text.strip(), "[", "]")
+        rows = [_split_enclosed(row, "[]") for row in _split_enclosed(text, "[]")]
         if len(rows) != self.d:
             raise ParseError(f"expected {self.d} rows", text, 0)
-        out = []
-        for row in rows:
-            cells = _split_top_level(row)
-            if len(cells) != self.d:
-                raise ParseError(f"expected {self.d} entries per row", text, 0)
-            out.append(tuple(self.base.parse(c) for c in cells))
-        return tuple(out)
+        if any(len(cells) != self.d for cells in rows):
+            raise ParseError(f"expected {self.d} entries per row", text, 0)
+        return tuple(tuple(self.base.parse(c) for c in cells) for cells in rows)
 
     def render(self, x):
         return "[" + ",".join(
@@ -692,15 +724,12 @@ class ProductRing(_TupleRing):
 
     def _index_of_raw(self, x):
         i = 0
-        for f, u in zip(self.factors, x):
+        for f, u in zip(self.factors, x, strict=True):
             i = i * f.cardinality + f.index_of(u)
         return i
 
     def parse(self, text):
-        s = text.strip()
-        if not (s.startswith("(") and s.endswith(")")):
-            raise ParseError("expected a tuple (..,..)", text, 0)
-        parts = _split_top_level(s[1:-1])
+        parts = _split_enclosed(text, "()")
         if len(parts) != len(self.factors):
             raise ParseError(f"expected {len(self.factors)} coordinates", text, 0)
         return tuple(f.parse(p) for f, p in zip(self.factors, parts))
@@ -709,7 +738,7 @@ class ProductRing(_TupleRing):
         return "(" + ",".join(f.render(u) for f, u in zip(self.factors, x)) + ")"
 
 
-class TableRing(Ring):
+class TableRing(_RangeRing):
     """Ring given by explicit Cayley tables; elements are indices 0..n-1.
 
     Construction checks the table shapes, that every element has an
@@ -773,19 +802,6 @@ class TableRing(Ring):
     def mul(self, x, y):
         return self.mul_table[x][y]
 
-    def zero(self):
-        return 0
-
-    def element_at(self, i):
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        return i
-
-    def index_of(self, x):
-        if not isinstance(x, int) or not 0 <= x < self.n:
-            raise ValueError(f"{x!r} is not an element of {self.descriptor}")
-        return x
-
     def parse(self, text):
         s = text.strip()
         if not re.fullmatch(r"\d+", s):
@@ -794,9 +810,6 @@ class TableRing(Ring):
         if i >= self.n:
             raise ParseError(f"index {i} out of range 0..{self.n - 1}", text, 0)
         return i
-
-    def render(self, x):
-        return str(x)
 
 
 def _check_tables(add, mul, zero):
@@ -966,26 +979,12 @@ def _split_top_level(text):
     return [p for p in parts if p != ""]
 
 
-def _split_bracketed(text, open_ch, close_ch):
-    """Split '[[a,b],[c,d]]' into the inner row strings."""
-    if not (text.startswith(open_ch) and text.endswith(close_ch)):
-        raise ParseError(f"expected {open_ch}..{close_ch}", text, 0)
-    inner = text[1:-1]
-    rows, depth, cur = [], 0, []
-    for ch in inner:
-        if ch == open_ch:
-            depth += 1
-            if depth == 1:
-                cur = []
-                continue
-        elif ch == close_ch:
-            depth -= 1
-            if depth == 0:
-                rows.append("".join(cur))
-                continue
-        if depth >= 1:
-            cur.append(ch)
-    return rows
+def _split_enclosed(text, pair):
+    """The top-level parts of ``text`` inside the brackets ``pair``."""
+    s = text.strip()
+    if not (s.startswith(pair[0]) and s.endswith(pair[1])):
+        raise ParseError(f"expected {pair[0]}..{pair[1]}", text, 0)
+    return _split_top_level(s[1:-1])
 
 
 def load_table_file(path):

@@ -14,7 +14,10 @@ rule, the verdict; its no-zero-divisor hypothesis is checked again by
 the classifier's own step.  A subring search's strategy must be a tag
 ``pos_char_search`` reports for its outcome, and its exhaustive flag
 must match the recomputed core's size.  A sweep report's rows must
-agree with their witnesses on every field they copy from them.  It
+agree with their witnesses on every field they copy from them.  A Fact
+2.1 report's certificate, row covers and msum cover each pass their own
+verifier, and a gallery item must equal ``classify.gallery`` re-run on
+its name and parameters.  It
 returns (ok, details) and never raises on a merely *invalid* payload —
 malformed ones do raise.
 """
@@ -30,6 +33,7 @@ from .classify import (
     _hypothesis,
     _verdict,
     core_set,
+    gallery,
     is_subring,
 )
 from .cover import ApproxCertificate, first_uncovered, lagrangian_floor
@@ -237,6 +241,32 @@ def _verify_sweep(payload):
     return True, [f"all {n} row witnesses re-verified"]
 
 
+def _verify_fact21(payload):
+    """The certificate, every row's constructive cover and the msum
+    cover, each by its own kind's verifier (not the kind a part names)."""
+    parts = [(_verify_certificate, payload["certificate"])]
+    parts += [(_verify_cover_witness, row["witness"]) for row in payload["rows"]]
+    if "msum" in payload:
+        parts.append((_verify_cover_witness, payload["msum"]))
+    details = []
+    for verify, part in parts:
+        ok, det = verify(part)
+        if not ok:
+            return False, det
+        details += det
+    return True, details
+
+
+def _verify_gallery(payload):
+    item = gallery(payload["name"], **payload["params"]).to_json()
+    wrong = sorted(k for k in item.keys() | payload.keys()
+                   if item.get(k) != payload.get(k))
+    if wrong:
+        return False, [f"gallery({payload['name']!r}) re-derives another "
+                       + ", ".join(wrong)]
+    return True, [f"gallery item {payload['name']} re-derived"]
+
+
 _VERIFIERS = {
     "cover_witness": _verify_cover_witness,
     "approx_certificate": _verify_certificate,
@@ -244,6 +274,8 @@ _VERIFIERS = {
     "subring_search": _verify_subring_search,
     "sweep_report": _verify_sweep,
     "constructive_report": lambda p: _verify_cover_witness(p["witness"]),
+    "fact21_report": _verify_fact21,
+    "gallery_item": _verify_gallery,
 }
 
 

@@ -20,10 +20,7 @@ canonical encodings, on every ring.  A sumset runs one of three kernels:
   distinct raw sum is then reduced mod p on every digit at once, and
   only the distinct results are unpacked.  Products use the same
   packing (Kronecker substitution) with digits wide enough for any
-  coefficient of the product, reduced mod p while unpacking.  A
-  coefficient outside 0..p−1 or a trailing zero would carry into the
-  next digit, so each operand element is checked while it is packed and
-  raises ValueError;
+  coefficient of the product, reduced mod p while unpacking;
 - hashed pairs (every other ring, and the Z and Z/nZ case above):
   ``ring.add`` on every pair.
 
@@ -53,11 +50,13 @@ DEFAULT_SET_CAP = 2 ** 24    # cardinality cap for derived sets
 
 class FiniteSet:
     """Immutable finite subset of one ring: a frozenset of canonical
-    encodings, the same on every ring.  ``sumset`` adds two of them by
-    an offset mask on Z and Z/nZ, by packed digits on F_p[t] and by
-    hashed pairs elsewhere (see the module docstring).  Iteration is in
-    the backend's canonical order (its sort key: the dense index on
-    finite rings).
+    encodings, the same on every ring.  Every set is built here, and
+    ``ring.check_elements`` raises ValueError naming an element that is
+    not a canonical encoding, so every kernel may rely on them.
+    ``sumset`` adds two sets by an offset mask on Z and Z/nZ, by packed
+    digits on F_p[t] and by hashed pairs elsewhere (see the module
+    docstring).  Iteration is in the backend's canonical order (its sort
+    key: the dense index on finite rings).
     """
 
     __slots__ = ("ring", "_elems")
@@ -65,6 +64,7 @@ class FiniteSet:
     def __init__(self, ring, elements):
         self.ring = ring
         self._elems = frozenset(elements)
+        ring.check_elements(self._elems)
 
     def __len__(self):
         return len(self._elems)
@@ -158,16 +158,11 @@ def _sumset_mask(a, b, n=None):
     elements of a + b, or None when the unreduced span of the result
     plus 128 is at least 4·|a|·|b|.  Decoding a mask bit costs about a
     quarter of adding a pair, and the kernel's fixed cost is about that
-    of 32 pairs.  On Z/nZ an element outside 0..n−1 raises ValueError,
-    whichever kernel would run."""
+    of 32 pairs."""
     xs, ys = a.elements(), b.elements()
     if not xs or not ys:
         return ()
     lo_a, hi_a, lo_b, hi_b = min(xs), max(xs), min(ys), max(ys)
-    if n is not None:
-        for v in (min(lo_a, lo_b), max(hi_a, hi_b)):
-            if not 0 <= v < n:
-                raise ValueError(f"{v!r} is not an element of zmod:{n}")
     if hi_a - lo_a + hi_b - lo_b + 128 >= 4 * len(xs) * len(ys):
         return None
     buf = bytearray(b"0") * (hi_b - lo_b + 1)
@@ -191,14 +186,9 @@ def _sumset_mask(a, b, n=None):
 
 def _packed(a, w):
     """The F_p[t] elements of a as ints, coefficient i in bits w·i to
-    w·i + w − 1; ValueError on an element with a coefficient outside
-    0..p−1 or a trailing zero, which would carry into the next digit."""
-    ring = a.ring
-    p = ring.p
+    w·i + w − 1."""
     out = []
     for x in a.elements():
-        if x and not (x[-1] and 0 <= min(x) and max(x) < p):
-            raise ValueError(f"{x!r} is not an element of {ring.descriptor}")
         v = 0
         for c in reversed(x):
             v = v << w | c
@@ -287,7 +277,8 @@ def symmetrize(a):
 
 
 def translate(t, a):
-    """{t + x : x in a}."""
+    """{t + x : x in a}; ValueError when t is not an element of a's ring."""
+    a.ring.check_elements({t})
     return FiniteSet(a.ring, (a.ring.add(t, x) for x in a.elements()))
 
 

@@ -253,15 +253,46 @@ def test_poly_kernels_agree_with_pairs():
 
 
 def test_poly_kernels_reject_non_canonical_elements():
+    # the packed-digit kernels never see such an element: the set that
+    # would hold it is refused when it is built
     ring = ax.parse_ring("poly:5")
-    ok = FiniteSet(ring, [(), (1,), (0, 4)])
     for bad in ((5,), (1, 0), (2, -1), (0,)):
-        a = FiniteSet(ring, [(3,), bad])
-        for op in (ax.sumset, ax.prodset):
-            for x, y in ((a, ok), (ok, a)):
-                with pytest.raises(ValueError, match=re.escape(
-                        f"{bad!r} is not an element of poly:5")):
-                    op(x, y)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{bad!r} is not an element of poly:5")):
+            FiniteSet(ring, [(3,), bad])
+
+
+def test_finite_set_checks_elements_on_every_backend():
+    gf = "gf:5^2:t^2+2"
+    rejected = {
+        "zmod:7": [19, -1],
+        "poly:5": [(5,), (1, 0), (2, -1), (0,)],
+        gf: [(5,), (1, 0), 3],
+        "polyquo:5:t^4": [(1, 0), (5,), (0, 0, 0, 0, 1)],     # above the table limit
+        "mat:2:zmod:3": [((0, 3), (0, 0))],
+        "mat:2:zmod:5": [((0, 5), (0, 0)), ((0, 1),)],         # above the table limit
+        "prod:(zmod:2,zmod:3)": [(1, 3), (1,)],
+        "int": [],
+    }
+    rings = [ax.parse_ring(d) for d in rejected] + [ax.zero_multiplication_ring(8)]
+    rejected[rings[-1].descriptor] = [9, -1]
+    for ring in rings:
+        if ring.is_finite:
+            good = list(ring.elements())
+        else:
+            texts = ["0", "1", "-1", "12", "-10"]
+            if ring.descriptor == "poly:5":
+                texts += ["t^3+4t", "-t^2+10", "5t^2+t"]
+            good = [ring.parse(s) for s in texts]
+        x = FiniteSet(ring, good)
+        assert x.elements() == set(good)
+        assert ax.translate(good[-1], x) == ax.sumset(FiniteSet(ring, good[-1:]), x)
+        for bad in rejected[ring.descriptor]:
+            message = re.escape(f"{bad!r} is not an element of {ring.descriptor}")
+            with pytest.raises(ValueError, match=message):
+                FiniteSet(ring, [ring.zero(), bad])
+            with pytest.raises(ValueError, match=message):
+                ax.translate(bad, x)
 
 
 def _growth_step_by_pairs(x):
@@ -322,7 +353,7 @@ def test_zmod_sumset_rejects_non_canonical_elements():
     m7 = ax.modular(7)
     with pytest.raises(ValueError, match="19 is not an element of zmod:7"):
         ax.sumset(FiniteSet(m7, range(20)), FiniteSet(m7, range(20)))
-    # small sets that the kernel hands to hashed pairs are checked too
+    # the set is refused when it is built, whichever kernel would run
     with pytest.raises(ValueError, match="-1 is not an element of zmod:7"):
         ax.sumset(FiniteSet(m7, [0, -1]), FiniteSet(m7, [3]))
 

@@ -290,6 +290,15 @@ def test_cli_k11():
 def test_cli_gallery():
     code, out, _ = run_cli("gallery", "y-set", "--p", "3")
     assert code == 0 and "7 elements" in out
+    code, out, _ = run_cli("gallery", "y-set", "--p", "3", "--json")
+    payload = json.loads(out)
+    ok, details = verify_payload(payload)
+    assert code == 0 and ok, details
+    for key, value, wrong in (("x", payload["x"][:-1], "x"),
+                              ("params", {"p": 5}, "ring, x"),
+                              ("expected", "", "expected")):
+        ok, details = verify_payload(dict(payload, **{key: value}))
+        assert not ok and details[0].endswith(f"re-derives another {wrong}")
 
 
 def test_cli_growth_and_cover_and_fact21():
@@ -302,6 +311,18 @@ def test_cli_growth_and_cover_and_fact21():
     code, out, _ = run_cli("fact21", "--ring", "int", "--set", "{-1,0,1}",
                            "--m", "2", "--msum-m", "2")
     assert code == 0 and "msum m=2" in out
+    code, out, _ = run_cli("fact21", "--ring", "int", "--set", "{-1,0,1}",
+                           "--m", "2", "--msum-m", "2", "--json")
+    payload = json.loads(out)
+    ok, details = verify_payload(payload)
+    assert code == 0 and ok, details
+    far = {"translates": ["100"]}         # covers nothing near the target
+    rows = payload["rows"]
+    for bad in (dict(payload, msum=dict(payload["msum"], **far)),
+                dict(payload, rows=[rows[0], dict(rows[1], witness=dict(
+                    rows[1]["witness"], **far))]),
+                dict(payload, certificate=dict(payload["certificate"], k=1))):
+        assert not verify_payload(bad)[0]
 
 
 def test_cli_model():
