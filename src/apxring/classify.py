@@ -168,7 +168,6 @@ class ClassificationReport:
     certificate: object
     core: FiniteSet
     core_is_subring: bool
-    violation: tuple | None
     commensurability_to_x: int | None
     k11_bound: int
     verdict: str                     # "small" | "structured" | "counterexample-candidate"
@@ -203,11 +202,8 @@ def nzd_classify(x, small_threshold=None, exact=True, hypothesis="ambient",
                  cert=None):
     """Dichotomy check over a ring without zero divisors.
 
-    Certifies K, computes the core 4X + X·4X, tests it for being a
-    subring and measures its exact commensurability with X.  Verdicts:
-    "small" when |X| < small_threshold (default 4K^2, the dichotomy's
-    escape hatch), else "structured" when the core is a subring within
-    the K^11 bound, else "counterexample-candidate".
+    Certifies K, computes the core 4X + X·4X and measures its exact
+    commensurability with X; ``classification_report`` derives the rest.
 
     ``hypothesis`` is "ambient" (whole-ring zero-divisor check) or
     "core-witnessed" (the weakened form local to Y = 4X + X·4X).
@@ -220,22 +216,32 @@ def nzd_classify(x, small_threshold=None, exact=True, hypothesis="ambient",
     hyp = _hypothesis(core, hypothesis)
     if cert is None:
         cert = approx_constant(x, "ring", exact=exact)
-    elif cert.x != x or cert.mode != "ring":
+    comm = commensurability(core, x, exact=exact) if len(x) and len(core) else None
+    return classification_report(x, cert, core, comm, small_threshold, hyp)
+
+
+def classification_report(x, cert, core, comm, small_threshold, hyp):
+    """The report on X from its ring-mode certificate (ValueError for any
+    other), core, commensurability of core and X (None when either is
+    empty), threshold (None: 4K^2) and hypothesis.  Verdicts: "small"
+    when |X| < small_threshold, the dichotomy's escape hatch, else
+    "structured" when the core is a subring within the K^11 bound, else
+    "counterexample-candidate"."""
+    if cert.x != x or cert.mode != "ring":
         raise ValueError("cert must be a ring-mode certificate of x")
     k = cert.k
     k11 = k ** 11
     if small_threshold is None:
         small_threshold = 4 * k * k
-    subring_ok, violation = _core_is_subring(core)
-    comm = None
-    comm_constant = None
-    if len(x) and len(core):
-        comm = commensurability(core, x, exact=exact)
-        comm_constant = comm.constant
-    verdict = _verdict(len(x), small_threshold, subring_ok, comm_constant, k11)
-    return ClassificationReport(x, k, cert, core, subring_ok, violation,
-                                comm_constant, k11, verdict, small_threshold,
-                                hyp, comm)
+    # the whole finite ring is a subring by construction
+    subring_ok = (core.ring.is_finite and len(core) == core.ring.cardinality
+                  or is_subring(core)[0])
+    constant = None if comm is None else comm.constant
+    structured = subring_ok and constant is not None and constant <= k11
+    verdict = ("small" if len(x) < small_threshold else
+               "structured" if structured else "counterexample-candidate")
+    return ClassificationReport(x, k, cert, core, subring_ok, constant, k11,
+                                verdict, small_threshold, hyp, comm)
 
 
 def _hypothesis(core, hypothesis):
@@ -260,53 +266,51 @@ def _hypothesis(core, hypothesis):
     raise ValueError(f"unknown hypothesis {hypothesis!r}")
 
 
-def _core_is_subring(core):
-    """``is_subring(core)``, answered without a check when the core is the
-    whole finite ring."""
-    ring = core.ring
-    if ring.is_finite and len(core) == ring.cardinality:
-        return True, None
-    return is_subring(core)
-
-
-def _verdict(x_size, small_threshold, subring_ok, comm_constant, k11):
-    """``nzd_classify``'s verdict from the fields of its report."""
-    if x_size < small_threshold:
-        return "small"
-    if subring_ok and comm_constant is not None and comm_constant <= k11:
-        return "structured"
-    return "counterexample-candidate"
-
-
 # ---------------------------------------------------------------------------
 # positive characteristic: subring search inside the core
 
 
 @dataclass(frozen=True)
 class SubringSearchResult:
-    found: FiniteSet | None          # a subring inside the core, or None
-    commensurability: int | None
+    """A subring inside the core of X, or None, and the strategy that
+    found it (ValueError for a tag the search cannot report with it)."""
+
+    x: FiniteSet
+    core: FiniteSet
+    found: FiniteSet | None
     strategy_used: str
-    exhaustive: bool
     comm_result: CommensurabilityResult | None = field(default=None, compare=False)
-    core: FiniteSet | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        tags = {"none"} if self.found is None else _STRATEGY_TAGS - {"none"}
+        if self.strategy_used not in tags:
+            raise ValueError(
+                f"strategy {self.strategy_used!r} does not match the outcome")
+
+    @property
+    def commensurability(self):
+        return None if self.comm_result is None else self.comm_result.constant
+
+    @property
+    def exhaustive(self):                  # whether the exhaustive pass ran
+        return len(self.core) <= POS_CHAR_EXHAUSTIVE_LIMIT
 
     def to_json(self):
+        ring = self.x.ring
         out = {
-            "schema_version": "2",
+            "schema_version": "3",
             "kind": "subring_search",
+            "ring": ring.descriptor,
+            "x": [ring.render(v) for v in self.x],
+            "core_size": len(self.core),
             "strategy": self.strategy_used,
             "exhaustive": self.exhaustive,
             "commensurability": self.commensurability,
         }
         if self.found is not None:
-            ring = self.found.ring
-            out["ring"] = ring.descriptor
             out["subring"] = [ring.render(v) for v in self.found]
-            out["core_size"] = len(self.core) if self.core is not None else None
-            if self.comm_result is not None:
-                out["comm_s_by_x"] = self.comm_result.witness_ab.to_json()
-                out["comm_x_by_s"] = self.comm_result.witness_ba.to_json()
+            out["comm_s_by_x"] = self.comm_result.witness_ab.to_json()
+            out["comm_x_by_s"] = self.comm_result.witness_ba.to_json()
         return out
 
 
@@ -398,14 +402,13 @@ def pos_char_search(x, exact=True):
         if len(seed) and seed not in seeds:
             seeds.add(seed)
             offer(closure(seed, budget=ring.cardinality).set, 1, f"seeded:{k}X")
-    ran_exhaustive = len(core) <= POS_CHAR_EXHAUSTIVE_LIMIT
-    if ran_exhaustive:
+    if len(core) <= POS_CHAR_EXHAUSTIVE_LIMIT:
         for sub in _additive_subgroups_within(ring, core):
             if all(ring.mul(a, b) in sub for a in sub for b in sub):
                 offer(FiniteSet(ring, sub), 2, "exhaustive")
 
     if not candidates:
-        return SubringSearchResult(None, None, "none", ran_exhaustive, core=core)
+        return SubringSearchResult(x, core, None, "none")
     # ties on the constant resolve by strategy order, then smaller S; a
     # candidate whose counting bound max(⌈|S|/|X|⌉, ⌈|X|/|S|⌉) already
     # loses cannot win with its real constant
@@ -420,7 +423,7 @@ def pos_char_search(x, exact=True):
         if best is None or key < best[0]:
             best = (key, fs, tag, comm)
     _, fs, tag, comm = best
-    return SubringSearchResult(fs, comm.constant, tag, ran_exhaustive, comm, core)
+    return SubringSearchResult(x, core, fs, tag, comm)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from .classify import (
     nzd_classify,
     pos_char_search,
 )
-from .constructive import bound_table, k11_cover, msum_cover
+from .constructive import fact21_report, k11_cover
 from .cover import approx_constant, cover_exact, cover_greedy
 from .errors import (
     ApxError,
@@ -84,19 +84,12 @@ def _cmd_growth(args):
     x = _load_set(ring, args.set)
     profile = growth_sequence(x, args.n, with_covering=args.covering)
     rows = []
-    payload = {"schema_version": "1", "kind": "growth_profile",
-               "ring": ring.descriptor, "entries": []}
     for e in profile.entries:
         line = f"X_{e.n}: size {e.size}"
         if e.covering is not None:
             line += f"  covered by {e.covering} translates ({e.covering_method})"
         rows.append(line)
-        payload["entries"].append({
-            "n": e.n, "size": e.size, "covering": e.covering,
-            "covering_method": e.covering_method,
-            "elements": [ring.render(v) for v in e.xset] if e.size <= 64 else None,
-        })
-    _emit(args, payload, rows)
+    _emit(args, profile.to_json(), rows)
     return 0
 
 
@@ -122,20 +115,16 @@ def _cmd_fact21(args):
     ring = make_ring(args.ring)
     x = _load_set(ring, args.set)
     cert = approx_constant(x, "ring", exact=not args.greedy)
-    rows = bound_table(cert, args.m)
+    payload = fact21_report(cert, args.m, args.msum_m)
     lines = [f"K = {cert.k}", "m  constructive  exact  bound_formula"]
-    payload = {"schema_version": "1", "kind": "fact21_report",
-               "certificate": cert.to_json(), "rows": []}
-    for r in rows:
-        exact = r.exact_size if r.exact_size is not None else "skipped"
-        lines.append(f"{r.m}  {r.constructed_size}  {exact}  "
-                     f"{r.bound_formula_value}")
-        payload["rows"].append(r.to_json())
+    for r in payload["rows"]:
+        exact = r["exact_size"] if r["exact_size"] is not None else "skipped"
+        lines.append(f"{r['m']}  {r['constructed_size']}  {exact}  "
+                     f"{r['bound_formula_value']}")
     if args.msum_m:
-        w = msum_cover(args.msum_m, cert)
-        lines.append(f"msum m={args.msum_m}: {len(w.translates)} translates "
-                     f"over a target of {len(w.target)}")
-        payload["msum"] = w.to_json()
+        w = payload["msum"]
+        lines.append(f"msum m={args.msum_m}: {len(w['translates'])} translates "
+                     f"over a target of {len(w['target'])}")
     _emit(args, payload, lines)
     return 0
 

@@ -225,7 +225,7 @@ def msum_cover(m, cert, cap=INTERMEDIATE_CAP):
     ring = cert.ring
     if len(cert.x) == 0:
         target = FiniteSet(ring, ())
-        return make_witness(target, cert.x, (), False, "constructive", {})
+        return make_witness(target, cert.x, (), False, "constructive", {"m": m})
     b = _Builder(cert, cap)
     seq = b.f_sequence(m)
     f_prime = set()
@@ -320,3 +320,13 @@ def bound_table(cert, m_max, cap=INTERMEDIATE_CAP):
         count = w.stats.get("count_bound", 0)
         rows.append(ConstructiveCoverReport(cert, m, w, len(fm), exact, count))
     return rows
+
+
+def fact21_report(cert, m_max, msum_m=0):
+    """``bound_table(cert, m_max)`` and, for msum_m >= 1, the msum cover."""
+    payload = {"schema_version": "1", "kind": "fact21_report",
+               "certificate": cert.to_json(),
+               "rows": [r.to_json() for r in bound_table(cert, m_max)]}
+    if msum_m:
+        payload["msum"] = msum_cover(msum_m, cert).to_json()
+    return payload

@@ -319,6 +319,18 @@ class GrowthEntry:
 class GrowthProfile:
     base: FiniteSet
     entries: tuple
+    with_covering: bool = False
+
+    def to_json(self):
+        """Each X_n's size and covering, with its elements up to 64 of them."""
+        ring = self.base.ring
+        entries = [{"n": e.n, "size": e.size, "covering": e.covering,
+                    "covering_method": e.covering_method, "elements":
+                    [ring.render(v) for v in e.xset] if e.size <= 64 else None}
+                   for e in self.entries]
+        return {"schema_version": "2", "kind": "growth_profile",
+                "ring": ring.descriptor, "x": [ring.render(v) for v in self.base],
+                "covering": self.with_covering, "entries": entries}
 
 
 _COVERING_EXACT_LIMIT = 2048
@@ -340,14 +352,11 @@ def growth_sequence(x, n_max, with_covering=False, cap=DEFAULT_SET_CAP):
         if with_covering and len(x) > 0:
             from .cover import cover_exact, cover_greedy  # cycle: cover uses sets
             pool = difference_set(cur, x, cap)
-            if len(cur) <= _COVERING_EXACT_LIMIT:
-                w = cover_exact(cur, x, pool)
-                cov, method = len(w.translates), "exact" if w.optimal else "greedy"
-            else:
-                w = cover_greedy(cur, x, pool)
-                cov, method = len(w.translates), "greedy"
+            w = (cover_exact(cur, x, pool) if len(cur) <= _COVERING_EXACT_LIMIT
+                 else cover_greedy(cur, x, pool))
+            cov, method = len(w.translates), "exact" if w.optimal else "greedy"
         entries.append(GrowthEntry(n, cur, len(cur), cov, method))
-    return GrowthProfile(base=x, entries=tuple(entries))
+    return GrowthProfile(x, tuple(entries), with_covering)
 
 
 def power_products(x, m, cap=DEFAULT_SET_CAP):

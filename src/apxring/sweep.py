@@ -5,10 +5,11 @@ search (mode ``poschar``) over families of symmetric sets in a list of
 finite rings, collects one row per instance, and aggregates empirical
 constants: ``empirical_N[K]`` (largest |X| among non-structured rows per
 K) for nzd sweeps and ``empirical_C[(K, L)]`` (largest commensurability
-constant per approximation-constant / characteristic cell) for poschar
-sweeps.  Rows are generated, filtered and assembled in a fixed order, so
-identical configs produce byte-identical CSV output; per-row failures
-are recorded in the status column and never abort the sweep.
+constant per approximation-constant / characteristic cell, written
+"K,L" in JSON) for poschar sweeps.  Rows are generated, filtered and
+assembled in a fixed order, so identical configs produce byte-identical
+CSV output; per-row failures are recorded in the status column and
+never abort the sweep.
 
 Config file: versioned ``key = value`` lines, ``#`` comments.
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import io
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .classify import nzd_classify, pos_char_search
 from .cover import approx_constant
@@ -199,27 +200,11 @@ def _run_row(args):
             return row
         if mode == "nzd":
             threshold = None if small_threshold < 0 else small_threshold
-            report = nzd_classify(x, small_threshold=threshold, exact=exact,
-                                  cert=cert)
-            row.update({
-                "verdict": report.verdict,
-                "core_size": len(report.core),
-                "core_is_subring": report.core_is_subring,
-                "commensurability": report.commensurability_to_x,
-                "k11_bound": report.k11_bound,
-            })
-            row["_witness"] = report.to_json()
+            witness = nzd_classify(x, small_threshold=threshold, exact=exact,
+                                   cert=cert).to_json()
         else:
-            result = pos_char_search(x, exact=exact)
-            row.update({
-                "strategy": result.strategy_used,
-                "exhaustive": result.exhaustive,
-                "found": result.found is not None,
-                "s_size": len(result.found) if result.found is not None else 0,
-                "commensurability": result.commensurability,
-                "core_size": len(result.core) if result.core is not None else 0,
-            })
-            row["_witness"] = result.to_json()
+            witness = pos_char_search(x, exact=exact).to_json()
+        row.update(row_fields(witness), _witness=witness)
     except BudgetExceededError as exc:
         row["status"] = f"budget-exceeded: {exc}"
     except ApxError as exc:
@@ -227,11 +212,39 @@ def _run_row(args):
     return row
 
 
+def row_fields(w):
+    """The fields a sweep row takes from its witness payload ``w``."""
+    row = {"ring": w["ring"], "x": tuple(w["x"]), "x_size": len(w["x"]),
+           "core_size": w["core_size"]}
+    if w["kind"] == "classification_report":
+        row.update(K=w["k"], verdict=w["verdict"],
+                   core_is_subring=w["core_is_subring"],
+                   commensurability=w["commensurability_to_x"],
+                   k11_bound=w["k11_bound"])
+    else:
+        row.update(strategy=w["strategy"], exhaustive=w["exhaustive"],
+                   found="subring" in w, s_size=len(w.get("subring", ())),
+                   commensurability=w["commensurability"])
+    return row
+
+
 @dataclass
 class SweepReport:
     spec: SweepSpec
     rows: list
-    empirical: dict = field(default_factory=dict)
+
+    @property
+    def empirical(self):
+        """The aggregate constants of the ok rows (see the module docstring)."""
+        nzd = self.spec.mode == "nzd"
+        table = {}
+        for r in self.rows:
+            if r["status"] == "ok" and (r["verdict"] != "structured" if nzd
+                                        else r["commensurability"] is not None):
+                cell, value = ((r["K"], r["x_size"]) if nzd
+                               else ((r["K"], r["L"]), r["commensurability"]))
+                table[cell] = max(table.get(cell, 0), value)
+        return {"empirical_N" if nzd else "empirical_C": table}
 
     @property
     def counterexamples(self):
@@ -244,7 +257,9 @@ class SweepReport:
             "kind": "sweep_report",
             "config": self.spec.render(),
             "rows": [dict(r) for r in self.rows],
-            "empirical": {str(k): v for k, v in self.empirical.items()},
+            "empirical": {name: {",".join(map(str, k)) if isinstance(k, tuple)
+                                 else str(k): v for k, v in table.items()}
+                          for name, table in self.empirical.items()},
         }
 
     def csv_columns(self):
@@ -287,24 +302,4 @@ def run_sweep(spec, jobs=1):
     else:
         rows = [_run_row(a) for a in inputs]
     rows.sort(key=lambda r: r["instance_id"])
-
-    empirical = {}
-    if spec.mode == "nzd":
-        n_by_k = {}
-        for r in rows:
-            if r["status"] != "ok" or "K" not in r:
-                continue
-            if r.get("verdict") != "structured":
-                k = r["K"]
-                n_by_k[k] = max(n_by_k.get(k, 0), r["x_size"])
-        empirical["empirical_N"] = n_by_k
-    else:
-        c_by_cell = {}
-        for r in rows:
-            if r["status"] != "ok" or r.get("commensurability") is None:
-                continue
-            cell = (r["K"], r["L"])
-            c_by_cell[cell] = max(c_by_cell.get(cell, 0),
-                                  r["commensurability"])
-        empirical["empirical_C"] = c_by_cell
-    return SweepReport(spec, rows, empirical)
+    return SweepReport(spec, rows)

@@ -176,7 +176,7 @@ def test_pos_char_search_exhaustive_flag():
     assert res.found.elements() <= res.core.elements()
     assert ax.is_subring(res.found) == (True, None)
     payload = res.to_json()
-    assert payload["schema_version"] == "2" and "containment_ok" not in payload
+    assert payload["schema_version"] == "3" and "containment_ok" not in payload
 
 
 def _closed_subsets_bruteforce(ring, box):
@@ -319,7 +319,7 @@ def test_verify_payload_rechecks_core_and_subring():
     assert verify_payload(payload)[0]
     payload["core_size"] -= 1
     ok, details = verify_payload(payload)
-    assert not ok and "core size" in details[0]
+    assert not ok and "core_size" in details[0]
 
     res = ax.pos_char_search(ax.parse_set(ax.modular(8), "{0,2,4,6}"))
     payload = res.to_json()
@@ -335,22 +335,18 @@ def test_verify_payload_rechecks_core_and_subring():
 def test_verify_payload_rechecks_the_hypothesis():
     # a report built by hand for zmod:8, which has zero divisors, claims
     # either hypothesis; nzd_classify itself raises on both
-    from apxring.classify import ClassificationReport, _core_is_subring, _verdict
+    from apxring.classify import classification_report
     from apxring.serialize import verify_payload
     x = ax.parse_set(ax.modular(8), "{0,1,7}")
     cert = ax.approx_constant(x, "ring")
     core = ax.core_set(x)
     comm = ax.commensurability(core, x)
-    subring_ok, violation = _core_is_subring(core)
-    k11 = cert.k ** 11
-    verdict = _verdict(len(x), 0, subring_ok, comm.constant, k11)
-    assert verdict == "structured"
     for hypothesis, why in (("ambient/exhaustive", "zero divisors 2·4 = 0"),
                             ("core-witnessed", "zero divisor inside the core")):
         with pytest.raises(ZeroDivisorError):
             ax.nzd_classify(x, small_threshold=0, hypothesis=hypothesis.split("/")[0])
-        report = ClassificationReport(x, cert.k, cert, core, subring_ok, violation,
-                                      comm.constant, k11, verdict, 0, hypothesis, comm)
+        report = classification_report(x, cert, core, comm, 0, hypothesis)
+        assert (report.verdict, report.core_is_subring) == ("structured", True)
         ok, details = verify_payload(report.to_json())
         assert not ok and why in details[0], details
 

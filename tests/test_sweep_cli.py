@@ -230,14 +230,19 @@ def test_verify_sweep_checks_row_fields():
         report = run_sweep(SweepSpec.parse(
             spec_text(mode=mode, rings=rings, max_size="4"))).to_json()
         rows = report["rows"]
-        found = next(r for r in rows if r.get("found", True))
-        assert verify_payload(dict(report, rows=[found]))[0]
+        i = next(i for i, r in enumerate(rows) if r.get("found", True))
+        found = rows[i]
+
+        def with_row(row):
+            return dict(report, rows=[*rows[:i], row, *rows[i + 1:]])
+
+        assert verify_payload(report)[0]
         # x in another order is the same set
         shuffled = dict(found, x=list(reversed(found["x"])))
-        assert verify_payload(dict(report, rows=[shuffled]))[0]
+        assert verify_payload(with_row(shuffled))[0]
         for key in fields[mode]:
             bad = dict(found, **{key: _bumped(found[key])})
-            ok, details = verify_payload(dict(report, rows=[bad]))
+            ok, details = verify_payload(with_row(bad))
             assert not ok and f": {key} " in details[0], (key, details)
 
 
@@ -411,6 +416,66 @@ def test_nzd_sweep_csv_golden():
         (data / "nzd_small.csv").read_text(encoding="utf-8")
     assert {r["_witness"]["hypothesis"] for r in report.rows} == \
         {"ambient/known-domain"}
+
+
+DATA = Path(__file__).parent / "data"
+# every subcommand that writes a payload, and one tampered copy of it
+_CLI_PAYLOADS = {
+    "approx": (["approx", "--ring", "zmod:7", "--set", "{0,1,6}"],
+               lambda p: dict(p, k=p["k"] + 1)),
+    "cover": (["cover", "--ring", "int", "--target", "{-2,-1,0,1,2}",
+               "--base", "{-1,0,1}"],
+              lambda p: dict(p, translates=p["translates"][:1])),
+    "growth": (["growth", "--ring", "int", "--set", "{-1,0,1}", "--n", "2",
+                "--covering"],
+               lambda p: dict(p, entries=[*p["entries"][:-1], dict(
+                   p["entries"][-1], covering=p["entries"][-1]["covering"] + 1)])),
+    "fact21": (["fact21", "--ring", "int", "--set", "{-1,0,1}", "--m", "2",
+                "--msum-m", "2"],
+               lambda p: dict(p, rows=[*p["rows"][:-1],
+                                       dict(p["rows"][-1], constructed_size=1)])),
+    "k11": (["k11", "--ring", "int", "--set", "{-1,0,1}"],
+            lambda p: dict(p, translates=["100"])),
+    "classify-nzd": (["classify", "--ring", "zmod:7", "--set", "{0,1,6}",
+                      "--small-threshold", "0"],
+                     lambda p: dict(p, verdict="small")),
+    "classify-poschar": (["classify", "--mode", "poschar", "--ring", "zmod:8",
+                          "--set", "{0,2,6}"],
+                         lambda p: dict(p, core_size=p["core_size"] + 1)),
+    "model": (["model", "--ring", "zmod:9", "--set", "{0,1,8}", "--ideal",
+               "{0,3,6}"],
+              lambda p: dict(p, max_genericity=p["max_genericity"] + 1)),
+    "gallery": (["gallery", "y-set", "--p", "3"],
+                lambda p: dict(p, expected="")),
+    **{f"sweep-{cfg}": (["sweep", "--config", str(DATA / f"{cfg}.cfg")],
+                        lambda p: dict(p, empirical={
+                            name: dict(table, **{"99": 1})
+                            for name, table in p["empirical"].items()}))
+       for cfg in ("nzd_small", "poschar_small")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CLI_PAYLOADS))
+def test_cli_json_output_verifies(name, tmp_path, capsys):
+    # the file each subcommand writes re-verifies with apx verify, and a
+    # copy with one claim changed fails
+    from apxring.cli import main
+    argv, tamper = _CLI_PAYLOADS[name]
+    out = tmp_path / "payload.json"
+    if argv[0] == "sweep":
+        argv = [*argv, "--json", str(out), "--csv", str(tmp_path / "rows.csv")]
+    else:
+        argv = [*argv, "--json", "--output", str(out)]
+    assert main(argv) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert verify_payload(payload)[0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(tamper(payload)), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", "--input", str(out)]) == 0
+    assert capsys.readouterr().out.endswith("VERIFIED\n")
+    assert main(["verify", "--input", str(bad)]) == 4
+    assert capsys.readouterr().out.endswith("FAILED\n")
 
 
 def test_cli_unreadable_input_exits_2(tmp_path, capsys):
