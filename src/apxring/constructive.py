@@ -12,12 +12,13 @@ The recursions are derivation-directed: every translate carries a formal
 term over X (tuple of words, word (x_0,..,x_k) evaluating to x_k···x_0)
 because the word induction multiplies covers by word prefixes — values
 alone cannot drive it.  Word covers chain C -> l·C + F; covers of sums
-of words accumulate left to right as C_new + G + F; the power-set step
-is F_{m+1} = G_m + F + F with G_m the union of the word-sum covers of
-the F_m derivations.  Intermediate sets are deduplicated by ring value
-(first term found in canonical order wins), capped by a budget, and the
-final witness is always re-verified — a verification failure here means
-an implementation bug and is surfaced, never corrected.
+of words accumulate left to right as (C_new + G) + F; the power-set
+step is F_{m+1} = (G_m + F) + F with G_m the union of the word-sum
+covers of the F_m derivations.  Every sum is taken two sets at a time
+by one capped sum of value -> term dicts: a value keeps the first term
+found in canonical order, a sum over the cap raises, and the final
+witness is always re-verified — a verification failure here means an
+implementation bug and is surfaced, never corrected.
 
 ``bound_formula_value`` reports the no-collapse size the recursion
 guarantees a priori (K per letter, products over summed words), which
@@ -34,6 +35,7 @@ from .errors import BudgetExceededError, VerificationFailedError
 from .sets import (
     FiniteSet,
     difference_set,
+    iterated_sum,
     msum,
     power_products,
     prodset,
@@ -52,22 +54,17 @@ def _require_ring_cert(cert):
 
 
 class _Builder:
-    """Shared state for one certificate: sorted F, memoized covers."""
+    """Shared state for one certificate: F with its terms, memoized covers."""
 
     def __init__(self, cert, cap=INTERMEDIATE_CAP):
-        self.cert = cert
         self.ring = cert.ring
         self.cap = cap
         self.k = cert.k
-        key = self.ring.sort_key
-        self.x_sorted = sorted(cert.x.elements(), key=key)
-        self.f_sorted = sorted(cert.witness_f.elements(), key=key)
-        self.f_terms = dict(cert.derivations)
+        self.key = self.ring.sort_key
+        self.x_least = min(cert.x.elements(), key=self.key, default=None)
+        self.f_cover = {f: cert.derivations[f] for f in cert.witness_f}
         self._word_memo = {}
         self._term_memo = {}
-
-    def _key(self, v):
-        return self.ring.sort_key(v)
 
     def _cap_check(self, d, what):
         if len(d) > self.cap:
@@ -75,97 +72,84 @@ class _Builder:
                 f"{what} exceeded the intermediate cap {self.cap}",
                 partial=FiniteSet(self.ring, d.keys()))
 
+    def _plus(self, d, e, what):
+        """d + e as a dict value -> term, a + b taking the term d[a] + e[b]:
+        the first pair in canonical order wins.  BudgetExceededError
+        names ``what`` when it has more than ``cap`` values."""
+        add = self.ring.add
+        out = {}
+        es = sorted(e, key=self.key)
+        for a in sorted(d, key=self.key):
+            for b in es:
+                v = add(a, b)
+                if v not in out:
+                    out[v] = d[a] + e[b]
+        self._cap_check(out, what)
+        return out
+
     def word_cover(self, word):
         """Cover of (x_{k}···x_0)X: base F, step l·C + F.
 
         Returns (dict value -> term, no-collapse count).
         """
-        if word in self._word_memo:
-            return self._word_memo[word]
-        ring = self.ring
-        if len(word) == 1:
-            d = {f: self.f_terms[f] for f in self.f_sorted}
-            count = self.k
-        else:
-            prev, prev_count = self.word_cover(word[:-1])
-            letter = word[-1]
-            d = {}
-            for c in sorted(prev, key=self._key):
-                lifted = tuple(w + (letter,) for w in prev[c])
-                lc = ring.mul(letter, c)
-                for f in self.f_sorted:
-                    v = ring.add(lc, f)
-                    if v not in d:
-                        d[v] = lifted + self.f_terms[f]
-            count = prev_count * self.k
-            self._cap_check(d, f"word cover of length {len(word)}")
-        self._word_memo[word] = (d, count)
-        return d, count
+        if word not in self._word_memo:
+            if len(word) == 1:
+                d, count = self.f_cover, self.k
+            else:
+                prev, prev_count = self.word_cover(word[:-1])
+                letter = word[-1]
+                lifted = {}
+                for c in sorted(prev, key=self.key):
+                    lifted.setdefault(self.ring.mul(letter, c),
+                                      tuple(w + (letter,) for w in prev[c]))
+                d = self._plus(lifted, self.f_cover,
+                               f"word cover of length {len(word)}")
+                count = prev_count * self.k
+            self._word_memo[word] = (d, count)
+        return self._word_memo[word]
 
     def term_cover(self, term):
         """Cover of (v_1 + ... + v_r)X for the words of a term.
 
-        Empty terms (the value 0) are covered by the single translate
+        The empty term (the value 0) is covered by the single translate
         -x_0 for the canonically least x_0 in X.  Sums accumulate left
-        to right: G -> C_new + G + F.
+        to right: G -> (C_new + G) + F.
         """
-        if term in self._term_memo:
-            return self._term_memo[term]
-        ring = self.ring
-        if len(term) == 0:
-            if not self.x_sorted:
-                out = ({}, 1)
+        if term not in self._term_memo:
+            if not term:
+                c = self.ring.neg(self.x_least)
+                d, count = {c: ((c,),)}, 1
             else:
-                c = ring.neg(self.x_sorted[0])
-                out = ({c: ((c,),)}, 1)
-            self._term_memo[term] = out
-            return out
-        d, count = self.word_cover(term[0])
-        for word in term[1:]:
-            cw, cw_count = self.word_cover(word)
-            new = {}
-            for cv in sorted(cw, key=self._key):
-                for g in sorted(d, key=self._key):
-                    part = ring.add(cv, g)
-                    for f in self.f_sorted:
-                        v = ring.add(part, f)
-                        if v not in new:
-                            new[v] = cw[cv] + d[g] + self.f_terms[f]
-            d = new
-            count = count * cw_count * self.k
-            self._cap_check(d, "word-sum cover")
-        self._term_memo[term] = (d, count)
-        return d, count
+                d, count = self.word_cover(term[0])
+            for word in term[1:]:
+                cw, cw_count = self.word_cover(word)
+                d = self._plus(self._plus(cw, d, "word-sum cover"), self.f_cover,
+                               "word-sum cover")
+                count *= cw_count * self.k
+            self._term_memo[term] = (d, count)
+        return self._term_memo[term]
 
     def f_sequence(self, m_max):
         """[F_1, .., F_{m_max}] as (dict value -> term, count) pairs.
 
-        F_1 = {0} with the empty term; F_{m+1} = G_m + F + F where
+        F_1 = {0} with the empty term; F_{m+1} = (G_m + F) + F where
         G_m unions the word-sum covers of the F_m derivations.
         """
         ring = self.ring
         seq = [({ring.zero(): ()}, 1)]
         while len(seq) < m_max:
-            fm, fm_count = seq[-1]
+            m = len(seq)
+            fm = seq[-1][0]
             gm = {}
             gm_count = 0
-            for g in sorted(fm, key=self._key):
+            for g in sorted(fm, key=self.key):
                 cov, cov_count = self.term_cover(fm[g])
                 gm_count += cov_count
-                for v in sorted(cov, key=self._key):
-                    if v not in gm:
-                        gm[v] = cov[v]
-            self._cap_check(gm, f"G_{len(seq)}")
-            nxt = {}
-            for c in sorted(gm, key=self._key):
-                for f1 in self.f_sorted:
-                    part = ring.add(c, f1)
-                    t1 = gm[c] + self.f_terms[f1]
-                    for f2 in self.f_sorted:
-                        v = ring.add(part, f2)
-                        if v not in nxt:
-                            nxt[v] = t1 + self.f_terms[f2]
-            self._cap_check(nxt, f"F_{len(seq) + 1}")
+                for v in sorted(cov, key=self.key):
+                    gm.setdefault(v, cov[v])
+            self._cap_check(gm, f"G_{m}")
+            nxt = self._plus(self._plus(gm, self.f_cover, f"G_{m} + F"),
+                             self.f_cover, f"F_{m + 1}")
             for v, t in nxt.items():
                 if eval_term(ring, t) != v:
                     raise VerificationFailedError(
@@ -234,9 +218,7 @@ def msum_cover(m, cert, cap=INTERMEDIATE_CAP):
         f_prime |= d.keys()
         count_prime += count
     f_prime_set = FiniteSet(ring, f_prime)
-    translates = f_prime_set
-    for _ in range(m - 1):
-        translates = sumset(translates, f_prime_set, cap)
+    translates = iterated_sum(f_prime_set, m, cap)
     for _ in range(m - 1):
         translates = sumset(translates, cert.witness_f, cap)
     target = msum(cert.x, m, cap)
@@ -261,9 +243,7 @@ def k11_cover(cert, cap=INTERMEDIATE_CAP):
         target = FiniteSet(ring, ())
         return make_witness(target, x, (), False, "constructive",
                             {"k_power": 0})
-    s = cert.witness_f
-    for _ in range(10):
-        s = sumset(s, cert.witness_f, cap)
+    s = iterated_sum(cert.witness_f, 11, cap)
     target = core_set(x, cap)
     bound = cert.k ** 11
     if len(s) > bound:

@@ -13,23 +13,24 @@ repeated runs reproduce witnesses bit for bit.
 
 The exact search stops as soon as its incumbent meets a lower bound.
 The target/translate incidence is built once per instance: a target
-mask per translate and a coverer list per target; the greedy cover
-alone counts on the lists and builds no masks.  Every translate lies
-in one of its connected components, found at most once per call, so a
+mask per translate and a coverer list per target.  One greedy, counted
+on the lists, gives both the greedy cover, which builds no masks, and
+the exact search's incumbent.  Every translate lies in one of the
+incidence's connected components, found at most once per call, so a
 cover needs the sum over components of each component's own bound.  A
 node is pruned by Σ_C ceil(|C ∖ covered| / |base|).  Every other bound
 is one vector of integer weights on the targets over a common
-denominator, evaluated exactly by one function, component by component,
-as a Lagrangian bound of the covering LP (Beasley 1990), so any weights
->= 0 give a valid bound: counting (w = 1 over |base|), cheap fractional
-(1 / largest translate holding the element), a greedy packing (targets
+denominator, evaluated exactly, component by component, as a Lagrangian
+bound of the covering LP (Beasley 1990), so any weights >= 0 give a
+valid bound: counting (w = 1 over |base|), cheap fractional (1 /
+largest translate holding the element), a greedy packing (targets
 pairwise in no common translate), and, only when the search stalls on
-an irregular instance, a subgradient ascent whose float weights are
-rounded before evaluation.  The weights travel with the witness, so
-``apx verify`` recomputes the components and re-checks the minimality
-claim instead of trusting it.  Covers of the whole finite ring by all
-its translates shift onto covers holding 0 + base, so that search
-starts from 0 + base.
+an irregular instance, a subgradient ascent whose float weights run
+through the same evaluator and are rounded before the exact one.  The
+weights travel with the witness, so ``apx verify`` recomputes the
+components and re-checks the minimality claim instead of trusting it.
+Covers of the whole finite ring by all its translates shift onto
+covers holding 0 + base, so that search starts from 0 + base.
 
 approx_constant certifies the minimal K with X*X ∪ (X+X) ⊆ F + X
 (ring mode; group mode drops the product part).  The translate pool is
@@ -46,7 +47,6 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-import operator
 import time
 from dataclasses import dataclass, field
 
@@ -59,6 +59,7 @@ from .errors import (
 from .rings import check_same_ring
 from .sets import (
     FiniteSet,
+    closure,
     difference_set,
     is_symmetric,
     negate,
@@ -148,11 +149,12 @@ def _incidence(a, b, pool):
     ring = a.ring
     targets = sorted(a.elements(), key=ring.sort_key)
     pool_sorted = sorted(pool.elements(), key=ring.sort_key)
-    rank = {t: r for r, t in enumerate(pool_sorted)}
+    rank = {t: r for r, t in enumerate(pool_sorted)}.get
     neg_b = [ring.neg(x) for x in b.elements()]
+    add = ring.add
     coverers = []
     for e in targets:
-        cov = [r for y in neg_b if (r := rank.get(ring.add(e, y))) is not None]
+        cov = [r for y in neg_b if (r := rank(add(e, y))) is not None]
         if not cov:
             raise UncoverableError(
                 f"{ring.render(e)} lies in no pool translate", element=e)
@@ -174,10 +176,8 @@ def _instance(a, b, pool):
 
 
 def cover_greedy(a, b, pool):
-    """Pick the translate covering most uncovered elements, ties toward
-    the smaller canonical encoding.  Lazy-decrement heap: coverage counts
-    only shrink as elements get covered, so stale entries are re-pushed.
-    """
+    """Greedy cover by ``_greedy_lists``: the translate covering most
+    uncovered elements, ties toward the smaller canonical encoding."""
     if len(b) == 0:
         raise UncoverableError("base set is empty")
     check_same_ring(a.ring, b.ring, pool.ring)
@@ -192,11 +192,12 @@ def cover_greedy(a, b, pool):
 
 
 def _greedy_lists(coverers, n_pool):
-    """``_greedy_ranks`` counted on lists: the same picks from the
-    coverer lists and each translate's target list, without masks.  A
-    pick costs the coverers of the targets it covers, not a pass over
-    every target, which pays on large targets; ``cover_exact`` has its
-    masks already and keeps the mask greedy."""
+    """Pool ranks in greedy pick order: the translate covering the most
+    uncovered targets, ties toward the lower rank, until every target is
+    covered.  Counted on the coverer lists and each translate's target
+    list, with a lazy-decrement heap: counts only shrink, so a stale
+    entry is re-pushed.  A pick costs the coverers of the targets it
+    covers, not a pass over every target."""
     members = [[] for _ in range(n_pool)]
     for i, cov in enumerate(coverers):
         for r in cov:
@@ -215,7 +216,7 @@ def _greedy_lists(coverers, n_pool):
             continue
         chosen.append(r)
         left -= fresh[r]
-        for i in members[r]:
+        for i in members[r] if left else ():    # the last pick updates nothing
             if not covered[i]:
                 covered[i] = 1
                 for q in coverers[i]:
@@ -223,31 +224,12 @@ def _greedy_lists(coverers, n_pool):
     return chosen
 
 
-def _greedy_ranks(masks, full):
-    """Pool ranks in greedy pick order; ``masks`` must reach ``full``."""
-    heap = [(-m.bit_count(), rank) for rank, m in enumerate(masks) if m]
-    heapq.heapify(heap)
-    covered = 0
-    chosen = []
-    while covered != full:
-        while True:
-            negcnt, rank = heapq.heappop(heap)
-            fresh = (masks[rank] & ~covered).bit_count()
-            if fresh == -negcnt:
-                break
-            if fresh:
-                heapq.heappush(heap, (-fresh, rank))
-        covered |= masks[rank]
-        chosen.append(rank)
-    return chosen
-
-
 def cover_exact(a, b, pool, node_limit=DEFAULT_NODE_LIMIT):
     """Minimum-cardinality cover of a by pool translates of b.
 
-    Depth-first branch and bound from the greedy incumbent, replaced by
-    the cover of ``_dive`` when the root bound leaves greedy unproven
-    and the dive is strictly smaller.  A node branches on its first
+    Depth-first branch and bound from the greedy cover's picks
+    (``_greedy_lists``), replaced by the cover of ``_dive`` when the
+    root bound leaves greedy unproven and the dive is strictly smaller.  A node branches on its first
     uncovered target in one order fixed per call, fewest coverers first
     (ties toward the lower index), and tries its coverers by most
     uncovered targets (ties toward the lower rank).  Every coverer of an
@@ -282,7 +264,7 @@ def cover_exact(a, b, pool, node_limit=DEFAULT_NODE_LIMIT):
     n_targets = len(targets)
     base_size = len(b)
 
-    best = _greedy_ranks(masks, full)
+    best = _greedy_lists(coverers, len(pool_sorted))
     cutoff = len(best)
     # counting over all targets alone closes many small instances, and
     # then the components are not needed
@@ -429,21 +411,40 @@ def _components(masks, n_targets):
 # is evaluated in integers.
 
 
-def _weights_floor(weights, d, coverers, masks, label):
-    """The bound above for integer ``weights`` (one per target index),
-    with ``label`` the component index of each target."""
-    load = [0] * len(masks)
-    net = [0] * (max(label, default=-1) + 1)
-    for e, w in enumerate(weights):
-        if w:
-            net[label[e]] += w
-            for r in coverers[e]:
-                load[r] += w
-    rows = {m: r for r, m in enumerate(masks)}      # equal masks are one row
-    for m, r in rows.items():
-        if load[r] > d:
-            net[label[(m & -m).bit_length() - 1]] -= load[r] - d
-    return sum(max(1, -(-v // d)) for v in net)
+def _evaluator(coverers, masks, label):
+    """evaluate(weights, d) -> (net, value, over) for weights w_e >= 0,
+    one per target index, ints or floats, over d.  A row's excess is
+    max(0, w(row) − d); net[c] is the numerator of the bound above for
+    the component with index c in ``label``, its weights less its rows'
+    excess, value is the same over all targets, and over[r] is 1 for the
+    ranks r of the rows with an excess.  The distinct rows are found
+    once, here."""
+    rows = {m: r for r, m in enumerate(masks)}.items()  # equal masks: one row
+    n_pool, n_parts = len(masks), max(label, default=-1) + 1
+
+    def evaluate(weights, d):
+        load = [0] * n_pool
+        net = [0] * n_parts
+        for e, w in enumerate(weights):
+            if w:
+                net[label[e]] += w
+                for r in coverers[e]:
+                    load[r] += w
+        value, over = sum(weights), bytearray(n_pool)
+        for m, r in rows:
+            if load[r] > d:
+                net[label[(m & -m).bit_length() - 1]] -= load[r] - d
+                value -= load[r] - d
+                over[r] = 1
+        return net, value, over
+
+    return evaluate
+
+
+def _weights_floor(weights, d, evaluate):
+    """The bound above for integer ``weights`` over d, by an evaluator of
+    ``_evaluator``."""
+    return sum(max(1, -(-v // d)) for v in evaluate(weights, d)[0])
 
 
 def lagrangian_floor(target, base, weights, d):
@@ -459,7 +460,7 @@ def lagrangian_floor(target, base, weights, d):
         target, base, difference_set(target, base))
     w = [weights.get(e, 0) for e in targets]
     _parts, label = _components(masks, len(targets))
-    return _weights_floor(w, d, coverers, masks, label)
+    return _weights_floor(w, d, _evaluator(coverers, masks, label))
 
 
 def _counting(parts, base_size):
@@ -496,7 +497,10 @@ def _root_floor(coverers, masks, base_size, cutoff, parts, label):
     big = [max(map(sizes.__getitem__, cov)) for cov in coverers]
     d = math.lcm(*set(big))
     w = [d // s for s in big]
-    cheap = (_weights_floor(w, d, coverers, masks, label), w, d)
+    net = [0] * len(parts)
+    for e, we in enumerate(w):
+        net[label[e]] += we
+    cheap = (sum(max(1, -(-v // d)) for v in net), w, d)
     bound = max(bound, cheap, key=lambda t: t[0])
     if bound[0] >= cutoff:
         return bound
@@ -522,34 +526,20 @@ def _ascent(coverers, masks, floor, cutoff, label):
     from u_e = 1 / (largest mask holding e), Polyak steps towards
     ``cutoff``.  Whenever the float bound, summed over the components
     that ``label`` gives each target, passes ``floor``, u is rounded
-    down to d = 2^30 and evaluated in integers.  Returns the best
-    (floor, weights, d) above ``floor``, or None.
+    down to d = 2^30 and evaluated in integers by the same evaluator.
+    Returns the best (floor, weights, d) above ``floor``, or None.
     """
-    n_parts = max(label) + 1
+    evaluate = _evaluator(coverers, masks, label)
     sizes = [m.bit_count() for m in masks]
     u = [1.0 / max(map(sizes.__getitem__, cov)) for cov in coverers]
-    rows = {m: r for r, m in enumerate(masks)}
     d = 1 << 30
     found = None
     scale, best_value, stalled = 2.0, float("-inf"), 0
     for _ in range(200):
-        load = [0.0] * len(masks)
-        net = [0.0] * n_parts
-        for e, ue in enumerate(u):
-            if ue:
-                net[label[e]] += ue
-                for r in coverers[e]:
-                    load[r] += ue
-        over = bytearray(len(masks))
-        value = sum(u)
-        for m, r in rows.items():
-            if load[r] > 1.0:
-                over[r] = 1
-                value += 1.0 - load[r]
-                net[label[(m & -m).bit_length() - 1]] += 1.0 - load[r]
+        net, value, over = evaluate(u, 1.0)
         if sum(max(1, math.ceil(v - 1e-9)) for v in net) > floor:
             w = [int(ue * d) for ue in u]
-            exact = _weights_floor(w, d, coverers, masks, label)
+            exact = _weights_floor(w, d, evaluate)
             if exact > floor:
                 floor = exact
                 found = (floor, w, d)
@@ -736,66 +726,42 @@ def _derive_term(x, value):
 
 
 def _closure_term_search(x, value, budget=20000):
-    """Term over X for ``value`` from a breadth-first closure of X under
-    −, + and ·, or None when the closure completes without it.
+    """Term over X for ``value`` from ``closure``'s record of how it first
+    made each value, or None when the closure completes without it.
 
-    Each value keeps only how it was first made, and the term is built
-    for ``value`` alone from that record, since whole terms grow
-    exponentially with the round.  Raises BudgetExceededError as soon as
-    ``budget`` values are known and the closure needs more.
+    The closure runs under budgets 2·|X|, 4·|X|, .. up to ``budget``, so
+    the search ends soon after ``value`` arrives.  The term is built for
+    ``value`` alone, as whole terms grow exponentially with the round.
+    −a flips the head letter of each word of a, which stays in X as X is
+    symmetric wherever terms are built; a·b puts b's words before a's.
+    BudgetExceededError when ``budget`` values come before ``value``.
     """
     ring = x.ring
-    how = dict.fromkeys(x.elements())        # value -> None for a letter
-    frontier = list(how)
-    while frontier and value not in how:
-        known = list(how)
-        new = []
-        for v, step in _closure_steps(ring, frontier, known):
-            if v in how:
-                continue
-            if len(how) >= budget:
-                raise BudgetExceededError(
-                    f"closure search for {ring.render(value)} passed "
-                    f"{budget} elements")
-            how[v] = step
-            if v == value:
-                break
-            new.append(v)
-        frontier = new
-    if value not in how:
-        return None
-    terms = {}
+    size = len(x)
+    while True:
+        size = min(2 * size, budget)
+        result = closure(x, size)
+        how = result.how
+        if value in how:
+            break
+        if result.complete:
+            return None
+        if size == budget:
+            raise BudgetExceededError(
+                f"closure search for {ring.render(value)} passed {budget} elements")
 
+    @functools.cache
     def term(v):
-        if v not in terms:
-            step = how[v]
-            terms[v] = ((v,),) if step is None else step[0](*map(term, step[1:]))
-        return terms[v]
+        step = how[v]
+        if step is None:
+            return ((v,),)
+        if step[0] == "neg":
+            return tuple(w[:-1] + (ring.neg(w[-1]),) for w in term(step[1]))
+        if step[0] == "add":
+            return term(step[1]) + term(step[2])
+        return tuple(u + w for w in term(step[1]) for u in term(step[2]))
 
     return term(value)
-
-
-def _closure_steps(ring, frontier, known):
-    """(value, (combine, a[, b])) for −a, a + b, a·b and b·a; ``combine``
-    maps the operands' terms to the value's term."""
-    neg = functools.partial(_neg_term, ring)
-    for a in frontier:
-        yield ring.neg(a), (neg, a)
-        for b in known:
-            yield ring.add(a, b), (operator.add, a, b)
-            yield ring.mul(a, b), (_mul_terms, a, b)
-            yield ring.mul(b, a), (_mul_terms, b, a)
-
-
-def _neg_term(ring, term):
-    # -(sum of words) flips each word's head letter; heads are X-letters
-    # and X is symmetric wherever terms are built, so words stay over X
-    return tuple(word[:-1] + (ring.neg(word[-1]),) for word in term)
-
-
-def _mul_terms(ta, tb):
-    # (sum w_i)(sum v_j) = sum of concatenated words v_j ++ w_i
-    return tuple(v + w for w in ta for v in tb)
 
 
 def approx_constant(x, mode="ring", exact=True, node_limit=DEFAULT_NODE_LIMIT):

@@ -14,8 +14,9 @@ Every element has one canonical encoding, and a set holds no other:
 ``sets.FiniteSet`` hands every set it builds to ``Ring.check_elements``,
 which raises ValueError naming the first element that is not one.
 Finite backends look each element up in their dense indexing (Z/nZ and
-table rings test only the least and the greatest int), F_p[t] tests each
-coefficient tuple, and Z checks nothing: every int is canonical.
+table rings test that every element is an int, then the least and the
+greatest), F_p[t] tests each coefficient tuple, and Z tests that every
+element is an int.
 
 Ring DSL, one line per ring:
 
@@ -304,7 +305,8 @@ def check_same_ring(ring, *others):
 
 class _RangeRing(Ring):
     """Finite backend whose encodings are the ints 0..n-1, index = value,
-    so the least and the greatest element decide a set's check."""
+    so once every element is an int the least and the greatest decide a
+    set's check."""
 
     def zero(self):
         return 0
@@ -320,8 +322,10 @@ class _RangeRing(Ring):
         return x
 
     def check_elements(self, elems):
+        IntegerRing.check_elements(self, elems)         # every element an int
         for x in (min(elems), max(elems)) if elems else ():
-            self.index_of(x)
+            if not 0 <= x < self.n:
+                self.index_of(x)                        # raises, naming x
 
     def render(self, x):
         return str(x)
@@ -381,7 +385,15 @@ class IntegerRing(Ring):
         return (abs(x), 0 if x >= 0 else 1)
 
     def check_elements(self, elems):
-        pass                     # every int is canonical
+        # every int is canonical.  A sum of ints is an int, so one sum, a
+        # quarter of a type pass on small sets, tests them all
+        try:
+            ints = type(sum(elems)) is int
+        except TypeError:
+            ints = False
+        for x in () if ints else elems:
+            if not isinstance(x, int):
+                raise ValueError(f"{x!r} is not an element of {self.descriptor}")
 
     def parse(self, text):
         s = text.strip()

@@ -27,7 +27,7 @@ from .classify import (
     gallery,
     is_subring,
 )
-from .constructive import fact21_report
+from .constructive import bound_table, fact21_report
 from .cover import (
     ApproxCertificate,
     CommensurabilityResult,
@@ -205,7 +205,7 @@ def _verify_sweep(payload):
         ok, det = verify_payload(w)
         if ok:
             det = [f"{key} {row.get(key)!r} differs from the witness's {value!r}"
-                   for key, value in row_fields(w).items()
+                   for key, value in row_fields(w, parse_ring(w["ring"])).items()
                    if (sorted(row.get(key, ())) != sorted(value) if key == "x"
                        else row.get(key) != value)]
         if det:     # the witness's failure, or the row's first wrong field
@@ -216,16 +216,16 @@ def _verify_sweep(payload):
         SweepSpec.parse(payload["config"]), rows).to_json(), payload)
 
 
-def _verify_fact21(payload):
-    """The certificate verifies, and the rows and msum cover re-derive
-    from it."""
-    ok, details, cert = _certificate(payload["certificate"])
-    if not ok:
-        return False, details
-    msum_m = payload["msum"]["stats"]["m"] if "msum" in payload else 0
-    ok, det = _rebuilt("fact21_report", lambda: fact21_report(
-        cert, len(payload["rows"]), msum_m), payload)
-    return ok, details + det if ok else det
+def _from_certificate(name, build):
+    """Verifier of a payload whose certificate must verify and which
+    ``build(payload, cert)`` must re-derive from that certificate."""
+    def verify(payload):
+        ok, details, cert = _certificate(payload["certificate"])
+        if not ok:
+            return False, details
+        ok, det = _rebuilt(name, lambda: build(payload, cert), payload)
+        return ok, details + det if ok else det
+    return verify
 
 
 def _verify_gallery(payload):
@@ -253,8 +253,10 @@ _VERIFIERS = {
     "classification_report": _verify_classification,
     "subring_search": _verify_subring_search,
     "sweep_report": _verify_sweep,
-    "constructive_report": lambda p: _cover_witness(p["witness"])[:2],
-    "fact21_report": _verify_fact21,
+    "constructive_report": _from_certificate("constructive_report", lambda p, cert: (
+        bound_table(cert, p["m"])[p["m"] - 1].to_json())),
+    "fact21_report": _from_certificate("fact21_report", lambda p, cert: fact21_report(
+        cert, len(p["rows"]), p["msum"]["stats"]["m"] if "msum" in p else 0)),
     "gallery_item": _verify_gallery,
     "model_check": _verify_model,
     "growth_profile": _verify_growth,

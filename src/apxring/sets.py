@@ -33,7 +33,7 @@ typed BudgetExceededError so parameter sweeps can skip rather than die.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, compress
 
 from .errors import BudgetExceededError, CrossRingError, ParseError
@@ -397,6 +397,9 @@ class ClosureResult:
     generated: FiniteSet | None      # None when the budget ran out
     complete: bool
     partial: FiniteSet | None = None
+    # value -> None for a generator, else ("neg", a), ("add", a, b) or
+    # ("mul", a, b) for a·b: how the search first made it
+    how: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def set(self):
@@ -406,29 +409,35 @@ class ClosureResult:
 def closure(gens, budget=DEFAULT_SET_CAP):
     """Smallest subset containing gens and closed under +, -, *.
 
-    Budget overrun is a normal outcome carrying the partial set, not an
-    error; on a finite ring any budget >= |R| completes.
+    Breadth-first: each round negates the values the last round found
+    and combines them with every known value by a + b, a·b and b·a;
+    ``how`` records how each value was first made.  The budget is
+    checked as values arrive: an overrun is a normal outcome carrying
+    the first ``budget`` values, not an error, and on a finite ring any
+    budget >= |R| completes.
     """
     ring = gens.ring
     if budget < len(gens):
         raise ValueError("budget smaller than the generating set")
-    current = set(gens.elements())
-    frontier = set(current)
+    add, mul = ring.add, ring.mul
+    how = dict.fromkeys(gens.elements())
+    frontier = list(how)
     while frontier:
-        new = set()
+        known = list(how)
+        new = []
         for a in frontier:
-            na = ring.neg(a)
-            if na not in current:
-                new.add(na)
-        for a in frontier:
-            for b in current:
-                for v in (ring.add(a, b), ring.mul(a, b), ring.mul(b, a)):
-                    if v not in current:
-                        new.add(v)
-        new -= current
-        current |= new
-        if len(current) > budget:
-            return ClosureResult(None, False, FiniteSet(ring, current))
+            made = [(ring.neg(a), ("neg", a))]
+            for b in known:
+                s, p, q = add(a, b), mul(a, b), mul(b, a)
+                if s not in how or p not in how or q not in how:
+                    made += ((s, ("add", a, b)), (p, ("mul", a, b)),
+                             (q, ("mul", b, a)))
+            for v, step in made:
+                if v not in how:
+                    if len(how) == budget:
+                        return ClosureResult(None, False, FiniteSet(ring, how), how)
+                    how[v] = step
+                    new.append(v)
         frontier = new
-    return ClosureResult(FiniteSet(ring, current), True)
+    return ClosureResult(FiniteSet(ring, how), True, None, how)
 

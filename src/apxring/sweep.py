@@ -204,7 +204,7 @@ def _run_row(args):
                                    cert=cert).to_json()
         else:
             witness = pos_char_search(x, exact=exact).to_json()
-        row.update(row_fields(witness), _witness=witness)
+        row.update(row_fields(witness, ring), _witness=witness)
     except BudgetExceededError as exc:
         row["status"] = f"budget-exceeded: {exc}"
     except ApxError as exc:
@@ -212,10 +212,11 @@ def _run_row(args):
     return row
 
 
-def row_fields(w):
-    """The fields a sweep row takes from its witness payload ``w``."""
+def row_fields(w, ring):
+    """The fields a sweep row takes from its witness payload ``w`` and
+    ``ring``, the ring ``w`` names (``L``, its characteristic)."""
     row = {"ring": w["ring"], "x": tuple(w["x"]), "x_size": len(w["x"]),
-           "core_size": w["core_size"]}
+           "L": ring.characteristic, "core_size": w["core_size"]}
     if w["kind"] == "classification_report":
         row.update(K=w["k"], verdict=w["verdict"],
                    core_is_subring=w["core_is_subring"],

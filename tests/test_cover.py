@@ -247,6 +247,13 @@ def test_certificate_fallback_budget_and_unreachable():
     # the closure of {0} completes at once without 1: a proven no
     with pytest.raises(VerificationFailedError, match="not reachable"):
         ax.certificate_from_f(FiniteSet(Z, [0]), [1])
+    # over Z/10007 the search stops soon after the value arrives, long
+    # before the closure, the whole ring, completes
+    from apxring.cover import _closure_term_search
+    start = time.perf_counter()
+    x = FiniteSet(ax.modular(10007), [0, 1, 10006])
+    assert eval_term(x.ring, _closure_term_search(x, 5000)) == 5000
+    assert time.perf_counter() - start < 1.0
 
 
 def test_closure_term_search_noncommutative():
@@ -403,9 +410,10 @@ def test_instance_masks_match_the_pool_first_oracle():
     assert 30 < raised < 270
 
 
-def test_list_greedy_picks_the_mask_greedy_ranks():
-    # cover_greedy counts on lists, cover_exact's incumbent on masks:
-    # the same picks in the same order, ties included
+def test_greedy_lists_picks_most_fresh_targets_lowest_rank():
+    # the one greedy, behind cover_greedy and cover_exact's incumbent,
+    # against a plain oracle: the translate covering most uncovered
+    # targets, ties toward the lower rank, until all are covered
     from apxring import cover
     rng = random.Random(23)
     instances = [_random_instance(rng) for _ in range(200)]
@@ -415,10 +423,14 @@ def test_list_greedy_picks_the_mask_greedy_ranks():
     x = iset(-2, 2)
     instances.append((ax.growth_sequence(x, 2).entries[2].xset, x))
     for a, b in instances:
-        _t, pool_sorted, coverers, masks, full = cover._instance(
+        _t, pool_sorted, coverers, masks, left = cover._instance(
             a, b, difference_set(a, b))
-        assert (cover._greedy_lists(coverers, len(pool_sorted))
-                == cover._greedy_ranks(masks, full)), (a, b)
+        expected = []
+        while left:
+            r = max(range(len(masks)), key=lambda r: ((masks[r] & left).bit_count(), -r))
+            expected.append(r)
+            left &= ~masks[r]
+        assert cover._greedy_lists(coverers, len(pool_sorted)) == expected, (a, b)
 
 
 def _one_ceiling(target, base, weights, d):
@@ -490,7 +502,8 @@ def test_lower_bound_oracle():
         if raised is not None:
             floor, aw, ad = raised
             assert floor <= k
-            assert cover._weights_floor(aw, ad, coverers, masks, label) == floor
+            assert cover._weights_floor(
+                aw, ad, cover._evaluator(coverers, masks, label)) == floor
 
 
 def test_lower_bound_evaluator_charges_overloaded_rows():

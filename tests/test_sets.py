@@ -147,13 +147,23 @@ def test_closure_examples():
     r = ax.closure(FiniteSet(Z, [1]), budget=100)
     assert not r.complete and r.partial is not None
     assert 1 in r.partial and -1 in r.partial
+    # the budget binds as values arrive: the first 100 are kept
+    assert len(r.partial) == len(r.how) == 100
 
 
 def test_closure_matches_brute_force_small():
     # smallest closed superset by exhaustive subset enumeration, |R| <= 16
     for ring, gens in ((ax.modular(8), (2,)), (ax.modular(12), (4, 6)),
                        (ax.modular(16), (4,)), (ax.modular(9), (3,))):
-        got = ax.closure(FiniteSet(ring, gens)).set
+        r = ax.closure(FiniteSet(ring, gens))
+        got = r.set
+        # each value records how it was first made from values found before
+        ops = {"neg": ring.neg, "add": ring.add, "mul": ring.mul}
+        seen = set()
+        for v, step in r.how.items():
+            assert v in gens if step is None else (
+                set(step[1:]) <= seen and ops[step[0]](*step[1:]) == v)
+            seen.add(v)
         n = ring.cardinality
         best = None
         others = [e for e in ring.elements() if e not in gens]
@@ -272,7 +282,7 @@ def test_finite_set_checks_elements_on_every_backend():
         "mat:2:zmod:3": [((0, 3), (0, 0))],
         "mat:2:zmod:5": [((0, 5), (0, 0)), ((0, 1),)],         # above the table limit
         "prod:(zmod:2,zmod:3)": [(1, 3), (1,)],
-        "int": [],
+        "int": [0.5, "a", 2.0],
     }
     rings = [ax.parse_ring(d) for d in rejected] + [ax.zero_multiplication_ring(8)]
     rejected[rings[-1].descriptor] = [9, -1]
@@ -293,6 +303,12 @@ def test_finite_set_checks_elements_on_every_backend():
                 FiniteSet(ring, [ring.zero(), bad])
             with pytest.raises(ValueError, match=message):
                 ax.translate(bad, x)
+    # a bad element that is neither the least nor the greatest is named too
+    for ring, elems in ((ax.modular(7), [0, 2.5, 6]), (rings[-1], [0, "a", 7]),
+                        (ax.integers(), [-3, 0.5, 4])):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{elems[1]!r} is not an element of {ring.descriptor}")):
+            FiniteSet(ring, elems)
 
 
 def _growth_step_by_pairs(x):

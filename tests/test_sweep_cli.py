@@ -222,9 +222,9 @@ def _bumped(value):
 def test_verify_sweep_checks_row_fields():
     # a row field the CSV prints must equal its witness's value; tampering
     # the field, not the witness, fails the report
-    fields = {"nzd": ("ring", "x", "x_size", "K", "verdict", "core_size",
+    fields = {"nzd": ("ring", "x", "x_size", "L", "K", "verdict", "core_size",
                       "core_is_subring", "commensurability", "k11_bound"),
-              "poschar": ("ring", "x", "x_size", "strategy", "exhaustive",
+              "poschar": ("ring", "x", "x_size", "L", "strategy", "exhaustive",
                           "found", "s_size", "commensurability", "core_size")}
     for mode, rings in (("nzd", "zmod:5, zmod:7"), ("poschar", "zmod:4, zmod:8")):
         report = run_sweep(SweepSpec.parse(
@@ -323,10 +323,14 @@ def test_cli_growth_and_cover_and_fact21():
     assert code == 0 and ok, details
     far = {"translates": ["100"]}         # covers nothing near the target
     rows = payload["rows"]
+    # a row verifies alone too, re-derived from its certificate
+    ok, details = verify_payload(rows[1])
+    assert ok and details[-1] == "constructive_report re-derived", details
     for bad in (dict(payload, msum=dict(payload["msum"], **far)),
                 dict(payload, rows=[rows[0], dict(rows[1], witness=dict(
                     rows[1]["witness"], **far))]),
-                dict(payload, certificate=dict(payload["certificate"], k=1))):
+                dict(payload, certificate=dict(payload["certificate"], k=1)),
+                dict(rows[1], exact_size=rows[1]["exact_size"] + 1)):
         assert not verify_payload(bad)[0]
 
 
