@@ -121,7 +121,7 @@ def find_zero_divisor(ring):
         return None, "known-domain"
     if not ring.is_finite:
         raise InfiniteRingError(
-            f"no zero-divisor oracle for {ring.descriptor}")
+            f"no zero-divisor oracle for {ring}")
     zero = ring.zero()
     if ring.cardinality <= _ZD_EXHAUSTIVE:
         for a in ring.elements():

@@ -71,7 +71,7 @@ def _cmd_approx(args):
     x = _load_set(ring, args.set)
     cert = approx_constant(x, args.mode, exact=not args.greedy)
     _emit(args, cert.to_json(), [
-        f"ring: {ring.descriptor}",
+        f"ring: {ring}",
         f"|X| = {len(x)}  mode = {cert.mode}",
         f"K = {cert.k}  minimal = {cert.minimal}",
         "F = " + cert.witness_f.render(),
@@ -194,7 +194,7 @@ def _cmd_gallery(args):
         params["d"] = args.d
     item = gallery(args.name, **params)
     _emit(args, item.to_json(), [
-        f"{item.name} in {item.ring.descriptor}: {len(item.xset)} elements",
+        f"{item.name} in {item.ring}: {len(item.xset)} elements",
         item.xset.render(),
         f"expected: {item.expected}",
     ])

@@ -18,7 +18,9 @@ table rings test that every element is an int, then the least and the
 greatest), F_p[t] tests each coefficient tuple, and Z tests that every
 element is an int.
 
-Ring DSL, one line per ring:
+Ring DSL, one line per ring.  A descriptor is its ring's identity,
+``parse_ring(r.descriptor) == r`` on every backend, and ``str(ring)``
+shows at most 64 characters of it:
 
     zmod:<n>              integers mod n, n >= 2
     gf:<p>^<k>:<poly>     Galois field F_{p^k}, irreducible monic <poly>
@@ -27,9 +29,11 @@ Ring DSL, one line per ring:
     prod:(<dsl>,<dsl>,..) finite product ring
     int                   the integers (lazy)
     poly:<p>              F_p[t] (lazy)
-    table:@<path>         Cayley tables from a text file: first line n,
-                          then n lines of the addition table and n lines
-                          of the multiplication table (index entries)
+    table:<n>:<add>:<mul> Cayley tables on 0..n-1, each one's entries row
+                          by row in hex, a byte each (two, big-endian, if n > 256)
+    table:@<path>         the same from a text file: first line n, then
+                          n lines of the addition table and n lines of
+                          the multiplication table (index entries)
 
 Element grammar: optionally signed integers for zmod/int; polynomials in
 t with ^ for powers and integer coefficients ("t^2+2t+1"); matrices as
@@ -61,6 +65,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import struct
 
 from .errors import (
     CrossRingError,
@@ -227,7 +232,7 @@ class Ring:
     Subclasses define ``add``/``neg``/``mul``/``zero`` on canonical
     encodings, plus encoding <-> dense index maps for finite backends.
     ``descriptor`` is the canonical DSL string and doubles as the
-    identity used by cross-ring checks.
+    identity used by cross-ring checks; ``str`` cuts it short.
     """
 
     descriptor = None
@@ -258,14 +263,14 @@ class Ring:
     def elements(self):
         """All elements in dense-index order, zero first (finite only)."""
         if not self.is_finite:
-            raise InfiniteRingError(f"{self.descriptor} is infinite")
+            raise InfiniteRingError(f"{self} is infinite")
         return (self.element_at(i) for i in range(self.cardinality))
 
     def element_at(self, i):
-        raise InfiniteRingError(f"{self.descriptor} has no dense indexing")
+        raise InfiniteRingError(f"{self} has no dense indexing")
 
     def index_of(self, x):
-        raise InfiniteRingError(f"{self.descriptor} has no dense indexing")
+        raise InfiniteRingError(f"{self} has no dense indexing")
 
     def sort_key(self, x):
         """Total order on encodings; dense index on finite backends."""
@@ -291,16 +296,19 @@ class Ring:
     def __hash__(self):
         return hash(self.descriptor)
 
+    def __str__(self):
+        d = self.descriptor
+        return d if len(d) <= 64 else d[:61] + "..."
+
     def __repr__(self):
         card = self.cardinality if self.is_finite else "inf"
-        return f"<Ring {self.descriptor} |R|={card} char={self.characteristic}>"
+        return f"<Ring {self} |R|={card} char={self.characteristic}>"
 
 
 def check_same_ring(ring, *others):
     for o in others:
         if o != ring:
-            raise CrossRingError(
-                f"operands mix rings {ring.descriptor} and {o.descriptor}")
+            raise CrossRingError(f"operands mix rings {ring} and {o}")
 
 
 class _RangeRing(Ring):
@@ -318,7 +326,7 @@ class _RangeRing(Ring):
 
     def index_of(self, x):
         if not isinstance(x, int) or not 0 <= x < self.n:
-            raise ValueError(f"{x!r} is not an element of {self.descriptor}")
+            raise ValueError(f"{x!r} is not an element of {self}")
         return x
 
     def check_elements(self, elems):
@@ -393,7 +401,7 @@ class IntegerRing(Ring):
             ints = False
         for x in () if ints else elems:
             if not isinstance(x, int):
-                raise ValueError(f"{x!r} is not an element of {self.descriptor}")
+                raise ValueError(f"{x!r} is not an element of {self}")
 
     def parse(self, text):
         s = text.strip()
@@ -414,8 +422,7 @@ class _TupleRing(Ring):
     and call ``_tabulate`` once their descriptor is set.  ``add``,
     ``neg`` and ``mul`` stay methods of the class on both paths, so
     wrapping them on the class sees every call.  The tables are shared
-    by descriptor, the identity ``Ring.__eq__`` already uses; so a ring
-    over a named ``TableRing`` relies on the name meaning one table.
+    by descriptor, the identity ``Ring.__eq__`` already uses.
     """
 
     _index = None                # encoding -> index; None: raw arithmetic
@@ -430,7 +437,7 @@ class _TupleRing(Ring):
 
     def _not_element(self, *operands):
         bad = next(x for x in operands if x not in self._index)
-        return ValueError(f"{bad!r} is not an element of {self.descriptor}")
+        return ValueError(f"{bad!r} is not an element of {self}")
 
     def add(self, x, y):
         index = self._index
@@ -471,7 +478,7 @@ class _TupleRing(Ring):
         try:
             return self._index_of_raw(x) if index is None else index[x]
         except (KeyError, TypeError, ValueError):
-            raise ValueError(f"{x!r} is not an element of {self.descriptor}") from None
+            raise ValueError(f"{x!r} is not an element of {self}") from None
 
     def check_elements(self, elems):
         if self._index is None:
@@ -601,7 +608,7 @@ class LazyPolyRing(Ring):
                     and 0 not in (x[-1] for x in elems if x):
                 return
         bad = next(x for x in elems if not _is_poly(x, self.p))
-        raise ValueError(f"{bad!r} is not an element of {self.descriptor}")
+        raise ValueError(f"{bad!r} is not an element of {self}")
 
     def parse(self, text):
         return _poly_parse(text, self.p)
@@ -760,37 +767,25 @@ class TableRing(_RangeRing):
     the additive group, |G| <= log2 n); ``subring_table`` and
     ``quotient_ring`` build rings by construction and skip that check.
 
-    The descriptor is ``table:<n>:<name>``.  Unnamed tables, and the
-    rings ``subring_table`` and ``quotient_ring`` build, carry a hash of
-    the tables in it, so rings with different tables compare unequal.
+    The descriptor spells out both tables (``table:2:00010100:00000001``
+    is F_2), so two table rings are equal exactly when their tables are.
     """
 
-    def __init__(self, add_table, mul_table, name=None):
+    def __init__(self, add_table, mul_table):
         n = len(add_table)
         if n < 1 or len(mul_table) != n:
             raise RingConstructionError("tables must be square and same size")
-        for tbl, label in ((add_table, "addition"), (mul_table, "multiplication")):
-            for row in tbl:
-                if len(row) != n or any(not 0 <= v < n for v in row):
-                    raise RingConstructionError(
-                        f"{label} table entries must be indices in 0..{n - 1}")
+        self.descriptor = (f"table:{n}:{_table_hex(add_table, n, 'addition')}:"
+                           f"{_table_hex(mul_table, n, 'multiplication')}")
         self.n = n
         self.add_table = tuple(tuple(r) for r in add_table)
         self.mul_table = tuple(tuple(r) for r in mul_table)
-        tag = name or f"#{self._content_hash(self.add_table, self.mul_table)}"
-        self.descriptor = f"table:{n}:{tag}"
         self.cardinality = n
         self.characteristic = self._exponent()
         for i, row in enumerate(self.add_table):
             if 0 not in row:
                 raise RingConstructionError(f"element {i} has no additive inverse")
         self._neg = tuple(row.index(0) for row in self.add_table)
-
-    @staticmethod
-    def _content_hash(add_table, mul_table):
-        """Eight hex digits naming the tables' content (any row form)."""
-        key = (tuple(map(tuple, add_table)), tuple(map(tuple, mul_table)))
-        return format(hash(key) & 0xFFFFFFFF, "08x")
 
     def _exponent(self):
         out = 1
@@ -822,6 +817,27 @@ class TableRing(_RangeRing):
         if i >= self.n:
             raise ParseError(f"index {i} out of range 0..{self.n - 1}", text, 0)
         return i
+
+
+def _table_hex(table, n, label):
+    """Hex of an n x n table's entries, row by row.  They must be indices:
+    packing refuses negative and non-int ones, and the greatest is < n."""
+    try:
+        if all(len(row) == n for row in table) and max(map(max, table)) < n:
+            entries = itertools.chain.from_iterable(table)
+            return struct.pack(_table_format(n), *entries).hex()
+    except (struct.error, TypeError):
+        pass
+    raise RingConstructionError(f"{label} table entries must be indices in 0..{n - 1}")
+
+
+def _table_format(n):
+    return f">{n * n}{'B' if n <= 256 else 'H'}"
+
+
+def _table_rows(text, n):
+    entries = struct.unpack(_table_format(n), bytes.fromhex(text))
+    return [entries[i:i + n] for i in range(0, n * n, n)]
 
 
 def _check_tables(add, mul, zero):
@@ -965,7 +981,7 @@ def zero_multiplication_ring(n):
     """Z/n addition with xy = 0 for all x, y: non-unital by construction."""
     add = [[(i + j) % n for j in range(n)] for i in range(n)]
     mul = [[0] * n for _ in range(n)]
-    return table_ring(add, mul, name=f"zeromul{n}")
+    return table_ring(add, mul)
 
 
 # ---------------------------------------------------------------------------
@@ -1001,16 +1017,17 @@ def _split_enclosed(text, pair):
 
 def load_table_file(path):
     """Read the table:@ file format: n, n add rows, n mul rows."""
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        tokens = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    if not tokens:
-        raise RingConstructionError(f"empty table file {path}")
-    n = int(tokens[0])
-    if len(tokens) != 1 + 2 * n:
-        raise RingConstructionError(
-            f"table file {path} must hold {2 * n} rows after the size line")
-    rows = [[int(v) for v in ln.split()] for ln in tokens[1:]]
-    return table_ring(rows[:n], rows[n:])
+        for lineno, ln in enumerate(fh, 1):
+            if ln.strip() and not ln.startswith("#"):
+                if not re.fullmatch(r"[\d\s]+", ln):
+                    raise ParseError(f"table file {path}, line {lineno}: not indices")
+                rows.append([int(v) for v in ln.split()])
+    n = rows[0][0] if rows else 0
+    if len(rows) != 1 + 2 * n or len(rows[0]) != 1:
+        raise RingConstructionError(f"table file {path} must hold n, then 2n rows")
+    return table_ring(rows[1:n + 1], rows[n + 1:])
 
 
 def parse_ring(dsl):
@@ -1054,6 +1071,13 @@ def parse_ring(dsl):
         return LazyPolyRing(p)
     if s.startswith("table:@"):
         return load_table_file(s[7:])
+    if s.startswith("table:"):
+        m = re.fullmatch(r"table:([1-9]\d{0,4}):([0-9a-f]*):([0-9a-f]*)", s)
+        n = int(m.group(1)) if m else 0
+        digits = 2 * struct.calcsize(_table_format(n))      # hex digits a table
+        if not m or not len(m.group(2)) == len(m.group(3)) == digits:
+            raise ParseError("expected table:<n>:<add>:<mul>, n^2 hex entries each")
+        return table_ring(*(_table_rows(h, n) for h in m.groups()[1:]))
     raise ParseError(f"unknown ring DSL {dsl!r}", s, 0)
 
 
@@ -1097,10 +1121,10 @@ def poly_ring(p):
     return LazyPolyRing(p)
 
 
-def table_ring(add_table, mul_table, name=None):
+def table_ring(add_table, mul_table):
     """Table ring from outside tables; raises RingConstructionError
     naming the first ring axiom they violate."""
-    ring = TableRing(add_table, mul_table, name)
+    ring = TableRing(add_table, mul_table)
     why = _check_tables(ring.add_table, ring.mul_table, 0)
     if why is not None:
         raise RingConstructionError(why)
@@ -1160,8 +1184,7 @@ def quotient_ring(ring, ideal):
     q = len(reps)
     add = [[coset_of[ring.add(reps[i], reps[j])] for j in range(q)] for i in range(q)]
     mul = [[coset_of[ring.mul(reps[i], reps[j])] for j in range(q)] for i in range(q)]
-    quotient = TableRing(add, mul, name=f"{ring.descriptor}/|I|={len(ideal_set)}"
-                                        f"#{TableRing._content_hash(add, mul)}")
+    quotient = TableRing(add, mul)
 
     def project(x):
         return coset_of[x]
@@ -1184,11 +1207,8 @@ def subring_table(ring, subset):
     addition or multiplication.  A closed finite subset is a ring, so the
     axiom check is skipped.
     """
-    elems = sorted(subset, key=ring.sort_key)
-    if not elems or elems[0] != ring.zero():
-        elems = [ring.zero()] + [e for e in elems if e != ring.zero()]
+    elems = sorted({ring.zero(), *subset}, key=ring.sort_key)     # zero first
     pos = {e: i for i, e in enumerate(elems)}
-    n = len(elems)
 
     def look(x, op):
         if x not in pos:
@@ -1198,8 +1218,7 @@ def subring_table(ring, subset):
 
     add = [[look(ring.add(a, b), "addition") for b in elems] for a in elems]
     mul = [[look(ring.mul(a, b), "multiplication") for b in elems] for a in elems]
-    handle = TableRing(add, mul, name=f"sub({ring.descriptor},n={n})"
-                                      f"#{TableRing._content_hash(add, mul)}")
+    handle = TableRing(add, mul)
 
     def embed(i):
         return elems[i]

@@ -90,7 +90,7 @@ class FiniteSet:
     def __repr__(self):
         inside = ", ".join(self.ring.render(x) for x in list(self)[:8])
         more = ", ..." if len(self) > 8 else ""
-        return f"FiniteSet({self.ring.descriptor}, {{{inside}{more}}}, n={len(self)})"
+        return f"FiniteSet({self.ring}, {{{inside}{more}}}, n={len(self)})"
 
     def elements(self):
         return self._elems

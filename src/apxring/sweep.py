@@ -41,6 +41,11 @@ from .sets import FiniteSet
 SCHEMA_VERSION = "1"
 
 
+def _boolean(text):
+    return {"true": True, "1": True, "yes": True,
+            "false": False, "0": False, "no": False}[text.lower()]
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     mode: str
@@ -77,28 +82,24 @@ class SweepSpec:
         if policy not in ("exhaustive", "random"):
             raise ParseError(f"unknown policy {policy!r}", text, 0)
 
-        def as_bool(key, default):
-            v = kv.get(key)
-            if v is None:
-                return default
-            if v.lower() in ("true", "1", "yes"):
-                return True
-            if v.lower() in ("false", "0", "no"):
-                return False
-            raise ParseError(f"{key} must be boolean", text, 0)
+        def value(key, default, read=int):
+            try:
+                return read(kv[key]) if key in kv else default
+            except (KeyError, ValueError):
+                raise ParseError(f"{key} = {kv[key]} is not a valid value") from None
 
         rings = tuple(_split_top_level(kv.get("rings", "")))
         return cls(
             mode=mode,
             rings=rings,
             policy=policy,
-            max_size=int(kv.get("max_size", "9")),
-            require_zero=as_bool("require_zero", True),
-            k_max=int(kv.get("k_max", "0")),
-            exact=as_bool("exact", True),
-            small_threshold=int(kv.get("small_threshold", "-1")),
-            seed=int(kv["seed"]),
-            instances_per_ring=int(kv.get("instances_per_ring", "25")),
+            max_size=value("max_size", 9),
+            require_zero=value("require_zero", True, _boolean),
+            k_max=value("k_max", 0),
+            exact=value("exact", True, _boolean),
+            small_threshold=value("small_threshold", -1),
+            seed=value("seed", None),
+            instances_per_ring=value("instances_per_ring", 25),
         )
 
     @classmethod

@@ -27,6 +27,8 @@ from apxring.rings import (
     parse_ring,
 )
 
+from corpus import corpus_sets
+
 _AXIOM_SAMPLE = 10_000       # random triples checked when |R| > exhaustive cap
 _AXIOM_EXHAUSTIVE = 512      # complete table check up to this size
 
@@ -220,11 +222,18 @@ def test_parse_render_round_trip():
 
 
 def test_dsl_round_trip():
-    for backend in all_backends():
-        if backend.descriptor.startswith("table:"):
-            continue                               # in-memory tables have no DSL
-        again = parse_ring(backend.descriptor)
-        assert again == backend
+    # the descriptor is the ring: it parses back to an equal handle with
+    # the same operations, on every backend, corpus ring and table handle
+    r = ax.product_ring(["zmod:4", "zmod:2"])
+    sub, _, _ = ax.subring_table(r, [(0, 0), (2, 0), (0, 1), (2, 1)])
+    quo, _ = ax.quotient_ring(r, [(0, 0), (2, 0)])
+    rings = {*all_backends(), *(x.ring for _, x in corpus_sets()), sub, quo}
+    assert sum(ring.descriptor.startswith("table:") for ring in rings) == 4
+    for ring in rings:
+        again = parse_ring(ring.descriptor)
+        assert again == ring and again.descriptor == ring.descriptor
+        if ring.is_finite:
+            assert _index_tables(again) == _index_tables(ring)
 
 
 @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
@@ -348,6 +357,38 @@ def test_table_file_round_trip(tmp_path):
     loaded = parse_ring(f"table:@{path}")
     assert loaded.cardinality == 4
     assert loaded.add_table == r.add_table
+    assert loaded == r
+
+
+def test_table_descriptor_examples():
+    f2 = ax.table_ring([[0, 1], [1, 0]], [[0, 0], [0, 1]])
+    assert f2.descriptor == "table:2:00010100:00000001"
+    # above 256 elements each entry takes two bytes, most significant first
+    n = 257
+    big = ax.table_ring([[(i + j) % n for j in range(n)] for i in range(n)],
+                        [[0] * n for _ in range(n)])
+    add_hex = big.descriptor.split(":")[2]
+    assert len(add_hex) == 4 * n * n and add_hex[4 * (n - 1):4 * n] == "0100"
+    assert parse_ring(big.descriptor) == big
+    assert len(str(big)) <= 64 and repr(big).startswith(f"<Ring {big} ")
+
+
+def test_malformed_table_descriptors():
+    for bad in ("table:2:0001010:00000001",          # odd length
+                "table:2:000101zz:00000001",         # not hex
+                "table:2:00010100:0000000100",       # too long
+                "table:2:00010100",                  # no mul table
+                "table:0::",                         # no elements
+                "table:99999999999999999999:00:00",  # no such table
+                "table:2:00010100:00000001:00"):
+        with pytest.raises(ParseError):
+            parse_ring(bad)
+    with pytest.raises(RingConstructionError, match="entries must be indices"):
+        parse_ring("table:2:00010102:00000001")      # entry 2 >= n
+    # F_2^2 with e1·e1 = e2, e2·e1 = e1: distributive, not associative
+    with pytest.raises(RingConstructionError, match="multiplication not associative"):
+        parse_ring("table:4:00010203010003020203000103020100:"
+                   "00000000000200020001000100030003")
 
 
 def test_subring_table():
@@ -376,6 +417,13 @@ def test_distinct_table_rings_compare_unequal():
         assert one_x != one_y
         with pytest.raises(CrossRingError):
             ax.sumset(one_x, one_y)
+    # a and b differ only in multiplication, and a product or matrix ring
+    # over each multiplies by its own table
+    assert a.add_table == b.add_table
+    unit = ((1, 0), (0, 0))
+    for t, one_one in ((a, 0), (b, 1)):
+        assert ax.product_ring([t, "zmod:2"]).mul((1, 1), (1, 1)) == (one_one, 1)
+        assert ax.matrix_ring(t, 2).mul(unit, unit) == ((one_one, 0), (0, 0))
 
 
 def _exhaustive_table_check(add, mul, zero):

@@ -298,7 +298,7 @@ def test_finite_set_checks_elements_on_every_backend():
         assert x.elements() == set(good)
         assert ax.translate(good[-1], x) == ax.sumset(FiniteSet(ring, good[-1:]), x)
         for bad in rejected[ring.descriptor]:
-            message = re.escape(f"{bad!r} is not an element of {ring.descriptor}")
+            message = re.escape(f"{bad!r} is not an element of {ring}")
             with pytest.raises(ValueError, match=message):
                 FiniteSet(ring, [ring.zero(), bad])
             with pytest.raises(ValueError, match=message):
@@ -307,7 +307,7 @@ def test_finite_set_checks_elements_on_every_backend():
     for ring, elems in ((ax.modular(7), [0, 2.5, 6]), (rings[-1], [0, "a", 7]),
                         (ax.integers(), [-3, 0.5, 4])):
         with pytest.raises(ValueError, match=re.escape(
-                f"{elems[1]!r} is not an element of {ring.descriptor}")):
+                f"{elems[1]!r} is not an element of {ring}")):
             FiniteSet(ring, elems)
 
 

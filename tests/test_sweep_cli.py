@@ -482,13 +482,49 @@ def test_cli_json_output_verifies(name, tmp_path, capsys):
     assert capsys.readouterr().out.endswith("FAILED\n")
 
 
+def test_cli_table_ring_payload_verifies(tmp_path, capsys):
+    # a payload over a table ring loaded from a file carries the tables
+    # inline, re-verifies, and fails when a claim or its tables are edited
+    from apxring.cli import main
+    zm = ax.zero_multiplication_ring(8)
+    tables = tmp_path / "zeromul8.tbl"
+    rows = [" ".join(map(str, row)) for row in (*zm.add_table, *zm.mul_table)]
+    tables.write_text("\n".join(["8", *rows]) + "\n")
+    out = tmp_path / "payload.json"
+    assert main(["approx", "--ring", f"table:@{tables}", "--set", "{0,1,7}",
+                 "--json", "--output", str(out)]) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert payload["ring"] == zm.descriptor
+    capsys.readouterr()
+    assert main(["verify", "--input", str(out)]) == 0
+    assert capsys.readouterr().out.endswith("VERIFIED\n")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(payload, k=payload["k"] + 1)), encoding="utf-8")
+    assert main(["verify", "--input", str(bad)]) == 4
+    assert capsys.readouterr().out.endswith("FAILED\n")
+    # an entry >= n, and a non-associative product, fail the ring's checks
+    add_hex = zm.descriptor.split(":")[2]
+    for ring in (zm.descriptor.replace(add_hex, "08" + add_hex[2:]),
+                 "table:4:00010203010003020203000103020100:"
+                 "00000000000200020001000100030003"):
+        bad.write_text(json.dumps(dict(payload, ring=ring)), encoding="utf-8")
+        assert main(["verify", "--input", str(bad)]) == 2
+        assert "precondition failed:" in capsys.readouterr().err
+
+
 def test_cli_unreadable_input_exits_2(tmp_path, capsys):
     from apxring.cli import main
     missing = tmp_path / "missing.json"
     not_json = tmp_path / "not.json"
     not_json.write_text("{ not json")
+    bad_size = tmp_path / "bad_size.tbl"
+    bad_size.write_text("x\n0 1\n1 0\n0 0\n0 1\n")
+    bad_config = tmp_path / "bad.cfg"
+    bad_config.write_text(spec_text(max_size="nine"))
     for argv in (["verify", "--input", str(missing)],
                  ["verify", "--input", str(not_json)],
-                 ["approx", "--ring", "zmod:7", "--set", f"@{missing}"]):
+                 ["approx", "--ring", "zmod:7", "--set", f"@{missing}"],
+                 ["approx", "--ring", f"table:@{bad_size}", "--set", "{0,1}"],
+                 ["sweep", "--config", str(bad_config)]):
         assert main(argv) == 2, argv
         assert "precondition failed:" in capsys.readouterr().err
