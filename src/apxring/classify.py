@@ -198,8 +198,7 @@ class ClassificationReport:
         return out
 
 
-def nzd_classify(x, small_threshold=None, exact=True, hypothesis="ambient",
-                 cert=None):
+def nzd_classify(x, small_threshold=None, hypothesis="ambient", cert=None):
     """Dichotomy check over a ring without zero divisors.
 
     Certifies K, computes the core 4X + X·4X and measures its exact
@@ -207,16 +206,16 @@ def nzd_classify(x, small_threshold=None, exact=True, hypothesis="ambient",
 
     ``hypothesis`` is "ambient" (whole-ring zero-divisor check) or
     "core-witnessed" (the weakened form local to Y = 4X + X·4X).
-    ``cert`` is a ring-mode certificate of X already computed with the
-    same ``exact``; without it K is certified here.
+    ``cert`` is an exact ring-mode certificate of X already computed,
+    as by ``approx_constant(x, "ring")``; without it K is certified here.
     """
     if not is_symmetric(x):
         raise NotSymmetricError("classification needs a symmetric set")
     core = core_set(x)
     hyp = _hypothesis(core, hypothesis)
     if cert is None:
-        cert = approx_constant(x, "ring", exact=exact)
-    comm = commensurability(core, x, exact=exact) if len(x) and len(core) else None
+        cert = approx_constant(x, "ring")
+    comm = commensurability(core, x) if len(x) and len(core) else None
     return classification_report(x, cert, core, comm, small_threshold, hyp)
 
 
@@ -361,7 +360,7 @@ _STRATEGY_TAGS = frozenset({"none", "generated", "exhaustive",
                            *(f"seeded:{k}X" for k in _SEED_MULTIPLES)})
 
 
-def pos_char_search(x, exact=True):
+def pos_char_search(x):
     """Search for a subring S ⊆ 4X + X·4X minimizing commensurability
     with X.  Three strategies, in this order:
 
@@ -418,7 +417,7 @@ def pos_char_search(x, exact=True):
         floor = max(-(-len(fs) // len(x)), -(-len(x) // len(fs)))
         if best is not None and (floor, *order) >= best[0]:
             continue
-        comm = commensurability(fs, x, exact=exact)
+        comm = commensurability(fs, x)
         key = (comm.constant, *order)
         if best is None or key < best[0]:
             best = (key, fs, tag, comm)
@@ -537,7 +536,7 @@ def finite_model_check(x, ideal):
     pre_img = set()
     for c in {proj(e) for e in xm}:          # X_m ⊆ ⟨X⟩
         pre_img |= fibers[c]
-    comm = commensurability(FiniteSet(ring, pre_img), x, exact=True)
+    comm = commensurability(FiniteSet(ring, pre_img), x)
     return ModelCheckReport(
         x, ideal, m, quotient.cardinality, u_size,
         len({proj(e) for e in x}), (comm.k_ab, comm.k_ba),

@@ -259,14 +259,12 @@ def build_parser():
     p.set_defaults(fn=_cmd_growth)
 
     p = sub.add_parser("cover", help="cover a target by translates of a base")
-    p.add_argument("--ring", required=True)
+    common(p, with_set=False)
     p.add_argument("--target", required=True)
     p.add_argument("--base", required=True)
     p.add_argument("--pool", help="translate pool (default: target - base)")
     p.add_argument("--greedy", action="store_true")
     p.add_argument("--node-limit", type=int, default=10 ** 6)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--output")
     p.set_defaults(fn=_cmd_cover)
 
     p = sub.add_parser("fact21", help="constructive power-set covers and "

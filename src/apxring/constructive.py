@@ -18,7 +18,9 @@ covers of the F_m derivations.  Every sum is taken two sets at a time
 by one capped sum of value -> term dicts: a value keeps the first term
 found in canonical order, a sum over the cap raises, and the final
 witness is always re-verified — a verification failure here means an
-implementation bug and is surfaced, never corrected.
+implementation bug and is surfaced, never corrected.  One fixed cap,
+INTERMEDIATE_CAP, holds every set the recursions build and the msum
+and core targets; the word and power-set targets keep the sets default.
 
 ``bound_formula_value`` reports the no-collapse size the recursion
 guarantees a priori (K per letter, products over summed words), which
@@ -56,9 +58,8 @@ def _require_ring_cert(cert):
 class _Builder:
     """Shared state for one certificate: F with its terms, memoized covers."""
 
-    def __init__(self, cert, cap=INTERMEDIATE_CAP):
+    def __init__(self, cert):
         self.ring = cert.ring
-        self.cap = cap
         self.k = cert.k
         self.key = self.ring.sort_key
         self.x_least = min(cert.x.elements(), key=self.key, default=None)
@@ -67,15 +68,15 @@ class _Builder:
         self._term_memo = {}
 
     def _cap_check(self, d, what):
-        if len(d) > self.cap:
+        if len(d) > INTERMEDIATE_CAP:
             raise BudgetExceededError(
-                f"{what} exceeded the intermediate cap {self.cap}",
+                f"{what} exceeded the intermediate cap {INTERMEDIATE_CAP}",
                 partial=FiniteSet(self.ring, d.keys()))
 
     def _plus(self, d, e, what):
         """d + e as a dict value -> term, a + b taking the term d[a] + e[b]:
         the first pair in canonical order wins.  BudgetExceededError
-        names ``what`` when it has more than ``cap`` values."""
+        names ``what`` when it has more than INTERMEDIATE_CAP values."""
         add = self.ring.add
         out = {}
         es = sorted(e, key=self.key)
@@ -158,7 +159,7 @@ class _Builder:
         return seq
 
 
-def claim1_cover(word, cert, cap=INTERMEDIATE_CAP):
+def claim1_cover(word, cert):
     """Constructive cover of (x_{m-1}···x_0)X for a word over X."""
     _require_ring_cert(cert)
     word = tuple(word)
@@ -168,8 +169,7 @@ def claim1_cover(word, cert, cap=INTERMEDIATE_CAP):
         if letter not in cert.x:
             raise ValueError(
                 f"word letter {cert.ring.render(letter)} is not in X")
-    b = _Builder(cert, cap)
-    d, count = b.word_cover(word)
+    d, count = _Builder(cert).word_cover(word)
     value = eval_term(cert.ring, (word,))
     target = prodset(FiniteSet(cert.ring, (value,)), cert.x)
     translates = sorted(d, key=cert.ring.sort_key)
@@ -177,27 +177,32 @@ def claim1_cover(word, cert, cap=INTERMEDIATE_CAP):
                         {"count_bound": count, "word_length": len(word)})
 
 
-def claim2_cover(m, cert, cap=INTERMEDIATE_CAP, _builder=None):
+def claim2_cover(m, cert):
     """Cover X^m ⊆ F_m + X; returns (witness, F_m set, derivations)."""
     if m < 1:
         raise ValueError("m must be >= 1")
     _require_ring_cert(cert)
-    b = _builder or _Builder(cert, cap)
-    if len(cert.x) == 0:
-        target = FiniteSet(cert.ring, ())
-        w = make_witness(target, cert.x, (), False, "constructive",
-                         {"count_bound": 0})
-        return w, FiniteSet(cert.ring, ()), {}
-    seq = b.f_sequence(m)
-    fm, count = seq[m - 1]
-    target, _ = power_products(cert.x, m)
-    translates = sorted(fm, key=cert.ring.sort_key)
-    w = make_witness(target, cert.x, translates, False, "constructive",
-                     {"count_bound": count, "m": m})
-    return w, FiniteSet(cert.ring, fm.keys()), dict(fm)
+    return _power_covers(cert, m, m)[0]
 
 
-def msum_cover(m, cert, cap=INTERMEDIATE_CAP):
+def _power_covers(cert, m_lo, m_hi):
+    """``claim2_cover(m, cert)`` for m_lo <= m <= m_hi, from one F sequence
+    (an empty X is its own target and F_m)."""
+    ring, x = cert.ring, cert.x
+    if len(x) == 0:
+        w = make_witness(x, x, (), False, "constructive", {"count_bound": 0})
+        return [(w, x, {})] * (m_hi - m_lo + 1)
+    seq = _Builder(cert).f_sequence(m_hi)
+    covers = []
+    for m in range(m_lo, m_hi + 1):
+        fm, count = seq[m - 1]
+        w = make_witness(power_products(x, m)[0], x, sorted(fm, key=ring.sort_key),
+                         False, "constructive", {"count_bound": count, "m": m})
+        covers.append((w, FiniteSet(ring, fm.keys()), dict(fm)))
+    return covers
+
+
+def msum_cover(m, cert):
     """Cover of m(X^{<=m}) by translates of X.
 
     X^{<=m} ⊆ F'_m + X with F'_m = F_1 ∪ .. ∪ F_m, then the sum
@@ -210,18 +215,17 @@ def msum_cover(m, cert, cap=INTERMEDIATE_CAP):
     if len(cert.x) == 0:
         target = FiniteSet(ring, ())
         return make_witness(target, cert.x, (), False, "constructive", {"m": m})
-    b = _Builder(cert, cap)
-    seq = b.f_sequence(m)
+    seq = _Builder(cert).f_sequence(m)
     f_prime = set()
     count_prime = 0
     for d, count in seq:
         f_prime |= d.keys()
         count_prime += count
     f_prime_set = FiniteSet(ring, f_prime)
-    translates = iterated_sum(f_prime_set, m, cap)
+    translates = iterated_sum(f_prime_set, m, INTERMEDIATE_CAP)
     for _ in range(m - 1):
-        translates = sumset(translates, cert.witness_f, cap)
-    target = msum(cert.x, m, cap)
+        translates = sumset(translates, cert.witness_f, INTERMEDIATE_CAP)
+    target = msum(cert.x, m, INTERMEDIATE_CAP)
     count = count_prime ** m * max(cert.k, 1) ** (m - 1)
     return make_witness(target, cert.x, sorted(translates, key=ring.sort_key),
                         False, "constructive",
@@ -229,7 +233,7 @@ def msum_cover(m, cert, cap=INTERMEDIATE_CAP):
                          "f_prime_size": len(f_prime_set)})
 
 
-def k11_cover(cert, cap=INTERMEDIATE_CAP):
+def k11_cover(cert):
     """Cover 4X + X·4X by the 11-fold sumset of F (at most K^11 translates).
 
     Chain: jX ⊆ S_{j-1} + X and X·X ⊆ S_1 + X give
@@ -243,8 +247,8 @@ def k11_cover(cert, cap=INTERMEDIATE_CAP):
         target = FiniteSet(ring, ())
         return make_witness(target, x, (), False, "constructive",
                             {"k_power": 0})
-    s = iterated_sum(cert.witness_f, 11, cap)
-    target = core_set(x, cap)
+    s = iterated_sum(cert.witness_f, 11, INTERMEDIATE_CAP)
+    target = core_set(x, INTERMEDIATE_CAP)
     bound = cert.k ** 11
     if len(s) > bound:
         raise VerificationFailedError(
@@ -278,7 +282,7 @@ class ConstructiveCoverReport:
 BOUND_TABLE_EXACT_LIMIT = 512
 
 
-def bound_table(cert, m_max, cap=INTERMEDIATE_CAP):
+def bound_table(cert, m_max):
     """Constructive |F_m| against the exact covering number of X^m.
 
     The exact column is computed by the branch-and-bound solver and
@@ -286,10 +290,8 @@ def bound_table(cert, m_max, cap=INTERMEDIATE_CAP):
     elements or its translate pool more than four times that.
     """
     _require_ring_cert(cert)
-    b = _Builder(cert, cap)
     rows = []
-    for m in range(1, m_max + 1):
-        w, fm, _ = claim2_cover(m, cert, cap, _builder=b)
+    for m, (w, fm, _) in enumerate(_power_covers(cert, 1, m_max), 1):
         exact = None
         if len(w.target) and len(w.target) <= BOUND_TABLE_EXACT_LIMIT:
             pool = difference_set(w.target, cert.x)

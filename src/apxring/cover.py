@@ -16,7 +16,7 @@ The target/translate incidence is built once per instance: a target
 mask per translate and a coverer list per target.  One greedy, counted
 on the lists, gives both the greedy cover, which builds no masks, and
 the exact search's incumbent.  Every translate lies in one of the
-incidence's connected components, found at most once per call, so a
+incidence's connected components, found once per call, so a
 cover needs the sum over components of each component's own bound.  A
 node is pruned by Σ_C ceil(|C ∖ covered| / |base|).  Every other bound
 is one vector of integer weights on the targets over a common
@@ -236,8 +236,7 @@ def cover_exact(a, b, pool, node_limit=DEFAULT_NODE_LIMIT):
     uncovered target still holds it, so that target is the one with
     fewest live coverers.  A node is pruned by Σ_C ceil(|C ∖ covered| /
     |b|) over the connected components C of the target/translate
-    incidence, since each translate lies in one of them; the components
-    are found only when counting leaves a gap.  The search stops as
+    incidence, since each translate lies in one of them.  The search stops as
     soon as the incumbent meets a proven lower bound: the best root
     bound of ``_root_floor``, raised by ``_ascent`` once the search has
     spent |targets| × |distinct masks| nodes without closing (skipped
@@ -266,13 +265,8 @@ def cover_exact(a, b, pool, node_limit=DEFAULT_NODE_LIMIT):
 
     best = _greedy_lists(coverers, len(pool_sorted))
     cutoff = len(best)
-    # counting over all targets alone closes many small instances, and
-    # then the components are not needed
-    if -(-n_targets // base_size) >= cutoff:
-        bound = _counting([full], base_size)
-    else:
-        parts, label = _components(masks, n_targets)
-        bound = _root_floor(coverers, masks, base_size, cutoff, parts, label)
+    parts, label = _components(masks, n_targets)
+    bound = _root_floor(coverers, masks, base_size, cutoff, parts, label)
     floor = bound[0]
     dived = 0
     if floor < cutoff:
@@ -725,30 +719,33 @@ def _derive_term(x, value):
     return term
 
 
-def _closure_term_search(x, value, budget=20000):
+_TERM_BUDGET = 20000
+
+
+def _closure_term_search(x, value):
     """Term over X for ``value`` from ``closure``'s record of how it first
     made each value, or None when the closure completes without it.
 
-    The closure runs under budgets 2·|X|, 4·|X|, .. up to ``budget``, so
-    the search ends soon after ``value`` arrives.  The term is built for
+    The closure runs under budgets 2·|X|, 4·|X|, .. up to _TERM_BUDGET,
+    so the search ends soon after ``value`` arrives.  The term is built for
     ``value`` alone, as whole terms grow exponentially with the round.
     −a flips the head letter of each word of a, which stays in X as X is
     symmetric wherever terms are built; a·b puts b's words before a's.
-    BudgetExceededError when ``budget`` values come before ``value``.
+    BudgetExceededError when _TERM_BUDGET values come before ``value``.
     """
     ring = x.ring
     size = len(x)
     while True:
-        size = min(2 * size, budget)
+        size = min(2 * size, _TERM_BUDGET)
         result = closure(x, size)
         how = result.how
         if value in how:
             break
         if result.complete:
             return None
-        if size == budget:
-            raise BudgetExceededError(
-                f"closure search for {ring.render(value)} passed {budget} elements")
+        if size == _TERM_BUDGET:
+            raise BudgetExceededError(f"closure search for {ring.render(value)} "
+                                      f"passed {_TERM_BUDGET} elements")
 
     @functools.cache
     def term(v):
@@ -764,7 +761,7 @@ def _closure_term_search(x, value, budget=20000):
     return term(value)
 
 
-def approx_constant(x, mode="ring", exact=True, node_limit=DEFAULT_NODE_LIMIT):
+def approx_constant(x, mode="ring", exact=True):
     """Certify the approximation constant of a symmetric set.
 
     Target T is X*X ∪ (X+X) (ring mode) or X+X (group mode); the pool is
@@ -786,7 +783,7 @@ def approx_constant(x, mode="ring", exact=True, node_limit=DEFAULT_NODE_LIMIT):
                                  ({}, 1))
     pool = difference_set(t, x)
     if exact:
-        w = cover_exact(t, x, pool, node_limit)
+        w = cover_exact(t, x, pool)
     else:
         w = cover_greedy(t, x, pool)
     f = FiniteSet(ring, w.translates)
@@ -830,15 +827,14 @@ class CommensurabilityResult:
         return max(self.k_ab, self.k_ba)
 
 
-def commensurability(a, b, exact=True, node_limit=DEFAULT_NODE_LIMIT):
-    """Cover each set by translates of the other (pools: difference sets)."""
+def commensurability(a, b):
+    """Exact covers of each set by translates of the other (pools:
+    difference sets); one that hits the node limit is flagged non-optimal."""
     check_same_ring(a.ring, b.ring)
     if len(a) == 0 or len(b) == 0:
         raise UncoverableError("commensurability needs nonempty sets")
-    solver = (lambda t, s: cover_exact(t, s, difference_set(t, s), node_limit)) \
-        if exact else (lambda t, s: cover_greedy(t, s, difference_set(t, s)))
-    w_ab = solver(a, b)
-    w_ba = solver(b, a)
+    w_ab = cover_exact(a, b, difference_set(a, b))
+    w_ba = cover_exact(b, a, difference_set(b, a))
     return CommensurabilityResult(a, b, len(w_ab.translates),
                                   len(w_ba.translates), w_ab, w_ba)
 

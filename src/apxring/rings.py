@@ -297,8 +297,7 @@ class Ring:
         return hash(self.descriptor)
 
     def __str__(self):
-        d = self.descriptor
-        return d if len(d) <= 64 else d[:61] + "..."
+        return _clip(self.descriptor)
 
     def __repr__(self):
         card = self.cardinality if self.is_finite else "inf"
@@ -1078,7 +1077,12 @@ def parse_ring(dsl):
         if not m or not len(m.group(2)) == len(m.group(3)) == digits:
             raise ParseError("expected table:<n>:<add>:<mul>, n^2 hex entries each")
         return table_ring(*(_table_rows(h, n) for h in m.groups()[1:]))
-    raise ParseError(f"unknown ring DSL {dsl!r}", s, 0)
+    raise ParseError(f"unknown ring DSL {_clip(s)!r}")
+
+
+def _clip(text):
+    """``text`` cut to at most 64 characters, as messages show it."""
+    return text if len(text) <= 64 else text[:61] + "..."
 
 
 def make_ring(desc):

@@ -336,7 +336,7 @@ class GrowthProfile:
 _COVERING_EXACT_LIMIT = 2048
 
 
-def growth_sequence(x, n_max, with_covering=False, cap=DEFAULT_SET_CAP):
+def growth_sequence(x, n_max, with_covering=False):
     """Entries X_0..X_{n_max} chained by growth_step.
 
     With ``with_covering``, each entry carries the number of additive
@@ -347,11 +347,11 @@ def growth_sequence(x, n_max, with_covering=False, cap=DEFAULT_SET_CAP):
     cur = x
     for n in range(n_max + 1):
         if n > 0:
-            cur = growth_step(cur, cap)
+            cur = growth_step(cur)
         cov = method = None
         if with_covering and len(x) > 0:
             from .cover import cover_exact, cover_greedy  # cycle: cover uses sets
-            pool = difference_set(cur, x, cap)
+            pool = difference_set(cur, x)
             w = (cover_exact(cur, x, pool) if len(cur) <= _COVERING_EXACT_LIMIT
                  else cover_greedy(cur, x, pool))
             cov, method = len(w.translates), "exact" if w.optimal else "greedy"

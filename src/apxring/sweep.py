@@ -6,10 +6,11 @@ finite rings, collects one row per instance, and aggregates empirical
 constants: ``empirical_N[K]`` (largest |X| among non-structured rows per
 K) for nzd sweeps and ``empirical_C[(K, L)]`` (largest commensurability
 constant per approximation-constant / characteristic cell, written
-"K,L" in JSON) for poschar sweeps.  Rows are generated, filtered and
-assembled in a fixed order, so identical configs produce byte-identical
-CSV output; per-row failures are recorded in the status column and
-never abort the sweep.
+"K,L" in JSON) for poschar sweeps.  Every X holds 0, and every row
+certifies the exact K and solves its covers exactly.  Rows are
+generated and assembled in a fixed order, so identical configs produce
+byte-identical CSV output; per-row failures are recorded in the status
+column and never abort the sweep.
 
 Config file: versioned ``key = value`` lines, ``#`` comments.
 
@@ -18,9 +19,9 @@ Config file: versioned ``key = value`` lines, ``#`` comments.
     rings = zmod:5, zmod:7          # ring DSL list
     policy = exhaustive | random
     max_size = 9                    # |X| cap
-    require_zero = true
-    k_max = 3                       # keep rows with exact K <= k_max (0 = all)
-    exact = true
+    require_zero = true             # fixed in schema 1: 0 is in every X
+    k_max = 0                       # fixed in schema 1: every row is kept
+    exact = true                    # fixed in schema 1: exact solves
     small_threshold = 1             # nzd; -1 = default 4K^2
     seed = 0                        # required, even for exhaustive sweeps
     instances_per_ring = 25         # random policy only
@@ -46,15 +47,17 @@ def _boolean(text):
             "false": False, "0": False, "no": False}[text.lower()]
 
 
+# keys schema 1 fixes at one value, which a config may spell as ``read`` reads
+_FIXED = (("require_zero", "true", _boolean), ("k_max", "0", int),
+          ("exact", "true", _boolean))
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     mode: str
     rings: tuple
     policy: str
     max_size: int
-    require_zero: bool
-    k_max: int
-    exact: bool
     small_threshold: int
     seed: int
     instances_per_ring: int = 25
@@ -88,15 +91,15 @@ class SweepSpec:
             except (KeyError, ValueError):
                 raise ParseError(f"{key} = {kv[key]} is not a valid value") from None
 
+        for key, fixed, read in _FIXED:
+            if value(key, read(fixed), read) != read(fixed):
+                raise ParseError(f"schema {SCHEMA_VERSION} fixes {key} = {fixed}")
         rings = tuple(_split_top_level(kv.get("rings", "")))
         return cls(
             mode=mode,
             rings=rings,
             policy=policy,
             max_size=value("max_size", 9),
-            require_zero=value("require_zero", True, _boolean),
-            k_max=value("k_max", 0),
-            exact=value("exact", True, _boolean),
             small_threshold=value("small_threshold", -1),
             seed=value("seed", None),
             instances_per_ring=value("instances_per_ring", 25),
@@ -113,9 +116,7 @@ class SweepSpec:
                  "rings = " + ", ".join(self.rings),
                  f"policy = {self.policy}",
                  f"max_size = {self.max_size}",
-                 f"require_zero = {str(self.require_zero).lower()}",
-                 f"k_max = {self.k_max}",
-                 f"exact = {str(self.exact).lower()}",
+                 *(f"{key} = {fixed}" for key, fixed, _read in _FIXED),
                  f"small_threshold = {self.small_threshold}",
                  f"seed = {self.seed}",
                  f"instances_per_ring = {self.instances_per_ring}"]
@@ -138,19 +139,19 @@ def _negation_orbits(ring):
 
 
 def generate_instances(spec):
-    """Yield (ring_dsl, element tuple) in a reproducible order."""
+    """Yield (ring_dsl, element tuple) in a reproducible order; 0 is in
+    every set."""
     import itertools
     for dsl in spec.rings:
         ring = parse_ring(dsl)
         orbits = _negation_orbits(ring)
-        base = (ring.zero(),) if spec.require_zero else ()
-        room = spec.max_size - len(base)
+        base = (ring.zero(),)
         if spec.policy == "exhaustive":
             for count in range(0, len(orbits) + 1):
                 for combo in itertools.combinations(range(len(orbits)), count):
                     picked = [orbits[i] for i in combo]
                     size = len(base) + sum(len(o) for o in picked)
-                    if size == 0 or size > spec.max_size:
+                    if size > spec.max_size:
                         continue
                     elems = set(base)
                     for o in picked:
@@ -172,7 +173,7 @@ def generate_instances(spec):
                 elems = set(base)
                 for i in combo:
                     elems.update(orbits[i])
-                if not elems or len(elems) > spec.max_size:
+                if len(elems) > spec.max_size:
                     continue
                 key = tuple(sorted(elems, key=ring.sort_key))
                 if key not in emitted:
@@ -182,7 +183,7 @@ def generate_instances(spec):
 
 def _run_row(args):
     """One sweep row; top-level and picklable for process pools."""
-    index, dsl, rendered, mode, exact, small_threshold, k_max = args
+    index, dsl, rendered, mode, small_threshold = args
     ring = parse_ring(dsl)
     x = FiniteSet(ring, (ring.parse(e) for e in rendered))
     row = {
@@ -194,17 +195,14 @@ def _run_row(args):
         "status": "ok",
     }
     try:
-        cert = approx_constant(x, "ring", exact=exact)
+        cert = approx_constant(x, "ring")
         row["K"] = cert.k
-        if k_max and cert.k > k_max:
-            row["status"] = "filtered"
-            return row
         if mode == "nzd":
             threshold = None if small_threshold < 0 else small_threshold
-            witness = nzd_classify(x, small_threshold=threshold, exact=exact,
+            witness = nzd_classify(x, small_threshold=threshold,
                                    cert=cert).to_json()
         else:
-            witness = pos_char_search(x, exact=exact).to_json()
+            witness = pos_char_search(x).to_json()
         row.update(row_fields(witness, ring), _witness=witness)
     except BudgetExceededError as exc:
         row["status"] = f"budget-exceeded: {exc}"
@@ -294,7 +292,7 @@ def run_sweep(spec, jobs=1):
     """Run every instance of the family; never aborts on row errors."""
     rings = {dsl: parse_ring(dsl) for dsl in spec.rings}
     inputs = [(i, dsl, tuple(map(rings[dsl].render, elems)),
-               spec.mode, spec.exact, spec.small_threshold, spec.k_max)
+               spec.mode, spec.small_threshold)
               for i, (dsl, elems) in enumerate(generate_instances(spec))]
     if jobs > 1 and len(inputs) > 1:
         # imported here: multiprocessing costs every other command its start-up

@@ -49,6 +49,36 @@ def test_spec_round_trip():
     assert spec == again
 
 
+_CONFIGS = sorted([*(Path(__file__).parent / "data").glob("*.cfg"),
+                   *(Path(__file__).parents[1] / "perfbench" / "data").glob("*.cfg")])
+
+
+@pytest.mark.parametrize("path", _CONFIGS, ids=lambda p: f"{p.parent.parent.name}/{p.name}")
+def test_checked_in_config_renders_its_key_lines(path):
+    # render() writes back every key line of each checked-in config,
+    # the three keys schema 1 fixes included
+    text = path.read_text(encoding="utf-8")
+    keys = [l for l in text.splitlines() if l.split("#", 1)[0].strip()]
+    assert SweepSpec.parse(text).render().splitlines() == keys
+
+
+@pytest.mark.parametrize("key,value", [("exact", "false"), ("require_zero", "no"),
+                                       ("k_max", "3")])
+def test_spec_rejects_other_values_of_fixed_keys(key, value, tmp_path, capsys):
+    # schema 1 fixes exact = true, require_zero = true and k_max = 0; any
+    # spelling of that value parses, any other value names the key
+    assert SweepSpec.parse(spec_text(exact="yes", require_zero="1", k_max="00")) \
+        == SweepSpec.parse(spec_text())
+    with pytest.raises(ParseError, match=key):
+        SweepSpec.parse(spec_text(**{key: value}))
+    from apxring.cli import main
+    cfg = tmp_path / "fixed.cfg"
+    cfg.write_text(spec_text(**{key: value}))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "precondition failed:" in err and key in err
+
+
 def test_spec_product_ring():
     spec = SweepSpec.parse(spec_text(mode="poschar",
                                      rings="prod:(zmod:2,zmod:3), zmod:5",
@@ -85,8 +115,7 @@ def test_exhaustive_generation_is_symmetric_with_zero():
 def test_sweep_nzd_smoke():
     spec = SweepSpec.parse(spec_text())
     report = run_sweep(spec)
-    assert report.rows and all(r["status"] in ("ok", "filtered")
-                               for r in report.rows)
+    assert report.rows and all(r["status"] == "ok" for r in report.rows)
     assert not report.counterexamples
     assert "empirical_N" in report.empirical
     ok, details = verify_payload(report.to_json())
@@ -528,3 +557,15 @@ def test_cli_unreadable_input_exits_2(tmp_path, capsys):
                  ["sweep", "--config", str(bad_config)]):
         assert main(argv) == 2, argv
         assert "precondition failed:" in capsys.readouterr().err
+
+
+def test_unknown_ring_descriptor_error_is_bounded(capsys):
+    # the descriptor is named once and cut as str(ring) cuts it
+    from apxring.cli import main
+    dsl = "prod:(zmod:2,tablex:" + "00" * 5000 + ")"
+    with pytest.raises(ParseError, match="unknown ring DSL") as exc:
+        ax.parse_ring(dsl)
+    assert len(str(exc.value)) < 200
+    assert main(["approx", "--ring", dsl, "--set", "{0}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("precondition failed:") and len(err) < 200
