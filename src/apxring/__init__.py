@@ -31,7 +31,6 @@ from .cover import (
     CommensurabilityResult,
     CoverWitness,
     approx_constant,
-    certificate_from_f,
     commensurability,
     cover_brute_force,
     cover_exact,

@@ -45,6 +45,7 @@ from .rings import (
 from .sets import (
     DEFAULT_SET_CAP,
     FiniteSet,
+    _cosets,
     closure,
     growth_step,
     intersect,
@@ -317,11 +318,12 @@ def _additive_subgroups_within(ring, box):
     """All additive subgroups of the ring contained in ``box``.
 
     Search from {0}, growing each subgroup H by one element g at a time
-    through its cosets: ⟨H, g⟩ = ⋃_k (H + k·g), adding H + k·g for
-    k = 1, 2, ... until k·g lies in H, and dropping g as soon as a coset
-    leaves the box.  Every g of one coset H + g gives the same ⟨H, g⟩,
-    so one representative per coset is tried.  Only useful for boxes of
-    a few dozen elements: the number of subgroups grows fast.
+    through its cosets, as ``closure`` grows its span: ⟨H, g⟩ =
+    ⋃_k (H + k·g), adding H + k·g for k = 1, 2, ... until k·g lies in H
+    (``sets._cosets``), and dropping g as soon as a coset leaves the
+    box.  Every g of one coset H + g gives the same ⟨H, g⟩, so one
+    representative per coset is tried.  Only useful for boxes of a few
+    dozen elements: the number of subgroups grows fast.
     """
     zero = ring.zero()
     box_set = box.elements()
@@ -337,13 +339,10 @@ def _additive_subgroups_within(ring, box):
             if g in tried:
                 continue
             grown = set(h)
-            kg = g
-            while kg not in h:
-                coset = {ring.add(e, kg) for e in h}
+            for coset in _cosets(ring, h, g):
                 if not coset <= box_set:
                     break
                 grown |= coset
-                kg = ring.add(kg, g)
             else:
                 key = frozenset(grown)
                 if key not in seen:

@@ -38,20 +38,19 @@ the difference set T − X: any f with (f + X) ∩ T nonempty lies in it,
 and T − X sits inside the subring generated by X automatically, so the
 restriction is exact rather than heuristic.  Each chosen translate
 carries a formal derivation over X: a term whose letters lie in X and
-which evaluates to the translate.  Checking it proves F ⊆ ⟨X⟩ on every
-backend, finite or lazy, and the constructive covers are built from it.
+which evaluates to the translate, read off as a letter, a + b − w or
+a·b − w.  Checking it proves F ⊆ ⟨X⟩ on every backend, finite or lazy,
+and the constructive covers are built from it.
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 import time
 from dataclasses import dataclass, field
 
 from .errors import (
-    BudgetExceededError,
     NotSymmetricError,
     UncoverableError,
     VerificationFailedError,
@@ -59,7 +58,6 @@ from .errors import (
 from .rings import check_same_ring
 from .sets import (
     FiniteSet,
-    closure,
     difference_set,
     is_symmetric,
     negate,
@@ -599,10 +597,10 @@ class ApproxCertificate:
 
     ``derivations`` maps each element of F to a formal term over X (a
     tuple of words; a word (x_0,..,x_k) evaluates to x_k···x_0), which
-    proves F ⊆ ⟨X⟩ and drives the constructive covers.  ``f_location``
-    records where F was found.  ``lower_bound`` is (weights, denominator)
-    as in ``lagrangian_floor`` over the target and X; it proves
-    minimality when its value reaches k.
+    proves F ⊆ ⟨X⟩ and drives the constructive covers (F ⊆ T − X: see
+    ``_derive_term``).  ``lower_bound`` is (weights, denominator) as in
+    ``lagrangian_floor`` over the target and X; it proves minimality
+    when its value reaches k.
     """
 
     x: FiniteSet
@@ -611,7 +609,6 @@ class ApproxCertificate:
     mode: str                        # "ring" | "group"
     minimal: bool
     derivations: dict = field(compare=False)
-    f_location: dict = field(default_factory=dict, compare=False)
     stats: dict = field(default_factory=dict, compare=False)
     lower_bound: tuple | None = field(default=None, compare=False)
 
@@ -646,7 +643,7 @@ class ApproxCertificate:
             "f": [ring.render(v) for v in self.witness_f],
             "mode": self.mode,
             "minimal": self.minimal,
-            "f_location": dict(self.f_location),
+            "f_location": {"pool": "T-X"},
             "derivations": {
                 ring.render(f): [[ring.render(x) for x in word] for word in term]
                 for f, term in self.derivations.items()},
@@ -692,10 +689,10 @@ def derivation_error(x, f, derivations):
 
 
 def _derive_term(x, value):
-    """Term over X for ``value``: X-element, t − x decomposition over the
-    certificate target, or a closure search.  VerificationFailedError
-    when the closure completes without ``value``; BudgetExceededError
-    when its budget binds first."""
+    """Term over X for ``value`` in T − X: the letter ``value``, or
+    a + b − w or a·b − w for letters a, b, w.  VerificationFailedError
+    otherwise: ``approx_constant`` draws F from T − X, so a value outside
+    it is an implementation bug, surfaced and never worked round."""
     ring = x.ring
     if value in x:
         return ((value,),)
@@ -711,54 +708,7 @@ def _derive_term(x, value):
             for b in elems:
                 if ring.mul(a, b) == t:
                     return ((b, a), (ring.neg(w),))
-    # fall back to a closure search recording how each value was made
-    term = _closure_term_search(x, value)
-    if term is None:
-        raise VerificationFailedError(
-            f"{ring.render(value)} not reachable in the subring generated by X")
-    return term
-
-
-_TERM_BUDGET = 20000
-
-
-def _closure_term_search(x, value):
-    """Term over X for ``value`` from ``closure``'s record of how it first
-    made each value, or None when the closure completes without it.
-
-    The closure runs under budgets 2·|X|, 4·|X|, .. up to _TERM_BUDGET,
-    so the search ends soon after ``value`` arrives.  The term is built for
-    ``value`` alone, as whole terms grow exponentially with the round.
-    −a flips the head letter of each word of a, which stays in X as X is
-    symmetric wherever terms are built; a·b puts b's words before a's.
-    BudgetExceededError when _TERM_BUDGET values come before ``value``.
-    """
-    ring = x.ring
-    size = len(x)
-    while True:
-        size = min(2 * size, _TERM_BUDGET)
-        result = closure(x, size)
-        how = result.how
-        if value in how:
-            break
-        if result.complete:
-            return None
-        if size == _TERM_BUDGET:
-            raise BudgetExceededError(f"closure search for {ring.render(value)} "
-                                      f"passed {_TERM_BUDGET} elements")
-
-    @functools.cache
-    def term(v):
-        step = how[v]
-        if step is None:
-            return ((v,),)
-        if step[0] == "neg":
-            return tuple(w[:-1] + (ring.neg(w[-1]),) for w in term(step[1]))
-        if step[0] == "add":
-            return term(step[1]) + term(step[2])
-        return tuple(u + w for w in term(step[1]) for u in term(step[2]))
-
-    return term(value)
+    raise VerificationFailedError(f"{ring.render(value)} is not in T - X")
 
 
 def approx_constant(x, mode="ring", exact=True):
@@ -779,8 +729,7 @@ def approx_constant(x, mode="ring", exact=True):
     t = _certificate_target(x, mode)
     if len(x) == 0:
         f = FiniteSet(ring, ())
-        return ApproxCertificate(x, 0, f, mode, True, {}, {"pool": "T-X"}, {},
-                                 ({}, 1))
+        return ApproxCertificate(x, 0, f, mode, True, {}, {}, ({}, 1))
     pool = difference_set(t, x)
     if exact:
         w = cover_exact(t, x, pool)
@@ -793,20 +742,7 @@ def approx_constant(x, mode="ring", exact=True):
     if why is not None:
         raise VerificationFailedError(why)
     return ApproxCertificate(x, len(f), f, mode, w.optimal, derivations,
-                             {"pool": "T-X"}, dict(w.stats), w.lower_bound)
-
-
-def certificate_from_f(x, f_elems, mode="ring", minimal=False):
-    """Certificate for a hand-chosen F; verifies the inclusion."""
-    ring = x.ring
-    f = FiniteSet(ring, f_elems)
-    cert = ApproxCertificate(
-        x, len(f), f, mode, minimal,
-        {v: _derive_term(x, v) for v in f}, {"pool": "manual"}, {})
-    ok, why = cert.verify()
-    if not ok:
-        raise VerificationFailedError(f"invalid certificate: {why}")
-    return cert
+                             dict(w.stats), w.lower_bound)
 
 
 # ---------------------------------------------------------------------------

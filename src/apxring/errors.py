@@ -6,6 +6,11 @@ budget overruns exit 3, verification failures / counterexamples exit 4.
 """
 
 
+def _clip(text):
+    """``text`` cut to at most 64 characters, as messages show it."""
+    return text if len(text) <= 64 else text[:61] + "..."
+
+
 class ApxError(Exception):
     """Base class for all package errors."""
 
@@ -15,14 +20,13 @@ class RingConstructionError(ApxError):
 
 
 class ParseError(ApxError):
-    """Malformed ring DSL, element or set literal."""
+    """Malformed ring DSL, element or set literal; the message quotes
+    ``text`` cut to 64 characters, as ``str(ring)`` cuts a descriptor."""
 
     def __init__(self, message, text=None, position=None):
         if text is not None and position is not None:
-            message = f"{message} at position {position} in {text!r}"
+            message = f"{message} at position {position} in {_clip(text)!r}"
         super().__init__(message)
-        self.text = text
-        self.position = position
 
 
 class CrossRingError(ApxError):
@@ -68,8 +72,8 @@ class BudgetExceededError(ApxError):
 class VerificationFailedError(ApxError):
     """A witness or certificate failed re-verification.
 
-    For constructive covers this indicates an implementation bug and is
-    surfaced, never silently corrected.
+    For constructive covers and certificate derivations this indicates an
+    implementation bug and is surfaced, never silently corrected.
     """
 
 

@@ -73,6 +73,7 @@ from .errors import (
     NotAnIdealError,
     ParseError,
     RingConstructionError,
+    _clip,
 )
 
 TABLE_LIMIT = 256            # tuple rings up to this size run on index tables
@@ -1078,11 +1079,6 @@ def parse_ring(dsl):
             raise ParseError("expected table:<n>:<add>:<mul>, n^2 hex entries each")
         return table_ring(*(_table_rows(h, n) for h in m.groups()[1:]))
     raise ParseError(f"unknown ring DSL {_clip(s)!r}")
-
-
-def _clip(text):
-    """``text`` cut to at most 64 characters, as messages show it."""
-    return text if len(text) <= 64 else text[:61] + "..."
 
 
 def make_ring(desc):

@@ -97,7 +97,7 @@ def _certificate(payload):
     cert = ApproxCertificate(
         x, payload["k"], _parse_set(ring, payload["f"]),
         payload.get("mode", "ring"), bool(payload.get("minimal")), derivs,
-        payload.get("f_location", {}), payload.get("stats", {}),
+        payload.get("stats", {}),
         None if lb is None else ({ring.parse(e): w for e, w in lb["weights"].items()},
                                  lb["denominator"]))
     ok, why = cert.verify()

@@ -2,7 +2,7 @@
 
 Sum and product sets, translates, the growth recursion
 X_{n+1} = X_n*X_n + (X_n + X_n), iterated sums and products and subring
-closure.
+closure, an additive span grown by cosets (see ``closure``).
 
 Sets are immutable and duplicate-free: a ring plus a frozenset of
 canonical encodings, on every ring.  A sumset runs one of three kernels:
@@ -33,8 +33,8 @@ typed BudgetExceededError so parameter sweeps can skip rather than die.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain, compress
+from dataclasses import dataclass
+from itertools import chain, compress, islice
 
 from .errors import BudgetExceededError, CrossRingError, ParseError
 from .rings import (
@@ -394,50 +394,46 @@ def msum(x, m, cap=DEFAULT_SET_CAP):
 
 @dataclass(frozen=True)
 class ClosureResult:
-    generated: FiniteSet | None      # None when the budget ran out
+    set: FiniteSet          # ⟨gens⟩, or at most ``budget`` values with gens
     complete: bool
-    partial: FiniteSet | None = None
-    # value -> None for a generator, else ("neg", a), ("add", a, b) or
-    # ("mul", a, b) for a·b: how the search first made it
-    how: dict = field(default_factory=dict, compare=False, repr=False)
 
-    @property
-    def set(self):
-        return self.generated if self.complete else self.partial
+
+def _cosets(ring, h, g):
+    """The cosets h + k·g, k = 1, 2, .. until k·g ∈ h, of the additive
+    subgroup h, read once: with h they make up the subgroup h + Z·g."""
+    base = frozenset(h)
+    kg = g
+    while kg not in base:
+        yield {ring.add(e, kg) for e in base}
+        kg = ring.add(kg, g)
 
 
 def closure(gens, budget=DEFAULT_SET_CAP):
     """Smallest subset containing gens and closed under +, -, *.
 
-    Breadth-first: each round negates the values the last round found
-    and combines them with every known value by a + b, a·b and b·a;
-    ``how`` records how each value was first made.  The budget is
-    checked as values arrive: an overrun is a normal outcome carrying
-    the first ``budget`` values, not an error, and on a finite ring any
+    ⟨gens⟩ is the additive span of the products of generators.  The
+    search grows an additive subgroup S from {0} (from nothing when gens
+    is empty): a value g to try that is not in S joins through its
+    cosets (``_cosets``), then adds x·g for each generator x as values
+    to try.  So x·S ⊆ S, and S holds every product of generators.  Cost:
+    about |⟨gens⟩| sums, and |gens| products for each of the at most
+    log2 |⟨gens⟩| values that enlarged S.  An overrun of ``budget`` is a
+    normal outcome, not an error: an incomplete result holding the
+    generators and at most ``budget`` values.  On a finite ring any
     budget >= |R| completes.
     """
     ring = gens.ring
     if budget < len(gens):
         raise ValueError("budget smaller than the generating set")
-    add, mul = ring.add, ring.mul
-    how = dict.fromkeys(gens.elements())
-    frontier = list(how)
-    while frontier:
-        known = list(how)
-        new = []
-        for a in frontier:
-            made = [(ring.neg(a), ("neg", a))]
-            for b in known:
-                s, p, q = add(a, b), mul(a, b), mul(b, a)
-                if s not in how or p not in how or q not in how:
-                    made += ((s, ("add", a, b)), (p, ("mul", a, b)),
-                             (q, ("mul", b, a)))
-            for v, step in made:
-                if v not in how:
-                    if len(how) == budget:
-                        return ClosureResult(None, False, FiniteSet(ring, how), how)
-                    how[v] = step
-                    new.append(v)
-        frontier = new
-    return ClosureResult(FiniteSet(ring, how), True, None, how)
-
+    span = {ring.zero()} if len(gens) else set()
+    tries = list(gens)
+    for g in tries:                  # tries grows while it is read
+        if g in span:
+            continue
+        for coset in _cosets(ring, span, g):
+            if len(span) + len(coset) > budget:
+                part = gens.elements() | set(islice(span, budget - len(gens)))
+                return ClosureResult(FiniteSet(ring, part), False)
+            span |= coset
+        tries += (ring.mul(x, g) for x in gens.elements())
+    return ClosureResult(FiniteSet(ring, span), True)

@@ -1,16 +1,20 @@
 """Cover solvers, approximation certificates, commensurability, genericity."""
 
 import dataclasses
+import itertools
 import math
 import random
-import time
 
 import pytest
 
 import apxring as ax
-from apxring.cover import cover_brute_force, eval_term, make_witness
+from apxring.cover import (
+    _derive_term,
+    cover_brute_force,
+    eval_term,
+    make_witness,
+)
 from apxring.errors import (
-    BudgetExceededError,
     NotSymmetricError,
     UncoverableError,
     VerificationFailedError,
@@ -23,6 +27,7 @@ from apxring.sets import (
     translate,
     union,
 )
+from corpus import corpus_sets
 
 Z = ax.integers()
 
@@ -209,65 +214,28 @@ def test_certificate_soundness_reverify():
         assert ok, why
 
 
-def test_manual_certificate():
-    m8 = ax.modular(8)
-    s = ax.parse_set(m8, "{0,2,4,6}")
-    cert = ax.certificate_from_f(s, [0], "ring", minimal=True)
-    assert cert.k == 1
-    with pytest.raises(VerificationFailedError):
-        ax.certificate_from_f(iset(-1, 1), [0], "ring")  # K=1 insufficient
+def test_derivations_are_read_off_the_pool():
+    # F lies in T - X, so every derivation is one letter, or two sum words
+    # or one product word, plus one negated letter
+    for name, x in corpus_sets():
+        ring = x.ring
+        for mode, exact in itertools.product(("ring", "group"), (True, False)):
+            cert = ax.approx_constant(x, mode, exact=exact)
+            for v, term in cert.derivations.items():
+                assert tuple(map(len, term)) in ((1,), (1, 1, 1), (2, 1)), (
+                    name, mode, exact, ring.render(v))
+                assert all(letter in x for word in term for letter in word)
+                assert eval_term(ring, term) == v
 
 
-def test_certificate_fallback_derivation(monkeypatch):
-    # 5 is outside T - X = {-3..3}, so its term comes from the closure
-    # search (negated and multiplied terms), not the t - x decomposition
-    from apxring import cover
-    from apxring.serialize import verify_payload
-    searched = []
-    search = cover._closure_term_search
-    monkeypatch.setattr(cover, "_closure_term_search",
-                        lambda x, v: searched.append(v) or search(x, v))
+def test_derive_term_rejects_value_outside_pool():
+    # T - X = {-3..3} for X = {-1, 0, 1}; in Z/8, T - X = X for the evens
     x = iset(-1, 1)
-    cert = ax.certificate_from_f(x, [-1, 1, 5])
-    assert searched == [5]
-    term = cert.derivations[5]
-    assert eval_term(Z, term) == 5
-    assert all(letter in x for word in term for letter in word)
-    ok, details = verify_payload(cert.to_json())
-    assert ok, details
-
-
-def test_certificate_fallback_budget_and_unreachable():
-    # 1 is odd, every value reachable from {-2, 0, 2} is even: the closure
-    # over Z never completes, so the budget binds and says so
-    start = time.perf_counter()
-    with pytest.raises(BudgetExceededError):
-        ax.certificate_from_f(FiniteSet(Z, [-2, 0, 2]), [1])
-    assert time.perf_counter() - start < 1.0
-    # the closure of {0} completes at once without 1: a proven no
-    with pytest.raises(VerificationFailedError, match="not reachable"):
-        ax.certificate_from_f(FiniteSet(Z, [0]), [1])
-    # over Z/10007 the search stops soon after the value arrives, long
-    # before the closure, the whole ring, completes
-    from apxring.cover import _closure_term_search
-    start = time.perf_counter()
-    x = FiniteSet(ax.modular(10007), [0, 1, 10006])
-    assert eval_term(x.ring, _closure_term_search(x, 5000)) == 5000
-    assert time.perf_counter() - start < 1.0
-
-
-def test_closure_term_search_noncommutative():
-    # in M_2(F_2) a·b ≠ b·a, so every recorded product must keep its order
-    from apxring.cover import _closure_term_search
-    from apxring.sets import closure
-    mat = ax.parse_ring("mat:2:zmod:2")
-    x = ax.parse_set(mat, "{[[0,0],[0,1]], [[0,1],[1,0]]}")
-    gen = closure(x, budget=mat.cardinality).set
-    assert len(gen) > 4
-    for v in gen:
-        term = _closure_term_search(x, v)
-        assert eval_term(mat, term) == v, mat.render(v)
-        assert all(letter in x for word in term for letter in word)
+    assert eval_term(Z, _derive_term(x, 3)) == 3
+    m8 = ax.modular(8)
+    for x, v in ((x, 4), (x, -5), (ax.parse_set(m8, "{0,2,4,6}"), 1)):
+        with pytest.raises(VerificationFailedError, match="not in T - X"):
+            _derive_term(x, v)
 
 
 def test_commensurability_examples():

@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from apxring.sets import (
     is_symmetric,
     union,
 )
+from corpus import corpus_sets
 
 Z = ax.integers()
 
@@ -144,27 +146,23 @@ def test_closure_examples():
     m8 = ax.modular(8)
     r = ax.closure(ax.parse_set(m8, "{2}"))
     assert r.set == ax.parse_set(m8, "{0,2,4,6}")
-    r = ax.closure(FiniteSet(Z, [1]), budget=100)
-    assert not r.complete and r.partial is not None
-    assert 1 in r.partial and -1 in r.partial
-    # the budget binds as values arrive: the first 100 are kept
-    assert len(r.partial) == len(r.how) == 100
+    assert ax.closure(FiniteSet(Z, [])) == ax.ClosureResult(FiniteSet(Z, []), True)
+    # an overrun is incomplete: at most budget values, the generators among them
+    for gens, budget in (([1], 100), ([2, 3], 50), ([7, -5, 9], 3)):
+        r = ax.closure(FiniteSet(Z, gens), budget=budget)
+        assert not r.complete and len(r.set) <= budget
+        assert set(gens) <= r.set.elements()
+    r = ax.closure(ax.parse_set(m6, "{1}"), budget=5)
+    assert not r.complete and 1 in r.set and len(r.set) <= 5
+    with pytest.raises(ValueError):
+        ax.closure(FiniteSet(Z, [1, 2]), budget=1)
 
 
 def test_closure_matches_brute_force_small():
     # smallest closed superset by exhaustive subset enumeration, |R| <= 16
     for ring, gens in ((ax.modular(8), (2,)), (ax.modular(12), (4, 6)),
                        (ax.modular(16), (4,)), (ax.modular(9), (3,))):
-        r = ax.closure(FiniteSet(ring, gens))
-        got = r.set
-        # each value records how it was first made from values found before
-        ops = {"neg": ring.neg, "add": ring.add, "mul": ring.mul}
-        seen = set()
-        for v, step in r.how.items():
-            assert v in gens if step is None else (
-                set(step[1:]) <= seen and ops[step[0]](*step[1:]) == v)
-            seen.add(v)
-        n = ring.cardinality
+        got = ax.closure(FiniteSet(ring, gens)).set
         best = None
         others = [e for e in ring.elements() if e not in gens]
         for mask in range(1 << len(others)):
@@ -176,6 +174,59 @@ def test_closure_matches_brute_force_small():
             if closed and (best is None or len(sub) < len(best)):
                 best = sub
         assert got.elements() == frozenset(best)
+
+
+def closure_reference(gens):
+    """Smallest superset of gens closed under +, -, *, as the pair-by-pair
+    fixpoint: each round negates the values the last round found and
+    combines them with every known value by a + b, a·b and b·a."""
+    ring = gens.ring
+    known = set(gens.elements())
+    frontier = list(known)
+    while frontier:
+        old, new = list(known), []
+        for a in frontier:
+            made = [ring.neg(a)]
+            for b in old:
+                made += (ring.add(a, b), ring.mul(a, b), ring.mul(b, a))
+            for v in made:
+                if v not in known:
+                    known.add(v)
+                    new.append(v)
+        frontier = new
+    return FiniteSet(ring, known)
+
+
+def test_closure_matches_reference_fixpoint():
+    # every finite corpus ring: zmod, polyquo (polyquo:2:t^3 among them),
+    # gf, the noncommutative mat:2:zmod:2, prod and the zeromul table;
+    # random generator sets, most without 0 and not symmetric
+    rng = random.Random(20)
+    rings = {x.ring.descriptor: (x.ring, x) for _, x in corpus_sets()
+             if x.ring.is_finite}
+    assert {"mat:2:zmod:2", "prod:(zmod:2,zmod:3)", "polyquo:2:t^3"} <= rings.keys()
+    assert any(d.startswith("table:") for d in rings)
+    shapes = set()
+    for ring, x in rings.values():
+        elems = sorted(ring.elements(), key=ring.sort_key)
+        draws = [x, FiniteSet(ring, [])]
+        draws += (FiniteSet(ring, rng.sample(elems, rng.randrange(1, 4)))
+                  for _ in range(12))
+        for gens in draws:
+            shapes.add((ring.zero() in gens, is_symmetric(gens)))
+            r = ax.closure(gens, budget=ring.cardinality)
+            assert r.complete and r.set == closure_reference(gens), (
+                ring.descriptor, gens)
+    assert shapes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_closure_cost():
+    # {0, ±1} fills Z/10007: about |R| sums, not |R|^2 pairs
+    ring = ax.modular(10007)
+    start = time.perf_counter()
+    r = ax.closure(FiniteSet(ring, [0, 1, 10006]))
+    assert time.perf_counter() - start < 1.0
+    assert r.complete and len(r.set) == 10007
 
 
 def test_budget_exceeded_typed():

@@ -560,12 +560,19 @@ def test_cli_unreadable_input_exits_2(tmp_path, capsys):
 
 
 def test_unknown_ring_descriptor_error_is_bounded(capsys):
-    # the descriptor is named once and cut as str(ring) cuts it
+    # every ParseError quotes its input cut as str(ring) cuts it
     from apxring.cli import main
-    dsl = "prod:(zmod:2,tablex:" + "00" * 5000 + ")"
-    with pytest.raises(ParseError, match="unknown ring DSL") as exc:
-        ax.parse_ring(dsl)
-    assert len(str(exc.value)) < 200
-    assert main(["approx", "--ring", dsl, "--set", "{0}"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("precondition failed:") and len(err) < 200
+    for dsl, why in (("prod:(zmod:2,tablex:" + "00" * 5000 + ")", "unknown ring DSL"),
+                     ("zmod:" + "x" * 5000, "modulus must be an integer"),
+                     ("gf:2^2:" + "t" * 5000, "expected"),
+                     ("prod:(zmod:2" + ",zmod:2" * 2000, "expected prod")):
+        with pytest.raises(ParseError, match=why) as exc:
+            ax.parse_ring(dsl)
+        assert len(str(exc.value)) < 200
+        assert main(["approx", "--ring", dsl, "--set", "{0}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("precondition failed:") and len(err) < 200
+    for literal in ("{" + "1x" * 5000 + "}", "[" + "1, " * 5000):
+        assert main(["approx", "--ring", "zmod:7", "--set", literal]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("precondition failed:") and len(err) < 200
