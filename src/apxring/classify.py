@@ -29,6 +29,7 @@ from .errors import (
     NotAnIdealError,
     NotSymmetricError,
     ZeroDivisorError,
+    _clip,
 )
 from .rings import (
     GaloisField,
@@ -352,6 +353,15 @@ def _additive_subgroups_within(ring, box):
     return list(seen)
 
 
+def subrings_within(box):
+    """Every multiplication-closed additive subgroup inside ``box``, as
+    the exhaustive pass of ``pos_char_search`` tries them."""
+    ring = box.ring
+    for sub in _additive_subgroups_within(ring, box):
+        if all(ring.mul(a, b) in sub for a in sub for b in sub):
+            yield FiniteSet(ring, sub)
+
+
 POS_CHAR_EXHAUSTIVE_LIMIT = 32
 _SEED_MULTIPLES = range(1, 5)
 # every strategy tag ``pos_char_search`` can report
@@ -401,9 +411,8 @@ def pos_char_search(x):
             seeds.add(seed)
             offer(closure(seed, budget=ring.cardinality).set, 1, f"seeded:{k}X")
     if len(core) <= POS_CHAR_EXHAUSTIVE_LIMIT:
-        for sub in _additive_subgroups_within(ring, core):
-            if all(ring.mul(a, b) in sub for a in sub for b in sub):
-                offer(FiniteSet(ring, sub), 2, "exhaustive")
+        for sub in subrings_within(core):
+            offer(sub, 2, "exhaustive")
 
     if not candidates:
         return SubringSearchResult(x, core, None, "none")
@@ -622,7 +631,8 @@ def gallery(name, **params):
         return GalleryItem(name, {"p": p, "n": n}, ring,
                            FiniteSet(ring, {v % p for v in range(-n, n + 1)}),
                            "image of an integer window")
-    raise InvalidParamsError(f"unknown gallery item {name!r}")
+    raise InvalidParamsError(f"unknown gallery item {_clip(repr(name))}; "
+                             f"one of: {', '.join(GALLERY_NAMES)}")
 
 
 GALLERY_NAMES = ("y-set", "linear-polys", "linear-quo", "interval",

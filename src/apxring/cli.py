@@ -3,7 +3,8 @@
 Exit codes: 0 ok, 1 internal error, 2 precondition violated, 3 budget
 exceeded, 4 verification failure / counterexample candidate.  Output is
 a human-readable summary by default; --json writes the self-contained
-payload (re-checkable with ``apx verify``).
+payload (re-checkable with ``apx verify``).  Each subcommand imports
+only the modules it runs.
 """
 
 from __future__ import annotations
@@ -12,15 +13,6 @@ import argparse
 import json
 import sys
 
-from .classify import (
-    GALLERY_NAMES,
-    finite_model_check,
-    gallery,
-    nzd_classify,
-    pos_char_search,
-)
-from .constructive import fact21_report, k11_cover
-from .cover import approx_constant, cover_exact, cover_greedy
 from .errors import (
     ApxError,
     BudgetExceededError,
@@ -35,10 +27,8 @@ from .errors import (
     VerificationFailedError,
     ZeroDivisorError,
 )
-from .serialize import verify_file
-from .sets import difference_set, growth_sequence, load_set_file, parse_set
-from .sweep import SweepSpec, run_sweep
 from .rings import make_ring
+from .sets import difference_set, growth_sequence, load_set_file, parse_set
 
 # unreadable input files (missing, not JSON) are precondition failures too
 _PRECONDITION = (ParseError, RingConstructionError, CrossRingError,
@@ -67,6 +57,7 @@ def _emit(args, payload, human_lines):
 
 
 def _cmd_approx(args):
+    from .cover import approx_constant
     ring = make_ring(args.ring)
     x = _load_set(ring, args.set)
     cert = approx_constant(x, args.mode, exact=not args.greedy)
@@ -94,6 +85,7 @@ def _cmd_growth(args):
 
 
 def _cmd_cover(args):
+    from .cover import cover_exact, cover_greedy
     ring = make_ring(args.ring)
     target = _load_set(ring, args.target)
     base = _load_set(ring, args.base)
@@ -112,6 +104,8 @@ def _cmd_cover(args):
 
 
 def _cmd_fact21(args):
+    from .constructive import fact21_report
+    from .cover import approx_constant
     ring = make_ring(args.ring)
     x = _load_set(ring, args.set)
     cert = approx_constant(x, "ring", exact=not args.greedy)
@@ -130,6 +124,8 @@ def _cmd_fact21(args):
 
 
 def _cmd_k11(args):
+    from .constructive import k11_cover
+    from .cover import approx_constant
     ring = make_ring(args.ring)
     x = _load_set(ring, args.set)
     cert = approx_constant(x, "ring", exact=not args.greedy)
@@ -143,6 +139,7 @@ def _cmd_k11(args):
 
 
 def _cmd_classify(args):
+    from .classify import nzd_classify, pos_char_search
     ring = make_ring(args.ring)
     x = _load_set(ring, args.set)
     if args.mode == "nzd":
@@ -167,6 +164,7 @@ def _cmd_classify(args):
 
 
 def _cmd_model(args):
+    from .classify import finite_model_check
     ring = make_ring(args.ring)
     x = _load_set(ring, args.set)
     ideal = _load_set(ring, args.ideal)
@@ -185,6 +183,7 @@ def _cmd_model(args):
 
 
 def _cmd_gallery(args):
+    from .classify import gallery
     params = {}
     if args.p is not None:
         params["p"] = args.p
@@ -202,6 +201,7 @@ def _cmd_gallery(args):
 
 
 def _cmd_sweep(args):
+    from .sweep import SweepSpec, run_sweep
     spec = SweepSpec.load(args.config)
     report = run_sweep(spec, jobs=args.jobs)
     csv_text = report.to_csv()
@@ -223,6 +223,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_verify(args):
+    from .serialize import verify_file
     ok, details = verify_file(args.input)
     for line in details:
         print(line)
@@ -294,7 +295,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_model)
 
     p = sub.add_parser("gallery", help="named example sets")
-    p.add_argument("name", choices=GALLERY_NAMES)
+    p.add_argument("name", help="example set (an unknown name lists them)")
     p.add_argument("--p", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--d", type=int)

@@ -746,7 +746,7 @@ def approx_constant(x, mode="ring", exact=True):
 
 
 # ---------------------------------------------------------------------------
-# commensurability and genericity
+# commensurability
 
 
 @dataclass(frozen=True)
@@ -774,33 +774,3 @@ def commensurability(a, b):
     return CommensurabilityResult(a, b, len(w_ab.translates),
                                   len(w_ba.translates), w_ab, w_ba)
 
-
-@dataclass(frozen=True)
-class GenericityResult:
-    generic: bool | None             # None: neither a cover nor a bound decides
-    bound: int
-    witness: CoverWitness | None
-    constant: int | None             # exact cover number when established
-
-
-def is_generic(d, x, bound, node_limit=DEFAULT_NODE_LIMIT):
-    """Do <= bound additive translates of d cover x?  Exact search.
-
-    ``generic`` is True when a verified cover within ``bound`` is found
-    (even if the node limit binds), False when the proven lower bound
-    (the optimum, once the search completes) exceeds ``bound``, and None
-    when the node limit binds between the two.
-    """
-    check_same_ring(d.ring, x.ring)
-    if len(x) == 0:
-        w = make_witness(x, d, (), True, "exact", {})
-        return GenericityResult(True, bound, w, 0)
-    if len(d) == 0:
-        return GenericityResult(False, bound, None, None)
-    pool = difference_set(x, d)
-    w = cover_exact(x, d, pool, node_limit)
-    size = len(w.translates)
-    constant = size if w.optimal else None
-    lower = size if w.optimal else w.stats["lower_bound"]
-    generic = True if size <= bound else False if lower > bound else None
-    return GenericityResult(generic, bound, w, constant)

@@ -5,40 +5,33 @@ Every payload carries its ring DSL and rendered elements, so
 what a payload proves by a witness is re-checked by the package's own
 checker (``cover.first_uncovered`` for covers with their lower bounds,
 ``ApproxCertificate.verify`` for certificates, ``classify.is_subring``
-and the core for a found subring, the classifier's own step for the
-no-zero-divisor hypothesis), and every other field is re-derived by the
-builder that wrote it, run on the payload's inputs and re-checked
-witnesses, and compared.  Nested payloads verify by their own kind; a
-sweep's rows must equal ``sweep.row_fields`` of their witnesses.  It
-returns (ok, details) and never raises on a merely *invalid* payload —
-malformed ones do raise.
+and the core for a found subring, ``classify.subrings_within`` for the
+claim of the exhaustive pass that no subring inside the core has a
+smaller constant, the classifier's own step for the no-zero-divisor
+hypothesis), and every other field is re-derived by the builder that
+wrote it, run on the payload's inputs and re-checked witnesses, and
+compared.  Nested payloads verify by their own kind; a sweep's rows
+must equal ``sweep.row_fields`` of their witnesses.  It returns (ok,
+details) and never raises on a merely *invalid* payload — malformed
+ones do raise.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
-from .classify import (
-    SubringSearchResult,
-    _hypothesis,
-    classification_report,
-    core_set,
-    finite_model_check,
-    gallery,
-    is_subring,
-)
-from .constructive import bound_table, fact21_report
 from .cover import (
     ApproxCertificate,
     CommensurabilityResult,
     CoverWitness,
+    commensurability,
     first_uncovered,
     lagrangian_floor,
 )
 from .errors import ApxError, ZeroDivisorError
 from .rings import parse_ring
 from .sets import FiniteSet, growth_sequence
-from .sweep import SweepReport, SweepSpec, row_fields
 
 
 def _ring_and_set(payload, key):
@@ -148,6 +141,7 @@ def _rebuilt(name, build, payload, flat=False):
 
 
 def _verify_classification(payload):
+    from .classify import _hypothesis, classification_report, core_set
     ok, details, cert = _certificate(payload["certificate"])
     if not ok:
         return ok, details
@@ -171,6 +165,11 @@ def _verify_classification(payload):
 
 
 def _verify_subring_search(payload):
+    """The subring must be one inside the core with the witnessed
+    constant; where the exhaustive pass runs, no subring inside the core
+    may have a smaller constant against X."""
+    from .classify import (POS_CHAR_EXHAUSTIVE_LIMIT, SubringSearchResult,
+                           core_set, is_subring, subrings_within)
     ring, x = _ring_and_set(payload, "x")
     core = core_set(x)
     s = comm = None
@@ -186,6 +185,13 @@ def _verify_subring_search(payload):
             payload, ("comm_s_by_x", "comm_x_by_s"), s, x)
         if why is not None:
             return False, [why]
+    if len(core) <= POS_CHAR_EXHAUSTIVE_LIMIT:
+        claimed = math.inf if comm is None else comm.constant
+        for sub in subrings_within(core):
+            c = commensurability(sub, x).constant
+            if c < claimed:
+                return False, [f"exhaustive pass: a subring of {len(sub)} "
+                               f"elements inside the core has constant {c}"]
     return _rebuilt("subring_search", lambda: SubringSearchResult(
         x, core, s, payload["strategy"], comm).to_json(), payload, flat=True)
 
@@ -194,6 +200,7 @@ def _verify_sweep(payload):
     """Every row witness must verify and every row field taken from a
     witness equal its value (x as a set); the report must rebuild from
     its config and rows."""
+    from .sweep import SweepReport, SweepSpec, row_fields
     details = []
     rows = payload["rows"]
     for row in rows:
@@ -216,6 +223,17 @@ def _verify_sweep(payload):
         SweepSpec.parse(payload["config"]), rows).to_json(), payload)
 
 
+def _constructive(payload, cert):
+    from .constructive import bound_table
+    return bound_table(cert, payload["m"])[payload["m"] - 1].to_json()
+
+
+def _fact21(payload, cert):
+    from .constructive import fact21_report
+    msum_m = payload["msum"]["stats"]["m"] if "msum" in payload else 0
+    return fact21_report(cert, len(payload["rows"]), msum_m)
+
+
 def _from_certificate(name, build):
     """Verifier of a payload whose certificate must verify and which
     ``build(payload, cert)`` must re-derive from that certificate."""
@@ -229,12 +247,14 @@ def _from_certificate(name, build):
 
 
 def _verify_gallery(payload):
+    from .classify import gallery
     name = payload["name"]
     return _rebuilt(f"gallery({name!r})",
                     lambda: gallery(name, **payload["params"]).to_json(), payload)
 
 
 def _verify_model(payload):
+    from .classify import finite_model_check
     ring, x = _ring_and_set(payload, "x")
     ideal = _parse_set(ring, payload["ideal"])
     return _rebuilt("model_check",
@@ -253,10 +273,8 @@ _VERIFIERS = {
     "classification_report": _verify_classification,
     "subring_search": _verify_subring_search,
     "sweep_report": _verify_sweep,
-    "constructive_report": _from_certificate("constructive_report", lambda p, cert: (
-        bound_table(cert, p["m"])[p["m"] - 1].to_json())),
-    "fact21_report": _from_certificate("fact21_report", lambda p, cert: fact21_report(
-        cert, len(p["rows"]), p["msum"]["stats"]["m"] if "msum" in p else 0)),
+    "constructive_report": _from_certificate("constructive_report", _constructive),
+    "fact21_report": _from_certificate("fact21_report", _fact21),
     "gallery_item": _verify_gallery,
     "model_check": _verify_model,
     "growth_profile": _verify_growth,

@@ -332,6 +332,29 @@ def test_verify_payload_rechecks_core_and_subring():
     assert not ok and details == ["not a subring: add 2 4"]
 
 
+def test_verify_payload_rechecks_exhaustive_subring_search():
+    # over Z/4 the subrings {0, 2} and Z/4 have constant 2 against
+    # X = {0, ±1}; {0} is a subring inside the core with constant 3
+    from apxring.classify import SubringSearchResult
+    from apxring.serialize import verify_payload
+    x = ax.parse_set(ax.modular(4), "{0,1,3}")
+    res = ax.pos_char_search(x)
+    assert res.exhaustive and res.commensurability == 2
+    assert verify_payload(res.to_json())[0]
+    worse_s = ax.parse_set(ax.modular(4), "{0}")
+    assert ax.is_subring(worse_s) == (True, None)
+    payload = SubringSearchResult(x, res.core, worse_s, "generated",
+                                  ax.commensurability(worse_s, x)).to_json()
+    assert payload["commensurability"] == 3
+    ok, details = verify_payload(payload)
+    assert not ok and details[0].startswith("exhaustive pass: a subring of")
+    assert details[0].endswith("inside the core has constant 2"), details
+    # no subring at all: {0} alone lies inside every core
+    payload = SubringSearchResult(x, res.core, None, "none").to_json()
+    ok, details = verify_payload(payload)
+    assert not ok and "exhaustive pass" in details[0]
+
+
 def test_verify_payload_rechecks_the_hypothesis():
     # a report built by hand for zmod:8, which has zero divisors, claims
     # either hypothesis; nzd_classify itself raises on both

@@ -251,30 +251,6 @@ def test_commensurability_examples():
     assert (r.k_ab, r.k_ba) == (1, 2)
 
 
-def test_is_generic_examples():
-    x = iset(0, 3)
-    r = ax.is_generic(x, x, 1)
-    assert r.generic and r.witness.translates == (0,)
-    r = ax.is_generic(FiniteSet(Z, [0]), FiniteSet(Z, [0, 1]), 1)
-    assert not r.generic and r.constant == 2
-    m9 = ax.modular(9)
-    r = ax.is_generic(ax.parse_set(m9, "{0,3,6}"),
-                      ax.parse_set(m9, "{0,1,2,3,4,5,6,7,8}"), 3)
-    assert r.generic and r.constant == 3
-    # the node limit binds: a verified cover within the bound still answers yes
-    d, big = FiniteSet(Z, [0, 1, 4]), FiniteSet(Z, range(30))
-    r = ax.is_generic(d, big, bound=10 ** 6, node_limit=5)
-    assert not r.witness.optimal and r.generic and r.constant is None
-    assert ax.verify_witness(r.witness)[0]
-    assert (r.witness.stats["lower_bound"], len(r.witness.translates)) == (10, 13)
-    # between the lower bound 10 and the witness 13 the answer is unknown
-    r = ax.is_generic(d, big, bound=12, node_limit=5)
-    assert r.generic is None and r.constant is None
-    # below the lower bound it is a proven no
-    r = ax.is_generic(d, big, bound=9, node_limit=5)
-    assert r.generic is False and r.constant is None
-
-
 def test_witness_json_round_trip():
     from apxring.serialize import verify_payload
     a, b = iset(-2, 2), iset(-1, 1)

@@ -1,5 +1,6 @@
 """Sweep harness determinism and the apx command line surface."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import apxring as ax
+from apxring.classify import GALLERY_NAMES
 from apxring.errors import ParseError
 from apxring.serialize import verify_payload
 from apxring.sweep import SweepSpec, generate_instances, run_sweep
@@ -275,13 +277,40 @@ def test_verify_sweep_checks_row_fields():
             assert not ok and f": {key} " in details[0], (key, details)
 
 
-def test_cli_import_leaves_process_pool_out():
-    # only run_sweep with jobs > 1 needs multiprocessing
-    code = ("import sys, apxring.cli; "
-            "print('concurrent.futures' in sys.modules)")
+def _modules_after(code):
+    """Names in sys.modules of a fresh interpreter after running code:
+    the package's modules and concurrent.futures."""
+    code = ("import sys\n" + code + "\nprint(*sorted(m for m in sys.modules "
+            "if m.startswith(('apxring', 'concurrent.futures'))))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=60, env=ENV)
-    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_cli_import_leaves_process_pool_out(tmp_path):
+    # only run_sweep with jobs > 1 needs multiprocessing, and each
+    # subcommand loads only the modules it runs
+    assert _modules_after("import apxring.cli") == {
+        "apxring", "apxring.cli", "apxring.errors", "apxring.rings",
+        "apxring.sets"}
+    path = tmp_path / "cert.json"
+    cert = ax.approx_constant(ax.parse_set(ax.modular(7), "{0,1,6}"))
+    path.write_text(json.dumps(cert.to_json()))
+    assert _modules_after(
+        "from apxring.cli import main\n"
+        f"assert main(['verify', '--input', {str(path)!r}]) == 0") == {
+        "apxring", "apxring.cli", "apxring.cover", "apxring.errors",
+        "apxring.rings", "apxring.serialize", "apxring.sets"}
+
+
+def test_package_exports_load_on_first_use():
+    for name in ax.__all__:
+        home = importlib.import_module(f"apxring.{ax._EXPORTS[name]}")
+        assert getattr(ax, name) is getattr(home, name), name
+    assert set(ax.__all__) <= set(dir(ax))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ax.no_such_name
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +353,9 @@ def test_cli_k11():
 def test_cli_gallery():
     code, out, _ = run_cli("gallery", "y-set", "--p", "3")
     assert code == 0 and "7 elements" in out
+    code, _, err = run_cli("gallery", "bogus")
+    assert code == 2 and "'bogus'" in err
+    assert all(name in err for name in GALLERY_NAMES), err
     code, out, _ = run_cli("gallery", "y-set", "--p", "3", "--json")
     payload = json.loads(out)
     ok, details = verify_payload(payload)
