@@ -17,8 +17,8 @@ _EXPORTS = {name: module for module, names in {
         "SubringSearchResult", "core_set", "finite_model_check", "gallery",
         "is_subring", "nzd_classify", "pos_char_search"),
     "constructive": (
-        "ConstructiveCoverReport", "bound_table", "claim1_cover",
-        "claim2_cover", "k11_cover", "msum_cover"),
+        "ConstructiveCoverReport", "bound_table", "claim2_cover",
+        "k11_cover", "msum_cover"),
     "cover": (
         "ApproxCertificate", "CommensurabilityResult", "CoverWitness",
         "approx_constant", "commensurability", "cover_brute_force",
@@ -29,15 +29,12 @@ _EXPORTS = {name: module for module, names in {
         "NotSymmetricError", "ParseError", "RingConstructionError",
         "UncoverableError", "VerificationFailedError", "ZeroDivisorError"),
     "rings": (
-        "galois_field", "integers", "make_ring", "matrix_ring", "modular",
-        "parse_ring", "poly_quotient", "poly_ring", "prime_field",
-        "product_ring", "quotient_ring", "subring_table", "table_ring",
-        "zero_multiplication_ring"),
+        "modular", "parse_ring", "quotient_ring", "subring_table",
+        "table_ring", "zero_multiplication_ring"),
     "sets": (
         "ClosureResult", "FiniteSet", "GrowthProfile", "closure",
         "difference_set", "growth_sequence", "growth_step", "iterated_sum",
-        "msum", "negate", "parse_set", "power_products", "prodset", "sumset",
-        "symmetrize", "translate"),
+        "msum", "negate", "parse_set", "power_products", "prodset", "sumset"),
     "sweep": ("SweepReport", "SweepSpec", "run_sweep"),
 }.items() for name in names}
 

@@ -36,10 +36,10 @@ from .rings import (
     IntegerRing,
     LazyPolyRing,
     ModularRing,
+    PolyQuotientRing,
     _is_prime,
     _poly_trim,
     check_same_ring,
-    poly_quotient,
     quotient_ring,
     subring_table,
 )
@@ -274,15 +274,19 @@ def _hypothesis(core, hypothesis):
 @dataclass(frozen=True)
 class SubringSearchResult:
     """A subring inside the core of X, or None, and the strategy that
-    found it (ValueError for a tag the search cannot report with it)."""
+    found it (ValueError for a tag the search cannot report with it),
+    beside the ring-mode certificate of X (ValueError for any other)."""
 
     x: FiniteSet
+    certificate: object
     core: FiniteSet
     found: FiniteSet | None
     strategy_used: str
     comm_result: CommensurabilityResult | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        if self.certificate.x != self.x or self.certificate.mode != "ring":
+            raise ValueError("certificate must be a ring-mode certificate of x")
         tags = {"none"} if self.found is None else _STRATEGY_TAGS - {"none"}
         if self.strategy_used not in tags:
             raise ValueError(
@@ -299,7 +303,7 @@ class SubringSearchResult:
     def to_json(self):
         ring = self.x.ring
         out = {
-            "schema_version": "3",
+            "schema_version": "4",
             "kind": "subring_search",
             "ring": ring.descriptor,
             "x": [ring.render(v) for v in self.x],
@@ -307,6 +311,7 @@ class SubringSearchResult:
             "strategy": self.strategy_used,
             "exhaustive": self.exhaustive,
             "commensurability": self.commensurability,
+            "certificate": self.certificate.to_json(),
         }
         if self.found is not None:
             out["subring"] = [ring.render(v) for v in self.found]
@@ -369,9 +374,11 @@ _STRATEGY_TAGS = frozenset({"none", "generated", "exhaustive",
                            *(f"seeded:{k}X" for k in _SEED_MULTIPLES)})
 
 
-def pos_char_search(x):
+def pos_char_search(x, cert=None):
     """Search for a subring S ⊆ 4X + X·4X minimizing commensurability
-    with X.  Three strategies, in this order:
+    with X.  ``cert`` is an exact ring-mode certificate of X already
+    computed, as by ``approx_constant(x, "ring")``; without it K is
+    certified here.  Three strategies, in this order:
 
       generated   S = ⟨X⟩ when it stays inside the core
       seeded      S = ⟨X ∩ kX ∩ core⟩ for k <= 4, once per distinct seed
@@ -395,6 +402,8 @@ def pos_char_search(x):
         raise NotSymmetricError("subring search needs a symmetric set")
     if len(x) == 0:
         raise InvalidParamsError("subring search needs a nonempty set")
+    if cert is None:
+        cert = approx_constant(x, "ring")
     core = core_set(x)
     core_elems = core.elements()
     candidates = []
@@ -415,7 +424,7 @@ def pos_char_search(x):
             offer(sub, 2, "exhaustive")
 
     if not candidates:
-        return SubringSearchResult(x, core, None, "none")
+        return SubringSearchResult(x, cert, core, None, "none")
     # ties on the constant resolve by strategy order, then smaller S; a
     # candidate whose counting bound max(⌈|S|/|X|⌉, ⌈|X|/|S|⌉) already
     # loses cannot win with its real constant
@@ -430,7 +439,7 @@ def pos_char_search(x):
         if best is None or key < best[0]:
             best = (key, fs, tag, comm)
     _, fs, tag, comm = best
-    return SubringSearchResult(x, core, fs, tag, comm)
+    return SubringSearchResult(x, cert, core, fs, tag, comm)
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +620,7 @@ def gallery(name, **params):
         p, d = params.get("p"), params.get("d")
         if not isinstance(p, int) or not _is_prime(p) or not isinstance(d, int) or d < 2:
             raise InvalidParamsError("linear-quo needs a prime p and degree d >= 2")
-        ring = poly_quotient(p, (0,) * d + (1,))
+        ring = PolyQuotientRing(p, (0,) * d + (1,))
         elems = {_poly_trim((a, b)) for a in range(p) for b in range(p)}
         return GalleryItem(name, {"p": p, "d": d}, ring, FiniteSet(ring, elems),
                            "commensurable with a subring inside the core")

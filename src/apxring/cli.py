@@ -27,7 +27,7 @@ from .errors import (
     VerificationFailedError,
     ZeroDivisorError,
 )
-from .rings import make_ring
+from .rings import parse_ring
 from .sets import difference_set, growth_sequence, load_set_file, parse_set
 
 # unreadable input files (missing, not JSON) are precondition failures too
@@ -58,7 +58,7 @@ def _emit(args, payload, human_lines):
 
 def _cmd_approx(args):
     from .cover import approx_constant
-    ring = make_ring(args.ring)
+    ring = parse_ring(args.ring)
     x = _load_set(ring, args.set)
     cert = approx_constant(x, args.mode, exact=not args.greedy)
     _emit(args, cert.to_json(), [
@@ -71,7 +71,7 @@ def _cmd_approx(args):
 
 
 def _cmd_growth(args):
-    ring = make_ring(args.ring)
+    ring = parse_ring(args.ring)
     x = _load_set(ring, args.set)
     profile = growth_sequence(x, args.n, with_covering=args.covering)
     rows = []
@@ -86,7 +86,7 @@ def _cmd_growth(args):
 
 def _cmd_cover(args):
     from .cover import cover_exact, cover_greedy
-    ring = make_ring(args.ring)
+    ring = parse_ring(args.ring)
     target = _load_set(ring, args.target)
     base = _load_set(ring, args.base)
     pool = (_load_set(ring, args.pool) if args.pool
@@ -106,7 +106,7 @@ def _cmd_cover(args):
 def _cmd_fact21(args):
     from .constructive import fact21_report
     from .cover import approx_constant
-    ring = make_ring(args.ring)
+    ring = parse_ring(args.ring)
     x = _load_set(ring, args.set)
     cert = approx_constant(x, "ring", exact=not args.greedy)
     payload = fact21_report(cert, args.m, args.msum_m)
@@ -126,7 +126,7 @@ def _cmd_fact21(args):
 def _cmd_k11(args):
     from .constructive import k11_cover
     from .cover import approx_constant
-    ring = make_ring(args.ring)
+    ring = parse_ring(args.ring)
     x = _load_set(ring, args.set)
     cert = approx_constant(x, "ring", exact=not args.greedy)
     w = k11_cover(cert)
@@ -140,7 +140,7 @@ def _cmd_k11(args):
 
 def _cmd_classify(args):
     from .classify import nzd_classify, pos_char_search
-    ring = make_ring(args.ring)
+    ring = parse_ring(args.ring)
     x = _load_set(ring, args.set)
     if args.mode == "nzd":
         report = nzd_classify(x, small_threshold=args.small_threshold,
@@ -165,7 +165,7 @@ def _cmd_classify(args):
 
 def _cmd_model(args):
     from .classify import finite_model_check
-    ring = make_ring(args.ring)
+    ring = parse_ring(args.ring)
     x = _load_set(ring, args.set)
     ideal = _load_set(ring, args.ideal)
     report = finite_model_check(x, ideal)

@@ -3,7 +3,7 @@
 Given a certificate X*X ∪ (X+X) ⊆ F + X, covers by additive translates
 of X are *built* (not searched) for:
 
-  * word products:  (x_{m-1}···x_0)X, letters in X   (claim1_cover)
+  * word products:  (x_{m-1}···x_0)X, letters in X   (_Builder.word_cover)
   * power sets:     X^m ⊆ F_m + X                    (claim2_cover)
   * m(X^{<=m}):     sums of m products of <= m terms (msum_cover)
   * the core set:   4X + X·4X ⊆ S_11 + X, |S_11| <= K^11   (k11_cover)
@@ -40,7 +40,6 @@ from .sets import (
     iterated_sum,
     msum,
     power_products,
-    prodset,
     sumset,
 )
 
@@ -157,24 +156,6 @@ class _Builder:
                         f"derivation of {ring.render(v)} evaluates wrongly")
             seq.append((nxt, gm_count * self.k * self.k))
         return seq
-
-
-def claim1_cover(word, cert):
-    """Constructive cover of (x_{m-1}···x_0)X for a word over X."""
-    _require_ring_cert(cert)
-    word = tuple(word)
-    if not word:
-        raise ValueError("word must be nonempty")
-    for letter in word:
-        if letter not in cert.x:
-            raise ValueError(
-                f"word letter {cert.ring.render(letter)} is not in X")
-    d, count = _Builder(cert).word_cover(word)
-    value = eval_term(cert.ring, (word,))
-    target = prodset(FiniteSet(cert.ring, (value,)), cert.x)
-    translates = sorted(d, key=cert.ring.sort_key)
-    return make_witness(target, cert.x, translates, False, "constructive",
-                        {"count_bound": count, "word_length": len(word)})
 
 
 def claim2_cover(m, cert):

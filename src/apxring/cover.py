@@ -60,7 +60,6 @@ from .sets import (
     FiniteSet,
     difference_set,
     is_symmetric,
-    negate,
     prodset,
     sumset,
     union,
@@ -643,7 +642,6 @@ class ApproxCertificate:
             "f": [ring.render(v) for v in self.witness_f],
             "mode": self.mode,
             "minimal": self.minimal,
-            "f_location": {"pool": "T-X"},
             "derivations": {
                 ring.render(f): [[ring.render(x) for x in word] for word in term]
                 for f, term in self.derivations.items()},

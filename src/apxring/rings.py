@@ -1,8 +1,8 @@
 """Computable rings with canonical element encodings.
 
-Backends: integers mod n, prime fields, polynomial quotient rings
-F_p[t]/(m), Galois fields, d x d matrix rings, finite products, explicit
-Cayley tables, and two lazy (infinite) backends: the integers and F_p[t].
+Backends: integers mod n, polynomial quotient rings F_p[t]/(m), Galois
+fields, d x d matrix rings, finite products, explicit Cayley tables, and
+two lazy (infinite) backends: the integers and F_p[t].
 
 Rings are never assumed unital or commutative; no operation here uses a
 multiplicative identity.  Finite backends expose a fixed dense indexing
@@ -145,7 +145,7 @@ def _poly_mod(a, modulus, p):
     return _poly_trim(a)
 
 
-def _poly_render(coeffs, var="t"):
+def _poly_render(coeffs):
     if not coeffs:
         return "0"
     terms = []
@@ -156,9 +156,9 @@ def _poly_render(coeffs, var="t"):
         if e == 0:
             terms.append(str(c))
         elif e == 1:
-            terms.append(f"{c}{var}" if c != 1 else var)
+            terms.append(f"{c}t" if c != 1 else "t")
         else:
-            terms.append(f"{c}{var}^{e}" if c != 1 else f"{var}^{e}")
+            terms.append(f"{c}t^{e}" if c != 1 else f"t^{e}")
     return "+".join(terms)
 
 
@@ -342,11 +342,9 @@ class _RangeRing(Ring):
 class ModularRing(_RangeRing):
     """Z/nZ."""
 
-    def __init__(self, n, prime_required=False):
+    def __init__(self, n):
         if n < 2:
             raise RingConstructionError(f"modulus {n} < 2")
-        if prime_required and not _is_prime(n):
-            raise RingConstructionError(f"{n} is not prime")
         self.n = n
         self.descriptor = f"zmod:{n}"
         self.cardinality = n
@@ -1081,44 +1079,9 @@ def parse_ring(dsl):
     raise ParseError(f"unknown ring DSL {_clip(s)!r}")
 
 
-def make_ring(desc):
-    """Ring handle from a DSL string or an existing handle (idempotent)."""
-    if isinstance(desc, Ring):
-        return desc
-    return parse_ring(desc)
-
-
-# constructor aliases matching the descriptor vocabulary
 def modular(n):
+    """Z/nZ, as ``parse_ring(f"zmod:{n}")`` builds it."""
     return ModularRing(n)
-
-
-def prime_field(p):
-    return ModularRing(p, prime_required=True)
-
-
-def poly_quotient(p, modulus):
-    return PolyQuotientRing(p, modulus)
-
-
-def galois_field(p, k, modulus=None):
-    return GaloisField(p, k, modulus)
-
-
-def matrix_ring(base, d):
-    return MatrixRing(make_ring(base), d)
-
-
-def product_ring(factors):
-    return ProductRing(make_ring(f) for f in factors)
-
-
-def integers():
-    return IntegerRing()
-
-
-def poly_ring(p):
-    return LazyPolyRing(p)
 
 
 def table_ring(add_table, mul_table):

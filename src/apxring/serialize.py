@@ -165,11 +165,16 @@ def _verify_classification(payload):
 
 
 def _verify_subring_search(payload):
-    """The subring must be one inside the core with the witnessed
-    constant; where the exhaustive pass runs, no subring inside the core
-    may have a smaller constant against X."""
+    """The certificate must verify; the subring must be one inside the
+    core with the witnessed constant; where the exhaustive pass runs, no
+    subring inside the core may have a smaller constant against X."""
     from .classify import (POS_CHAR_EXHAUSTIVE_LIMIT, SubringSearchResult,
                            core_set, is_subring, subrings_within)
+    if "certificate" not in payload:
+        return False, ["no certificate of X (schema 4 nests one)"]
+    ok, details, cert = _certificate(payload["certificate"])
+    if not ok:
+        return ok, details
     ring, x = _ring_and_set(payload, "x")
     core = core_set(x)
     s = comm = None
@@ -192,8 +197,9 @@ def _verify_subring_search(payload):
             if c < claimed:
                 return False, [f"exhaustive pass: a subring of {len(sub)} "
                                f"elements inside the core has constant {c}"]
-    return _rebuilt("subring_search", lambda: SubringSearchResult(
-        x, core, s, payload["strategy"], comm).to_json(), payload, flat=True)
+    ok, det = _rebuilt("subring_search", lambda: SubringSearchResult(
+        x, cert, core, s, payload["strategy"], comm).to_json(), payload, flat=True)
+    return ok, details + det if ok else det
 
 
 def _verify_sweep(payload):

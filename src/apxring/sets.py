@@ -1,6 +1,6 @@
 """Finite-set arithmetic over a ring.
 
-Sum and product sets, translates, the growth recursion
+Sum, difference and product sets, the growth recursion
 X_{n+1} = X_n*X_n + (X_n + X_n), iterated sums and products and subring
 closure, an additive span grown by cosets (see ``closure``).
 
@@ -97,10 +97,6 @@ class FiniteSet:
 
     def render(self):
         return "{" + ", ".join(self.ring.render(x) for x in self) + "}"
-
-    def to_json(self):
-        return {"ring": self.ring.descriptor,
-                "elements": [self.ring.render(x) for x in self]}
 
 
 def parse_set(ring, text):
@@ -270,18 +266,6 @@ def negate(a):
     return FiniteSet(a.ring, (a.ring.neg(x) for x in a.elements()))
 
 
-def symmetrize(a):
-    """a ∪ (−a).  Does not force 0 in: symmetry and 0-membership stay
-    orthogonal, callers that need 0 state it as a precondition."""
-    return FiniteSet(a.ring, set(a.elements()) | {a.ring.neg(x) for x in a.elements()})
-
-
-def translate(t, a):
-    """{t + x : x in a}; ValueError when t is not an element of a's ring."""
-    a.ring.check_elements({t})
-    return FiniteSet(a.ring, (a.ring.add(t, x) for x in a.elements()))
-
-
 def union(a, b):
     check_same_ring(a.ring, b.ring)
     return FiniteSet(a.ring, a.elements() | b.elements())
@@ -292,18 +276,18 @@ def intersect(a, b):
     return FiniteSet(a.ring, a.elements() & b.elements())
 
 
-def difference_set(a, b, cap=DEFAULT_SET_CAP):
+def difference_set(a, b):
     """Minkowski difference {x - y : x in a, y in b} = a + (-b)."""
-    return sumset(a, negate(b), cap)
+    return sumset(a, negate(b))
 
 
 def is_symmetric(a):
     return all(a.ring.neg(x) in a for x in a.elements())
 
 
-def growth_step(a, cap=DEFAULT_SET_CAP):
+def growth_step(a):
     """a*a + (a + a), one step of the growth recursion."""
-    return sumset(prodset(a, a, cap), sumset(a, a, cap), cap)
+    return sumset(prodset(a, a), sumset(a, a))
 
 
 @dataclass(frozen=True)

@@ -202,7 +202,7 @@ def _run_row(args):
             witness = nzd_classify(x, small_threshold=threshold,
                                    cert=cert).to_json()
         else:
-            witness = pos_char_search(x).to_json()
+            witness = pos_char_search(x, cert=cert).to_json()
         row.update(row_fields(witness, ring), _witness=witness)
     except BudgetExceededError as exc:
         row["status"] = f"budget-exceeded: {exc}"
@@ -215,9 +215,10 @@ def row_fields(w, ring):
     """The fields a sweep row takes from its witness payload ``w`` and
     ``ring``, the ring ``w`` names (``L``, its characteristic)."""
     row = {"ring": w["ring"], "x": tuple(w["x"]), "x_size": len(w["x"]),
-           "L": ring.characteristic, "core_size": w["core_size"]}
+           "L": ring.characteristic, "K": w["certificate"]["k"],
+           "core_size": w["core_size"]}
     if w["kind"] == "classification_report":
-        row.update(K=w["k"], verdict=w["verdict"],
+        row.update(verdict=w["verdict"],
                    core_is_subring=w["core_is_subring"],
                    commensurability=w["commensurability_to_x"],
                    k11_bound=w["k11_bound"])

@@ -17,7 +17,7 @@ def _mk(name, ring, literal):
 
 
 def corpus_sets():
-    z = ax.integers()
+    z = ax.parse_ring("int")
     out = [
         _mk("interval-1", z, "{-1,0,1}"),
         _mk("interval-2", z, "{-2,-1,0,1,2}"),
@@ -40,12 +40,12 @@ def corpus_sets():
     lp2 = ax.gallery("linear-polys", p=2)
     out.append(("linear-polys-2", lp2.xset))
 
-    mat = ax.matrix_ring("zmod:2", 2)
+    mat = ax.parse_ring("mat:2:zmod:2")
     out.append(("mat2-nilpotent",
                 ax.FiniteSet(mat, [mat.zero(),
                                    ((1, 0), (0, 1)),
                                    ((0, 1), (0, 0))])))
-    prod = ax.product_ring(["zmod:2", "zmod:3"])
+    prod = ax.parse_ring("prod:(zmod:2,zmod:3)")
     out.append(("prod-mixed",
                 ax.FiniteSet(prod, [prod.zero(), (1, 1), (1, 2)])))
     zm = ax.zero_multiplication_ring(8)

@@ -16,7 +16,7 @@ from apxring.errors import (
 from apxring.cover import cover_brute_force
 from apxring.sets import FiniteSet, closure, difference_set
 
-Z = ax.integers()
+Z = ax.parse_ring("int")
 
 
 def test_core_set_examples():
@@ -69,11 +69,11 @@ def test_zero_divisor_oracle():
     assert ax.modular(6).mul(*pair) == 0
     assert find_zero_divisor(ax.parse_ring("polyquo:3:t^2")) == \
         (((0, 1), (0, 1)), "exhaustive")
-    assert find_zero_divisor(ax.integers()) == (None, "known-domain")
+    assert find_zero_divisor(ax.parse_ring("int")) == (None, "known-domain")
 
 
 def test_nzd_classify_whole_field():
-    g = ax.galois_field(3, 2, (1, 0, 1))
+    g = ax.parse_ring("gf:3^2:t^2+1")
     x = FiniteSet(g, g.elements())
     rep = ax.nzd_classify(x)
     assert rep.verdict == "structured"
@@ -176,7 +176,8 @@ def test_pos_char_search_exhaustive_flag():
     assert res.found.elements() <= res.core.elements()
     assert ax.is_subring(res.found) == (True, None)
     payload = res.to_json()
-    assert payload["schema_version"] == "3" and "containment_ok" not in payload
+    assert payload["schema_version"] == "4" and "containment_ok" not in payload
+    assert payload["certificate"]["k"] == ax.approx_constant(x, "ring").k
 
 
 def _closed_subsets_bruteforce(ring, box):
@@ -327,6 +328,16 @@ def test_verify_payload_rechecks_core_and_subring():
     # schema 1 carried containment_ok, which the verifier never read
     assert verify_payload(dict(payload, schema_version="1",
                                containment_ok=True))[0]
+    # the nested certificate verifies, and must be one of X
+    cert = dict(payload["certificate"], f=payload["certificate"]["f"][:-1])
+    ok, details = verify_payload(dict(payload, certificate=cert))
+    assert not ok and details == ["|F| != k"]
+    other = ax.approx_constant(ax.parse_set(ax.modular(8), "{0}"), "ring")
+    ok, details = verify_payload(dict(payload, certificate=other.to_json()))
+    assert not ok and "ring-mode certificate of x" in details[0]
+    no_cert = {k: v for k, v in payload.items() if k != "certificate"}
+    assert verify_payload(no_cert) == (
+        False, ["no certificate of X (schema 4 nests one)"])
     payload["subring"] = ["0", "2", "4"]       # 2 + 4 = 6 escapes
     ok, details = verify_payload(payload)
     assert not ok and details == ["not a subring: add 2 4"]
@@ -343,14 +354,15 @@ def test_verify_payload_rechecks_exhaustive_subring_search():
     assert verify_payload(res.to_json())[0]
     worse_s = ax.parse_set(ax.modular(4), "{0}")
     assert ax.is_subring(worse_s) == (True, None)
-    payload = SubringSearchResult(x, res.core, worse_s, "generated",
-                                  ax.commensurability(worse_s, x)).to_json()
+    payload = SubringSearchResult(x, res.certificate, res.core, worse_s,
+                                  "generated", ax.commensurability(worse_s, x)).to_json()
     assert payload["commensurability"] == 3
     ok, details = verify_payload(payload)
     assert not ok and details[0].startswith("exhaustive pass: a subring of")
     assert details[0].endswith("inside the core has constant 2"), details
     # no subring at all: {0} alone lies inside every core
-    payload = SubringSearchResult(x, res.core, None, "none").to_json()
+    payload = SubringSearchResult(x, res.certificate, res.core, None,
+                                  "none").to_json()
     ok, details = verify_payload(payload)
     assert not ok and "exhaustive pass" in details[0]
 

@@ -17,6 +17,7 @@ from apxring.errors import (
 )
 from apxring.rings import (
     TABLE_LIMIT,
+    GaloisField,
     IntegerRing,
     Ring,
     TableRing,
@@ -100,21 +101,21 @@ def all_backends():
     return [
         ax.modular(7),
         ax.modular(12),
-        ax.prime_field(13),
-        ax.galois_field(3, 2, (1, 0, 1)),          # t^2 + 1
-        ax.poly_quotient(5, (0, 0, 0, 1)),          # t^3
-        ax.matrix_ring("zmod:2", 2),
-        ax.product_ring(["zmod:2", "zmod:3"]),
+        ax.parse_ring("zmod:13"),
+        ax.parse_ring("gf:3^2:t^2+1"),          # t^2 + 1
+        ax.parse_ring("polyquo:5:t^3"),          # t^3
+        ax.parse_ring("mat:2:zmod:2"),
+        ax.parse_ring("prod:(zmod:2,zmod:3)"),
         ax.zero_multiplication_ring(6),
-        ax.integers(),
-        ax.poly_ring(3),
+        ax.parse_ring("int"),
+        ax.parse_ring("poly:3"),
     ]
 
 
-def test_make_ring_examples():
-    r = ax.make_ring("zmod:7")
+def test_parse_ring_examples():
+    r = ax.parse_ring("zmod:7")
     assert r.cardinality == 7 and r.characteristic == 7
-    g = ax.galois_field(3, 2, (1, 0, 1))
+    g = ax.parse_ring("gf:3^2:t^2+1")
     assert g.cardinality == 9 and g.characteristic == 3
 
 
@@ -122,11 +123,11 @@ def test_invalid_descriptors():
     with pytest.raises(RingConstructionError):
         ax.modular(1)
     with pytest.raises(RingConstructionError):
-        ax.prime_field(6)
+        ax.parse_ring("polyquo:6:t")               # base not prime
     with pytest.raises(RingConstructionError):
-        ax.galois_field(3, 2, (0, 0, 1))           # t^2 reducible
+        ax.parse_ring("gf:3^2:t^2")                # t^2 reducible
     with pytest.raises(RingConstructionError):
-        ax.poly_quotient(5, (1, 2))                # not monic
+        ax.parse_ring("polyquo:5:2t+1")            # not monic
     # non-associative multiplication table
     add = [[(i + j) % 2 for j in range(2)] for i in range(2)]
     ok_mul = [[0, 0], [0, 1]]
@@ -166,7 +167,7 @@ def test_element_ops_examples():
         if backend.is_finite:
             for x in list(backend.elements())[:20]:
                 assert backend.add(x, backend.neg(x)) == backend.zero()
-    g = ax.galois_field(3, 2, (1, 0, 1))
+    g = ax.parse_ring("gf:3^2:t^2+1")
     t = g.parse("t")
     assert g.mul(t, t) == g.parse("2")             # t^2 = -1 = 2
 
@@ -180,11 +181,11 @@ def test_cross_ring_mixing_rejected():
 
 def test_enumeration():
     assert list(ax.modular(3).elements()) == [0, 1, 2]
-    prod = ax.product_ring(["zmod:2", "zmod:2"])
+    prod = ax.parse_ring("prod:(zmod:2,zmod:2)")
     elems = list(prod.elements())
     assert len(elems) == 4 and elems[0] == (0, 0)
     with pytest.raises(InfiniteRingError):
-        list(ax.integers().elements())
+        list(ax.parse_ring("int").elements())
 
 
 def test_dense_index_zero_first():
@@ -198,9 +199,9 @@ def test_dense_index_zero_first():
 
 def test_parse_examples():
     assert ax.modular(7).parse("12") == 5
-    pq = ax.poly_quotient(5, (0, 0, 0, 1))
+    pq = ax.parse_ring("polyquo:5:t^3")
     assert pq.parse("2+t") == (2, 1)
-    lp = ax.poly_ring(3)
+    lp = ax.parse_ring("poly:3")
     assert lp.parse("t^2+2t") == (0, 2, 1)
     with pytest.raises(ParseError):
         ax.modular(7).parse("abc")
@@ -224,7 +225,7 @@ def test_parse_render_round_trip():
 def test_dsl_round_trip():
     # the descriptor is the ring: it parses back to an equal handle with
     # the same operations, on every backend, corpus ring and table handle
-    r = ax.product_ring(["zmod:4", "zmod:2"])
+    r = ax.parse_ring("prod:(zmod:4,zmod:2)")
     sub, _, _ = ax.subring_table(r, [(0, 0), (2, 0), (0, 1), (2, 1)])
     quo, _ = ax.quotient_ring(r, [(0, 0), (2, 0)])
     rings = {*all_backends(), *(x.ring for _, x in corpus_sets()), sub, quo}
@@ -239,7 +240,7 @@ def test_dsl_round_trip():
 @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
        st.integers(-10**6, 10**6))
 def test_integer_backend_axioms(a, b, c):
-    z = ax.integers()
+    z = ax.parse_ring("int")
     assert z.add(z.add(a, b), c) == z.add(a, z.add(b, c))
     assert z.mul(a, z.add(b, c)) == z.add(z.mul(a, b), z.mul(a, c))
     assert z.add(a, z.neg(a)) == z.zero()
@@ -249,7 +250,7 @@ def test_integer_backend_axioms(a, b, c):
 @given(st.lists(st.integers(0, 2), max_size=6),
        st.lists(st.integers(0, 2), max_size=6))
 def test_lazy_poly_mul_commutes_with_eval(p, q):
-    ring = ax.poly_ring(3)
+    ring = ax.parse_ring("poly:3")
     a = ring.parse("+".join(f"{c}t^{i}" for i, c in enumerate(p)) or "0")
     b = ring.parse("+".join(f"{c}t^{i}" for i, c in enumerate(q)) or "0")
     # evaluate both sides at t = 2 in Z/3 as an independent oracle
@@ -265,7 +266,7 @@ def test_axioms_all_backends():
 
 
 def test_matrix_ring_noncommutative():
-    m = ax.matrix_ring("zmod:2", 2)
+    m = ax.parse_ring("mat:2:zmod:2")
     a = ((0, 1), (0, 0))
     b = ((0, 0), (1, 0))
     assert m.mul(a, b) != m.mul(b, a)
@@ -279,11 +280,11 @@ def test_zero_mul_ring_is_nonunital():
 
 
 def test_characteristic_values():
-    assert ax.integers().characteristic == 0
-    assert ax.poly_ring(3).characteristic == 3
+    assert ax.parse_ring("int").characteristic == 0
+    assert ax.parse_ring("poly:3").characteristic == 3
     assert ax.modular(12).characteristic == 12
-    assert ax.product_ring(["zmod:2", "zmod:3"]).characteristic == 6
-    assert ax.matrix_ring("zmod:5", 2).characteristic == 5
+    assert ax.parse_ring("prod:(zmod:2,zmod:3)").characteristic == 6
+    assert ax.parse_ring("mat:2:zmod:5").characteristic == 5
     r = ax.zero_multiplication_ring(8)
     assert r.characteristic == 8
     # characteristic kills every element
@@ -301,7 +302,7 @@ def test_characteristic_values():
 def test_find_irreducible():
     poly = find_irreducible(3, 2)
     assert len(poly) == 3 and poly[-1] == 1
-    g = ax.galois_field(3, 2, poly)
+    g = GaloisField(3, 2, poly)
     assert g.cardinality == 9
 
 
@@ -331,7 +332,7 @@ def test_quotient_examples():
 
 
 def test_quotient_projection_homomorphism_exhaustive():
-    r = ax.poly_quotient(2, (0, 0, 1))             # F_2[t]/t^2
+    r = ax.parse_ring("polyquo:2:t^2")             # F_2[t]/t^2
     ideal = [(), (0, 1)]                           # (t)
     q, proj = ax.quotient_ring(r, ideal)
     assert q.cardinality == 2
@@ -344,7 +345,7 @@ def test_quotient_projection_homomorphism_exhaustive():
 
 def test_quotient_infinite_rejected():
     with pytest.raises(InfiniteRingError):
-        ax.quotient_ring(ax.integers(), [0])
+        ax.quotient_ring(ax.parse_ring("int"), [0])
 
 
 def test_table_file_round_trip(tmp_path):
@@ -402,7 +403,7 @@ def test_subring_table():
 
 def test_distinct_table_rings_compare_unequal():
     # same size, different tables: the descriptors must tell them apart
-    r = ax.product_ring(["zmod:4", "zmod:2"])
+    r = ax.parse_ring("prod:(zmod:4,zmod:2)")
     a, _, _ = ax.subring_table(r, [(0, 0), (2, 0)])     # zero product
     b, _, _ = ax.subring_table(r, [(0, 0), (0, 1)])     # (0,1)^2 = (0,1)
     assert a.mul_table != b.mul_table
@@ -422,8 +423,10 @@ def test_distinct_table_rings_compare_unequal():
     assert a.add_table == b.add_table
     unit = ((1, 0), (0, 0))
     for t, one_one in ((a, 0), (b, 1)):
-        assert ax.product_ring([t, "zmod:2"]).mul((1, 1), (1, 1)) == (one_one, 1)
-        assert ax.matrix_ring(t, 2).mul(unit, unit) == ((one_one, 0), (0, 0))
+        prod = parse_ring(f"prod:({t.descriptor},zmod:2)")
+        mat = parse_ring(f"mat:2:{t.descriptor}")
+        assert prod.mul((1, 1), (1, 1)) == (one_one, 1)
+        assert mat.mul(unit, unit) == ((one_one, 0), (0, 0))
 
 
 def _exhaustive_table_check(add, mul, zero):
@@ -508,9 +511,9 @@ def test_table_check_matches_exhaustive_oracle():
             lambda a, m, i, j, k: m[a[i][j]][k] != a[m[i][k]][m[j][k]],
     }
     rings = [ax.modular(n) for n in range(2, 10)] + [
-        ax.galois_field(2, 2, (1, 1, 1)), ax.product_ring(["zmod:2", "zmod:2"]),
-        ax.product_ring(["zmod:2", "zmod:3"]), ax.poly_quotient(2, (0, 0, 0, 1)),
-        ax.zero_multiplication_ring(8), ax.matrix_ring("zmod:2", 1)]
+        ax.parse_ring("gf:2^2:t^2+t+1"), ax.parse_ring("prod:(zmod:2,zmod:2)"),
+        ax.parse_ring("prod:(zmod:2,zmod:3)"), ax.parse_ring("polyquo:2:t^3"),
+        ax.zero_multiplication_ring(8), ax.parse_ring("mat:1:zmod:2")]
     tables = [_index_tables(r) for r in rings] + [([[0]], [[0]], 0)]
     rng = random.Random(3)
 

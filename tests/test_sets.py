@@ -1,6 +1,5 @@
 """Set arithmetic: sumsets, growth, closure, ideals, representations."""
 
-import itertools
 import random
 import re
 import time
@@ -22,7 +21,7 @@ from apxring.sets import (
 )
 from corpus import corpus_sets
 
-Z = ax.integers()
+Z = ax.parse_ring("int")
 
 
 def iset(lo, hi):
@@ -56,11 +55,12 @@ def test_prodset_examples():
 def test_negate_symmetrize_translate():
     m5 = ax.modular(5)
     assert ax.negate(ax.parse_set(m5, "{1,2}")) == ax.parse_set(m5, "{4,3}")
-    s = ax.symmetrize(FiniteSet(Z, [1]))
-    assert s == FiniteSet(Z, [1, -1])          # no forced 0
-    assert ax.translate(3, ax.parse_set(m5, "{0,1}")) == ax.parse_set(m5, "{3,4}")
-    assert ax.translate(3, ax.parse_set(m5, "{0,1}")) == ax.sumset(
-        ax.parse_set(m5, "{3}"), ax.parse_set(m5, "{0,1}"))
+    one = FiniteSet(Z, [1])
+    s = union(one, ax.negate(one))
+    assert s == FiniteSet(Z, [1, -1]) and not is_symmetric(one)   # no forced 0
+    assert is_symmetric(s)
+    assert ax.sumset(ax.parse_set(m5, "{3}"), ax.parse_set(m5, "{0,1}")) == \
+        ax.parse_set(m5, "{3,4}")
 
 
 def test_growth_step_examples():
@@ -231,8 +231,8 @@ def test_closure_cost():
 
 def test_budget_exceeded_typed():
     m199 = ax.modular(199)
-    gf9 = ax.galois_field(3, 2, (1, 0, 1))
-    f5t = ax.poly_ring(5)
+    gf9 = ax.parse_ring("gf:3^2:t^2+1")
+    f5t = ax.parse_ring("poly:5")
     cases = [(iset(-300, 300), 100),                      # Z offset-mask kernel
              (FiniteSet(m199, range(100)), 10),           # Z/nZ offset mask and fold
              (FiniteSet(gf9, gf9.elements()), 5),         # hashed pairs
@@ -347,16 +347,15 @@ def test_finite_set_checks_elements_on_every_backend():
             good = [ring.parse(s) for s in texts]
         x = FiniteSet(ring, good)
         assert x.elements() == set(good)
-        assert ax.translate(good[-1], x) == ax.sumset(FiniteSet(ring, good[-1:]), x)
+        shifted = FiniteSet(ring, (ring.add(good[-1], v) for v in good))
+        assert shifted == ax.sumset(FiniteSet(ring, good[-1:]), x)
         for bad in rejected[ring.descriptor]:
             message = re.escape(f"{bad!r} is not an element of {ring}")
             with pytest.raises(ValueError, match=message):
                 FiniteSet(ring, [ring.zero(), bad])
-            with pytest.raises(ValueError, match=message):
-                ax.translate(bad, x)
     # a bad element that is neither the least nor the greatest is named too
     for ring, elems in ((ax.modular(7), [0, 2.5, 6]), (rings[-1], [0, "a", 7]),
-                        (ax.integers(), [-3, 0.5, 4])):
+                        (ax.parse_ring("int"), [-3, 0.5, 4])):
         with pytest.raises(ValueError, match=re.escape(
                 f"{elems[1]!r} is not an element of {ring}")):
             FiniteSet(ring, elems)
@@ -412,7 +411,7 @@ def test_int_kernel_span_fallback():
     assert _sumset_mask(FiniteSet(Z, [5]), b) is not None
     b = FiniteSet(Z, [*range(63), 4 * 64 - 128])
     assert _sumset_mask(FiniteSet(Z, [5]), b) is None
-    assert ax.sumset(FiniteSet(Z, [5]), b) == ax.translate(5, b)
+    assert ax.sumset(FiniteSet(Z, [5]), b) == FiniteSet(Z, (5 + v for v in b))
     assert ax.sumset(FiniteSet(Z, []), iset(0, 2)) == FiniteSet(Z, [])
 
 
@@ -437,7 +436,7 @@ def test_int_kernel_matches_pairs(xs, ys, same):
     a = FiniteSet(Z, xs)
     b = a if same else FiniteSet(Z, ys)
     assert ax.sumset(a, b) == FiniteSet(Z, _sumset_sparse(a, b))
-    assert ax.sumset(a, FiniteSet(Z, [7])) == ax.translate(7, a)
+    assert ax.sumset(a, FiniteSet(Z, [7])) == FiniteSet(Z, (7 + v for v in xs))
 
 
 @settings(max_examples=200)
@@ -465,10 +464,10 @@ def test_set_literal_and_file(tmp_path):
     path.write_text("# window\n1\n6\n0\n")
     from apxring.sets import load_set_file
     assert load_set_file(m7, str(path)) == ax.parse_set(m7, "{0,1,6}")
-    g = ax.galois_field(3, 2, (1, 0, 1))
+    g = ax.parse_ring("gf:3^2:t^2+1")
     s = ax.parse_set(g, "{t, 2t+1, 0}")
     assert len(s) == 3
-    assert s.to_json()["ring"] == "gf:3^2:t^2+1"
+    assert s.ring.descriptor == "gf:3^2:t^2+1"
 
 
 def test_union_intersect_cross_ring():

@@ -1,5 +1,6 @@
 """Sweep harness determinism and the apx command line surface."""
 
+import ast
 import importlib
 import json
 import os
@@ -214,7 +215,7 @@ def test_verify_payload_rederives_report_constants():
     # every row of an nzd and a poschar sweep verifies, and so does a
     # report whose core is no subring; each tampered copy fails, alone and
     # inside its sweep report
-    z = ax.nzd_classify(ax.parse_set(ax.integers(), "{-1,0,1}"),
+    z = ax.nzd_classify(ax.parse_set(ax.parse_ring("int"), "{-1,0,1}"),
                         small_threshold=0).to_json()
     assert (z["core_is_subring"], z["verdict"]) == (False, "counterexample-candidate")
     payloads = [z]
@@ -255,7 +256,7 @@ def test_verify_sweep_checks_row_fields():
     # the field, not the witness, fails the report
     fields = {"nzd": ("ring", "x", "x_size", "L", "K", "verdict", "core_size",
                       "core_is_subring", "commensurability", "k11_bound"),
-              "poschar": ("ring", "x", "x_size", "L", "strategy", "exhaustive",
+              "poschar": ("ring", "x", "x_size", "L", "K", "strategy", "exhaustive",
                           "found", "s_size", "commensurability", "core_size")}
     for mode, rings in (("nzd", "zmod:5, zmod:7"), ("poschar", "zmod:4, zmod:8")):
         report = run_sweep(SweepSpec.parse(
@@ -311,6 +312,40 @@ def test_package_exports_load_on_first_use():
     assert set(ax.__all__) <= set(dir(ax))
     with pytest.raises(AttributeError, match="no_such_name"):
         ax.no_such_name
+
+
+# exported so that tests can cross-check the solvers against them
+ORACLES = ("cover_brute_force",)
+
+
+def _references(path):
+    """Identifiers a Python file uses: names, imported names, attributes
+    of ``ax`` or ``apxring``, and strings spelling one (as the lists a
+    ``getattr`` loop reads do).  Definitions, docstrings and comments
+    are not uses."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+        elif isinstance(node, ast.Attribute):
+            if ast.unparse(node.value).rpartition(".")[2] in ("ax", "apxring"):
+                out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            out.add(node.value)
+    return out
+
+
+def test_public_surface_has_callers():
+    # every exported name is used by the CLI, a module of the package or
+    # the benchmark harness, or is a named test oracle
+    root = Path(__file__).resolve().parents[1]
+    files = [*(root / "src" / "apxring").glob("*.py"), *(root / "perfbench").rglob("*.py")]
+    used = set().union(*(_references(f) for f in files if f.name != "__init__.py"))
+    assert set(ORACLES) <= set(ax.__all__)
+    assert [n for n in ax.__all__ if n not in used and n not in ORACLES] == []
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +465,7 @@ def test_cli_verify_accepts_v1_certificate(tmp_path):
     cert = ax.approx_constant(ax.parse_set(ax.modular(7), "{0,1,6}"), "ring")
     payload = cert.to_json()
     payload.update(schema_version="1", membership="closure")
-    payload["f_location"]["in_x2"] = True
+    payload["f_location"] = {"in_x2": True}
     path = tmp_path / "v1.json"
     path.write_text(json.dumps(payload))
     code, out, _ = run_cli("verify", "--input", str(path))
