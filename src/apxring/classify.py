@@ -11,15 +11,20 @@ closures are subrings, subgroups grown by cosets are additive subgroups
 (only their products are tested), and in a finite ring every clause of
 the model check holds once the ideal and the growth level are found, so
 the check reports constants, not searches (see ``finite_model_check``).
+The finite-substructure checks are the ring layer's: one closed-under
+check (``rings._escape``), one ideal check (``rings._check_ideal``) and
+one coset map (``rings._coset_map``).
 
 Rings are non-unital throughout: a subring is a nonempty set closed
-under addition, negation and multiplication — 0-membership follows, it
-is not an axiom.
+under addition and multiplication.  A finite set closed under addition
+is an additive subgroup, since the multiples of each element repeat, so
+negation and 0-membership follow; neither is an axiom.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .cover import CommensurabilityResult, approx_constant, commensurability
@@ -37,11 +42,12 @@ from .rings import (
     LazyPolyRing,
     ModularRing,
     PolyQuotientRing,
+    _check_ideal,
+    _coset_map,
+    _escape,
     _is_prime,
     _poly_trim,
     check_same_ring,
-    quotient_ring,
-    subring_table,
 )
 from .sets import (
     DEFAULT_SET_CAP,
@@ -90,23 +96,20 @@ def core_set_bruteforce(x):
 
 
 def is_subring(s):
-    """(True, None) or (False, violating pair).
+    """(True, None) or (False, violating pair), addition checked first.
 
-    Nonempty, s = -s, s+s ⊆ s, s·s ⊆ s; these force 0 ∈ s.
+    Nonempty, s+s ⊆ s, s·s ⊆ s.  A finite nonempty set closed under + is
+    an additive subgroup (the multiples of each x repeat), so s = -s and
+    0 ∈ s follow.
     """
     if len(s) == 0:
         return False, ("empty",)
     ring = s.ring
     elems = sorted(s.elements(), key=ring.sort_key)
-    for a in elems:
-        for b in elems:
-            if ring.add(a, b) not in s:
-                return False, ("add", a, b)
-            if ring.mul(a, b) not in s:
-                return False, ("mul", a, b)
-    for a in elems:
-        if ring.neg(a) not in s:
-            return False, ("neg", a)
+    for name, op in (("add", ring.add), ("mul", ring.mul)):
+        pair = _escape(op, elems, elems, s.elements())
+        if pair is not None:
+            return False, (name, *pair)
     return True, None
 
 
@@ -255,14 +258,11 @@ def _hypothesis(core, hypothesis):
         pair, method = find_zero_divisor(ring)
         if pair is not None:
             raise ZeroDivisorError(
-                f"zero divisors {ring.render(pair[0])}·{ring.render(pair[1])} = 0",
-                pair=pair)
+                f"zero divisors {ring.render(pair[0])}·{ring.render(pair[1])} = 0")
         return f"ambient/{method}"
     if hypothesis == "core-witnessed":
-        pair = _core_witnessed_zero_divisor(core)
-        if pair is not None:
-            raise ZeroDivisorError(
-                "zero divisor inside the core window", pair=pair)
+        if _core_witnessed_zero_divisor(core) is not None:
+            raise ZeroDivisorError("zero divisor inside the core window")
         return "core-witnessed"
     raise ValueError(f"unknown hypothesis {hypothesis!r}")
 
@@ -363,7 +363,7 @@ def subrings_within(box):
     the exhaustive pass of ``pos_char_search`` tries them."""
     ring = box.ring
     for sub in _additive_subgroups_within(ring, box):
-        if all(ring.mul(a, b) in sub for a in sub for b in sub):
+        if _escape(ring.mul, sub, sub, sub) is None:
             yield FiniteSet(ring, sub)
 
 
@@ -412,13 +412,13 @@ def pos_char_search(x, cert=None):
         if fs.elements() <= core_elems and all(fs != c for c, _r, _t in candidates):
             candidates.append((fs, rank, tag))
 
-    offer(closure(x, budget=ring.cardinality).set, 0, "generated")
+    offer(closure(x), 0, "generated")
     seeds = {x}
     for k in _SEED_MULTIPLES:
         seed = intersect(x, intersect(iterated_sum(x, k), core))
         if len(seed) and seed not in seeds:
             seeds.add(seed)
-            offer(closure(seed, budget=ring.cardinality).set, 1, f"seeded:{k}X")
+            offer(closure(seed), 1, f"seeded:{k}X")
     if len(core) <= POS_CHAR_EXHAUSTIVE_LIMIT:
         for sub in subrings_within(core):
             offer(sub, 2, "exhaustive")
@@ -509,7 +509,9 @@ def finite_model_check(x, ideal):
             optimal, so that the constants are exact rather than upper
             bounds.
 
-    The ideal check is ``quotient_ring``'s, run on the table of ⟨X⟩; a
+    The ideal check (``rings._check_ideal``) runs inside ⟨X⟩, and every
+    number is read off the cosets of I in ⟨X⟩ (``rings._coset_map``):
+    the quotient's size, the fibers f⁻¹[π[X_m]], |U| and |π[X]|.  A
     NotAnIdealError carries its witness as elements of the ring.
     """
     ring = x.ring
@@ -518,45 +520,31 @@ def finite_model_check(x, ideal):
     if len(x) == 0:
         raise InvalidParamsError("x must be nonempty")
     check_same_ring(ring, ideal.ring)
-    gen = closure(x, budget=ring.cardinality).set
-    if not ideal.elements() <= gen.elements():
-        raise NotAnIdealError("ideal is not inside the subring generated by x",
-                              witness=None)
-    handle, embed, restrict = subring_table(ring, gen.elements())
-    try:
-        quotient, project = quotient_ring(
-            handle, [restrict(e) for e in ideal.elements()])
-    except NotAnIdealError as err:
-        witness = tuple(embed(i) for i in err.witness)
-        raise NotAnIdealError(
-            f"not an ideal of ⟨X⟩: {err} (subring-table indices); ring "
-            f"elements ({','.join(ring.render(e) for e in witness)})",
-            witness) from err
+    gen = closure(x)
+    inside = ideal.elements()
+    if not inside <= gen.elements():
+        raise NotAnIdealError("ideal is not inside the subring generated by x")
+    within = list(gen)
+    _check_ideal(ring, within, inside)
+    coset_of, reps = _coset_map(ring, within, inside)
 
     xm = x
     m = 0
-    while not ideal.elements() <= xm.elements():
+    while not inside <= xm.elements():
         if m >= _MODEL_DEPTH_CAP:
             raise InvalidParamsError(
                 f"ideal not inside any X_m for m <= {_MODEL_DEPTH_CAP}")
         xm = growth_step(xm)
         m += 1
 
-    def proj(e):
-        return project(restrict(e))
-
-    fibers = {}
-    for e in gen:
-        fibers.setdefault(proj(e), set()).add(e)
-    xm_elems = xm.elements()
-    u_size = sum(1 for fiber in fibers.values() if fiber <= xm_elems)
-    pre_img = set()
-    for c in {proj(e) for e in xm}:          # X_m ⊆ ⟨X⟩
-        pre_img |= fibers[c]
-    comm = commensurability(FiniteSet(ring, pre_img), x)
+    # X_m ⊆ ⟨X⟩ meets each coset in at most |I| elements, all |I| for U
+    met = Counter(coset_of[e] for e in xm.elements())
+    u_size = sum(k == len(inside) for k in met.values())
+    pre_img = FiniteSet(ring, (e for e, c in coset_of.items() if c in met))
+    comm = commensurability(pre_img, x)
     return ModelCheckReport(
-        x, ideal, m, quotient.cardinality, u_size,
-        len({proj(e) for e in x}), (comm.k_ab, comm.k_ba),
+        x, ideal, m, len(reps), u_size,
+        len({coset_of[e] for e in x.elements()}), (comm.k_ab, comm.k_ba),
         comm.witness_ab.optimal and comm.witness_ba.optimal)
 
 

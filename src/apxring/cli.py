@@ -224,7 +224,10 @@ def _cmd_sweep(args):
 
 def _cmd_verify(args):
     from .serialize import verify_file
-    ok, details = verify_file(args.input)
+    try:
+        ok, details = verify_file(args.input)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ParseError(f"malformed payload ({type(exc).__name__}: {exc})") from exc
     for line in details:
         print(line)
     print("VERIFIED" if ok else "FAILED")

@@ -20,8 +20,9 @@ class RingConstructionError(ApxError):
 
 
 class ParseError(ApxError):
-    """Malformed ring DSL, element or set literal; the message quotes
-    ``text`` cut to 64 characters, as ``str(ring)`` cuts a descriptor."""
+    """Malformed ring DSL, element, set literal or payload; the message
+    quotes ``text`` cut to 64 characters, as ``str(ring)`` cuts a
+    descriptor."""
 
     def __init__(self, message, text=None, position=None):
         if text is not None and position is not None:
@@ -47,10 +48,6 @@ class NotAnIdealError(ApxError):
 
 class NotSymmetricError(ApxError):
     """Input set is not additively symmetric (X != -X)."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class UncoverableError(ApxError):
@@ -78,11 +75,7 @@ class VerificationFailedError(ApxError):
 
 
 class ZeroDivisorError(ApxError):
-    """Ambient ring has zero divisors; carries the witnessing pair."""
-
-    def __init__(self, message, pair=None):
-        super().__init__(message)
-        self.pair = pair
+    """Ambient ring, or the core's window, has zero divisors."""
 
 
 class InvalidParamsError(ApxError):

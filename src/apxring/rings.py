@@ -838,10 +838,10 @@ def _table_rows(text, n):
     return [entries[i:i + n] for i in range(0, n * n, n)]
 
 
-def _check_tables(add, mul, zero):
+def _check_tables(add, mul):
     """Why index tables fail the ring axioms, or None.
 
-    Index ``zero`` is an additive identity, every element has an additive
+    Index 0 is an additive identity, every element has an additive
     inverse and addition commutes: checked on every element and pair.
     Both operations associate and multiplication distributes over
     addition on both sides: checked only where one argument lies in a
@@ -854,15 +854,15 @@ def _check_tables(add, mul, zero):
     """
     rng_n = range(len(add))
     for i in rng_n:
-        if add[zero][i] != i or add[i][zero] != i:
-            return f"index {zero} is not the additive zero (fails at {i})"
-        if zero not in add[i]:
+        if add[0][i] != i or add[i][0] != i:
+            return f"index 0 is not the additive zero (fails at {i})"
+        if 0 not in add[i]:
             return f"element {i} has no additive inverse"
     for i, col in enumerate(zip(*add)):
         j = _first_difference(add[i], col)
         if j is not None:
             return f"addition not commutative at ({i},{j})"
-    gens = _additive_generators(add, zero)
+    gens, _ = _span(len(add), add.__getitem__)
     for g in gens:
         arow_g = add[g]
         for i in rng_n:
@@ -892,26 +892,26 @@ def _check_tables(add, mul, zero):
     return None
 
 
-def _additive_generators(add, zero):
-    """Indices generating every element from ``zero`` under s -> s + g:
-    greedily the least index not yet reached, then close under all
-    chosen generators."""
-    reached = bytearray(len(add))
-    reached[zero] = 1
-    seen = [zero]
-    gens = []
-    while len(seen) < len(add):
-        gens.append(reached.index(0))
-        todo = list(seen)
-        for s in todo:
-            row = add[s]
-            for g in gens:
-                t = row[g]
+def _span(n, row):
+    """``(gens, derived)`` for an additive group on 0..n-1, zero at 0:
+    greedy generators, each the least index not yet reached, and for
+    every other nonzero t one (t, s, h), t = s + h, h a generator and s
+    reached before t.  ``row(g)[s]`` is the index of g + s."""
+    rows, derived, seen = {}, [], [0]
+    reached = bytearray(n)
+    reached[0] = 1
+    while len(seen) < n:
+        g = reached.index(0)
+        rows[g], reached[g] = row(g), 1
+        seen.append(g)
+        for s in seen:               # seen grows while it is read
+            for h, hrow in rows.items():
+                t = hrow[s]
                 if not reached[t]:
                     reached[t] = 1
+                    derived.append((t, s, h))
                     seen.append(t)
-                    todo.append(t)
-    return gens
+    return list(rows), derived
 
 
 def _build_tables(ring):
@@ -921,10 +921,10 @@ def _build_tables(ring):
     ``elements`` lists the encodings in dense-index order and ``index``
     inverts it; ``add`` and ``mul`` hold one ``bytes`` row of indices per
     element (``add[i][j]`` is the index of element i + element j) and
-    ``neg`` one byte per element.  Raw arithmetic runs only on a greedy
-    additive generating set G, chosen as in ``_additive_generators``:
-    each generator g costs n raw sums x + g.  Every other element t is
-    reached as s + g from an element s reached before it, so its rows
+    ``neg`` one byte per element.  Raw arithmetic runs only on the greedy
+    additive generating set G of ``_span``: each generator g costs n raw
+    sums x + g.  Every other element t is reached as s + g from an
+    element s reached before it (``_span``'s triples), so its rows
     compose rows already built: (s + g) + y = s + (g + y) and
     (s + g)·y = s·y + g·y; and a generator's products follow from those
     with generators, g·(s + h) = g·s + g·h.  That is |G|n raw sums, |G|^2
@@ -936,23 +936,15 @@ def _build_tables(ring):
     index = {e: i for i, e in enumerate(elems)}
     add, mul = [None] * n, [None] * n
     add[0], mul[0] = bytes(range(n)), bytes(n)
-    reached, gens, derived = [0], [], []       # derived: (s + g, s, g)
-    while len(reached) < n:
-        g = add.index(None)
-        ge = elems[g]
-        add[g] = bytes([index[ring._add_raw(x, ge)] for x in elems])
-        gens.append(g)
-        reached.append(g)
-        todo = list(reached)
-        for s in todo:
-            for h in gens:
-                t = add[h][s]
-                if add[t] is None:
-                    # (s + h) + y = s + (h + y): row h read through row s
-                    add[t] = add[h].translate(add[s].ljust(256, b"\0"))
-                    derived.append((t, s, h))
-                    reached.append(t)
-                    todo.append(t)
+
+    def add_row(g):
+        add[g] = bytes([index[ring._add_raw(x, elems[g])] for x in elems])
+        return add[g]
+
+    gens, derived = _span(n, add_row)
+    for t, s, h in derived:
+        # (s + h) + y = s + (h + y): row h read through row s
+        add[t] = add[h].translate(add[s].ljust(256, b"\0"))
     for g in gens:
         # g·(s + h) = g·s + g·h: raw products only among generators
         row = [0] * n
@@ -1088,7 +1080,7 @@ def table_ring(add_table, mul_table):
     """Table ring from outside tables; raises RingConstructionError
     naming the first ring axiom they violate."""
     ring = TableRing(add_table, mul_table)
-    why = _check_tables(ring.add_table, ring.mul_table, 0)
+    why = _check_tables(ring.add_table, ring.mul_table)
     if why is not None:
         raise RingConstructionError(why)
     return ring
@@ -1098,67 +1090,66 @@ def table_ring(add_table, mul_table):
 # quotients
 
 
+def _escape(op, lefts, rights, inside):
+    """The first pair (a, b) of lefts × rights with op(a, b) ∉ inside,
+    or None: the package's one closed-under check."""
+    for a in lefts:
+        for b in rights:
+            if op(a, b) not in inside:
+                return a, b
+    return None
+
+
+def _check_ideal(ring, within, ideal):
+    """NotAnIdealError, with ring elements as witness, unless the set
+    ``ideal`` inside the subring ``within`` holds 0, is closed under +
+    and absorbs products with ``within`` on both sides.  A finite set
+    closed under + is an additive subgroup: the multiples of each x
+    repeat, so −x is among them."""
+    zero = ring.zero()
+    if zero not in ideal:
+        raise NotAnIdealError("ideal does not contain 0", (zero,))
+    for why, op, lefts, rights in (
+            ("not closed under addition", ring.add, ideal, ideal),
+            ("not absorbing on the left", ring.mul, within, ideal),
+            ("not absorbing on the right", ring.mul, ideal, within)):
+        pair = _escape(op, lefts, rights, ideal)
+        if pair is not None:
+            raise NotAnIdealError(
+                f"{why} at ({ring.render(pair[0])},{ring.render(pair[1])})",
+                pair)
+
+
+def _coset_map(ring, within, ideal):
+    """``(coset_of, reps)`` for an ideal I of the subring ``within``: the
+    index of x + I for each x in ``within``, cosets numbered in the order
+    ``within`` meets them, and the first element met of each coset."""
+    coset_of, reps = {}, []
+    for x in within:
+        if x not in coset_of:
+            for i in ideal:
+                coset_of[ring.add(x, i)] = len(reps)
+            reps.append(x)
+    return coset_of, reps
+
+
 def quotient_ring(ring, ideal):
     """Quotient of a finite ring by a verified two-sided ideal.
 
-    ``ideal`` is any iterable of elements of ``ring``.  Checks that it is
-    an additive subgroup with r*I and I*r inside I (raising NotAnIdealError
-    with a tuple of violating elements otherwise), then returns
-    ``(quotient, project)`` where the quotient is table-backed and
-    ``project`` maps elements to quotient elements.  The projection is
-    re-verified exhaustively to be a ring homomorphism, so the quotient
-    tables skip the axiom check.  This is the package's one ideal
-    check.
+    ``ideal`` is any iterable of elements of ``ring``, checked by
+    ``_check_ideal``.  Returns ``(quotient, project)``: table-backed,
+    and the map of elements to coset indices.  An ideal makes the
+    projection a homomorphism, so the tables skip the axiom check.
     """
     if not ring.is_finite:
         raise InfiniteRingError("quotients need a finite ring")
     ideal_set = frozenset(ideal)
-    zero = ring.zero()
-    if zero not in ideal_set:
-        raise NotAnIdealError("ideal does not contain 0", (zero,))
-    for a in ideal_set:
-        if ring.neg(a) not in ideal_set:
-            raise NotAnIdealError(f"not closed under negation at {ring.render(a)}", (a,))
-        for b in ideal_set:
-            if ring.add(a, b) not in ideal_set:
-                raise NotAnIdealError(
-                    f"not closed under addition at ({ring.render(a)},{ring.render(b)})",
-                    (a, b))
-    for r in ring.elements():
-        for a in ideal_set:
-            if ring.mul(r, a) not in ideal_set:
-                raise NotAnIdealError(
-                    f"not absorbing on the left at ({ring.render(r)},{ring.render(a)})",
-                    (r, a))
-            if ring.mul(a, r) not in ideal_set:
-                raise NotAnIdealError(
-                    f"not absorbing on the right at ({ring.render(a)},{ring.render(r)})",
-                    (a, r))
-
-    coset_of = {}
-    reps = []
-    for x in ring.elements():
-        if x in coset_of:
-            continue
-        cid = len(reps)
-        reps.append(x)
-        for i in ideal_set:
-            coset_of[ring.add(x, i)] = cid
-    q = len(reps)
-    add = [[coset_of[ring.add(reps[i], reps[j])] for j in range(q)] for i in range(q)]
-    mul = [[coset_of[ring.mul(reps[i], reps[j])] for j in range(q)] for i in range(q)]
-    quotient = TableRing(add, mul)
-
-    def project(x):
-        return coset_of[x]
-
-    for x in ring.elements():
-        for y in ring.elements():
-            if project(ring.add(x, y)) != quotient.add(project(x), project(y)):
-                raise NotAnIdealError("projection not additive", (x, y))
-            if project(ring.mul(x, y)) != quotient.mul(project(x), project(y)):
-                raise NotAnIdealError("projection not multiplicative", (x, y))
-    return quotient, project
+    elems = list(ring.elements())
+    _check_ideal(ring, elems, ideal_set)
+    coset_of, reps = _coset_map(ring, elems, ideal_set)
+    add = [[coset_of[ring.add(a, b)] for b in reps] for a in reps]
+    mul = [[coset_of[ring.mul(a, b)] for b in reps] for a in reps]
+    return TableRing(add, mul), coset_of.__getitem__
 
 
 def subring_table(ring, subset):
@@ -1172,15 +1163,13 @@ def subring_table(ring, subset):
     """
     elems = sorted({ring.zero(), *subset}, key=ring.sort_key)     # zero first
     pos = {e: i for i, e in enumerate(elems)}
-
-    def look(x, op):
-        if x not in pos:
-            raise RingConstructionError(
-                f"subset not closed under {op} (escapes at {ring.render(x)})")
-        return pos[x]
-
-    add = [[look(ring.add(a, b), "addition") for b in elems] for a in elems]
-    mul = [[look(ring.mul(a, b), "multiplication") for b in elems] for a in elems]
+    for name, op in (("addition", ring.add), ("multiplication", ring.mul)):
+        pair = _escape(op, elems, elems, pos)
+        if pair is not None:
+            raise RingConstructionError(f"subset not closed under {name} "
+                                        f"(escapes at {ring.render(op(*pair))})")
+    add = [[pos[ring.add(a, b)] for b in elems] for a in elems]
+    mul = [[pos[ring.mul(a, b)] for b in elems] for a in elems]
     handle = TableRing(add, mul)
 
     def embed(i):

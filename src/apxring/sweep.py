@@ -138,6 +138,16 @@ def _negation_orbits(ring):
     return orbits
 
 
+def _eligible(orbits, room):
+    """How many unions of whole orbits hold at most ``room`` elements,
+    counted by size: ways[s] is the number with exactly s elements."""
+    ways = [1] + [0] * room
+    for o in orbits:
+        for s in range(room, len(o) - 1, -1):
+            ways[s] += ways[s - len(o)]
+    return sum(ways) if room >= 0 else 0
+
+
 def generate_instances(spec):
     """Yield (ring_dsl, element tuple) in a reproducible order; 0 is in
     every set."""
@@ -162,9 +172,12 @@ def generate_instances(spec):
             # a stable digest so reruns see identical instances
             import zlib
             rng = random.Random(spec.seed ^ zlib.crc32(dsl.encode()))
+            # no draw is left to make once every eligible set is out
+            wanted = min(spec.instances_per_ring,
+                         _eligible(orbits, spec.max_size - len(base)))
             emitted = set()
             attempts = 0
-            while (len(emitted) < spec.instances_per_ring
+            while (len(emitted) < wanted
                    and attempts < spec.instances_per_ring * 50):
                 attempts += 1
                 n_orbits = rng.randrange(0, len(orbits) + 1)

@@ -261,7 +261,7 @@ def test_max_genericity_matches_every_neighborhood():
         ring = ax.parse_ring(dsl)
         x = ax.parse_set(ring, x_text)
         ideal = ax.parse_set(ring, ideal_text)
-        gen = closure(x, budget=ring.cardinality).set
+        gen = closure(x)
         cosets = {frozenset(ring.add(g, i) for i in ideal) for g in gen}
         zero = frozenset(ideal.elements())
         others = sorted(cosets - {zero}, key=lambda c: sorted(c))

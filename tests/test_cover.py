@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import math
 import random
 
@@ -178,7 +179,7 @@ def test_certificate_derivations_stay_in_generated_subring():
                             ("w12", "{0,1,11}", ax.modular(12))):
         x = ax.parse_set(ring, lit)
         cert = ax.approx_constant(x, "ring", exact=True)
-        gen = ax.closure(x, budget=ring.cardinality).set
+        gen = ax.closure(x)
         assert cert.witness_f.elements() <= gen.elements()
         ok, why = cert.verify()
         assert ok, why
@@ -497,6 +498,37 @@ def test_anchors_proven_under_default_limit():
     target = row.constructed.target
     w = ax.cover_exact(target, cert.x, difference_set(target, cert.x))
     assert w.optimal and len(w.translates) == row.exact_size == 10
+
+
+def test_node_limit_returns_a_checkable_unproven_cover(tmp_path, capsys):
+    # the certificate instance of y-set(11): T = X·X ∪ (X+X), base X,
+    # pool T − X.  Proving 6 takes about 12,000 nodes; stopped at 100,
+    # the incumbent still covers and its payload says what is unproven
+    from apxring.classify import gallery
+    from apxring.cli import main
+    from apxring.cover import first_uncovered
+    from apxring.serialize import verify_payload
+    x = gallery("y-set", p=11).xset
+    t = union(prodset(x, x), sumset(x, x))
+    assert len(t) == 107
+    w = ax.cover_exact(t, x, difference_set(t, x), node_limit=100)
+    assert len(w.translates) == 6 and first_uncovered(t, x, w.translates) is None
+    assert not w.optimal and w.stats["node_limit_hit"]
+    assert w.stats["lower_bound"] == 5
+    unproven = "minimality not certified (lower bound 5 < 6)"
+    ok, details = verify_payload(w.to_json())
+    assert ok and unproven in details, details
+    out = tmp_path / "cover.json"
+    assert main(["cover", "--ring", x.ring.descriptor, "--target", t.render(),
+                 "--base", x.render(), "--node-limit", "100", "--json",
+                 "--output", str(out)]) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert (len(payload["translates"]), payload["optimal"]) == (6, False)
+    assert payload["stats"]["node_limit_hit"]
+    capsys.readouterr()
+    assert main(["verify", "--input", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert unproven in printed and printed.endswith("VERIFIED\n")
 
 
 def test_dive_covers_and_never_beats_the_optimum():

@@ -429,14 +429,14 @@ def test_distinct_table_rings_compare_unequal():
         assert mat.mul(unit, unit) == ((one_one, 0), (0, 0))
 
 
-def _exhaustive_table_check(add, mul, zero):
-    """Reference for ``rings._check_tables``: every axiom on every pair
-    and triple, O(n^3)."""
+def _exhaustive_table_check(add, mul):
+    """Reference for ``rings._check_tables``: index 0 is the additive
+    zero, and every axiom holds on every pair and triple, O(n^3)."""
     n = range(len(add))
     for i in n:
-        if add[zero][i] != i or add[i][zero] != i:
+        if add[0][i] != i or add[i][0] != i:
             return "zero"
-        if zero not in add[i]:
+        if 0 not in add[i]:
             return "inverse"
     for i in n:
         for j in n:
@@ -452,10 +452,11 @@ def _exhaustive_table_check(add, mul, zero):
 
 
 def _index_tables(ring):
+    assert ring.index_of(ring.zero()) == 0
     pool = list(ring.elements())
     add = [[ring.index_of(ring.add(a, b)) for b in pool] for a in pool]
     mul = [[ring.index_of(ring.mul(a, b)) for b in pool] for a in pool]
-    return add, mul, ring.index_of(ring.zero())
+    return add, mul
 
 
 def _bilinear_over_f2(k, rng):
@@ -473,7 +474,7 @@ def _bilinear_over_f2(k, rng):
 
     n = 1 << k
     return ([[i ^ j for j in range(n)] for i in range(n)],
-            [[mul(i, j) for j in range(n)] for i in range(n)], 0)
+            [[mul(i, j) for j in range(n)] for i in range(n)])
 
 
 def _carry_tables():
@@ -485,7 +486,7 @@ def _carry_tables():
         carry = {p: bits >> i & 1 for i, p in enumerate(pairs)}
         add = [[x ^ y ^ carry.get(tuple(sorted((x & 3, y & 3))), 0) << 2
                 for y in range(8)] for x in range(8)]
-        yield add, [[0] * 8 for _ in range(8)], 0
+        yield add, [[0] * 8 for _ in range(8)]
 
 
 def _one_sided_tables():
@@ -495,8 +496,8 @@ def _one_sided_tables():
     for q4, q6 in ((0, 2), (2, 0), (2, 2)):
         q = [0, 0, 0, 0, q4, q4, q6, q6]
         mul = [[(i & 1) * q[j] for j in range(8)] for i in range(8)]
-        yield add, mul, 0
-        yield add, [list(r) for r in zip(*mul)], 0
+        yield add, mul
+        yield add, [list(r) for r in zip(*mul)]
 
 
 def test_table_check_matches_exhaustive_oracle():
@@ -514,15 +515,15 @@ def test_table_check_matches_exhaustive_oracle():
         ax.parse_ring("gf:2^2:t^2+t+1"), ax.parse_ring("prod:(zmod:2,zmod:2)"),
         ax.parse_ring("prod:(zmod:2,zmod:3)"), ax.parse_ring("polyquo:2:t^3"),
         ax.zero_multiplication_ring(8), ax.parse_ring("mat:1:zmod:2")]
-    tables = [_index_tables(r) for r in rings] + [([[0]], [[0]], 0)]
+    tables = [_index_tables(r) for r in rings] + [([[0]], [[0]])]
     rng = random.Random(3)
 
     def corrupted():
         for trial in range(1500):
             if trial % 5 == 0:
-                add, mul, zero = _bilinear_over_f2(rng.randrange(1, 4), rng)
+                add, mul = _bilinear_over_f2(rng.randrange(1, 4), rng)
             else:
-                add, mul, zero = rng.choice(tables)
+                add, mul = rng.choice(tables)
                 add, mul = [list(r) for r in add], [list(r) for r in mul]
             n = len(add)
             for _ in range(rng.choice((0, 1, 1, 2, 3))):
@@ -531,13 +532,13 @@ def test_table_check_matches_exhaustive_oracle():
                     add[i][j] = add[j][i] = v      # keeps + commutative
                 else:
                     mul[i][j] = v
-            yield add, mul, zero
+            yield add, mul
 
     verdicts = set()
-    for add, mul, zero in itertools.chain(
+    for add, mul in itertools.chain(
             corrupted(), _carry_tables(), _one_sided_tables()):
-        why = _check_tables(add, mul, zero)
-        expect = _exhaustive_table_check(add, mul, zero)
+        why = _check_tables(add, mul)
+        expect = _exhaustive_table_check(add, mul)
         assert (why is None) == (expect is None), (add, mul, why, expect)
         verdicts.add(why is None)
         if why is not None and why.count(",") == 2:

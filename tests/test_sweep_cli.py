@@ -4,8 +4,10 @@ import ast
 import importlib
 import json
 import os
+import random
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -113,6 +115,28 @@ def test_exhaustive_generation_is_symmetric_with_zero():
         seen.add(elems)
     # {0}, {0,a,-a} (3 pairs), {0,a,-a,b,-b} (3 choose 2)
     assert len(seen) == 1 + 3 + 3
+
+
+def test_random_policy_stops_once_every_eligible_set_is_out(monkeypatch):
+    # zmod:11 has 31 sets of 0 and whole ± orbits with at most 9
+    # elements, and zmod:8 16 (its orbit {4} has one element); asked for
+    # 40 each, the random policy emits every one of them and then stops
+    # drawing, rather than drawing 40 × 50 times a ring
+    import apxring.sweep as sweep_mod
+    draws = []
+
+    class Counted(random.Random):
+        def randrange(self, *args):
+            draws.append(args)
+            return super().randrange(*args)
+
+    monkeypatch.setattr(sweep_mod, "random", types.SimpleNamespace(Random=Counted))
+    over = dict(rings="zmod:11, zmod:8", max_size=9)
+    every = list(generate_instances(SweepSpec.parse(spec_text(**over))))
+    drawn = list(generate_instances(SweepSpec.parse(spec_text(
+        policy="random", instances_per_ring=40, **over))))
+    assert sorted(drawn) == sorted(every) and len(every) == 31 + 16
+    assert len(draws) < 40 * 50
 
 
 def test_sweep_nzd_smoke():
@@ -624,6 +648,20 @@ def test_cli_unreadable_input_exits_2(tmp_path, capsys):
                  ["sweep", "--config", str(bad_config)]):
         assert main(argv) == 2, argv
         assert "precondition failed:" in capsys.readouterr().err
+
+
+def test_cli_verify_malformed_payload_exits_2(tmp_path, capsys):
+    # a payload without a key its verifier reads, or of the wrong type,
+    # is bad input: a precondition failure naming the key or the type
+    from apxring.cli import main
+    for payload, named in (({"kind": "classification_report"}, "'certificate'"),
+                           ([], "'list'"),
+                           ({"kind": "approx_certificate", "ring": "zmod:7"}, "'x'")):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["verify", "--input", str(path)]) == 2, payload
+        err = capsys.readouterr().err
+        assert "precondition failed: malformed payload" in err and named in err, err
 
 
 def test_unknown_ring_descriptor_error_is_bounded(capsys):
