@@ -522,8 +522,10 @@ def finite_model_check(x, ideal):
     check_same_ring(ring, ideal.ring)
     gen = closure(x)
     inside = ideal.elements()
-    if not inside <= gen.elements():
-        raise NotAnIdealError("ideal is not inside the subring generated by x")
+    outside = inside - gen.elements()
+    if outside:
+        raise NotAnIdealError("ideal is not inside the subring generated by x",
+                              (min(outside, key=ring.sort_key),))
     within = list(gen)
     _check_ideal(ring, within, inside)
     coset_of, reps = _coset_map(ring, within, inside)

@@ -14,9 +14,10 @@ repeated runs reproduce witnesses bit for bit.
 The exact search stops as soon as its incumbent meets a lower bound.
 The target/translate incidence is built once per instance: a target
 mask per translate and a coverer list per target.  One greedy, counted
-on the lists, gives both the greedy cover, which builds no masks, and
-the exact search's incumbent.  Every translate lies in one of the
-incidence's connected components, found once per call, so a
+on the lists and picking level by level (most uncovered targets first,
+ties toward the lower rank), gives both the greedy cover, which builds
+no masks, and the exact search's incumbent.  Every translate lies in
+one of the incidence's connected components, found once per call, so a
 cover needs the sum over components of each component's own bound.  A
 node is pruned by Σ_C ceil(|C ∖ covered| / |base|).  Every other bound
 is one vector of integer weights on the targets over a common
@@ -45,7 +46,6 @@ and the constructive covers are built from it.
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
 from dataclasses import dataclass, field
@@ -192,27 +192,30 @@ def _greedy_lists(coverers, n_pool):
     """Pool ranks in greedy pick order: the translate covering the most
     uncovered targets, ties toward the lower rank, until every target is
     covered.  Counted on the coverer lists and each translate's target
-    list, with a lazy-decrement heap: counts only shrink, so a stale
-    entry is re-pushed.  A pick costs the coverers of the targets it
-    covers, not a pass over every target."""
+    list, and picked level by level: counts only shrink, so once level
+    c + 1 is done no count exceeds c, and the lowest rank still at c is
+    the next pick.  No rank below it can rise back to c, so each level
+    is one scan of ``fresh`` and the picks are those of the rule.  A
+    pick costs the coverers of the targets it covers."""
     members = [[] for _ in range(n_pool)]
     for i, cov in enumerate(coverers):
         for r in cov:
             members[r].append(i)
     fresh = list(map(len, members))
-    heap = [(-n, r) for r, n in enumerate(fresh) if n]
-    heapq.heapify(heap)
     covered = bytearray(len(coverers))
     left = len(coverers)
     chosen = []
+    c = max(fresh, default=0)
+    r = -1
     while left:
-        negcnt, r = heapq.heappop(heap)
-        if fresh[r] != -negcnt:
-            if fresh[r]:
-                heapq.heappush(heap, (-fresh[r], r))
+        try:
+            r = fresh.index(c, r + 1)
+        except ValueError:
+            c -= 1
+            r = -1
             continue
         chosen.append(r)
-        left -= fresh[r]
+        left -= c
         for i in members[r] if left else ():    # the last pick updates nothing
             if not covered[i]:
                 covered[i] = 1

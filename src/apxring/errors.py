@@ -39,7 +39,8 @@ class InfiniteRingError(ApxError):
 
 
 class NotAnIdealError(ApxError):
-    """Candidate set fails an ideal axiom; carries a violating pair."""
+    """Candidate set fails an ideal axiom; carries the violating ring
+    elements: a pair, or one element."""
 
     def __init__(self, message, witness=None):
         super().__init__(message)

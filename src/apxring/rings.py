@@ -387,8 +387,9 @@ class IntegerRing(Ring):
         return 0
 
     def sort_key(self, x):
-        # 0, 1, -1, 2, -2, ...: a canonical enumeration order of Z
-        return (abs(x), 0 if x >= 0 else 1)
+        # 0, 1, -1, 2, -2, ...: a canonical enumeration order of Z, as
+        # one int, so sorts build no tuples
+        return 2 * x - 1 if x > 0 else -2 * x
 
     def check_elements(self, elems):
         # every int is canonical.  A sum of ints is an int, so one sum, a

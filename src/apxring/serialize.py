@@ -208,6 +208,7 @@ def _verify_sweep(payload):
     its config and rows."""
     from .sweep import SweepReport, SweepSpec, row_fields
     details = []
+    rings = {}      # descriptor -> ring: row_fields parses each ring once
     rows = payload["rows"]
     for row in rows:
         w = row.get("_witness")
@@ -217,8 +218,10 @@ def _verify_sweep(payload):
             continue
         ok, det = verify_payload(w)
         if ok:
+            if w["ring"] not in rings:
+                rings[w["ring"]] = parse_ring(w["ring"])
             det = [f"{key} {row.get(key)!r} differs from the witness's {value!r}"
-                   for key, value in row_fields(w, parse_ring(w["ring"])).items()
+                   for key, value in row_fields(w, rings[w["ring"]]).items()
                    if (sorted(row.get(key, ())) != sorted(value) if key == "x"
                        else row.get(key) != value)]
         if det:     # the witness's failure, or the row's first wrong field

@@ -312,6 +312,15 @@ def test_finite_model_check_witness_in_ring():
     assert f4.mul(*witness) not in ideal
 
 
+def test_finite_model_check_witness_outside_subring():
+    # <{0,2,6}> = {0,2,4,6} in Z/8 misses 1 and 7; 1 is the least
+    z8 = ax.modular(8)
+    with pytest.raises(NotAnIdealError) as info:
+        ax.finite_model_check(ax.parse_set(z8, "{0,2,6}"),
+                              ax.parse_set(z8, "{0,1,7}"))
+    assert info.value.witness == (1,)
+
+
 def test_verify_payload_rechecks_core_and_subring():
     from apxring.serialize import verify_payload
     rep = ax.nzd_classify(ax.parse_set(ax.modular(7), "{0,1,6}"),

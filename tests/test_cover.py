@@ -1,6 +1,7 @@
 """Cover solvers, approximation certificates, commensurability, genericity."""
 
 import dataclasses
+import heapq
 import itertools
 import json
 import math
@@ -375,6 +376,82 @@ def test_greedy_lists_picks_most_fresh_targets_lowest_rank():
             expected.append(r)
             left &= ~masks[r]
         assert cover._greedy_lists(coverers, len(pool_sorted)) == expected, (a, b)
+
+
+def _heap_greedy(coverers, n_pool):
+    # reference greedy: a lazy-decrement heap of (-count, rank), a stale
+    # entry re-pushed with its current count, so each pop that matches its
+    # count is the most fresh targets at the lowest rank
+    members = [[] for _ in range(n_pool)]
+    for i, cov in enumerate(coverers):
+        for r in cov:
+            members[r].append(i)
+    fresh = list(map(len, members))
+    heap = [(-n, r) for r, n in enumerate(fresh) if n]
+    heapq.heapify(heap)
+    covered = bytearray(len(coverers))
+    left = len(coverers)
+    chosen = []
+    while left:
+        negcnt, r = heapq.heappop(heap)
+        if fresh[r] != -negcnt:
+            if fresh[r]:
+                heapq.heappush(heap, (-fresh[r], r))
+            continue
+        chosen.append(r)
+        left -= fresh[r]
+        for i in members[r]:
+            if not covered[i]:
+                covered[i] = 1
+                for q in coverers[i]:
+                    fresh[q] -= 1
+    return chosen
+
+
+def test_greedy_lists_matches_heap_greedy_on_growth_cover():
+    # growth's greedy cover of X_3 of {-2..2}, too large for the mask oracle
+    from apxring import cover
+    x = iset(-2, 2)
+    a = ax.growth_sequence(x, 3).entries[3].xset
+    _t, pool_sorted, coverers = cover._incidence(a, x, difference_set(a, x))
+    assert len(coverers) == 13121
+    got = cover._greedy_lists(coverers, len(pool_sorted))
+    assert len(got) == 2625
+    assert got == _heap_greedy(coverers, len(pool_sorted))
+
+
+def test_greedy_lists_ties_across_levels_and_empty_translates():
+    # translates of a few sizes, so counts tie on every level as picks
+    # shrink them, and some translates cover no target at all
+    from apxring import cover
+    rng = random.Random(25)
+    for _ in range(300):
+        n_targets = rng.randrange(1, 40)
+        n_pool = rng.randrange(1, 30)
+        sizes = rng.sample([0, 0, 1, 2, 3, 4, 6, 8], 3)
+        members = [rng.sample(range(n_targets), min(rng.choice(sizes), n_targets))
+                   for _ in range(n_pool)]
+        coverers = [[] for _ in range(n_targets)]
+        for r, mem in enumerate(members):
+            for i in mem:
+                coverers[i].append(r)
+        for i, cov in enumerate(coverers):
+            if not cov:
+                cov.append(rng.randrange(n_pool))
+            rng.shuffle(cov)
+        masks = [0] * n_pool
+        for i, cov in enumerate(coverers):
+            for r in cov:
+                masks[r] |= 1 << i
+        left = (1 << n_targets) - 1
+        expected = []
+        while left:
+            r = max(range(n_pool), key=lambda r: ((masks[r] & left).bit_count(), -r))
+            expected.append(r)
+            left &= ~masks[r]
+        got = cover._greedy_lists(coverers, n_pool)
+        assert got == expected == _heap_greedy(coverers, n_pool)
+        assert all(masks[r] for r in got)
 
 
 def _one_ceiling(target, base, weights, d):

@@ -246,6 +246,14 @@ def test_integer_backend_axioms(a, b, c):
     assert z.add(a, z.neg(a)) == z.zero()
 
 
+def test_integer_sort_key_enumerates_z():
+    z = ax.parse_ring("int")
+    expected = [0]
+    for k in range(1, 51):
+        expected += [k, -k]
+    assert sorted(range(-50, 51), key=z.sort_key) == expected
+
+
 @settings(max_examples=50)
 @given(st.lists(st.integers(0, 2), max_size=6),
        st.lists(st.integers(0, 2), max_size=6))
