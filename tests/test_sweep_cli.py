@@ -530,6 +530,15 @@ def test_poschar_sweep_csv_golden():
     assert "exhaustive,True" in csv and ",generated," in csv
 
 
+def test_poschar_cores_csv_golden():
+    # byte-for-byte pin of the subring search on 16- and 25-element
+    # cores, where the exhaustive pass finds the most subrings
+    data = Path(__file__).parent / "data"
+    spec = SweepSpec.load(str(data / "poschar_cores.cfg"))
+    assert run_sweep(spec).to_csv() == \
+        (data / "poschar_cores.csv").read_text(encoding="utf-8")
+
+
 def test_nzd_sweep_csv_golden():
     # byte-for-byte pin of K, verdict, core and commensurability over
     # prime zmod and gf rings; fields are known domains, so the ambient
