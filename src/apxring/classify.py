@@ -7,10 +7,10 @@ the core, the finite locally-compact-model checks (quotient of ⟨X⟩ by an
 ideal sitting inside some X_m), and a gallery of named example sets.
 
 Where the construction already guarantees a fact, it is not re-checked:
-closures are subrings, subgroups grown by cosets are additive subgroups
-(only their products are tested), and in a finite ring every clause of
-the model check holds once the ideal and the growth level are found, so
-the check reports constants, not searches (see ``finite_model_check``).
+subrings grown by cosets inside the core (``sets._grow``) are subrings
+inside the core, and in a finite ring every clause of the model check
+holds once the ideal and the growth level are found, so the check
+reports constants, not searches (see ``finite_model_check``).
 The finite-substructure checks are the ring layer's: one closed-under
 check (``rings._escape``), one ideal check (``rings._check_ideal``) and
 one coset map (``rings._coset_map``).
@@ -52,7 +52,7 @@ from .rings import (
 from .sets import (
     DEFAULT_SET_CAP,
     FiniteSet,
-    _cosets,
+    _grow,
     closure,
     growth_step,
     intersect,
@@ -298,7 +298,7 @@ class SubringSearchResult:
 
     @property
     def exhaustive(self):                  # whether the exhaustive pass ran
-        return len(self.core) <= POS_CHAR_EXHAUSTIVE_LIMIT
+        return _runs_exhaustive(self.core)
 
     def to_json(self):
         ring = self.x.ring
@@ -320,54 +320,46 @@ class SubringSearchResult:
         return out
 
 
-def _additive_subgroups_within(ring, box):
-    """All additive subgroups of the ring contained in ``box``.
+def subrings_within(box):
+    """Every subring inside ``box``, each once, as the exhaustive pass of
+    ``pos_char_search`` tries them.
 
-    Search from {0}, growing each subgroup H by one element g at a time
-    through its cosets, as ``closure`` grows its span: ⟨H, g⟩ =
-    ⋃_k (H + k·g), adding H + k·g for k = 1, 2, ... until k·g lies in H
-    (``sets._cosets``), and dropping g as soon as a coset leaves the
-    box.  Every g of one coset H + g gives the same ⟨H, g⟩, so one
-    representative per coset is tried.  Only useful for boxes of a few
-    dozen elements: the number of subgroups grows fast.
+    A walk over the subring lattice from {0}: each subring S = ⟨gens⟩
+    found is extended to ⟨gens, g⟩ by ``sets._grow``, which gives up as
+    soon as a coset leaves the box.  Every g of one coset g + S gives the
+    same subring, so one g per coset is tried.  Only useful for boxes of
+    a few dozen elements: the number of subrings grows fast.
     """
-    zero = ring.zero()
-    box_set = box.elements()
-    if zero not in box_set:
-        return []
-    seed = frozenset((zero,))
-    seen = {seed}
-    queue = [seed]
+    ring = box.ring
+    inside = box.elements()
+    zero = frozenset((ring.zero(),))
+    if not zero <= inside:
+        return
+    seen = {zero}
+    queue = [(zero, ())]
     while queue:
-        h = queue.pop()
-        tried = set(h)
-        for g in box_set - h:
+        span, gens = queue.pop()
+        yield FiniteSet(ring, span)
+        tried = set(span)
+        for g in inside - span:
             if g in tried:
                 continue
-            grown = set(h)
-            for coset in _cosets(ring, h, g):
-                if not coset <= box_set:
-                    break
-                grown |= coset
-            else:
-                key = frozenset(grown)
-                if key not in seen:
-                    seen.add(key)
-                    queue.append(key)
-            tried.update(ring.add(e, g) for e in h)
-    return list(seen)
-
-
-def subrings_within(box):
-    """Every multiplication-closed additive subgroup inside ``box``, as
-    the exhaustive pass of ``pos_char_search`` tries them."""
-    ring = box.ring
-    for sub in _additive_subgroups_within(ring, box):
-        if _escape(ring.mul, sub, sub, sub) is None:
-            yield FiniteSet(ring, sub)
+            tried.update(ring.add(e, g) for e in span)
+            grown = _grow(ring, span, (*gens, g), inside)
+            if grown is not None and (key := frozenset(grown)) not in seen:
+                seen.add(key)
+                queue.append((key, (*gens, g)))
 
 
 POS_CHAR_EXHAUSTIVE_LIMIT = 32
+
+
+def _runs_exhaustive(core):
+    """Whether the exhaustive pass of ``pos_char_search`` runs on
+    ``core``: on cores of at most POS_CHAR_EXHAUSTIVE_LIMIT elements."""
+    return len(core) <= POS_CHAR_EXHAUSTIVE_LIMIT
+
+
 _SEED_MULTIPLES = range(1, 5)
 # every strategy tag ``pos_char_search`` can report
 _STRATEGY_TAGS = frozenset({"none", "generated", "exhaustive",
@@ -383,15 +375,13 @@ def pos_char_search(x, cert=None):
       generated   S = ⟨X⟩ when it stays inside the core
       seeded      S = ⟨X ∩ kX ∩ core⟩ for k <= 4, once per distinct seed
                   other than X itself (with 0 ∈ X every seed is X)
-      exhaustive  every multiplication-closed additive subgroup inside
-                  the core, grown by cosets (``_additive_subgroups_within``),
-                  on cores of at most POS_CHAR_EXHAUSTIVE_LIMIT elements
+      exhaustive  every subring inside the core (``subrings_within``)
+                  when ``_runs_exhaustive`` says the core is small enough
 
-    Closures are subrings and the enumerated subgroups are additive
-    subgroups by construction, so only containment in the core and, for
-    the subgroups, closure under multiplication are tested.  Returns the
-    best candidate (smallest constant, then smallest set), tagged with
-    the winning strategy and whether the exhaustive pass ran.
+    Each candidate is grown by ``sets._grow``, which drops it once a coset
+    leaves the core, so it is a subring inside the core by construction.
+    Returns the best candidate (smallest constant, then smallest set),
+    tagged with the winning strategy and whether the exhaustive pass ran.
     """
     ring = x.ring
     if not ring.is_finite:
@@ -405,23 +395,23 @@ def pos_char_search(x, cert=None):
     if cert is None:
         cert = approx_constant(x, "ring")
     core = core_set(x)
-    core_elems = core.elements()
-    candidates = []
+    candidates = {}          # subring -> (rank, tag) of the first to find it
 
-    def offer(fs, rank, tag):
-        if fs.elements() <= core_elems and all(fs != c for c, _r, _t in candidates):
-            candidates.append((fs, rank, tag))
+    def offer(gens, rank, tag):
+        grown = _grow(ring, (ring.zero(),), gens.elements(), core.elements())
+        if grown is not None:
+            candidates.setdefault(FiniteSet(ring, grown), (rank, tag))
 
-    offer(closure(x), 0, "generated")
+    offer(x, 0, "generated")
     seeds = {x}
     for k in _SEED_MULTIPLES:
         seed = intersect(x, intersect(iterated_sum(x, k), core))
         if len(seed) and seed not in seeds:
             seeds.add(seed)
-            offer(closure(seed), 1, f"seeded:{k}X")
-    if len(core) <= POS_CHAR_EXHAUSTIVE_LIMIT:
+            offer(seed, 1, f"seeded:{k}X")
+    if _runs_exhaustive(core):
         for sub in subrings_within(core):
-            offer(sub, 2, "exhaustive")
+            candidates.setdefault(sub, (2, "exhaustive"))
 
     if not candidates:
         return SubringSearchResult(x, cert, core, None, "none")
@@ -429,7 +419,7 @@ def pos_char_search(x, cert=None):
     # candidate whose counting bound max(⌈|S|/|X|⌉, ⌈|X|/|S|⌉) already
     # loses cannot win with its real constant
     best = None
-    for fs, rank, tag in candidates:
+    for fs, (rank, tag) in candidates.items():
         order = (rank, len(fs), tuple(ring.sort_key(e) for e in fs))
         floor = max(-(-len(fs) // len(x)), -(-len(x) // len(fs)))
         if best is not None and (floor, *order) >= best[0]:

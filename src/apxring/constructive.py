@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 from .classify import core_set
 from .cover import cover_exact, eval_term, make_witness
-from .errors import BudgetExceededError, VerificationFailedError
+from .errors import (BudgetExceededError, InvalidParamsError,
+                     VerificationFailedError)
 from .sets import (
     FiniteSet,
     difference_set,
@@ -161,7 +162,7 @@ class _Builder:
 def claim2_cover(m, cert):
     """Cover X^m ⊆ F_m + X; returns (witness, F_m set, derivations)."""
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise InvalidParamsError("m must be >= 1")
     _require_ring_cert(cert)
     return _power_covers(cert, m, m)[0]
 
@@ -190,7 +191,7 @@ def msum_cover(m, cert):
     induction stacks m copies of F'_m and m-1 correction copies of F.
     """
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise InvalidParamsError("m must be >= 1")
     _require_ring_cert(cert)
     ring = cert.ring
     if len(cert.x) == 0:
@@ -264,12 +265,15 @@ BOUND_TABLE_EXACT_LIMIT = 512
 
 
 def bound_table(cert, m_max):
-    """Constructive |F_m| against the exact covering number of X^m.
+    """Constructive |F_m| against the exact covering number of X^m, for
+    m = 1..m_max (InvalidParamsError for m_max < 1).
 
     The exact column is computed by the branch-and-bound solver and
     skipped (None) when X^m has more than BOUND_TABLE_EXACT_LIMIT
     elements or its translate pool more than four times that.
     """
+    if m_max < 1:
+        raise InvalidParamsError("m must be >= 1")
     _require_ring_cert(cert)
     rows = []
     for m, (w, fm, _) in enumerate(_power_covers(cert, 1, m_max), 1):

@@ -54,6 +54,7 @@ from .errors import (
     NotSymmetricError,
     UncoverableError,
     VerificationFailedError,
+    _clip,
 )
 from .rings import check_same_ring
 from .sets import (
@@ -622,8 +623,10 @@ class ApproxCertificate:
         return _certificate_target(self.x, self.mode)
 
     def verify(self):
-        """Re-check symmetry, the covering inclusion, |F| = k and the
-        derivations (see ``derivation_error``)."""
+        """Re-check the mode, symmetry, the covering inclusion, |F| = k
+        and the derivations (see ``derivation_error``)."""
+        if self.mode not in ("ring", "group"):
+            return False, f"unknown mode {_clip(repr(self.mode))}"
         if not is_symmetric(self.x):
             return False, "x is not additively symmetric"
         if len(self.witness_f) != self.k:

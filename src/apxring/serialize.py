@@ -11,9 +11,9 @@ smaller constant, the classifier's own step for the no-zero-divisor
 hypothesis), and every other field is re-derived by the builder that
 wrote it, run on the payload's inputs and re-checked witnesses, and
 compared.  Nested payloads verify by their own kind; a sweep's rows
-must equal ``sweep.row_fields`` of their witnesses.  It returns (ok,
-details) and never raises on a merely *invalid* payload — malformed
-ones do raise.
+must be its config's instances in order and equal ``sweep.row_fields``
+of their witnesses.  It returns (ok, details) and never raises on a
+merely *invalid* payload — malformed ones do raise.
 """
 
 from __future__ import annotations
@@ -168,8 +168,8 @@ def _verify_subring_search(payload):
     """The certificate must verify; the subring must be one inside the
     core with the witnessed constant; where the exhaustive pass runs, no
     subring inside the core may have a smaller constant against X."""
-    from .classify import (POS_CHAR_EXHAUSTIVE_LIMIT, SubringSearchResult,
-                           core_set, is_subring, subrings_within)
+    from .classify import (SubringSearchResult, _runs_exhaustive, core_set,
+                           is_subring, subrings_within)
     if "certificate" not in payload:
         return False, ["no certificate of X (schema 4 nests one)"]
     ok, details, cert = _certificate(payload["certificate"])
@@ -190,7 +190,7 @@ def _verify_subring_search(payload):
             payload, ("comm_s_by_x", "comm_x_by_s"), s, x)
         if why is not None:
             return False, [why]
-    if len(core) <= POS_CHAR_EXHAUSTIVE_LIMIT:
+    if _runs_exhaustive(core):
         claimed = math.inf if comm is None else comm.constant
         for sub in subrings_within(core):
             c = commensurability(sub, x).constant
@@ -202,34 +202,57 @@ def _verify_subring_search(payload):
     return ok, details + det if ok else det
 
 
+def _differing(row, fields, whose):
+    """A line for each of ``fields`` (key -> value) that ``row`` holds
+    otherwise, x compared as a set."""
+    return [f"{key} {row.get(key)!r} differs from {whose} {value!r}"
+            for key, value in fields.items()
+            if (sorted(row.get(key, ())) != sorted(value) if key == "x"
+                else row.get(key) != value)]
+
+
+def _row_faults(row, expected, rings):
+    """Why a sweep row is not the row of its config's instance
+    ``expected`` (instance_id, ring and rendered x) or of its witness:
+    empty when it is.  ``rings`` maps descriptors to parsed rings."""
+    from .sweep import row_fields
+    faults = _differing(row, expected, "the config's")
+    w = row.get("_witness")
+    if faults or not w:
+        return faults or (["ok without a witness"] if row.get("status") == "ok"
+                          else [])
+    if row.get("status") != "ok":
+        return [f"status {row.get('status')!r} with a witness"]
+    ok, det = verify_payload(w)
+    if not ok:
+        return det
+    if w["ring"] not in rings:
+        rings[w["ring"]] = parse_ring(w["ring"])
+    return _differing(row, row_fields(w, rings[w["ring"]]), "the witness's")
+
+
 def _verify_sweep(payload):
-    """Every row witness must verify and every row field taken from a
-    witness equal its value (x as a set); the report must rebuild from
+    """The rows must be the config's instances in order; every row
+    witness must verify, its row be "ok" and every row field taken from
+    it equal its value (``_row_faults``); the report must rebuild from
     its config and rows."""
-    from .sweep import SweepReport, SweepSpec, row_fields
-    details = []
-    rings = {}      # descriptor -> ring: row_fields parses each ring once
+    from .sweep import SweepReport, SweepSpec, generate_instances
+    spec = SweepSpec.parse(payload["config"])
+    rings = {dsl: parse_ring(dsl) for dsl in spec.rings}
     rows = payload["rows"]
-    for row in rows:
-        w = row.get("_witness")
-        if not w:
-            if row.get("status") == "ok":
-                details.append(f"row {row.get('instance_id')}: ok without a witness")
-            continue
-        ok, det = verify_payload(w)
-        if ok:
-            if w["ring"] not in rings:
-                rings[w["ring"]] = parse_ring(w["ring"])
-            det = [f"{key} {row.get(key)!r} differs from the witness's {value!r}"
-                   for key, value in row_fields(w, rings[w["ring"]]).items()
-                   if (sorted(row.get(key, ())) != sorted(value) if key == "x"
-                       else row.get(key) != value)]
-        if det:     # the witness's failure, or the row's first wrong field
-            details.append(f"row {row.get('instance_id')}: {det[0]}")
+    instances = list(generate_instances(spec))
+    if len(rows) != len(instances):
+        return False, [f"{len(rows)} rows for the config's {len(instances)} instances"]
+    details = []
+    for i, (row, (dsl, elems)) in enumerate(zip(rows, instances)):
+        faults = _row_faults(row, {"instance_id": i, "ring": dsl, "x": tuple(
+            map(rings[dsl].render, elems))}, rings)
+        if faults:
+            details.append(f"row {row.get('instance_id')}: {faults[0]}")
     if details:
         return False, details
-    return _rebuilt("sweep_report", lambda: SweepReport(
-        SweepSpec.parse(payload["config"]), rows).to_json(), payload)
+    return _rebuilt("sweep_report", lambda: SweepReport(spec, rows).to_json(),
+                    payload)
 
 
 def _constructive(payload, cert):

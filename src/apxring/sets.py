@@ -1,9 +1,9 @@
 """Finite-set arithmetic over a ring.
 
 Sum, difference and product sets, the growth recursion
-X_{n+1} = X_n*X_n + (X_n + X_n), iterated sums and products, and the
-subring closure in a finite ring, an additive span grown by cosets (see
-``closure``).
+X_{n+1} = X_n*X_n + (X_n + X_n), iterated sums and products, and
+subrings of a finite ring grown by cosets (``_grow``): the closure
+⟨gens⟩, and the steps of ``classify.subrings_within``'s lattice walk.
 
 Sets are immutable and duplicate-free: a ring plus a frozenset of
 canonical encodings, on every ring.  A sumset runs one of three kernels:
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from itertools import chain, compress
 
 from .errors import (BudgetExceededError, CrossRingError, InfiniteRingError,
-                     ParseError)
+                     InvalidParamsError, ParseError)
 from .rings import (
     IntegerRing,
     LazyPolyRing,
@@ -324,12 +324,15 @@ _COVERING_EXACT_LIMIT = 2048
 
 
 def growth_sequence(x, n_max, with_covering=False):
-    """Entries X_0..X_{n_max} chained by growth_step.
+    """Entries X_0..X_{n_max} chained by growth_step; InvalidParamsError
+    for n_max < 0.
 
     With ``with_covering``, each entry carries the number of additive
     translates of ``x`` covering it: exact for targets up to
     2048 elements, a greedy upper bound beyond that (method recorded).
     """
+    if n_max < 0:
+        raise InvalidParamsError("n must be >= 0")
     entries = []
     cur = x
     for n in range(n_max + 1):
@@ -353,7 +356,7 @@ def power_products(x, m, cap=DEFAULT_SET_CAP):
     computed as X^k * X with memoized intermediates.
     """
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise InvalidParamsError("m must be >= 1")
     powers = [x]
     for _ in range(m - 1):
         powers.append(prodset(powers[-1], x, cap))
@@ -366,7 +369,7 @@ def power_products(x, m, cap=DEFAULT_SET_CAP):
 def iterated_sum(a, m, cap=DEFAULT_SET_CAP):
     """m-fold sumset a + a + ... + a."""
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise InvalidParamsError("m must be >= 1")
     out = a
     for _ in range(m - 1):
         out = sumset(out, a, cap)
@@ -387,36 +390,37 @@ class ClosureResult:
     complete: bool
 
 
-def _cosets(ring, h, g):
-    """The cosets h + k·g, k = 1, 2, .. until k·g ∈ h, of the additive
-    subgroup h, read once: with h they make up the subgroup h + Z·g."""
-    base = frozenset(h)
-    kg = g
-    while kg not in base:
-        yield {ring.add(e, kg) for e in base}
-        kg = ring.add(kg, g)
+def _grow(ring, span, gens, inside=None):
+    """⟨gens⟩ as a set, grown from ``span`` ({0}, or a subring that some
+    of gens generate); None once a coset leaves ``inside``, if given.  A
+    value g to try outside the span joins by the cosets span₀ + k·g,
+    k = 1, 2, … until k·g ∈ span₀ (the span before g joined); then x·g
+    and g·x join the values to try for each generator x.  Cost: about
+    |⟨gens⟩| sums, and 2|gens| products per value that enlarged the span.
+    """
+    span = set(span)
+    tries = list(gens)
+    for g in tries:                  # tries grows while it is read
+        if g in span:
+            continue
+        base = tuple(span)
+        kg = g
+        while kg not in span:
+            coset = {ring.add(e, kg) for e in base}
+            if inside is not None and not coset <= inside:
+                return None
+            span |= coset
+            kg = ring.add(kg, g)
+        tries += (p for x in gens for p in (ring.mul(x, g), ring.mul(g, x)))
+    return span
 
 
 def closure(gens):
     """⟨gens⟩, the smallest subset of a finite ring containing gens and
-    closed under +, -, *; InfiniteRingError on an infinite ring.
-
-    ⟨gens⟩ is the additive span of the products of generators.  The
-    search grows an additive subgroup S from {0} (from nothing when gens
-    is empty): a value g to try that is not in S joins through its
-    cosets (``_cosets``), then adds x·g for each generator x as values
-    to try.  So x·S ⊆ S, and S holds every product of generators.  Cost:
-    about |⟨gens⟩| sums, and |gens| products for each of the at most
-    log2 |⟨gens⟩| values that enlarged S.
-    """
+    closed under +, -, *: ``_grow`` from {0} (from nothing when gens is
+    empty); InfiniteRingError on an infinite ring."""
     ring = gens.ring
     if not ring.is_finite:
         raise InfiniteRingError("closure needs a finite ring")
-    span = {ring.zero()} if len(gens) else set()
-    tries = list(gens)
-    for g in tries:                  # tries grows while it is read
-        if g not in span:
-            for coset in _cosets(ring, span, g):
-                span |= coset
-            tries += (ring.mul(x, g) for x in gens.elements())
-    return FiniteSet(ring, span)
+    start = (ring.zero(),) if len(gens) else ()
+    return FiniteSet(ring, _grow(ring, start, gens.elements()))

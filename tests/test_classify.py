@@ -4,9 +4,9 @@ import pytest
 
 import apxring as ax
 from apxring.classify import (
-    _additive_subgroups_within,
     core_set_bruteforce,
     find_zero_divisor,
+    subrings_within,
 )
 from apxring.errors import (
     InvalidParamsError,
@@ -194,7 +194,47 @@ def _closed_subsets_bruteforce(ring, box):
     return out
 
 
-def test_additive_subgroups_match_brute_force():
+def _subgroups_by_cosets(ring, box):
+    """Every additive subgroup inside ``box``, each H grown from {0} by
+    one g per coset H + g through the cosets H + k·g, k = 1, 2, ...
+    until k·g ∈ H, and dropped once a coset leaves the box."""
+    zero = ring.zero()
+    if zero not in box:
+        return set()
+    seen = {frozenset((zero,))}
+    queue = list(seen)
+    while queue:
+        h = queue.pop()
+        tried = set(h)
+        for g in box.elements() - h:
+            if g in tried:
+                continue
+            tried.update(ring.add(e, g) for e in h)
+            grown, kg = set(h), g
+            while kg not in h:
+                coset = {ring.add(e, kg) for e in h}
+                if not coset <= box.elements():
+                    break
+                grown |= coset
+                kg = ring.add(kg, g)
+            else:
+                if frozenset(grown) not in seen:
+                    seen.add(frozenset(grown))
+                    queue.append(frozenset(grown))
+    return seen
+
+
+def _closed_under_products(ring, groups):
+    return {h for h in groups if all(ring.mul(a, b) in h for a in h for b in h)}
+
+
+def _subrings(box):
+    got = [sub.elements() for sub in subrings_within(box)]
+    assert len(got) == len(set(got))          # each subring once
+    return set(got)
+
+
+def test_subrings_within_match_brute_force():
     boxes = []
     for dsl in ("zmod:8", "zmod:12", "polyquo:2:t^3", "prod:(zmod:2,zmod:4)",
                 "mat:2:zmod:2"):
@@ -209,12 +249,24 @@ def test_additive_subgroups_match_brute_force():
     m12 = ax.modular(12)
     boxes.append((m12, ax.parse_set(m12, "{0,2,3,4,6,8,9}")))
     for ring, box in boxes:
-        got = _additive_subgroups_within(ring, box)
-        assert len(got) == len(set(got))
-        assert set(got) == _closed_subsets_bruteforce(ring, box), ring
-    assert {len(h) for h in _additive_subgroups_within(m12, boxes[-1][1])} \
-        == {1, 2, 3, 4}
-    assert _additive_subgroups_within(m12, ax.parse_set(m12, "{1,11}")) == []
+        assert _subrings(box) == _closed_under_products(
+            ring, _closed_subsets_bruteforce(ring, box)), ring
+    assert {len(h) for h in _subrings(boxes[-1][1])} == {1, 2, 3, 4}
+    assert list(subrings_within(ax.parse_set(m12, "{1,11}"))) == []
+
+
+@pytest.mark.parametrize("dsl", ["zmod:16", "zmod:32", "polyquo:2:t^4",
+                                 "polyquo:2:t^5", "polyquo:3:t^3",
+                                 "polyquo:5:t^2", "gf:2^4:t^4+t+1", "mat:2:zmod:2",
+                                 "prod:(zmod:2,zmod:2,zmod:2,zmod:2)"])
+def test_subrings_within_whole_ring_match_coset_listing(dsl):
+    # every subring of a ring of at most 32 elements: the additive
+    # subgroups grown by cosets, filtered by products
+    ring = ax.parse_ring(dsl)
+    box = FiniteSet(ring, ring.elements())
+    assert len(box) <= 32
+    assert _subrings(box) == _closed_under_products(
+        ring, _subgroups_by_cosets(ring, box))
 
 
 def test_finite_model_check_example():

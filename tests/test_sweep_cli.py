@@ -16,7 +16,7 @@ import apxring as ax
 from apxring.classify import GALLERY_NAMES
 from apxring.errors import ParseError
 from apxring.serialize import verify_payload
-from apxring.sweep import SweepSpec, generate_instances, run_sweep
+from apxring.sweep import SweepReport, SweepSpec, generate_instances, run_sweep
 
 # the subprocesses import the package from this checkout's src/
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -552,10 +552,29 @@ def test_nzd_sweep_csv_golden():
 
 
 DATA = Path(__file__).parent / "data"
+
+
+def _rows_edited(p, *rows):
+    return dict(p, rows=[*rows, *p["rows"][len(rows):]])
+
+
+# edits of a sweep report's rows that keep every row witness: the rows
+# must be the config's instances in order, and a row with a witness "ok"
+_ROW_EDITS = {
+    "dropped": lambda p: SweepReport(SweepSpec.parse(p["config"]),
+                                     p["rows"][1:]).to_json(),
+    "status": lambda p: _rows_edited(p, dict(p["rows"][0], status="okx")),
+    "instance-id": lambda p: _rows_edited(p, dict(p["rows"][0], instance_id=99)),
+    "swapped": lambda p: _rows_edited(p, dict(p["rows"][1], instance_id=0),
+                                      dict(p["rows"][0], instance_id=1)),
+}
 # every subcommand that writes a payload, and one tampered copy of it
 _CLI_PAYLOADS = {
     "approx": (["approx", "--ring", "zmod:7", "--set", "{0,1,6}"],
                lambda p: dict(p, k=p["k"] + 1)),
+    # a mode other than ring or group is not read as group mode
+    "approx-mode": (["approx", "--ring", "zmod:7", "--set", "{0,1,6}"],
+                    lambda p: dict(p, mode="ringx")),
     "cover": (["cover", "--ring", "int", "--target", "{-2,-1,0,1,2}",
                "--base", "{-1,0,1}"],
               lambda p: dict(p, translates=p["translates"][:1])),
@@ -585,6 +604,9 @@ _CLI_PAYLOADS = {
                             name: dict(table, **{"99": 1})
                             for name, table in p["empirical"].items()}))
        for cfg in ("nzd_small", "poschar_small")},
+    **{f"sweep-rows-{name}": (["sweep", "--config", str(DATA / "poschar_small.cfg")],
+                              edit)
+       for name, edit in _ROW_EDITS.items()},
 }
 
 
@@ -657,6 +679,33 @@ def test_cli_unreadable_input_exits_2(tmp_path, capsys):
                  ["sweep", "--config", str(bad_config)]):
         assert main(argv) == 2, argv
         assert "precondition failed:" in capsys.readouterr().err
+
+
+def test_cli_out_of_range_m_and_n_exit_2(tmp_path, capsys):
+    # m < 1 and n < 0 are bad parameters (exit 2), not an internal error
+    # or an empty table; a constructive report claiming m = 0 fails
+    from apxring.cli import main
+    base = ["--ring", "int", "--set", "{-1,0,1}"]
+    for argv in (["fact21", *base, "--msum-m", "-1"], ["fact21", *base, "--m", "0"],
+                 ["growth", *base, "--n", "-1"]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("precondition failed:") and "must be >= " in err, err
+    x = ax.parse_set(ax.parse_ring("int"), "{-1,0,1}")
+    cert = ax.approx_constant(x, "ring")
+    for call in (lambda: ax.power_products(x, 0), lambda: ax.iterated_sum(x, 0),
+                 lambda: ax.claim2_cover(0, cert), lambda: ax.msum_cover(-1, cert),
+                 lambda: ax.bound_table(cert, 0), lambda: ax.growth_sequence(x, -1)):
+        with pytest.raises(ax.InvalidParamsError, match="must be >= "):
+            call()
+    out = tmp_path / "fact21.json"
+    assert main(["fact21", *base, "--m", "1", "--json", "--output", str(out)]) == 0
+    row = json.loads(out.read_text(encoding="utf-8"))["rows"][0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(row, m=0)), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", "--input", str(bad)]) == 4
+    assert capsys.readouterr().out.endswith("FAILED\n")
 
 
 def test_cli_verify_malformed_payload_exits_2(tmp_path, capsys):
