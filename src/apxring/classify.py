@@ -1,7 +1,8 @@
 """Desk-scale classification checks for approximate subrings.
 
 Built around the core set 4X + X·4X: the no-zero-divisor dichotomy
-(either X is small or the core is a subring K^11-commensurable with X),
+(either X is small or the core is a subring K^11-commensurable with X,
+in a ring that ``find_zero_divisor`` shows, by its structure, has none),
 the positive-characteristic search for a commensurable subring inside
 the core, the finite locally-compact-model checks (quotient of ⟨X⟩ by an
 ideal sitting inside some X_m), and a gallery of named example sets.
@@ -23,7 +24,6 @@ negation and 0-membership follow; neither is an axiom.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -40,12 +40,16 @@ from .rings import (
     GaloisField,
     IntegerRing,
     LazyPolyRing,
+    MatrixRing,
     ModularRing,
     PolyQuotientRing,
+    TableRing,
     _check_ideal,
     _coset_map,
     _escape,
     _is_prime,
+    _least_factor,
+    _poly_factor,
     _poly_trim,
     check_same_ring,
 )
@@ -113,37 +117,39 @@ def is_subring(s):
     return True, None
 
 
-_ZD_EXHAUSTIVE = 2 ** 12
-_ZD_SAMPLES = 10 ** 5
-
-
 def find_zero_divisor(ring):
-    """(pair or None, method).  "known-domain" for Z, F_p[t], Galois
-    fields and Z/pZ; otherwise exhaustive on finite rings of at most 2^12
-    elements and sampled above."""
-    if isinstance(ring, (IntegerRing, LazyPolyRing, GaloisField)) or (
-            isinstance(ring, ModularRing) and _is_prime(ring.n)):
-        return None, "known-domain"
-    if not ring.is_finite:
-        raise InfiniteRingError(
-            f"no zero-divisor oracle for {ring}")
-    zero = ring.zero()
-    if ring.cardinality <= _ZD_EXHAUSTIVE:
-        for a in ring.elements():
-            if a == zero:
-                continue
-            for b in ring.elements():
-                if b != zero and ring.mul(a, b) == zero:
-                    return (a, b), "exhaustive"
-        return None, "exhaustive"
-    rng = random.Random(0)
-    n = ring.cardinality
-    for _ in range(_ZD_SAMPLES):
-        a = ring.element_at(rng.randrange(1, n))
-        b = ring.element_at(rng.randrange(1, n))
-        if ring.mul(a, b) == zero:
-            return (a, b), "sampled"
-    return None, "sampled"
+    """A pair (a, b) of nonzero elements with a·b = 0, or None, decided
+    from the ring's structure: none in Z, F_p[t], Galois fields and
+    one-element rings; (q, n/q) in Z/nZ, q the least prime factor of n; a
+    factoring of m in F_p[t]/(m); E₁₂(a), a ≠ 0, twice in d x d matrices,
+    d >= 2; elements nonzero in two different factors of a product (1 x 1
+    matrices and a product with one nontrivial factor embed that ring's
+    answer); the first zero product of nonzero elements in a table ring."""
+    if isinstance(ring, (IntegerRing, LazyPolyRing, GaloisField)) or \
+            ring.cardinality == 1:
+        return None
+    if isinstance(ring, ModularRing):
+        q = _least_factor(ring.n)
+        return None if q == ring.n else (q, ring.n // q)
+    if isinstance(ring, PolyQuotientRing):
+        return _poly_factor(ring.modulus, ring.p)
+    if isinstance(ring, TableRing):
+        return next(((a, b) for a, row in enumerate(ring.mul_table) if a
+                     for b, ab in enumerate(row) if b and ab == 0), None)
+    if isinstance(ring, MatrixRing):
+        if ring.d == 1:
+            pair = find_zero_divisor(ring.base)
+            return pair and tuple(((v,),) for v in pair)
+        z, a = ring.base.zero(), ring.base.element_at(1)
+        e12 = tuple(tuple(a if (i, j) == (0, 1) else z for j in range(ring.d))
+                    for i in range(ring.d))
+        return e12, e12
+    zero = ring.zero()              # a product ring
+    big = [i for i, f in enumerate(ring.factors) if f.cardinality > 1]
+    where = big[:2] if len(big) > 1 else big * 2
+    pair = ([ring.factors[i].element_at(1) for i in where] if len(big) > 1
+            else find_zero_divisor(ring.factors[big[0]]))
+    return pair and tuple((*zero[:i], v, *zero[i + 1:]) for i, v in zip(where, pair))
 
 
 def _core_witnessed_zero_divisor(core):
@@ -177,13 +183,13 @@ class ClassificationReport:
     k11_bound: int
     verdict: str                     # "small" | "structured" | "counterexample-candidate"
     small_threshold: int
-    hypothesis: str                  # how no-zero-divisors was established
+    hypothesis: str                  # "ambient" | "core-witnessed"
     comm_result: CommensurabilityResult | None = field(default=None, compare=False)
 
     def to_json(self):
         ring = self.x.ring
         out = {
-            "schema_version": "1",
+            "schema_version": "2",
             "kind": "classification_report",
             "ring": ring.descriptor,
             "x": [ring.render(v) for v in self.x],
@@ -209,8 +215,10 @@ def nzd_classify(x, small_threshold=None, hypothesis="ambient", cert=None):
     Certifies K, computes the core 4X + X·4X and measures its exact
     commensurability with X; ``classification_report`` derives the rest.
 
-    ``hypothesis`` is "ambient" (whole-ring zero-divisor check) or
-    "core-witnessed" (the weakened form local to Y = 4X + X·4X).
+    ``hypothesis`` is "ambient" (the ring has no zero divisors, decided
+    exactly from its structure by ``find_zero_divisor``) or
+    "core-witnessed" (the weakened form local to Y = 4X + X·4X); either
+    raises ZeroDivisorError naming what it found.
     ``cert`` is an exact ring-mode certificate of X already computed,
     as by ``approx_constant(x, "ring")``; without it K is certified here.
     """
@@ -249,22 +257,22 @@ def classification_report(x, cert, core, comm, small_threshold, hyp):
 
 
 def _hypothesis(core, hypothesis):
-    """The report's ``hypothesis`` field once no zero divisor is found:
-    "ambient/<method>" after ``find_zero_divisor`` on the whole ring for
-    "ambient", "core-witnessed" after the check inside the core window.
-    ZeroDivisorError when one is found."""
+    """The report's ``hypothesis`` field, "ambient" or "core-witnessed",
+    once the check it names finds no zero divisor: ``find_zero_divisor``
+    on the whole ring, or the check inside the core window.
+    ZeroDivisorError when one is found, ValueError for any other name."""
     ring = core.ring
     if hypothesis == "ambient":
-        pair, method = find_zero_divisor(ring)
+        pair = find_zero_divisor(ring)
         if pair is not None:
             raise ZeroDivisorError(
                 f"zero divisors {ring.render(pair[0])}·{ring.render(pair[1])} = 0")
-        return f"ambient/{method}"
-    if hypothesis == "core-witnessed":
+    elif hypothesis == "core-witnessed":
         if _core_witnessed_zero_divisor(core) is not None:
             raise ZeroDivisorError("zero divisor inside the core window")
-        return "core-witnessed"
-    raise ValueError(f"unknown hypothesis {hypothesis!r}")
+    else:
+        raise ValueError(f"unknown hypothesis {hypothesis!r}")
+    return hypothesis
 
 
 # ---------------------------------------------------------------------------

@@ -80,19 +80,20 @@ TABLE_LIMIT = 256            # tuple rings up to this size run on index tables
 _TABLES = {}                 # descriptor -> tables from _build_tables
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    if n < 4:
-        return True
+def _least_factor(n):
+    """The least prime factor of n >= 2, by trial division."""
     if n % 2 == 0:
-        return False
+        return 2
     f = 3
     while f * f <= n:
         if n % f == 0:
-            return False
+            return f
         f += 2
-    return True
+    return n
+
+
+def _is_prime(n):
+    return n >= 2 and _least_factor(n) == n
 
 
 # ---------------------------------------------------------------------------
@@ -131,18 +132,20 @@ def _poly_mul(a, b, p):
     return _poly_trim(out)
 
 
-def _poly_mod(a, modulus, p):
-    # modulus is monic; long division, remainder only
+def _poly_divmod(a, modulus, p):
+    # modulus is monic; long division, (quotient, remainder)
     a = list(a)
     d = len(modulus) - 1
+    q = [0] * (len(a) - d)
     while len(a) > d:
         lead = a[-1]
         if lead:
             shift = len(a) - 1 - d
+            q[shift] = lead
             for i, v in enumerate(modulus):
                 a[shift + i] = (a[shift + i] - lead * v) % p
         a.pop()
-    return _poly_trim(a)
+    return _poly_trim(q), _poly_trim(a)
 
 
 def _poly_render(coeffs):
@@ -199,17 +202,17 @@ def _poly_parse(text, p):
     return _poly_trim(out)
 
 
-def poly_is_irreducible(coeffs, p):
-    """Trial division by all monic polynomials of degree <= deg/2."""
-    k = len(coeffs) - 1
-    if k < 1:
-        return False
-    for d in range(1, k // 2 + 1):
+def _poly_factor(coeffs, p):
+    """(f, g) with f·g = coeffs, f monic and both of degree >= 1, f the
+    least such divisor; None when coeffs, of degree >= 1, is irreducible.
+    Trial division by all monic polynomials of degree <= deg/2."""
+    for d in range(1, (len(coeffs) - 1) // 2 + 1):
         for tail in itertools.product(range(p), repeat=d):
             div = tuple(tail) + (1,)
-            if _poly_mod(coeffs, div, p) == ():
-                return False
-    return True
+            quotient, rest = _poly_divmod(coeffs, div, p)
+            if rest == ():
+                return div, quotient
+    return None
 
 
 def find_irreducible(p, k):
@@ -218,7 +221,7 @@ def find_irreducible(p, k):
         raise RingConstructionError(f"base {p} is not prime")
     for tail in itertools.product(range(p), repeat=k):
         cand = tuple(tail) + (1,)
-        if poly_is_irreducible(cand, p):
+        if k >= 1 and _poly_factor(cand, p) is None:
             return cand
     raise RingConstructionError(f"no irreducible of degree {k} over F_{p}")
 
@@ -526,7 +529,7 @@ class PolyQuotientRing(_TupleRing):
         return _poly_neg(x, self.p)
 
     def _mul_raw(self, x, y):
-        return _poly_mod(_poly_mul(x, y, self.p), self.modulus, self.p)
+        return _poly_divmod(_poly_mul(x, y, self.p), self.modulus, self.p)[1]
 
     def zero(self):
         return ()
@@ -545,7 +548,7 @@ class PolyQuotientRing(_TupleRing):
 
     def parse(self, text):
         coeffs = _poly_parse(text, self.p)
-        return _poly_mod(coeffs, self.modulus, self.p)
+        return _poly_divmod(coeffs, self.modulus, self.p)[1]
 
     def render(self, x):
         return _poly_render(x)
@@ -564,7 +567,7 @@ class GaloisField(PolyQuotientRing):
         super().__init__(p, modulus)
 
     def _validate(self):
-        if not poly_is_irreducible(self.modulus, self.p):
+        if _poly_factor(self.modulus, self.p) is not None:
             raise RingConstructionError(
                 f"modulus {_poly_render(self.modulus)} is reducible over F_{self.p}")
 

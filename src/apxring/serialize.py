@@ -10,10 +10,12 @@ claim of the exhaustive pass that no subring inside the core has a
 smaller constant, the classifier's own step for the no-zero-divisor
 hypothesis), and every other field is re-derived by the builder that
 wrote it, run on the payload's inputs and re-checked witnesses, and
-compared.  Nested payloads verify by their own kind; a sweep's rows
-must be its config's instances in order and equal ``sweep.row_fields``
-of their witnesses.  It returns (ok, details) and never raises on a
-merely *invalid* payload — malformed ones do raise.
+compared.  Nested payloads verify by their own kind, which must be the
+kind their slot holds; a sweep's rows must be its config's instances in
+order and equal ``sweep.row_fields`` of their witnesses, and a row
+without a witness must equal its instance's re-run.  It returns (ok,
+details) and never raises on a merely *invalid* payload — malformed
+ones do raise.
 """
 
 from __future__ import annotations
@@ -65,12 +67,29 @@ def _minimality(payload, target, base, k):
     return True, f"minimality not certified (lower bound {floor} < {k})"
 
 
+def _kind_fault(payload, kind):
+    """[why] when ``payload``, nested where a ``kind`` payload belongs,
+    is of another kind; else []."""
+    have = payload.get("kind")
+    return [] if have == kind else [f"kind {have!r} where {kind} belongs"]
+
+
 def _cover_witness(payload):
-    """(ok, details, witness) of a cover witness payload."""
+    """(ok, details, witness or None) of a cover witness payload.  Its
+    method is exact, greedy or constructive, and only an exact cover may
+    claim to be optimal: no other builder proves it."""
+    why = _kind_fault(payload, "cover_witness")
+    if why:
+        return False, why, None
+    method, optimal = payload["method"], payload["optimal"]
+    if method not in ("exact", "greedy", "constructive"):
+        return False, [f"unknown cover method {method!r}"], None
+    if optimal and method != "exact":
+        return False, [f"a {method} cover claims to be optimal"], None
     ring, target = _ring_and_set(payload, "target")
     base = _parse_set(ring, payload["base"])
     translates = tuple(ring.parse(e) for e in payload["translates"])
-    w = CoverWitness(target, base, translates, payload["optimal"], payload["method"])
+    w = CoverWitness(target, base, translates, optimal, method)
     k = len(set(w.translates))
     missing = first_uncovered(target, base, w.translates)
     if missing is not None:
@@ -81,7 +100,11 @@ def _cover_witness(payload):
 
 
 def _certificate(payload):
-    """(ok, details, certificate) of a certificate payload."""
+    """(ok, details, certificate) of a certificate payload; no
+    certificate when it is of another kind."""
+    why = _kind_fault(payload, "approx_certificate")
+    if why:
+        return False, why, None
     ring, x = _ring_and_set(payload, "x")
     derivs = {ring.parse(f_text): tuple(tuple(ring.parse(e) for e in word)
                                         for word in words)
@@ -149,7 +172,7 @@ def _verify_classification(payload):
     core = core_set(x)
     claimed = payload["hypothesis"]
     try:
-        hyp = _hypothesis(core, claimed.split("/")[0])
+        hyp = _hypothesis(core, claimed)
     except (ValueError, ZeroDivisorError) as exc:
         return False, [f"hypothesis {claimed!r} fails: {exc}"]
     comm = None
@@ -211,16 +234,24 @@ def _differing(row, fields, whose):
                 else row.get(key) != value)]
 
 
-def _row_faults(row, expected, rings):
+def _row_faults(row, expected, rings, spec):
     """Why a sweep row is not the row of its config's instance
-    ``expected`` (instance_id, ring and rendered x) or of its witness:
-    empty when it is.  ``rings`` maps descriptors to parsed rings."""
-    from .sweep import row_fields
+    ``expected`` (instance_id, ring and rendered x) or of its witness,
+    or, without a witness, not the failing row a re-run of the instance
+    under ``spec`` gives: empty when it is.  ``rings`` maps descriptors
+    to parsed rings."""
+    from .sweep import _run_row, row_fields
     faults = _differing(row, expected, "the config's")
     w = row.get("_witness")
-    if faults or not w:
-        return faults or (["ok without a witness"] if row.get("status") == "ok"
-                          else [])
+    if faults:
+        return faults
+    if not w:
+        if row.get("status") == "ok":
+            return ["ok without a witness"]
+        rerun = _run_row((expected["instance_id"], expected["ring"], expected["x"],
+                          spec.mode, spec.small_threshold))
+        rerun.pop("_witness", None)
+        return _differing(row, rerun, "a re-run's")
     if row.get("status") != "ok":
         return [f"status {row.get('status')!r} with a witness"]
     ok, det = verify_payload(w)
@@ -234,7 +265,8 @@ def _row_faults(row, expected, rings):
 def _verify_sweep(payload):
     """The rows must be the config's instances in order; every row
     witness must verify, its row be "ok" and every row field taken from
-    it equal its value (``_row_faults``); the report must rebuild from
+    it equal its value, and a row without one must be what a re-run of
+    its instance gives (``_row_faults``); the report must rebuild from
     its config and rows."""
     from .sweep import SweepReport, SweepSpec, generate_instances
     spec = SweepSpec.parse(payload["config"])
@@ -246,7 +278,7 @@ def _verify_sweep(payload):
     details = []
     for i, (row, (dsl, elems)) in enumerate(zip(rows, instances)):
         faults = _row_faults(row, {"instance_id": i, "ring": dsl, "x": tuple(
-            map(rings[dsl].render, elems))}, rings)
+            map(rings[dsl].render, elems))}, rings, spec)
         if faults:
             details.append(f"row {row.get('instance_id')}: {faults[0]}")
     if details:

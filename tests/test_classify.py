@@ -59,17 +59,63 @@ def test_is_subring_examples():
     assert not ok
 
 
+def _first_zero_divisor(ring):
+    """The oracle: the first pair of nonzero elements, in index order,
+    whose product is 0, by scanning every pair of the ring."""
+    zero = ring.zero()
+    return next(((a, b) for a in ring.elements() if a != zero
+                 for b in ring.elements() if b != zero and ring.mul(a, b) == zero),
+                None)
+
+
+# rings of every finite backend, with and without zero divisors, and
+# products and 1 x 1 matrix rings that embed another ring's answer
+_ZD_RINGS = ("zmod:2", "zmod:7", "zmod:6", "zmod:8", "zmod:9", "zmod:221",
+             "polyquo:3:t^2", "polyquo:3:t^2+1", "polyquo:2:t^6", "polyquo:2:t^7",
+             "polyquo:5:t+2", "polyquo:2:t^4+1", "gf:3^2:t^2+1", "gf:2^4:t^4+t+1",
+             "mat:1:zmod:6", "mat:1:zmod:5", "mat:2:zmod:2", "mat:2:polyquo:2:t^2",
+             "prod:(zmod:5)", "prod:(zmod:4)", "prod:(zmod:2,zmod:2,zmod:2,zmod:2)",
+             "prod:(zmod:2,gf:3^2:t^2+1)", "table:2:00010100:00000001")
+
+
 def test_zero_divisor_oracle():
-    # fields are domains: no scan of the ring
-    assert find_zero_divisor(ax.modular(7)) == (None, "known-domain")
-    assert find_zero_divisor(ax.parse_ring("gf:3^2:t^2+1")) == \
-        (None, "known-domain")
-    pair, method = find_zero_divisor(ax.modular(6))
-    assert pair is not None and method == "exhaustive"
-    assert ax.modular(6).mul(*pair) == 0
-    assert find_zero_divisor(ax.parse_ring("polyquo:3:t^2")) == \
-        (((0, 1), (0, 1)), "exhaustive")
-    assert find_zero_divisor(ax.parse_ring("int")) == (None, "known-domain")
+    # the structural answer has a pair exactly when the scan finds one,
+    # and every pair it gives is of nonzero elements with product 0, on
+    # the table above and every corpus ring of at most 256 elements
+    from corpus import corpus_sets
+    rings = {ax.parse_ring(dsl) for dsl in _ZD_RINGS}
+    rings |= {x.ring for _name, x in corpus_sets()
+              if x.ring.is_finite and x.ring.cardinality <= 256}
+    rings.add(ax.zero_multiplication_ring(8))
+    assert len(rings) >= 30
+    for ring in rings:
+        pair = find_zero_divisor(ring)
+        assert (pair is None) == (_first_zero_divisor(ring) is None), ring
+        if pair is not None:
+            ring.check_elements(frozenset(pair))
+            assert ring.zero() not in pair and ring.mul(*pair) == ring.zero(), ring
+    # where the scan's first pair is the structural one
+    assert find_zero_divisor(ax.modular(6)) == (2, 3)
+    assert find_zero_divisor(ax.parse_ring("polyquo:3:t^2")) == ((0, 1), (0, 1))
+    for infinite in ("int", "poly:3"):
+        assert find_zero_divisor(ax.parse_ring(infinite)) is None
+
+
+def test_zero_divisors_of_large_rings_are_found(capsys):
+    # zmod:16850989 = 4099 · 4111 and mat:2:zmod:67, where E₁₂ · E₁₂ = 0,
+    # have zero divisors too rare for random pairs to meet; a field of
+    # 1,024 elements named through polyquo has none
+    from apxring.cli import main
+    for dsl, literal in (("zmod:16850989", "{0,1,16850988}"),
+                         ("mat:2:zmod:67", "{[[0,0],[0,0]]}")):
+        ring = ax.parse_ring(dsl)
+        with pytest.raises(ZeroDivisorError):
+            ax.nzd_classify(ax.parse_set(ring, literal))
+    assert find_zero_divisor(ax.modular(16850989)) == (4099, 4111)
+    assert find_zero_divisor(ax.parse_ring("polyquo:2:t^10+t^7+1")) is None
+    assert main(["classify", "--ring", "zmod:16850989", "--set",
+                 "{0,1,16850988}", "--json"]) == 2
+    assert "4099·4111" in capsys.readouterr().err
 
 
 def test_nzd_classify_whole_field():
@@ -437,14 +483,24 @@ def test_verify_payload_rechecks_the_hypothesis():
     cert = ax.approx_constant(x, "ring")
     core = ax.core_set(x)
     comm = ax.commensurability(core, x)
-    for hypothesis, why in (("ambient/exhaustive", "zero divisors 2·4 = 0"),
+    for hypothesis, why in (("ambient", "zero divisors 2·4 = 0"),
                             ("core-witnessed", "zero divisor inside the core")):
         with pytest.raises(ZeroDivisorError):
-            ax.nzd_classify(x, small_threshold=0, hypothesis=hypothesis.split("/")[0])
+            ax.nzd_classify(x, small_threshold=0, hypothesis=hypothesis)
         report = classification_report(x, cert, core, comm, 0, hypothesis)
         assert (report.verdict, report.core_is_subring) == ("structured", True)
         ok, details = verify_payload(report.to_json())
         assert not ok and why in details[0], details
+    # schema 1 tagged the ambient hypothesis with how it was established;
+    # such a report fails, on a ring without zero divisors too
+    x = ax.parse_set(ax.modular(7), "{0,1,6}")
+    payload = ax.nzd_classify(x, small_threshold=0).to_json()
+    assert (payload["schema_version"], payload["hypothesis"]) == ("2", "ambient")
+    assert verify_payload(payload)[0]
+    ok, details = verify_payload(dict(payload, schema_version="1",
+                                      hypothesis="ambient/known-domain"))
+    assert not ok and details == ["hypothesis 'ambient/known-domain' fails: "
+                                  "unknown hypothesis 'ambient/known-domain'"]
 
 
 def test_gallery_y_set():

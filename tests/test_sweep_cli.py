@@ -541,14 +541,27 @@ def test_poschar_cores_csv_golden():
 
 def test_nzd_sweep_csv_golden():
     # byte-for-byte pin of K, verdict, core and commensurability over
-    # prime zmod and gf rings; fields are known domains, so the ambient
-    # hypothesis holds without a scan of the ring
+    # prime zmod and gf rings, which have no zero divisors, so every row
+    # holds under the ambient hypothesis
     data = Path(__file__).parent / "data"
     report = run_sweep(SweepSpec.load(str(data / "nzd_small.cfg")))
     assert report.to_csv() == \
         (data / "nzd_small.csv").read_text(encoding="utf-8")
-    assert {r["_witness"]["hypothesis"] for r in report.rows} == \
-        {"ambient/known-domain"}
+    assert {r["_witness"]["hypothesis"] for r in report.rows} == {"ambient"}
+
+
+def test_verify_reruns_rows_without_a_witness():
+    # every row of an nzd sweep over rings with zero divisors fails with
+    # a ZeroDivisorError and carries no witness; apx verify re-runs each
+    # and accepts the report, and fails it once one status is edited
+    report = run_sweep(SweepSpec.parse(spec_text(rings="zmod:6, zmod:8"))).to_json()
+    rows = report["rows"]
+    assert rows and all(r["status"].startswith("ZeroDivisorError: zero divisors")
+                        and "_witness" not in r for r in rows)
+    assert verify_payload(report)[0]
+    bad = dict(rows[0], status="ZeroDivisorError: made up")
+    ok, details = verify_payload(dict(report, rows=[bad, *rows[1:]]))
+    assert not ok and "differs from a re-run's" in details[0], details
 
 
 DATA = Path(__file__).parent / "data"
@@ -588,9 +601,25 @@ _CLI_PAYLOADS = {
                                        dict(p["rows"][-1], constructed_size=1)])),
     "k11": (["k11", "--ring", "int", "--set", "{-1,0,1}"],
             lambda p: dict(p, translates=["100"])),
+    # only an exact cover proves itself optimal, and the method is one of
+    # the three builders'
+    "k11-optimal": (["k11", "--ring", "int", "--set", "{-1,0,1}"],
+                    lambda p: dict(p, optimal=not p["optimal"])),
+    "cover-method": (["cover", "--ring", "int", "--target", "{-2,-1,0,1,2}",
+                      "--base", "{-1,0,1}"],
+                     lambda p: dict(p, method="exactx")),
     "classify-nzd": (["classify", "--ring", "zmod:7", "--set", "{0,1,6}",
                       "--small-threshold", "0"],
                      lambda p: dict(p, verdict="small")),
+    # a nested payload is of the kind its slot holds
+    "classify-nested-kind": (["classify", "--ring", "zmod:7", "--set", "{0,1,6}",
+                              "--small-threshold", "0"],
+                             lambda p: dict(p, comm_core_by_x=dict(
+                                 p["comm_core_by_x"], kind="approx_certificate"))),
+    "classify-certificate-kind": (["classify", "--ring", "zmod:7", "--set",
+                                   "{0,1,6}", "--small-threshold", "0"],
+                                  lambda p: dict(p, certificate=dict(
+                                      p["certificate"], kind="cover_witness"))),
     "classify-poschar": (["classify", "--mode", "poschar", "--ring", "zmod:8",
                           "--set", "{0,2,6}"],
                          lambda p: dict(p, core_size=p["core_size"] + 1)),
@@ -607,6 +636,13 @@ _CLI_PAYLOADS = {
     **{f"sweep-rows-{name}": (["sweep", "--config", str(DATA / "poschar_small.cfg")],
                               edit)
        for name, edit in _ROW_EDITS.items()},
+    # an ok row passed off as a failing one, out of ``empirical``: rows
+    # without a witness are re-run
+    "sweep-rows-unwitnessed": (
+        ["sweep", "--config", str(DATA / "poschar_small.cfg")],
+        lambda p: SweepReport(SweepSpec.parse(p["config"]), [
+            {k: v for k, v in p["rows"][0].items() if k != "_witness"}
+            | {"status": "ZeroDivisorError: made up"}, *p["rows"][1:]]).to_json()),
 }
 
 
