@@ -179,16 +179,16 @@ class ClassificationReport:
     certificate: object
     core: FiniteSet
     core_is_subring: bool
-    commensurability_to_x: int | None
+    commensurability_to_x: int
     k11_bound: int
     verdict: str                     # "small" | "structured" | "counterexample-candidate"
     small_threshold: int
     hypothesis: str                  # "ambient" | "core-witnessed"
-    comm_result: CommensurabilityResult | None = field(default=None, compare=False)
+    comm_result: CommensurabilityResult = field(compare=False)
 
     def to_json(self):
         ring = self.x.ring
-        out = {
+        return {
             "schema_version": "2",
             "kind": "classification_report",
             "ring": ring.descriptor,
@@ -202,11 +202,9 @@ class ClassificationReport:
             "small_threshold": self.small_threshold,
             "hypothesis": self.hypothesis,
             "certificate": self.certificate.to_json(),
+            "comm_core_by_x": self.comm_result.witness_ab.to_json(),
+            "comm_x_by_core": self.comm_result.witness_ba.to_json(),
         }
-        if self.comm_result is not None:
-            out["comm_core_by_x"] = self.comm_result.witness_ab.to_json()
-            out["comm_x_by_core"] = self.comm_result.witness_ba.to_json()
-        return out
 
 
 def nzd_classify(x, small_threshold=None, hypothesis="ambient", cert=None):
@@ -221,24 +219,27 @@ def nzd_classify(x, small_threshold=None, hypothesis="ambient", cert=None):
     raises ZeroDivisorError naming what it found.
     ``cert`` is an exact ring-mode certificate of X already computed,
     as by ``approx_constant(x, "ring")``; without it K is certified here.
+    An empty X raises InvalidParamsError: it has no core to measure, and
+    is no counterexample.
     """
     if not is_symmetric(x):
         raise NotSymmetricError("classification needs a symmetric set")
+    if len(x) == 0:
+        raise InvalidParamsError("classification needs a nonempty set")
     core = core_set(x)
     hyp = _hypothesis(core, hypothesis)
     if cert is None:
         cert = approx_constant(x, "ring")
-    comm = commensurability(core, x) if len(x) and len(core) else None
-    return classification_report(x, cert, core, comm, small_threshold, hyp)
+    return classification_report(x, cert, core, commensurability(core, x),
+                                 small_threshold, hyp)
 
 
 def classification_report(x, cert, core, comm, small_threshold, hyp):
     """The report on X from its ring-mode certificate (ValueError for any
-    other), core, commensurability of core and X (None when either is
-    empty), threshold (None: 4K^2) and hypothesis.  Verdicts: "small"
-    when |X| < small_threshold, the dichotomy's escape hatch, else
-    "structured" when the core is a subring within the K^11 bound, else
-    "counterexample-candidate"."""
+    other), core, commensurability of core and X, threshold (None: 4K^2)
+    and hypothesis.  Verdicts: "small" when |X| < small_threshold, the
+    dichotomy's escape hatch, else "structured" when the core is a
+    subring within the K^11 bound, else "counterexample-candidate"."""
     if cert.x != x or cert.mode != "ring":
         raise ValueError("cert must be a ring-mode certificate of x")
     k = cert.k
@@ -248,12 +249,11 @@ def classification_report(x, cert, core, comm, small_threshold, hyp):
     # the whole finite ring is a subring by construction
     subring_ok = (core.ring.is_finite and len(core) == core.ring.cardinality
                   or is_subring(core)[0])
-    constant = None if comm is None else comm.constant
-    structured = subring_ok and constant is not None and constant <= k11
+    structured = subring_ok and comm.constant <= k11
     verdict = ("small" if len(x) < small_threshold else
                "structured" if structured else "counterexample-candidate")
-    return ClassificationReport(x, k, cert, core, subring_ok, constant, k11,
-                                verdict, small_threshold, hyp, comm)
+    return ClassificationReport(x, k, cert, core, subring_ok, comm.constant,
+                                k11, verdict, small_threshold, hyp, comm)
 
 
 def _hypothesis(core, hypothesis):

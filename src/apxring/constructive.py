@@ -11,16 +11,18 @@ of X are *built* (not searched) for:
 The recursions are derivation-directed: every translate carries a formal
 term over X (tuple of words, word (x_0,..,x_k) evaluating to x_k···x_0)
 because the word induction multiplies covers by word prefixes — values
-alone cannot drive it.  Word covers chain C -> l·C + F; covers of sums
-of words accumulate left to right as (C_new + G) + F; the power-set
-step is F_{m+1} = (G_m + F) + F with G_m the union of the word-sum
-covers of the F_m derivations.  Every sum is taken two sets at a time
-by one capped sum of value -> term dicts: a value keeps the first term
-found in canonical order, a sum over the cap raises, and the final
-witness is always re-verified — a verification failure here means an
-implementation bug and is surfaced, never corrected.  One fixed cap,
-INTERMEDIATE_CAP, holds every set the recursions build and the msum
-and core targets; the word and power-set targets keep the sets default.
+alone cannot drive it.  F's own terms are read off T − X, where the
+certificate's check puts F (``_derive_term``).  Word covers chain
+C -> l·C + F; covers of sums of words accumulate left to right as
+(C_new + G) + F; the power-set step is F_{m+1} = (G_m + F) + F with G_m
+the union of the word-sum covers of the F_m terms.  Every sum is taken
+two sets at a time by one capped sum of value -> term dicts: a value
+keeps the first term found in canonical order, a sum over the cap
+raises, and the final witness is always re-verified — a verification
+failure here means an implementation bug and is surfaced, never
+corrected.  One fixed cap, INTERMEDIATE_CAP, holds every set the
+recursions build and the msum and core targets; the word and power-set
+targets keep the sets default.
 
 ``bound_formula_value`` reports the no-collapse size the recursion
 guarantees a priori (K per letter, products over summed words), which
@@ -32,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classify import core_set
-from .cover import cover_exact, eval_term, make_witness
+from .cover import cover_exact, make_witness
 from .errors import (BudgetExceededError, InvalidParamsError,
                      VerificationFailedError)
 from .sets import (
@@ -45,6 +47,40 @@ from .sets import (
 )
 
 INTERMEDIATE_CAP = 2 ** 20
+
+
+def eval_term(ring, term):
+    """Value of a formal term: sum over words, word (x_0..x_k) = x_k···x_0."""
+    acc = ring.zero()
+    for word in term:
+        v = word[0]
+        for letter in word[1:]:
+            v = ring.mul(letter, v)
+        acc = ring.add(acc, v)
+    return acc
+
+
+def _derive_term(x, value):
+    """Term over X for ``value`` in T − X: the letter ``value``, or
+    a + b − w or a·b − w for letters a, b, w.  A verified certificate's
+    translates all lie in T − X (each meets the target), so for them
+    this cannot fail; any other value raises VerificationFailedError."""
+    ring = x.ring
+    if value in x:
+        return ((value,),)
+    elems = sorted(x.elements(), key=ring.sort_key)
+    # value = t - w with t in X+X or X*X, w in X
+    for w in elems:
+        t = ring.add(value, w)
+        for a in elems:
+            b = ring.sub(t, a)
+            if b in x:
+                return ((a,), (b,), (ring.neg(w),))
+        for a in elems:
+            for b in elems:
+                if ring.mul(a, b) == t:
+                    return ((b, a), (ring.neg(w),))
+    raise VerificationFailedError(f"{ring.render(value)} is not in T - X")
 
 
 def _require_ring_cert(cert):
@@ -63,7 +99,7 @@ class _Builder:
         self.k = cert.k
         self.key = self.ring.sort_key
         self.x_least = min(cert.x.elements(), key=self.key, default=None)
-        self.f_cover = {f: cert.derivations[f] for f in cert.witness_f}
+        self.f_cover = {f: _derive_term(cert.x, f) for f in cert.witness_f}
         self._word_memo = {}
         self._term_memo = {}
 
@@ -134,7 +170,7 @@ class _Builder:
         """[F_1, .., F_{m_max}] as (dict value -> term, count) pairs.
 
         F_1 = {0} with the empty term; F_{m+1} = (G_m + F) + F where
-        G_m unions the word-sum covers of the F_m derivations.
+        G_m unions the word-sum covers of the F_m terms.
         """
         ring = self.ring
         seq = [({ring.zero(): ()}, 1)]
@@ -160,7 +196,7 @@ class _Builder:
 
 
 def claim2_cover(m, cert):
-    """Cover X^m ⊆ F_m + X; returns (witness, F_m set, derivations)."""
+    """Cover X^m ⊆ F_m + X; returns (witness, F_m set, terms of F_m)."""
     if m < 1:
         raise InvalidParamsError("m must be >= 1")
     _require_ring_cert(cert)

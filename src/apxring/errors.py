@@ -70,7 +70,7 @@ class BudgetExceededError(ApxError):
 class VerificationFailedError(ApxError):
     """A witness or certificate failed re-verification.
 
-    For constructive covers and certificate derivations this indicates an
+    For constructive covers, their terms included, this indicates an
     implementation bug and is surfaced, never silently corrected.
     """
 

@@ -4,18 +4,20 @@ Every payload carries its ring DSL and rendered elements, so
 ``verify_payload`` rebuilds it without any ambient state, by one rule:
 what a payload proves by a witness is re-checked by the package's own
 checker (``cover.first_uncovered`` for covers with their lower bounds,
-``ApproxCertificate.verify`` for certificates, ``classify.is_subring``
-and the core for a found subring, ``classify.subrings_within`` for the
-claim of the exhaustive pass that no subring inside the core has a
-smaller constant, the classifier's own step for the no-zero-divisor
-hypothesis), and every other field is re-derived by the builder that
-wrote it, run on the payload's inputs and re-checked witnesses, and
-compared.  Nested payloads verify by their own kind, which must be the
-kind their slot holds; a sweep's rows must be its config's instances in
-order and equal ``sweep.row_fields`` of their witnesses, and a row
-without a witness must equal its instance's re-run.  It returns (ok,
-details) and never raises on a merely *invalid* payload — malformed
-ones do raise.
+``ApproxCertificate.verify`` for certificates, whose cover also proves
+F ⊆ ⟨X⟩, so the derivations schema 1-3 stored are ignored,
+``classify.is_subring`` and the core for a found subring,
+``classify.subrings_within`` for the claim of the exhaustive pass that
+no subring inside the core has a smaller constant, the classifier's own
+step for the no-zero-divisor hypothesis), and every other field is
+re-derived by the builder that wrote it, run on the payload's inputs and
+re-checked witnesses, and compared.  Every payload, nested ones too,
+must be of a schema version its kind's verifier reads, and nested
+payloads verify by their own kind, which must be the kind their slot
+holds; a sweep's rows must be its config's instances in order and equal
+``sweep.row_fields`` of their witnesses, and a row without a witness
+must equal its instance's re-run.  It returns (ok, details) and never
+raises on a merely *invalid* payload — malformed ones do raise.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .cover import (
     first_uncovered,
     lagrangian_floor,
 )
-from .errors import ApxError, ZeroDivisorError
+from .errors import ApxError, ZeroDivisorError, _clip
 from .rings import parse_ring
 from .sets import FiniteSet, growth_sequence
 
@@ -67,11 +69,31 @@ def _minimality(payload, target, base, k):
     return True, f"minimality not certified (lower bound {floor} < {k})"
 
 
+# every schema version of each kind that its verifier reads
+_SCHEMA_VERSIONS = {
+    "cover_witness": ("1", "2"),
+    "approx_certificate": ("1", "2", "3", "4"),
+    "classification_report": ("1", "2"),
+    "subring_search": ("1", "2", "3", "4"),
+    "sweep_report": ("1",),
+    "constructive_report": ("1",),
+    "fact21_report": ("1",),
+    "gallery_item": ("1",),
+    "model_check": ("2",),
+    "growth_profile": ("2",),
+}
+
+
 def _kind_fault(payload, kind):
-    """[why] when ``payload``, nested where a ``kind`` payload belongs,
-    is of another kind; else []."""
-    have = payload.get("kind")
-    return [] if have == kind else [f"kind {have!r} where {kind} belongs"]
+    """[why] when ``payload``, where a ``kind`` payload belongs, is of
+    another kind or of a schema version its verifier does not read;
+    else []."""
+    have, version = payload.get("kind"), payload["schema_version"]
+    if have != kind:
+        return [f"kind {have!r} where {kind} belongs"]
+    if version not in _SCHEMA_VERSIONS[kind]:
+        return [f"unknown {kind} schema_version {_clip(repr(version))}"]
+    return []
 
 
 def _cover_witness(payload):
@@ -106,13 +128,10 @@ def _certificate(payload):
     if why:
         return False, why, None
     ring, x = _ring_and_set(payload, "x")
-    derivs = {ring.parse(f_text): tuple(tuple(ring.parse(e) for e in word)
-                                        for word in words)
-              for f_text, words in payload.get("derivations", {}).items()}
     lb = payload.get("lower_bound")
     cert = ApproxCertificate(
         x, payload["k"], _parse_set(ring, payload["f"]),
-        payload.get("mode", "ring"), bool(payload.get("minimal")), derivs,
+        payload.get("mode", "ring"), bool(payload.get("minimal")),
         payload.get("stats", {}),
         None if lb is None else ({ring.parse(e): w for e, w in lb["weights"].items()},
                                  lb["denominator"]))
@@ -122,11 +141,10 @@ def _certificate(payload):
     ok, note = _minimality(payload, cert.target(), x, cert.k)
     if not ok:
         return False, [note], cert
-    details = [f"K = {cert.k} certificate re-verified ({len(derivs)} derivations)",
-               note]
+    details = [f"K = {cert.k} certificate re-verified", note]
     if payload.get("schema_version") == "1":
         details.append("schema v1: membership and f_location.in_x2 ignored, "
-                       "F ⊆ ⟨X⟩ re-proven from the derivations")
+                       "F ⊆ ⟨X⟩ re-proven from the cover")
     return True, details, cert
 
 
@@ -169,18 +187,18 @@ def _verify_classification(payload):
     if not ok:
         return ok, details
     _ring, x = _ring_and_set(payload, "x")
+    if len(x) == 0:
+        return False, ["classification needs a nonempty set"]
     core = core_set(x)
     claimed = payload["hypothesis"]
     try:
         hyp = _hypothesis(core, claimed)
     except (ValueError, ZeroDivisorError) as exc:
         return False, [f"hypothesis {claimed!r} fails: {exc}"]
-    comm = None
-    if len(x) and len(core):
-        why, comm = _commensurability(
-            payload, ("comm_core_by_x", "comm_x_by_core"), core, x)
-        if why is not None:
-            return False, [why]
+    why, comm = _commensurability(
+        payload, ("comm_core_by_x", "comm_x_by_core"), core, x)
+    if why is not None:
+        return False, [why]
     ok, det = _rebuilt("classification_report", lambda: classification_report(
         x, cert, core, comm, payload["small_threshold"], hyp).to_json(),
         payload, flat=True)
@@ -351,7 +369,8 @@ def verify_payload(payload):
     fn = _VERIFIERS.get(kind)
     if fn is None:
         return False, [f"unknown payload kind {kind!r}"]
-    return fn(payload)
+    why = _kind_fault(payload, kind)
+    return (False, why) if why else fn(payload)
 
 
 def verify_file(path):

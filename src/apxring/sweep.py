@@ -157,7 +157,8 @@ def generate_instances(spec):
         orbits = _negation_orbits(ring)
         base = (ring.zero(),)
         if spec.policy == "exhaustive":
-            for count in range(0, len(orbits) + 1):
+            # 0 is in every set: no union of more than max_size - 1 orbits fits
+            for count in range(0, min(len(orbits), spec.max_size - 1) + 1):
                 for combo in itertools.combinations(range(len(orbits)), count):
                     picked = [orbits[i] for i in combo]
                     size = len(base) + sum(len(o) for o in picked)

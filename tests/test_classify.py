@@ -141,6 +141,28 @@ def test_nzd_classify_window_structured():
     assert rep.verdict == "structured"
 
 
+def test_empty_set_is_no_counterexample(capsys):
+    # the empty set has no core to measure: classify exits 2, and the
+    # report it once wrote, a "counterexample-candidate" with no
+    # commensurability witnesses, fails verification
+    from apxring.cli import main
+    from apxring.serialize import verify_payload
+    m7 = ax.modular(7)
+    with pytest.raises(InvalidParamsError, match="nonempty set"):
+        ax.nzd_classify(FiniteSet(m7, []))
+    assert main(["classify", "--ring", "zmod:7", "--set", "{}", "--json"]) == 2
+    assert "classification needs a nonempty set" in capsys.readouterr().err
+    cert = ax.approx_constant(FiniteSet(m7, []), "ring").to_json()
+    payload = {"schema_version": "2", "kind": "classification_report",
+               "ring": "zmod:7", "x": [], "k": 0, "core_size": 0,
+               "core_is_subring": False, "commensurability_to_x": None,
+               "k11_bound": 0, "verdict": "counterexample-candidate",
+               "small_threshold": 0, "hypothesis": "ambient",
+               "certificate": dict(cert, schema_version="3", derivations={})}
+    assert verify_payload(payload) == (
+        False, ["classification needs a nonempty set"])
+
+
 def test_nzd_classify_rejects_zero_divisors():
     m6 = ax.modular(6)
     with pytest.raises(ZeroDivisorError):

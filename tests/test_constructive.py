@@ -3,8 +3,8 @@
 import pytest
 
 import apxring as ax
-from apxring.constructive import _Builder
-from apxring.cover import eval_term, first_uncovered
+from apxring.constructive import _Builder, eval_term
+from apxring.cover import first_uncovered
 from apxring.sets import FiniteSet
 
 from corpus import certified_corpus

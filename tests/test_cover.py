@@ -10,12 +10,8 @@ import random
 import pytest
 
 import apxring as ax
-from apxring.cover import (
-    _derive_term,
-    cover_brute_force,
-    eval_term,
-    make_witness,
-)
+from apxring.constructive import _derive_term, eval_term
+from apxring.cover import cover_brute_force, make_witness
 from apxring.errors import (
     NotSymmetricError,
     UncoverableError,
@@ -186,18 +182,17 @@ def test_certificate_derivations_stay_in_generated_subring():
         assert ok, why
 
 
-def test_certificate_rejects_derivation_letter_outside_x():
+def test_certificate_rejects_translate_meeting_no_target():
+    # F + X still covers the target with 9 added to F and k raised, but
+    # 9 + X misses X*X ∪ (X+X) = {-2..2}, so 9 is not shown to lie in ⟨X⟩
     from apxring.serialize import verify_payload
     x = iset(-1, 1)
     cert = ax.approx_constant(x, "ring", exact=True)
-    # 2 + (-1) evaluates to 1, but 2 is not a letter of X
-    forged = dict(cert.derivations)
-    forged[1] = ((2,), (-1,))
-    bad = dataclasses.replace(cert, derivations=forged)
-    ok, why = bad.verify()
-    assert not ok and "outside X" in why
+    bad = dataclasses.replace(cert, k=cert.k + 1, witness_f=FiniteSet(
+        Z, [*cert.witness_f, 9]))
+    assert bad.verify() == (False, "translate 9 meets no target")
     ok, details = verify_payload(bad.to_json())
-    assert not ok and "outside X" in details[0]
+    assert not ok and details == ["translate 9 meets no target"]
 
 
 def test_certificate_soundness_reverify():
@@ -222,7 +217,9 @@ def test_derivations_are_read_off_the_pool():
         ring = x.ring
         for mode, exact in itertools.product(("ring", "group"), (True, False)):
             cert = ax.approx_constant(x, mode, exact=exact)
-            for v, term in cert.derivations.items():
+            assert cert.verify() == (True, None)
+            for v in cert.witness_f:
+                term = _derive_term(x, v)
                 assert tuple(map(len, term)) in ((1,), (1, 1, 1), (2, 1)), (
                     name, mode, exact, ring.render(v))
                 assert all(letter in x for word in term for letter in word)
@@ -268,8 +265,8 @@ def test_certificate_json_round_trip():
     from apxring.serialize import verify_payload
     cert = ax.approx_constant(iset(-2, 2), "ring", exact=True)
     payload = cert.to_json()
-    assert payload["schema_version"] == "3"
-    assert "membership" not in payload and "f_location" not in payload
+    assert payload["schema_version"] == "4"
+    assert not {"membership", "f_location", "derivations"} & payload.keys()
     ok, details = verify_payload(payload)
     assert ok, details
     assert details[1].startswith("minimality certified")
@@ -277,6 +274,21 @@ def test_certificate_json_round_trip():
     tampered["k"] = 1
     ok, _ = verify_payload(tampered)
     assert not ok
+
+
+def test_schema3_certificate_derivations_are_ignored():
+    # schema 1-3 certificates stored a term per translate; the cover now
+    # proves F ⊆ ⟨X⟩, so forged terms do not fail a sound certificate
+    # and sound terms do not save one whose translate meets no target
+    from apxring.serialize import verify_payload
+    cert = ax.approx_constant(iset(-2, 2), "ring", exact=True)
+    forged = {f: [["7"], ["-3"]] for f in cert.to_json()["f"]}
+    v3 = dict(cert.to_json(), schema_version="3", derivations=forged)
+    ok, details = verify_payload(v3)
+    assert ok and details[0] == f"K = {cert.k} certificate re-verified", details
+    stray = dict(v3, k=cert.k + 1, f=[*v3["f"], "40"],
+                 derivations=dict(forged, **{"40": [["2"], ["2"] * 20]}))
+    assert verify_payload(stray) == (False, ["translate 40 meets no target"])
 
 
 def test_interval_oracle_small():

@@ -484,8 +484,9 @@ def test_cli_verify_round_trip(tmp_path):
 
 
 def test_cli_verify_accepts_v1_certificate(tmp_path):
-    # v1 payloads carried "membership" and f_location["in_x2"]; the
-    # derivations alone prove F inside the generated subring
+    # v1 payloads carried "membership" and f_location["in_x2"]; the cover
+    # alone proves F inside the generated subring, every translate
+    # meeting the target
     cert = ax.approx_constant(ax.parse_set(ax.modular(7), "{0,1,6}"), "ring")
     payload = cert.to_json()
     payload.update(schema_version="1", membership="closure")
@@ -580,6 +581,9 @@ _ROW_EDITS = {
     "instance-id": lambda p: _rows_edited(p, dict(p["rows"][0], instance_id=99)),
     "swapped": lambda p: _rows_edited(p, dict(p["rows"][1], instance_id=0),
                                       dict(p["rows"][0], instance_id=1)),
+    # an ok row stripped of its witness
+    "ok-unwitnessed": lambda p: _rows_edited(p, {
+        k: v for k, v in p["rows"][0].items() if k != "_witness"}),
 }
 # every subcommand that writes a payload, and one tampered copy of it
 _CLI_PAYLOADS = {
@@ -608,6 +612,9 @@ _CLI_PAYLOADS = {
     "cover-method": (["cover", "--ring", "int", "--target", "{-2,-1,0,1,2}",
                       "--base", "{-1,0,1}"],
                      lambda p: dict(p, method="exactx")),
+    "cover-greedy": (["cover", "--ring", "int", "--target", "{-2,-1,0,1,2}",
+                      "--base", "{-1,0,1}", "--greedy"],
+                     lambda p: dict(p, optimal=True)),
     "classify-nzd": (["classify", "--ring", "zmod:7", "--set", "{0,1,6}",
                       "--small-threshold", "0"],
                      lambda p: dict(p, verdict="small")),
@@ -620,9 +627,19 @@ _CLI_PAYLOADS = {
                                    "{0,1,6}", "--small-threshold", "0"],
                                   lambda p: dict(p, certificate=dict(
                                       p["certificate"], kind="cover_witness"))),
+    # a nested payload is of a schema version its kind's verifier reads
+    **{f"classify-{slot}-schema": (["classify", "--ring", "zmod:7", "--set",
+                                    "{0,1,6}", "--small-threshold", "0"],
+                                   lambda p, slot=slot: dict(p, **{slot: dict(
+                                       p[slot], schema_version="99")}))
+       for slot in ("certificate", "comm_core_by_x")},
     "classify-poschar": (["classify", "--mode", "poschar", "--ring", "zmod:8",
                           "--set", "{0,2,6}"],
                          lambda p: dict(p, core_size=p["core_size"] + 1)),
+    # Z/8 is a subring, but not one inside the core {0, 2, 4, 6}
+    "classify-poschar-outside-core": (
+        ["classify", "--mode", "poschar", "--ring", "zmod:8", "--set", "{0,2,6}"],
+        lambda p: dict(p, subring=[str(v) for v in range(8)])),
     "model": (["model", "--ring", "zmod:9", "--set", "{0,1,8}", "--ideal",
                "{0,3,6}"],
               lambda p: dict(p, max_genericity=p["max_genericity"] + 1)),
@@ -649,7 +666,8 @@ _CLI_PAYLOADS = {
 @pytest.mark.parametrize("name", sorted(_CLI_PAYLOADS))
 def test_cli_json_output_verifies(name, tmp_path, capsys):
     # the file each subcommand writes re-verifies with apx verify, and a
-    # copy with one claim changed fails
+    # copy with one claim changed fails, as does one of an unknown
+    # schema version
     from apxring.cli import main
     argv, tamper = _CLI_PAYLOADS[name]
     out = tmp_path / "payload.json"
@@ -667,6 +685,34 @@ def test_cli_json_output_verifies(name, tmp_path, capsys):
     assert capsys.readouterr().out.endswith("VERIFIED\n")
     assert main(["verify", "--input", str(bad)]) == 4
     assert capsys.readouterr().out.endswith("FAILED\n")
+    bad.write_text(json.dumps(dict(payload, schema_version="99")), encoding="utf-8")
+    assert main(["verify", "--input", str(bad)]) == 4
+    text = capsys.readouterr().out
+    assert "schema_version '99'" in text and text.endswith("FAILED\n"), text
+
+
+def test_verify_fails_an_unknown_kind():
+    assert verify_payload({"kind": "cover_witnes", "schema_version": "2"}) == (
+        False, ["unknown payload kind 'cover_witnes'"])
+
+
+def test_exhaustive_instances_stop_at_the_largest_set_that_fits(monkeypatch):
+    # 0 is in every set, so no union of more than max_size - 1 orbits
+    # fits: on gf:2^5, whose 31 orbits are single elements, max_size 3
+    # tries the 1 + 31 + 465 unions of at most two and none of the
+    # 2^31 - 497 larger ones
+    import itertools
+    real, tried = itertools.combinations, []
+
+    def combinations(pool, r):
+        for combo in real(pool, r):
+            tried.append(combo)
+            assert len(tried) <= 497, "a union of too many orbits was tried"
+            yield combo
+
+    monkeypatch.setattr(itertools, "combinations", combinations)
+    spec = SweepSpec.parse(spec_text(rings="gf:2^5:t^5+t^2+1", max_size=3))
+    assert len(list(generate_instances(spec))) == len(tried) == 497
 
 
 def test_cli_table_ring_payload_verifies(tmp_path, capsys):
@@ -748,9 +794,13 @@ def test_cli_verify_malformed_payload_exits_2(tmp_path, capsys):
     # a payload without a key its verifier reads, or of the wrong type,
     # is bad input: a precondition failure naming the key or the type
     from apxring.cli import main
-    for payload, named in (({"kind": "classification_report"}, "'certificate'"),
+    for payload, named in (({"kind": "classification_report", "schema_version": "2"},
+                            "'certificate'"),
                            ([], "'list'"),
-                           ({"kind": "approx_certificate", "ring": "zmod:7"}, "'x'")):
+                           ({"kind": "approx_certificate", "schema_version": "4",
+                             "ring": "zmod:7"}, "'x'"),
+                           ({"kind": "approx_certificate", "ring": "zmod:7"},
+                            "'schema_version'")):
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
         assert main(["verify", "--input", str(path)]) == 2, payload
