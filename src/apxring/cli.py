@@ -28,7 +28,7 @@ from .errors import (
     ZeroDivisorError,
 )
 from .rings import parse_ring
-from .sets import difference_set, growth_sequence, load_set_file, parse_set
+from .sets import growth_sequence, load_set_file, parse_set
 
 # unreadable input files (missing, not JSON) are precondition failures too
 _PRECONDITION = (ParseError, RingConstructionError, CrossRingError,
@@ -89,12 +89,8 @@ def _cmd_cover(args):
     ring = parse_ring(args.ring)
     target = _load_set(ring, args.target)
     base = _load_set(ring, args.base)
-    pool = (_load_set(ring, args.pool) if args.pool
-            else difference_set(target, base))
-    if args.greedy:
-        w = cover_greedy(target, base, pool)
-    else:
-        w = cover_exact(target, base, pool, node_limit=args.node_limit)
+    w = (cover_greedy(target, base) if args.greedy
+         else cover_exact(target, base, node_limit=args.node_limit))
     _emit(args, w.to_json(), [
         f"cover of {len(target)} elements by {len(w.translates)} translates",
         f"optimal = {w.optimal}  method = {w.method}",
@@ -266,7 +262,6 @@ def build_parser():
     common(p, with_set=False)
     p.add_argument("--target", required=True)
     p.add_argument("--base", required=True)
-    p.add_argument("--pool", help="translate pool (default: target - base)")
     p.add_argument("--greedy", action="store_true")
     p.add_argument("--node-limit", type=int, default=10 ** 6)
     p.set_defaults(fn=_cmd_cover)

@@ -315,9 +315,8 @@ def bound_table(cert, m_max):
     for m, (w, fm, _) in enumerate(_power_covers(cert, 1, m_max), 1):
         exact = None
         if len(w.target) and len(w.target) <= BOUND_TABLE_EXACT_LIMIT:
-            pool = difference_set(w.target, cert.x)
-            if len(pool) <= 4 * BOUND_TABLE_EXACT_LIMIT:
-                exact = len(cover_exact(w.target, cert.x, pool).translates)
+            if len(difference_set(w.target, cert.x)) <= 4 * BOUND_TABLE_EXACT_LIMIT:
+                exact = len(cover_exact(w.target, cert.x).translates)
         elif len(w.target) == 0:
             exact = 0
         count = w.stats.get("count_bound", 0)

@@ -1,12 +1,15 @@
 """Covering numbers by additive translates; approximation constants.
 
 A cover witness certifies target ⊆ ∪_i (t_i + base) and is re-verified
-element-wise on construction.  Two solvers are provided: a greedy cover
-with the classical (1 + ln |target|) guarantee, and an exact
-branch-and-bound.  It branches on the first uncovered target in one
-order fixed per call, fewest covering translates first, and starts
-from an incumbent, the smaller of the greedy cover and one dive: a
-path without backtracking that starts where the coverers reach least.
+element-wise on construction.  A cover may use t + base for any ring
+element t; those that meet the target are the pool target − base, which
+the solvers build themselves, and each target lies in |base| of them.
+Two solvers are provided: a greedy cover with the classical
+(1 + ln |target|) guarantee, and an exact branch-and-bound.  It
+branches on the first uncovered target in one order fixed per call,
+fewest covering translates first, and starts from an incumbent, the
+smaller of the greedy cover and one dive: a path without backtracking
+that starts where the coverers reach least.
 Everything is deterministic: pools are processed in canonical element
 order and ties always break toward the smaller canonical encoding, so
 repeated runs reproduce witnesses bit for bit.
@@ -30,14 +33,12 @@ an irregular instance, a subgradient ascent whose float weights run
 through the same evaluator and are rounded before the exact one.  The
 weights travel with the witness, so ``apx verify`` recomputes the
 components and re-checks the minimality claim instead of trusting it.
-Covers of the whole finite ring by all its translates shift onto
-covers holding 0 + base, so that search starts from 0 + base.
+Covers of the whole finite ring shift onto covers holding 0 + base, so
+that search starts from 0 + base.
 
 approx_constant certifies the minimal K with X*X ∪ (X+X) ⊆ F + X
-(ring mode; group mode drops the product part).  The translate pool is
-the difference set T − X: any f with (f + X) ∩ T nonempty lies in it,
-and T − X sits inside the subring generated by X automatically, so the
-restriction is exact rather than heuristic.  The cover is its own proof
+(ring mode; group mode drops the product part).  Its pool T − X sits
+inside the subring generated by X.  The cover is its own proof
 of F ⊆ ⟨X⟩: a certificate verifies only when every translate f meets the
 target (f + w ∈ T for some w ∈ X), so f = t − w lies in ⟨X⟩ on every
 backend, finite or lazy.
@@ -138,52 +139,46 @@ def make_witness(target, base, translates, optimal, method, stats=None,
 # solver core: targets become bit positions, translates become masks
 
 
-def _incidence(a, b, pool):
-    """(targets, pool_sorted, coverers): coverers[i] lists, in no fixed
-    order, the ranks r with targets[i] in pool_sorted[r] + b.  t + b
-    holds e iff t = e − x for some x in b, so each target looks its
-    coverers up by rank."""
+def _incidence(a, b):
+    """(targets, pool, coverers) over the pool a − b, the translates that
+    meet a: coverers[i] lists the ranks r with targets[i] in pool[r] + b.
+    t + b holds e iff t = e − x for some x in b, so each target has
+    exactly |b| coverers, looked up by rank."""
     ring = a.ring
     targets = sorted(a.elements(), key=ring.sort_key)
-    pool_sorted = sorted(pool.elements(), key=ring.sort_key)
-    rank = {t: r for r, t in enumerate(pool_sorted)}.get
+    pool = sorted(difference_set(a, b).elements(), key=ring.sort_key)
+    rank = {t: r for r, t in enumerate(pool)}
     neg_b = [ring.neg(x) for x in b.elements()]
     add = ring.add
-    coverers = []
-    for e in targets:
-        cov = [r for y in neg_b if (r := rank(add(e, y))) is not None]
-        if not cov:
-            raise UncoverableError(
-                f"{ring.render(e)} lies in no pool translate", element=e)
-        coverers.append(cov)
-    return targets, pool_sorted, coverers
+    coverers = [[rank[add(e, y)] for y in neg_b] for e in targets]
+    return targets, pool, coverers
 
 
-def _instance(a, b, pool):
-    """(targets, pool_sorted, coverers, masks, full): ``_incidence``
-    plus a target mask per translate, bit i of masks[r] set iff r
-    covers targets[i], and the mask of all targets."""
-    targets, pool_sorted, coverers = _incidence(a, b, pool)
-    masks = [0] * len(pool_sorted)
+def _instance(a, b):
+    """(targets, pool, coverers, masks, full): ``_incidence`` plus a
+    target mask per translate, bit i of masks[r] set iff r covers
+    targets[i], and the mask of all targets."""
+    targets, pool, coverers = _incidence(a, b)
+    masks = [0] * len(pool)
     for i, cov in enumerate(coverers):
         bit = 1 << i
         for r in cov:
             masks[r] |= bit
-    return targets, pool_sorted, coverers, masks, (1 << len(targets)) - 1
+    return targets, pool, coverers, masks, (1 << len(targets)) - 1
 
 
-def cover_greedy(a, b, pool):
+def cover_greedy(a, b):
     """Greedy cover by ``_greedy_lists``: the translate covering most
     uncovered elements, ties toward the smaller canonical encoding."""
     if len(b) == 0:
         raise UncoverableError("base set is empty")
-    check_same_ring(a.ring, b.ring, pool.ring)
+    check_same_ring(a.ring, b.ring)
     t0 = time.perf_counter()
     if len(a) == 0:
         return make_witness(a, b, (), False, "greedy",
                             {"elapsed": time.perf_counter() - t0})
-    _targets, pool_sorted, coverers = _incidence(a, b, pool)
-    chosen = [pool_sorted[r] for r in _greedy_lists(coverers, len(pool_sorted))]
+    _targets, pool, coverers = _incidence(a, b)
+    chosen = [pool[r] for r in _greedy_lists(coverers, len(pool))]
     return make_witness(a, b, chosen, False, "greedy",
                         {"elapsed": time.perf_counter() - t0})
 
@@ -224,8 +219,8 @@ def _greedy_lists(coverers, n_pool):
     return chosen
 
 
-def cover_exact(a, b, pool, node_limit=DEFAULT_NODE_LIMIT):
-    """Minimum-cardinality cover of a by pool translates of b.
+def cover_exact(a, b, node_limit=DEFAULT_NODE_LIMIT):
+    """Minimum-cardinality cover of a by translates of b.
 
     Depth-first branch and bound from the greedy cover's picks
     (``_greedy_lists``), replaced by the cover of ``_dive`` when the
@@ -241,9 +236,9 @@ def cover_exact(a, b, pool, node_limit=DEFAULT_NODE_LIMIT):
     bound of ``_root_floor``, raised by ``_ascent`` once the search has
     spent |targets| × |distinct masks| nodes without closing (skipped
     on regular instances, where counting already equals the LP
-    optimum).  Both are summed over the components.  When a and the
-    pool are the whole finite ring, every cover shifts to one that holds
-    0 + b, so the search starts from that translate.
+    optimum).  Both are summed over the components.  When a is the
+    whole finite ring, every cover shifts to one that holds 0 + b, so
+    the search starts from that translate.
 
     Returns an optimal witness, or the best incumbent flagged non-optimal
     when the node limit is hit before the bound is met.  The witness
@@ -254,16 +249,16 @@ def cover_exact(a, b, pool, node_limit=DEFAULT_NODE_LIMIT):
     """
     if len(b) == 0:
         raise UncoverableError("base set is empty")
-    check_same_ring(a.ring, b.ring, pool.ring)
+    check_same_ring(a.ring, b.ring)
     t0 = time.perf_counter()
     if len(a) == 0:
         return make_witness(a, b, (), True, "exact",
                             {"nodes": 0, "lower_bound": 0}, ({}, 1))
-    targets, pool_sorted, coverers, masks, full = _instance(a, b, pool)
+    targets, pool, coverers, masks, full = _instance(a, b)
     n_targets = len(targets)
     base_size = len(b)
 
-    best = _greedy_lists(coverers, len(pool_sorted))
+    best = _greedy_lists(coverers, len(pool))
     cutoff = len(best)
     parts, label = _components(masks, n_targets)
     bound = _root_floor(coverers, masks, base_size, cutoff, parts, label)
@@ -285,7 +280,7 @@ def cover_exact(a, b, pool, node_limit=DEFAULT_NODE_LIMIT):
         if nodes > node_limit:
             hit_limit = True
             return
-        if nodes == stall_at and not _regular(coverers, masks, base_size):
+        if nodes == stall_at and not _regular(masks, base_size):
             raised = _ascent(coverers, masks, floor, cutoff, label)
             if raised is not None:
                 bound = raised
@@ -316,16 +311,16 @@ def cover_exact(a, b, pool, node_limit=DEFAULT_NODE_LIMIT):
         stall_at = n_targets * len(set(masks))
         order = sorted(range(n_targets), key=lambda e: (len(coverers[e]), e))
         ring = a.ring
-        if ring.is_finite and n_targets == len(pool_sorted) == ring.cardinality:
+        if ring.is_finite and n_targets == ring.cardinality:
             # covers of the whole ring shift by -t_1 onto covers holding 0 + b
-            r0 = pool_sorted.index(ring.zero())
+            r0 = pool.index(ring.zero())
             dfs(masks[r0], [r0], 0)
         else:
             dfs(0, [], 0)
     # dfs refers to itself: drop the cycle so its lists go now, not at a
     # garbage collection
     dfs = None
-    chosen_elems = sorted((pool_sorted[r] for r in best), key=a.ring.sort_key)
+    chosen_elems = sorted((pool[r] for r in best), key=a.ring.sort_key)
     stats = {"nodes": dived + nodes, "elapsed": time.perf_counter() - t0,
              "node_limit_hit": hit_limit, "lower_bound": floor}
     weights = {targets[e]: w for e, w in enumerate(bound[1]) if w}
@@ -446,12 +441,11 @@ def lagrangian_floor(target, base, weights, d):
     missing = 0) over ``d`` prove for target by translates of base,
     summed over the components of the incidence.
 
-    The rows are those of every translate meeting the target, i.e. of
-    the pool target − base, so the bound holds for any pool; the
-    components are recomputed from the same rows.
+    The rows are those of every translate meeting the target, the pool
+    target − base that every cover is drawn from; the components are
+    recomputed from the same rows.
     """
-    targets, _pool, coverers, masks, _full = _instance(
-        target, base, difference_set(target, base))
+    targets, _pool, coverers, masks, _full = _instance(target, base)
     w = [weights.get(e, 0) for e in targets]
     _parts, label = _components(masks, len(targets))
     return _weights_floor(w, d, _evaluator(coverers, masks, label))
@@ -508,11 +502,10 @@ def _root_floor(coverers, masks, base_size, cutoff, parts, label):
     return max(bound, (sum(w), w, 1), key=lambda t: t[0])
 
 
-def _regular(coverers, masks, base_size):
-    """Every mask holds |base| targets and every target has the same
-    number of coverers: then ceil(|targets| / |base|) is the LP bound."""
-    return (all(m.bit_count() == base_size for m in masks)
-            and len({len(cov) for cov in coverers}) == 1)
+def _regular(masks, base_size):
+    """Every mask holds |base| targets, as every target has |base|
+    coverers: then ceil(|targets| / |base|) is the LP bound."""
+    return all(m.bit_count() == base_size for m in masks)
 
 
 def _ascent(coverers, masks, floor, cutoff, label):
@@ -555,7 +548,9 @@ def _ascent(coverers, masks, floor, cutoff, label):
 
 
 def cover_brute_force(a, b, pool):
-    """Independent oracle: complete DFS in increasing cover size.
+    """Independent oracle: complete DFS in increasing cover size over the
+    translates ``pool`` + b, each translate's mask built from its own
+    sums.  UncoverableError when a target lies in no pool translate.
 
     At each step only the translates containing the least-index
     uncovered element are branched on — every cover of the given size
@@ -564,7 +559,15 @@ def cover_brute_force(a, b, pool):
     """
     if len(a) == 0:
         return 0, ()
-    _targets, pool_sorted, coverers, masks, full = _instance(a, b, pool)
+    ring = a.ring
+    targets = sorted(a.elements(), key=ring.sort_key)
+    pool_sorted = sorted(pool.elements(), key=ring.sort_key)
+    sums = [{ring.add(t, x) for x in b.elements()} for t in pool_sorted]
+    masks = [sum(1 << i for i, e in enumerate(targets) if e in s) for s in sums]
+    coverers = [[r for r, s in enumerate(sums) if e in s] for e in targets]
+    if not all(coverers):
+        raise UncoverableError("a target lies in no pool translate")
+    full = (1 << len(targets)) - 1
 
     def search(covered, depth, chosen):
         if covered == full:
@@ -663,8 +666,8 @@ def _certificate_target(x, mode):
 def approx_constant(x, mode="ring", exact=True):
     """Certify the approximation constant of a symmetric set.
 
-    Target T is X*X ∪ (X+X) (ring mode) or X+X (group mode); the pool is
-    the difference set T − X.  ``exact`` yields the minimal K, otherwise
+    Target T is X*X ∪ (X+X) (ring mode) or X+X (group mode), covered by
+    the translates that meet it.  ``exact`` yields the minimal K, otherwise
     a greedy upper bound.  Raises NotSymmetricError when X ≠ −X.
     """
     if mode not in ("ring", "group"):
@@ -678,11 +681,7 @@ def approx_constant(x, mode="ring", exact=True):
     if len(x) == 0:
         f = FiniteSet(ring, ())
         return ApproxCertificate(x, 0, f, mode, True, {}, ({}, 1))
-    pool = difference_set(t, x)
-    if exact:
-        w = cover_exact(t, x, pool)
-    else:
-        w = cover_greedy(t, x, pool)
+    w = cover_exact(t, x) if exact else cover_greedy(t, x)
     f = FiniteSet(ring, w.translates)
     return ApproxCertificate(x, len(f), f, mode, w.optimal, dict(w.stats),
                              w.lower_bound)
@@ -707,13 +706,13 @@ class CommensurabilityResult:
 
 
 def commensurability(a, b):
-    """Exact covers of each set by translates of the other (pools:
-    difference sets); one that hits the node limit is flagged non-optimal."""
+    """Exact covers of each set by translates of the other; one that
+    hits the node limit is flagged non-optimal."""
     check_same_ring(a.ring, b.ring)
     if len(a) == 0 or len(b) == 0:
         raise UncoverableError("commensurability needs nonempty sets")
-    w_ab = cover_exact(a, b, difference_set(a, b))
-    w_ba = cover_exact(b, a, difference_set(b, a))
+    w_ab = cover_exact(a, b)
+    w_ba = cover_exact(b, a)
     return CommensurabilityResult(a, b, len(w_ab.translates),
                                   len(w_ba.translates), w_ab, w_ba)
 

@@ -52,11 +52,8 @@ class NotSymmetricError(ApxError):
 
 
 class UncoverableError(ApxError):
-    """Some target element lies in no translate offered by the pool."""
-
-    def __init__(self, message, element=None):
-        super().__init__(message)
-        self.element = element
+    """No cover exists: the base or a commensurability set is empty, or
+    a target lies in no translate of the oracle's pool."""
 
 
 class BudgetExceededError(ApxError):

@@ -983,22 +983,24 @@ def zero_multiplication_ring(n):
 
 
 def _split_top_level(text):
-    """Split on commas not nested inside (), [] or {}."""
-    parts, depth, cur = [], 0, []
-    for ch in text:
+    """Split on commas not nested inside (), [] or {}: no items for a
+    blank text, and ParseError for an empty item."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
         if ch in "([{":
             depth += 1
         elif ch in ")]}":
             depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    tail = "".join(cur).strip()
-    if tail or parts:
-        parts.append(tail)
-    return [p for p in parts if p != ""]
+        elif ch == "," and depth == 0:
+            parts.append((start, text[start:i].strip()))
+            start = i + 1
+    parts.append((start, text[start:].strip()))
+    if parts == [(0, "")]:
+        return []
+    for start, part in parts:
+        if not part:
+            raise ParseError("empty item", text, start)
+    return [part for _start, part in parts]
 
 
 def _split_enclosed(text, pair):

@@ -14,10 +14,11 @@ re-derived by the builder that wrote it, run on the payload's inputs and
 re-checked witnesses, and compared.  Every payload, nested ones too,
 must be of a schema version its kind's verifier reads, and nested
 payloads verify by their own kind, which must be the kind their slot
-holds; a sweep's rows must be its config's instances in order and equal
-``sweep.row_fields`` of their witnesses, and a row without a witness
-must equal its instance's re-run.  It returns (ok, details) and never
-raises on a merely *invalid* payload — malformed ones do raise.
+holds; a sweep's rows must be its config's instances in order and hold,
+key for key, the fields ``sweep.row_fields`` takes from their witnesses,
+and a row without a witness must equal its instance's re-run.  It
+returns (ok, details) and never raises on a merely *invalid* payload —
+malformed ones do raise.
 """
 
 from __future__ import annotations
@@ -243,49 +244,47 @@ def _verify_subring_search(payload):
     return ok, details + det if ok else det
 
 
-def _differing(row, fields, whose):
-    """A line for each of ``fields`` (key -> value) that ``row`` holds
+def _differing(row, expected, whose):
+    """A line for each key of ``row`` or ``expected`` that the two hold
     otherwise, x compared as a set."""
-    return [f"{key} {row.get(key)!r} differs from {whose} {value!r}"
-            for key, value in fields.items()
-            if (sorted(row.get(key, ())) != sorted(value) if key == "x"
-                else row.get(key) != value)]
+    return [f"{key} {row.get(key)!r} differs from {whose} {expected.get(key)!r}"
+            for key in sorted(row.keys() | expected.keys())
+            if (sorted(row.get(key, ())) != sorted(expected.get(key, ()))
+                if key == "x" else row.get(key) != expected.get(key))]
 
 
-def _row_faults(row, expected, rings, spec):
-    """Why a sweep row is not the row of its config's instance
-    ``expected`` (instance_id, ring and rendered x) or of its witness,
-    or, without a witness, not the failing row a re-run of the instance
-    under ``spec`` gives: empty when it is.  ``rings`` maps descriptors
-    to parsed rings."""
+def _row_faults(row, instance, ring, spec):
+    """Why a sweep row is not the row of its config's ``instance``
+    (instance_id, ring and rendered x, over ``ring``) and of its
+    witness, or, without a witness, not the failing row a re-run of the
+    instance under ``spec`` gives: empty when it is."""
     from .sweep import _run_row, row_fields
-    faults = _differing(row, expected, "the config's")
+    faults = _differing({key: row[key] for key in instance if key in row},
+                        instance, "the config's")
     w = row.get("_witness")
     if faults:
         return faults
     if not w:
         if row.get("status") == "ok":
             return ["ok without a witness"]
-        rerun = _run_row((expected["instance_id"], expected["ring"], expected["x"],
+        rerun = _run_row((instance["instance_id"], instance["ring"], instance["x"],
                           spec.mode, spec.small_threshold))
         rerun.pop("_witness", None)
         return _differing(row, rerun, "a re-run's")
-    if row.get("status") != "ok":
-        return [f"status {row.get('status')!r} with a witness"]
     ok, det = verify_payload(w)
     if not ok:
         return det
-    if w["ring"] not in rings:
-        rings[w["ring"]] = parse_ring(w["ring"])
-    return _differing(row, row_fields(w, rings[w["ring"]]), "the witness's")
+    return _differing(row, {**instance, "status": "ok", **row_fields(w, ring),
+                            "_witness": w}, "the witness's")
 
 
 def _verify_sweep(payload):
     """The rows must be the config's instances in order; every row
-    witness must verify, its row be "ok" and every row field taken from
-    it equal its value, and a row without one must be what a re-run of
-    its instance gives (``_row_faults``); the report must rebuild from
-    its config and rows."""
+    witness must verify, and its row be, key for key, the instance's
+    fields, status "ok" and the fields taken from the witness; a row
+    without one must be what a re-run of its instance gives
+    (``_row_faults``); the report must rebuild from its config and
+    rows."""
     from .sweep import SweepReport, SweepSpec, generate_instances
     spec = SweepSpec.parse(payload["config"])
     rings = {dsl: parse_ring(dsl) for dsl in spec.rings}
@@ -296,7 +295,7 @@ def _verify_sweep(payload):
     details = []
     for i, (row, (dsl, elems)) in enumerate(zip(rows, instances)):
         faults = _row_faults(row, {"instance_id": i, "ring": dsl, "x": tuple(
-            map(rings[dsl].render, elems))}, rings, spec)
+            map(rings[dsl].render, elems))}, rings[dsl], spec)
         if faults:
             details.append(f"row {row.get('instance_id')}: {faults[0]}")
     if details:

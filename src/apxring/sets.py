@@ -341,9 +341,8 @@ def growth_sequence(x, n_max, with_covering=False):
         cov = method = None
         if with_covering and len(x) > 0:
             from .cover import cover_exact, cover_greedy  # cycle: cover uses sets
-            pool = difference_set(cur, x)
-            w = (cover_exact(cur, x, pool) if len(cur) <= _COVERING_EXACT_LIMIT
-                 else cover_greedy(cur, x, pool))
+            w = (cover_exact(cur, x) if len(cur) <= _COVERING_EXACT_LIMIT
+                 else cover_greedy(cur, x))
             cov, method = len(w.translates), "exact" if w.optimal else "greedy"
         entries.append(GrowthEntry(n, cur, len(cur), cov, method))
     return GrowthProfile(x, tuple(entries), with_covering)

@@ -50,6 +50,10 @@ def _boolean(text):
 # keys schema 1 fixes at one value, which a config may spell as ``read`` reads
 _FIXED = (("require_zero", "true", _boolean), ("k_max", "0", int),
           ("exact", "true", _boolean))
+# every key a config may set, each at most once
+_KEYS = ("schema_version", "mode", "rings", "policy", "max_size",
+         "small_threshold", "seed", "instances_per_ring",
+         *(key for key, _fixed, _read in _FIXED))
 
 
 @dataclass(frozen=True)
@@ -72,7 +76,12 @@ class SweepSpec:
             if "=" not in line:
                 raise ParseError(f"expected key = value on line {lineno}", raw, 0)
             key, _, value = line.partition("=")
-            kv[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in _KEYS:
+                raise ParseError(f"unknown key {key!r} on line {lineno}", raw, 0)
+            if key in kv:
+                raise ParseError(f"repeated key {key!r} on line {lineno}", raw, 0)
+            kv[key] = value.strip()
         if kv.get("schema_version") != SCHEMA_VERSION:
             raise ParseError(
                 f"schema_version must be {SCHEMA_VERSION}", text, 0)
@@ -94,6 +103,9 @@ class SweepSpec:
         for key, fixed, read in _FIXED:
             if value(key, read(fixed), read) != read(fixed):
                 raise ParseError(f"schema {SCHEMA_VERSION} fixes {key} = {fixed}")
+        for key in ("max_size", "instances_per_ring"):
+            if value(key, 1) < 1:
+                raise ParseError(f"{key} = {kv[key]} is below 1")
         rings = tuple(_split_top_level(kv.get("rings", "")))
         return cls(
             mode=mode,

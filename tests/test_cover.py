@@ -46,32 +46,39 @@ def test_verify_witness_examples():
 
 def test_cover_greedy_examples():
     a, b = iset(0, 5), iset(0, 1)
-    w = ax.cover_greedy(a, b, difference_set(a, b))
+    w = ax.cover_greedy(a, b)
     assert len(w.translates) == 3
     # |b| = 2 so two translates cover at most 4 < 6 elements: 3 is optimal
-    exact = ax.cover_exact(a, b, difference_set(a, b))
+    exact = ax.cover_exact(a, b)
     assert len(exact.translates) == 3 and exact.optimal
 
-    w = ax.cover_greedy(a, a, difference_set(a, a))
+    w = ax.cover_greedy(a, a)
     assert len(w.translates) == 1 and w.translates == (0,)
 
-    w = ax.cover_greedy(FiniteSet(Z, [5]), FiniteSet(Z, [0]), FiniteSet(Z, [5]))
+    w = ax.cover_greedy(FiniteSet(Z, [5]), FiniteSet(Z, [0]))
     assert w.translates == (5,)
 
 
 def test_cover_exact_examples():
     a, b = iset(-2, 2), iset(-1, 1)
-    w = ax.cover_exact(a, b, difference_set(a, b))
+    w = ax.cover_exact(a, b)
     assert len(w.translates) == 2 and w.optimal
-    w1 = ax.cover_exact(a, a, difference_set(a, a))
+    w1 = ax.cover_exact(a, a)
     assert len(w1.translates) == 1
 
 
-def test_uncoverable():
+def test_brute_force_pool_missing_a_target_is_uncoverable():
+    # the oracle takes its pool as given: 2 lies in no translate of {0}
+    # by 0 or 1, so no cover exists, where the search would never end
     a = iset(0, 2)
-    with pytest.raises(UncoverableError) as exc:
-        ax.cover_greedy(a, FiniteSet(Z, [0]), FiniteSet(Z, [0, 1]))
-    assert exc.value.element == 2
+    with pytest.raises(UncoverableError, match="no pool translate"):
+        cover_brute_force(a, FiniteSet(Z, [0]), FiniteSet(Z, [0, 1]))
+    assert cover_brute_force(a, FiniteSet(Z, [0]), iset(0, 2)) == (3, (0, 1, 2))
+    # the solvers choose their own pool; only an empty base has no cover
+    for solve in (ax.cover_exact, ax.cover_greedy):
+        assert len(solve(a, FiniteSet(Z, [0])).translates) == 3
+        with pytest.raises(UncoverableError, match="base set is empty"):
+            solve(a, FiniteSet(Z, []))
 
 
 def test_greedy_never_beats_exact_and_log_bound():
@@ -83,9 +90,8 @@ def test_greedy_never_beats_exact_and_log_bound():
                              for _ in range(rng.randrange(3, 9))})
         b = FiniteSet(ring, {rng.randrange(p)
                              for _ in range(rng.randrange(1, 4))})
-        pool = difference_set(a, b)
-        g = ax.cover_greedy(a, b, pool)
-        e = ax.cover_exact(a, b, pool)
+        g = ax.cover_greedy(a, b)
+        e = ax.cover_exact(a, b)
         assert e.optimal
         assert len(g.translates) >= len(e.translates)
         assert len(g.translates) <= len(e.translates) * (1 + math.log(len(a)))
@@ -105,25 +111,9 @@ def test_exact_matches_brute_force_small():
         pool = difference_set(a, b)
         if len(pool) > 20 or len(a) > 24:
             continue
-        e = ax.cover_exact(a, b, pool)
+        e = ax.cover_exact(a, b)
         k, _ = cover_brute_force(a, b, pool)
         assert len(e.translates) == k
-
-
-def test_enlarging_pool_never_hurts():
-    rng = random.Random(21)
-    for _ in range(20):
-        ring = ax.modular(13)
-        a = FiniteSet(ring, {rng.randrange(13) for _ in range(5)})
-        b = FiniteSet(ring, {rng.randrange(13) for _ in range(2)})
-        pool = difference_set(a, b)
-        small = FiniteSet(ring, list(pool)[: max(1, len(pool) // 2)])
-        try:
-            w_small = ax.cover_exact(a, b, small)
-        except UncoverableError:
-            continue
-        w_big = ax.cover_exact(a, b, pool)
-        assert len(w_big.translates) <= len(w_small.translates)
 
 
 def test_approx_constant_subring():
@@ -165,7 +155,7 @@ def test_empty_target_payloads_verify():
     from apxring.serialize import verify_payload
     empty = FiniteSet(Z, [])
     for payload in (ax.approx_constant(empty, "ring").to_json(),
-                    ax.cover_exact(empty, FiniteSet(Z, [0]), empty).to_json()):
+                    ax.cover_exact(empty, FiniteSet(Z, [0])).to_json()):
         assert payload["lower_bound"] == {"weights": {}, "denominator": 1}
         ok, details = verify_payload(payload)
         assert ok and "every cover needs 0" in details[-1], details
@@ -252,7 +242,7 @@ def test_commensurability_examples():
 def test_witness_json_round_trip():
     from apxring.serialize import verify_payload
     a, b = iset(-2, 2), iset(-1, 1)
-    w = ax.cover_exact(a, b, difference_set(a, b))
+    w = ax.cover_exact(a, b)
     ok, details = verify_payload(w.to_json())
     assert ok, details
     bad = w.to_json()
@@ -314,57 +304,44 @@ def _random_instance(rng):
     return a, b
 
 
-def _pool_first_masks(a, b, pool):
-    # each pool translate adds every element of b and looks the sums up
-    # among the targets
+def _pool_first_masks(a, b):
+    # the pool is every plain difference of a target and an element of
+    # b; each pool translate adds every element of b and looks the sums
+    # up among the targets
     ring = a.ring
     targets = sorted(a.elements(), key=ring.sort_key)
+    pool = sorted({ring.sub(e, x) for e in a for x in b}, key=ring.sort_key)
     pos = {x: i for i, x in enumerate(targets)}
     masks = []
-    for t in sorted(pool.elements(), key=ring.sort_key):
+    for t in pool:
         m = 0
         for x in b.elements():
             i = pos.get(ring.add(t, x))
             if i is not None:
                 m |= 1 << i
         masks.append(m)
-    return targets, masks
+    return targets, pool, masks
 
 
 def test_instance_masks_match_the_pool_first_oracle():
-    # pools are random parts of target − base, some with translates that
-    # meet no target, so some targets lie in no pool translate
+    # the solvers' pool is a − b: every translate meeting a target, each
+    # target in exactly |b| of them
     from apxring import cover
     rng = random.Random(31)
-    raised = 0
     for _ in range(300):
         a, b = _random_instance(rng)
-        ring = a.ring
-        diff = sorted(difference_set(a, b).elements(), key=ring.sort_key)
-        extra = range(30, 40) if ring is Z else ring.elements()
-        part = rng.sample(diff, rng.randrange(1, len(diff) + 1))
-        pool = FiniteSet(ring, part + rng.sample(list(extra), 3))
-        targets, expected = _pool_first_masks(a, b, pool)
-        reach = 0
-        for m in expected:
-            reach |= m
-        missing = [e for i, e in enumerate(targets) if not reach >> i & 1]
-        if missing:
-            raised += 1
-            with pytest.raises(UncoverableError) as exc:
-                cover._instance(a, b, pool)
-            assert exc.value.element == missing[0]
-            continue
-        got = cover._instance(a, b, pool)
+        targets, pool, expected = _pool_first_masks(a, b)
+        assert all(expected)
+        got = cover._instance(a, b)
         assert (got[:2], got[3:]) == (
-            (targets, sorted(pool.elements(), key=ring.sort_key)),
-            (expected, (1 << len(targets)) - 1))
+            (targets, pool), (expected, (1 << len(targets)) - 1))
         # each target's coverers, in any order, are the ranks whose
-        # oracle mask holds it
+        # oracle mask holds it, |b| of them
         assert [sorted(cov) for cov in got[2]] == [
             [r for r, m in enumerate(expected) if m >> i & 1]
             for i in range(len(targets))]
-    assert 30 < raised < 270
+        assert {len(cov) for cov in got[2]} == {len(b)}
+        assert cover._incidence(a, b) == got[:3]
 
 
 def test_greedy_lists_picks_most_fresh_targets_lowest_rank():
@@ -380,8 +357,7 @@ def test_greedy_lists_picks_most_fresh_targets_lowest_rank():
     x = iset(-2, 2)
     instances.append((ax.growth_sequence(x, 2).entries[2].xset, x))
     for a, b in instances:
-        _t, pool_sorted, coverers, masks, left = cover._instance(
-            a, b, difference_set(a, b))
+        _t, pool_sorted, coverers, masks, left = cover._instance(a, b)
         expected = []
         while left:
             r = max(range(len(masks)), key=lambda r: ((masks[r] & left).bit_count(), -r))
@@ -425,7 +401,7 @@ def test_greedy_lists_matches_heap_greedy_on_growth_cover():
     from apxring import cover
     x = iset(-2, 2)
     a = ax.growth_sequence(x, 3).entries[3].xset
-    _t, pool_sorted, coverers = cover._incidence(a, x, difference_set(a, x))
+    _t, pool_sorted, coverers = cover._incidence(a, x)
     assert len(coverers) == 13121
     got = cover._greedy_lists(coverers, len(pool_sorted))
     assert len(got) == 2625
@@ -507,7 +483,7 @@ def test_whole_ring_components_proven_at_the_root():
     whole = FiniteSet(ring, ring.elements())
     t = ring.parse("t")
     x = FiniteSet(ring, [ring.zero(), t, ring.neg(t)])
-    w = ax.cover_exact(whole, x, whole)
+    w = ax.cover_exact(whole, x)
     assert (len(w.translates), w.optimal) == (10, True)
     assert (w.stats["nodes"], w.stats["lower_bound"]) == (0, 10)
     ok, details = verify_payload(w.to_json())
@@ -521,16 +497,15 @@ def test_lower_bound_oracle():
     rng = random.Random(90)
     for _ in range(200):
         a, b = _random_instance(rng)
-        pool = difference_set(a, b)
-        w = ax.cover_exact(a, b, pool)
-        k, _ = cover_brute_force(a, b, pool)
+        w = ax.cover_exact(a, b)
+        k, _ = cover_brute_force(a, b, difference_set(a, b))
         lower = w.stats["lower_bound"]
         assert lower <= k <= len(w.translates)
         assert w.optimal and len(w.translates) == k
         weights, d = w.lower_bound
         assert cover.lagrangian_floor(a, b, weights, d) == lower
         # the ascent, run from scratch, stays below the optimum too
-        targets, _p, coverers, masks, _f = cover._instance(a, b, pool)
+        targets, _p, coverers, masks, _f = cover._instance(a, b)
         _parts, label = cover._components(masks, len(targets))
         raised = cover._ascent(coverers, masks, 0, len(w.translates), label)
         if raised is not None:
@@ -559,14 +534,10 @@ def test_whole_ring_symmetry_oracle():
         elems = sorted(whole.elements(), key=ring.sort_key)
         for _ in range(4):
             b = FiniteSet(ring, rng.sample(elems, rng.randrange(2, 6)))
-            w = ax.cover_exact(whole, b, whole)
+            w = ax.cover_exact(whole, b)
             k, _ = cover_brute_force(whole, b, whole)
             assert w.optimal and len(w.translates) == k, (desc, b)
             assert ring.zero() in w.translates or w.stats["nodes"] == 0
-        # without 0 in the pool the search may not start from 0 + b
-        pool = FiniteSet(ring, elems[1:])
-        w = ax.cover_exact(whole, b, pool)
-        assert len(w.translates) == cover_brute_force(whole, b, pool)[0]
 
 
 def test_anchors_proven_under_default_limit():
@@ -585,7 +556,7 @@ def test_anchors_proven_under_default_limit():
     cert = ax.approx_constant(gallery("interval-mod", p=101, n=4).xset, "ring")
     row = bound_table(cert, 3)[-1]
     target = row.constructed.target
-    w = ax.cover_exact(target, cert.x, difference_set(target, cert.x))
+    w = ax.cover_exact(target, cert.x)
     assert w.optimal and len(w.translates) == row.exact_size == 10
 
 
@@ -600,7 +571,7 @@ def test_node_limit_returns_a_checkable_unproven_cover(tmp_path, capsys):
     x = gallery("y-set", p=11).xset
     t = union(prodset(x, x), sumset(x, x))
     assert len(t) == 107
-    w = ax.cover_exact(t, x, difference_set(t, x), node_limit=100)
+    w = ax.cover_exact(t, x, node_limit=100)
     assert len(w.translates) == 6 and first_uncovered(t, x, w.translates) is None
     assert not w.optimal and w.stats["node_limit_hit"]
     assert w.stats["lower_bound"] == 5
@@ -625,12 +596,11 @@ def test_dive_covers_and_never_beats_the_optimum():
     rng = random.Random(10)
     for _ in range(200):
         a, b = _random_instance(rng)
-        pool = difference_set(a, b)
-        _t, pool_sorted, coverers, masks, full = cover._instance(a, b, pool)
+        _t, pool_sorted, coverers, masks, full = cover._instance(a, b)
         ranks = cover._dive(coverers, masks, full)
         chosen = [pool_sorted[r] for r in ranks]
         assert cover.first_uncovered(a, b, chosen) is None
-        assert len(chosen) >= cover_brute_force(a, b, pool)[0]
+        assert len(chosen) >= cover_brute_force(a, b, difference_set(a, b))[0]
 
 
 def test_dive_incumbent_meets_the_root_bound():
@@ -640,27 +610,27 @@ def test_dive_incumbent_meets_the_root_bound():
     x = iset(-6, 6)
     entry = ax.growth_sequence(x, 1, with_covering=True).entries[1]
     assert (entry.size, entry.covering, entry.covering_method) == (97, 8, "exact")
-    w = ax.cover_exact(entry.xset, x, difference_set(entry.xset, x))
+    w = ax.cover_exact(entry.xset, x)
     assert (len(w.translates), w.stats["nodes"], w.stats["lower_bound"]) == (8, 8, 8)
     from apxring.classify import gallery
     from apxring.constructive import bound_table
     cert = ax.approx_constant(gallery("interval-mod", p=101, n=4).xset, "ring")
     target = bound_table(cert, 3)[-1].constructed.target
-    w = ax.cover_exact(target, cert.x, difference_set(target, cert.x))
+    w = ax.cover_exact(target, cert.x)
     assert w.optimal and len(w.translates) == 10 and w.stats["nodes"] == 10
 
 
 def test_minimality_certificate_checked_not_trusted():
     from apxring.serialize import verify_payload
     a, b = iset(0, 9), FiniteSet(Z, [0, 1, 3])
-    w = ax.cover_exact(a, b, difference_set(a, b))
+    w = ax.cover_exact(a, b)
     payload = w.to_json()
     assert payload["schema_version"] == "2"
     ok, details = verify_payload(payload)
     assert ok and details[1].startswith("minimality certified"), details
     # a worse cover with weights that would claim its size without the
     # row charges: still a valid cover, never certified minimal
-    g = ax.cover_greedy(a, iset(0, 1), difference_set(a, iset(0, 1)))
+    g = ax.cover_greedy(a, iset(0, 1))
     tampered = dict(g.to_json(), lower_bound={
         "weights": {str(v): 1 for v in range(10)}, "denominator": 1})
     ok, details = verify_payload(tampered)
@@ -682,10 +652,26 @@ def test_minimality_certificate_checked_not_trusted():
     del old["lower_bound"]
     ok, details = verify_payload(old)
     assert ok and details[1].startswith("minimality not certified")
-    # over the pool {0, 1, 3, 5} four translates of {0,1} are optimal for
-    # {0..5}; over every translate three are, so the bound is not certified
-    a, b = iset(0, 5), iset(0, 1)
-    w = ax.cover_exact(a, b, FiniteSet(Z, [0, 1, 3, 5]))
-    assert w.optimal and len(w.translates) == 4
-    ok, details = verify_payload(w.to_json())
-    assert ok and details[1] == "minimality not certified (lower bound 3 < 4)"
+
+
+def test_cli_cover_ranges_over_every_translate(tmp_path, capsys):
+    # {0, 2} + {0, 1} covers {0..3}: the cover and its optimality claim
+    # range over every translate meeting the target, and re-verify
+    from apxring.cli import main
+    from apxring.serialize import verify_payload
+    argv = ["cover", "--ring", "int", "--target", "{0,1,2,3}", "--base", "{0,1}"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--pool", "{-1,1,3}"])
+    assert exc.value.code == 2
+    assert "--pool" in capsys.readouterr().err
+    out = tmp_path / "cover.json"
+    assert main([*argv, "--json", "--output", str(out)]) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert (payload["translates"], payload["optimal"]) == (["0", "2"], True)
+    ok, details = verify_payload(payload)
+    assert ok and details[1] == "minimality certified: every cover needs 2"
+    capsys.readouterr()
+    assert main(["verify", "--input", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "minimality certified: every cover needs 2" in printed
+    assert printed.endswith("VERIFIED\n")

@@ -142,6 +142,28 @@ def test_invalid_descriptors():
         TableRing([[0, 1, 2], [1, 2, 2], [2, 0, 0]], [[0] * 3] * 3)
 
 
+def _set7(text):
+    return ax.parse_set(ax.modular(7), text)
+
+
+@pytest.mark.parametrize("parse,text", [
+    (_set7, "{1,,6}"), (_set7, "{,}"), (_set7, "{0,}"),
+    (parse_ring("mat:2:zmod:2").parse, "[[1,,0],[0,1]]"),
+    (parse_ring, "prod:(zmod:2,,zmod:3)")],
+    ids=["set-inner", "set-comma", "set-trailing", "matrix", "product"])
+def test_literals_reject_empty_items(parse, text, capsys):
+    # an empty item between commas or after a trailing comma is an error,
+    # not a dropped item; an empty body is still the empty list
+    from apxring.cli import main
+    with pytest.raises(ParseError, match="empty item"):
+        parse(text)
+    if parse is _set7:
+        assert len(_set7("{ }")) == 0
+        assert main(["approx", "--ring", "zmod:7", "--set", text]) == 2
+        err = capsys.readouterr().err
+        assert "precondition failed: empty item" in err and text[1:-1] in err
+
+
 def test_direct_table_ring_checked_by_check_ring_axioms():
     # TableRing checks shape, additive orders and negatives only; the
     # axioms are table_ring's job, and the oracle's here

@@ -84,6 +84,26 @@ def test_spec_rejects_other_values_of_fixed_keys(key, value, tmp_path, capsys):
     assert "precondition failed:" in err and key in err
 
 
+@pytest.mark.parametrize("text,why", [
+    (spec_text() + "max_sise = 3\n", "unknown key 'max_sise'"),
+    (spec_text() + "max_size = 3\n", "repeated key 'max_size'"),
+    (spec_text(max_size=-2), "max_size = -2 is below 1"),
+    (spec_text(instances_per_ring=-3), "instances_per_ring = -3 is below 1"),
+], ids=["unknown", "repeated", "max_size", "instances_per_ring"])
+def test_spec_rejects_unknown_repeated_and_out_of_range_keys(text, why, tmp_path,
+                                                             capsys):
+    # each used to parse: a misspelt key was skipped, the last of two
+    # lines won, and a size below 1 yielded no rows
+    with pytest.raises(ParseError, match=why):
+        SweepSpec.parse(text)
+    from apxring.cli import main
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "precondition failed:" in err and why in err
+
+
 def test_spec_product_ring():
     spec = SweepSpec.parse(spec_text(mode="poschar",
                                      rings="prod:(zmod:2,zmod:3), zmod:5",
@@ -563,6 +583,10 @@ def test_verify_reruns_rows_without_a_witness():
     bad = dict(rows[0], status="ZeroDivisorError: made up")
     ok, details = verify_payload(dict(report, rows=[bad, *rows[1:]]))
     assert not ok and "differs from a re-run's" in details[0], details
+    # a key the re-run does not write fails too
+    bad = dict(rows[0], verdict="structured")
+    assert verify_payload(dict(report, rows=[bad, *rows[1:]])) == (False, [
+        "row 0: verdict 'structured' differs from a re-run's None"])
 
 
 DATA = Path(__file__).parent / "data"
@@ -584,6 +608,11 @@ _ROW_EDITS = {
     # an ok row stripped of its witness
     "ok-unwitnessed": lambda p: _rows_edited(p, {
         k: v for k, v in p["rows"][0].items() if k != "_witness"}),
+    # keys a poschar row never holds
+    "verdict-added": lambda p: _rows_edited(p, dict(
+        p["rows"][0], verdict="counterexample-candidate")),
+    "k11-bound-added": lambda p: _rows_edited(p, p["rows"][0], dict(
+        p["rows"][1], k11_bound=99)),
 }
 # every subcommand that writes a payload, and one tampered copy of it
 _CLI_PAYLOADS = {
