@@ -32,7 +32,6 @@ from .errors import (
     InfiniteRingError,
     InvalidParamsError,
     NotAnIdealError,
-    NotSymmetricError,
     ZeroDivisorError,
     _clip,
 )
@@ -60,7 +59,6 @@ from .sets import (
     closure,
     growth_step,
     intersect,
-    is_symmetric,
     iterated_sum,
     prodset,
     sumset,
@@ -69,8 +67,6 @@ from .sets import (
 
 def core_set(x, cap=DEFAULT_SET_CAP):
     """4X + X·(4X), with 4X the four-fold sumset."""
-    if len(x) == 0:
-        return x
     four = iterated_sum(x, 4, cap)
     return sumset(four, prodset(x, four, cap), cap)
 
@@ -156,8 +152,6 @@ def _core_witnessed_zero_divisor(core):
     """Weakened hypothesis: a zero divisor inside Y = core witnessed by
     an element of 2(Y·Y + (Y+Y))."""
     ring = core.ring
-    if len(core) == 0:
-        return None
     body = sumset(prodset(core, core), sumset(core, core))
     window = iterated_sum(body, 2)
     zero = ring.zero()
@@ -218,18 +212,14 @@ def nzd_classify(x, small_threshold=None, hypothesis="ambient", cert=None):
     "core-witnessed" (the weakened form local to Y = 4X + X·4X); either
     raises ZeroDivisorError naming what it found.
     ``cert`` is an exact ring-mode certificate of X already computed,
-    as by ``approx_constant(x, "ring")``; without it K is certified here.
-    An empty X raises InvalidParamsError: it has no core to measure, and
-    is no counterexample.
+    as by ``approx_constant(x, "ring")``; without it K is certified here
+    first, so X's preconditions are the certificate's: an empty X raises
+    InvalidParamsError, and an asymmetric one NotSymmetricError.
     """
-    if not is_symmetric(x):
-        raise NotSymmetricError("classification needs a symmetric set")
-    if len(x) == 0:
-        raise InvalidParamsError("classification needs a nonempty set")
-    core = core_set(x)
-    hyp = _hypothesis(core, hypothesis)
     if cert is None:
         cert = approx_constant(x, "ring")
+    core = core_set(x)
+    hyp = _hypothesis(core, hypothesis)
     return classification_report(x, cert, core, commensurability(core, x),
                                  small_threshold, hyp)
 
@@ -378,7 +368,9 @@ def pos_char_search(x, cert=None):
     """Search for a subring S ⊆ 4X + X·4X minimizing commensurability
     with X.  ``cert`` is an exact ring-mode certificate of X already
     computed, as by ``approx_constant(x, "ring")``; without it K is
-    certified here.  Three strategies, in this order:
+    certified here, once the ring is finite of positive characteristic,
+    so X's preconditions are the certificate's, as in ``nzd_classify``.
+    Three strategies, in this order:
 
       generated   S = ⟨X⟩ when it stays inside the core
       seeded      S = ⟨X ∩ kX ∩ core⟩ for k <= 4, once per distinct seed
@@ -396,10 +388,6 @@ def pos_char_search(x, cert=None):
         raise InfiniteRingError("subring search needs a finite ring")
     if ring.characteristic <= 0:
         raise InvalidParamsError("ring must have positive characteristic")
-    if not is_symmetric(x):
-        raise NotSymmetricError("subring search needs a symmetric set")
-    if len(x) == 0:
-        raise InvalidParamsError("subring search needs a nonempty set")
     if cert is None:
         cert = approx_constant(x, "ring")
     core = core_set(x)

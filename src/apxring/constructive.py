@@ -98,7 +98,7 @@ class _Builder:
         self.ring = cert.ring
         self.k = cert.k
         self.key = self.ring.sort_key
-        self.x_least = min(cert.x.elements(), key=self.key, default=None)
+        self.x_least = min(cert.x.elements(), key=self.key)
         self.f_cover = {f: _derive_term(cert.x, f) for f in cert.witness_f}
         self._word_memo = {}
         self._term_memo = {}
@@ -204,12 +204,8 @@ def claim2_cover(m, cert):
 
 
 def _power_covers(cert, m_lo, m_hi):
-    """``claim2_cover(m, cert)`` for m_lo <= m <= m_hi, from one F sequence
-    (an empty X is its own target and F_m)."""
+    """``claim2_cover(m, cert)`` for m_lo <= m <= m_hi, from one F sequence."""
     ring, x = cert.ring, cert.x
-    if len(x) == 0:
-        w = make_witness(x, x, (), False, "constructive", {"count_bound": 0})
-        return [(w, x, {})] * (m_hi - m_lo + 1)
     seq = _Builder(cert).f_sequence(m_hi)
     covers = []
     for m in range(m_lo, m_hi + 1):
@@ -230,9 +226,6 @@ def msum_cover(m, cert):
         raise InvalidParamsError("m must be >= 1")
     _require_ring_cert(cert)
     ring = cert.ring
-    if len(cert.x) == 0:
-        target = FiniteSet(ring, ())
-        return make_witness(target, cert.x, (), False, "constructive", {"m": m})
     seq = _Builder(cert).f_sequence(m)
     f_prime = set()
     count_prime = 0
@@ -244,7 +237,7 @@ def msum_cover(m, cert):
     for _ in range(m - 1):
         translates = sumset(translates, cert.witness_f, INTERMEDIATE_CAP)
     target = msum(cert.x, m, INTERMEDIATE_CAP)
-    count = count_prime ** m * max(cert.k, 1) ** (m - 1)
+    count = count_prime ** m * cert.k ** (m - 1)
     return make_witness(target, cert.x, sorted(translates, key=ring.sort_key),
                         False, "constructive",
                         {"count_bound": count, "m": m,
@@ -261,10 +254,6 @@ def k11_cover(cert):
     _require_ring_cert(cert)
     ring = cert.ring
     x = cert.x
-    if len(x) == 0:
-        target = FiniteSet(ring, ())
-        return make_witness(target, x, (), False, "constructive",
-                            {"k_power": 0})
     s = iterated_sum(cert.witness_f, 11, INTERMEDIATE_CAP)
     target = core_set(x, INTERMEDIATE_CAP)
     bound = cert.k ** 11
@@ -306,7 +295,9 @@ def bound_table(cert, m_max):
 
     The exact column is computed by the branch-and-bound solver and
     skipped (None) when X^m has more than BOUND_TABLE_EXACT_LIMIT
-    elements or its translate pool more than four times that.
+    elements or its translate pool more than four times that.  The pool
+    X^m − X is built for that test only when |X^m|·|X|, which bounds
+    its size, is above four times the limit.
     """
     if m_max < 1:
         raise InvalidParamsError("m must be >= 1")
@@ -314,12 +305,11 @@ def bound_table(cert, m_max):
     rows = []
     for m, (w, fm, _) in enumerate(_power_covers(cert, 1, m_max), 1):
         exact = None
-        if len(w.target) and len(w.target) <= BOUND_TABLE_EXACT_LIMIT:
-            if len(difference_set(w.target, cert.x)) <= 4 * BOUND_TABLE_EXACT_LIMIT:
+        if len(w.target) <= BOUND_TABLE_EXACT_LIMIT:
+            if (len(w.target) * len(cert.x) <= 4 * BOUND_TABLE_EXACT_LIMIT or
+                    len(difference_set(w.target, cert.x)) <= 4 * BOUND_TABLE_EXACT_LIMIT):
                 exact = len(cover_exact(w.target, cert.x).translates)
-        elif len(w.target) == 0:
-            exact = 0
-        count = w.stats.get("count_bound", 0)
+        count = w.stats["count_bound"]
         rows.append(ConstructiveCoverReport(cert, m, w, len(fm), exact, count))
     return rows
 

@@ -4,6 +4,8 @@ A cover witness certifies target ⊆ ∪_i (t_i + base) and is re-verified
 element-wise on construction.  A cover may use t + base for any ring
 element t; those that meet the target are the pool target − base, which
 the solvers build themselves, and each target lies in |base| of them.
+``_incidence`` is the one check of an instance: a nonempty base over the
+target's ring.  An empty target gets the empty cover, proven optimal.
 Two solvers are provided: a greedy cover with the classical
 (1 + ln |target|) guarantee, and an exact branch-and-bound.  It
 branches on the first uncovered target in one order fixed per call,
@@ -37,11 +39,12 @@ Covers of the whole finite ring shift onto covers holding 0 + base, so
 that search starts from 0 + base.
 
 approx_constant certifies the minimal K with X*X ∪ (X+X) ⊆ F + X
-(ring mode; group mode drops the product part).  Its pool T − X sits
-inside the subring generated by X.  The cover is its own proof
-of F ⊆ ⟨X⟩: a certificate verifies only when every translate f meets the
-target (f + w ∈ T for some w ∈ X), so f = t − w lies in ⟨X⟩ on every
-backend, finite or lazy.
+(ring mode; group mode drops the product part).  It decides X's
+preconditions: X = −X, and X ≠ ∅, as the paper's model theorem puts 0
+in the core 4X + X·4X.  Its pool T − X sits inside the subring
+generated by X.  The cover is its own proof of F ⊆ ⟨X⟩: a certificate
+verifies only when every translate f meets the target (f + w ∈ T for
+some w ∈ X), so f = t − w lies in ⟨X⟩ on every backend, finite or lazy.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import (
+    InvalidParamsError,
     NotSymmetricError,
     UncoverableError,
     VerificationFailedError,
@@ -143,7 +147,11 @@ def _incidence(a, b):
     """(targets, pool, coverers) over the pool a − b, the translates that
     meet a: coverers[i] lists the ranks r with targets[i] in pool[r] + b.
     t + b holds e iff t = e − x for some x in b, so each target has
-    exactly |b| coverers, looked up by rank."""
+    exactly |b| coverers, looked up by rank.  UncoverableError for an
+    empty b and CrossRingError across rings; an empty a has no targets."""
+    if len(b) == 0:
+        raise UncoverableError("base set is empty")
+    check_same_ring(a.ring, b.ring)
     ring = a.ring
     targets = sorted(a.elements(), key=ring.sort_key)
     pool = sorted(difference_set(a, b).elements(), key=ring.sort_key)
@@ -170,13 +178,7 @@ def _instance(a, b):
 def cover_greedy(a, b):
     """Greedy cover by ``_greedy_lists``: the translate covering most
     uncovered elements, ties toward the smaller canonical encoding."""
-    if len(b) == 0:
-        raise UncoverableError("base set is empty")
-    check_same_ring(a.ring, b.ring)
     t0 = time.perf_counter()
-    if len(a) == 0:
-        return make_witness(a, b, (), False, "greedy",
-                            {"elapsed": time.perf_counter() - t0})
     _targets, pool, coverers = _incidence(a, b)
     chosen = [pool[r] for r in _greedy_lists(coverers, len(pool))]
     return make_witness(a, b, chosen, False, "greedy",
@@ -245,15 +247,10 @@ def cover_exact(a, b, node_limit=DEFAULT_NODE_LIMIT):
     carries the bound's integer weights as ``lower_bound`` and its value
     as ``stats["lower_bound"]``.  ``stats["nodes"]`` counts the dive's
     path, one node per translate, plus the nodes of the search; the
-    node limit bounds the search alone.
+    node limit bounds the search alone.  An empty a gets the empty
+    cover, proven optimal by the zero bound over d = |b|.
     """
-    if len(b) == 0:
-        raise UncoverableError("base set is empty")
-    check_same_ring(a.ring, b.ring)
     t0 = time.perf_counter()
-    if len(a) == 0:
-        return make_witness(a, b, (), True, "exact",
-                            {"nodes": 0, "lower_bound": 0}, ({}, 1))
     targets, pool, coverers, masks, full = _instance(a, b)
     n_targets = len(targets)
     base_size = len(b)
@@ -620,11 +617,13 @@ class ApproxCertificate:
         return _certificate_target(self.x, self.mode)
 
     def verify(self):
-        """Re-check the mode, symmetry, |F| = k, the covering inclusion
-        and that every translate meets the target, which puts F in
-        T − X ⊆ ⟨X⟩."""
+        """Re-check the mode, that X is nonempty and symmetric, |F| = k,
+        the covering inclusion and that every translate meets the
+        target, which puts F in T − X ⊆ ⟨X⟩."""
         if self.mode not in ("ring", "group"):
             return False, f"unknown mode {_clip(repr(self.mode))}"
+        if len(self.x) == 0:
+            return False, "x is empty"
         if not is_symmetric(self.x):
             return False, "x is not additively symmetric"
         if len(self.witness_f) != self.k:
@@ -664,23 +663,23 @@ def _certificate_target(x, mode):
 
 
 def approx_constant(x, mode="ring", exact=True):
-    """Certify the approximation constant of a symmetric set.
+    """Certify the approximation constant of a nonempty symmetric set.
 
     Target T is X*X ∪ (X+X) (ring mode) or X+X (group mode), covered by
     the translates that meet it.  ``exact`` yields the minimal K, otherwise
-    a greedy upper bound.  Raises NotSymmetricError when X ≠ −X.
+    a greedy upper bound.  Raises InvalidParamsError for an empty X, which
+    is no approximate subring, and NotSymmetricError when X ≠ −X.
     """
     if mode not in ("ring", "group"):
         raise ValueError(f"unknown mode {mode!r}")
+    if len(x) == 0:
+        raise InvalidParamsError("an approximate subring is nonempty")
     ring = x.ring
     for v in x.elements():
         if ring.neg(v) not in x:
             raise NotSymmetricError(
                 f"set is not symmetric: missing {ring.render(ring.neg(v))}")
     t = _certificate_target(x, mode)
-    if len(x) == 0:
-        f = FiniteSet(ring, ())
-        return ApproxCertificate(x, 0, f, mode, True, {}, ({}, 1))
     w = cover_exact(t, x) if exact else cover_greedy(t, x)
     f = FiniteSet(ring, w.translates)
     return ApproxCertificate(x, len(f), f, mode, w.optimal, dict(w.stats),
@@ -707,10 +706,8 @@ class CommensurabilityResult:
 
 def commensurability(a, b):
     """Exact covers of each set by translates of the other; one that
-    hits the node limit is flagged non-optimal."""
-    check_same_ring(a.ring, b.ring)
-    if len(a) == 0 or len(b) == 0:
-        raise UncoverableError("commensurability needs nonempty sets")
+    hits the node limit is flagged non-optimal.  An empty set is the base
+    of one of them: UncoverableError, from ``_incidence``."""
     w_ab = cover_exact(a, b)
     w_ba = cover_exact(b, a)
     return CommensurabilityResult(a, b, len(w_ab.translates),

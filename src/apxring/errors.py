@@ -52,8 +52,9 @@ class NotSymmetricError(ApxError):
 
 
 class UncoverableError(ApxError):
-    """No cover exists: the base or a commensurability set is empty, or
-    a target lies in no translate of the oracle's pool."""
+    """No cover exists: the base is empty (``cover._incidence``, which
+    every solver, bound and commensurability runs), or a target lies in
+    no translate of the oracle's pool."""
 
 
 class BudgetExceededError(ApxError):
@@ -77,4 +78,6 @@ class ZeroDivisorError(ApxError):
 
 
 class InvalidParamsError(ApxError):
-    """Bad parameters for a gallery item or sweep family."""
+    """Bad parameters: a gallery item's, m < 1, n < 0, an empty X (no
+    approximate subring), characteristic 0 for the subring search, or an
+    ideal inside no X_m up to the model check's depth."""

@@ -99,8 +99,9 @@ def _kind_fault(payload, kind):
 
 def _cover_witness(payload):
     """(ok, details, witness or None) of a cover witness payload.  Its
-    method is exact, greedy or constructive, and only an exact cover may
-    claim to be optimal: no other builder proves it."""
+    method is exact, greedy or constructive; only an exact cover may
+    claim to be optimal, as no other builder proves it; and its base is
+    nonempty, as ``cover._incidence`` requires of every instance."""
     why = _kind_fault(payload, "cover_witness")
     if why:
         return False, why, None
@@ -111,6 +112,8 @@ def _cover_witness(payload):
         return False, [f"a {method} cover claims to be optimal"], None
     ring, target = _ring_and_set(payload, "target")
     base = _parse_set(ring, payload["base"])
+    if len(base) == 0:
+        return False, ["base set is empty"], None
     translates = tuple(ring.parse(e) for e in payload["translates"])
     w = CoverWitness(target, base, translates, optimal, method)
     k = len(set(w.translates))
@@ -183,13 +186,13 @@ def _rebuilt(name, build, payload, flat=False):
 
 
 def _verify_classification(payload):
+    """X and its ring are the verified certificate's; the top-level ones
+    are re-derived with every other field."""
     from .classify import _hypothesis, classification_report, core_set
     ok, details, cert = _certificate(payload["certificate"])
     if not ok:
         return ok, details
-    _ring, x = _ring_and_set(payload, "x")
-    if len(x) == 0:
-        return False, ["classification needs a nonempty set"]
+    x = cert.x
     core = core_set(x)
     claimed = payload["hypothesis"]
     try:
@@ -209,7 +212,8 @@ def _verify_classification(payload):
 def _verify_subring_search(payload):
     """The certificate must verify; the subring must be one inside the
     core with the witnessed constant; where the exhaustive pass runs, no
-    subring inside the core may have a smaller constant against X."""
+    subring inside the core may have a smaller constant against X, the
+    certificate's."""
     from .classify import (SubringSearchResult, _runs_exhaustive, core_set,
                            is_subring, subrings_within)
     if "certificate" not in payload:
@@ -217,7 +221,7 @@ def _verify_subring_search(payload):
     ok, details, cert = _certificate(payload["certificate"])
     if not ok:
         return ok, details
-    ring, x = _ring_and_set(payload, "x")
+    ring, x = cert.ring, cert.x
     core = core_set(x)
     s = comm = None
     if "subring" in payload:

@@ -142,25 +142,27 @@ def test_nzd_classify_window_structured():
 
 
 def test_empty_set_is_no_counterexample(capsys):
-    # the empty set has no core to measure: classify exits 2, and the
+    # the empty set is no approximate subring: classify exits 2, and the
     # report it once wrote, a "counterexample-candidate" with no
-    # commensurability witnesses, fails verification
+    # commensurability witnesses, fails on its certificate
     from apxring.cli import main
     from apxring.serialize import verify_payload
     m7 = ax.modular(7)
-    with pytest.raises(InvalidParamsError, match="nonempty set"):
+    with pytest.raises(InvalidParamsError, match="approximate subring is nonempty"):
         ax.nzd_classify(FiniteSet(m7, []))
     assert main(["classify", "--ring", "zmod:7", "--set", "{}", "--json"]) == 2
-    assert "classification needs a nonempty set" in capsys.readouterr().err
-    cert = ax.approx_constant(FiniteSet(m7, []), "ring").to_json()
+    assert "an approximate subring is nonempty" in capsys.readouterr().err
+    cert = {"schema_version": "3", "kind": "approx_certificate", "ring": "zmod:7",
+            "x": [], "k": 0, "f": [], "mode": "ring", "minimal": True,
+            "stats": {}, "lower_bound": {"weights": {}, "denominator": 1},
+            "derivations": {}}
     payload = {"schema_version": "2", "kind": "classification_report",
                "ring": "zmod:7", "x": [], "k": 0, "core_size": 0,
                "core_is_subring": False, "commensurability_to_x": None,
                "k11_bound": 0, "verdict": "counterexample-candidate",
                "small_threshold": 0, "hypothesis": "ambient",
-               "certificate": dict(cert, schema_version="3", derivations={})}
-    assert verify_payload(payload) == (
-        False, ["classification needs a nonempty set"])
+               "certificate": cert}
+    assert verify_payload(payload) == (False, ["x is empty"])
 
 
 def test_nzd_classify_rejects_zero_divisors():
@@ -447,6 +449,9 @@ def test_verify_payload_rechecks_core_and_subring():
                           small_threshold=0)
     payload = rep.to_json()
     assert verify_payload(payload)[0]
+    # X is the nested certificate's; the top-level x is re-derived
+    assert verify_payload(dict(payload, x=payload["x"][:-1])) == (
+        False, ["classification_report re-derives another x"])
     payload["core_size"] -= 1
     ok, details = verify_payload(payload)
     assert not ok and "core_size" in details[0]
@@ -457,13 +462,16 @@ def test_verify_payload_rechecks_core_and_subring():
     # schema 1 carried containment_ok, which the verifier never read
     assert verify_payload(dict(payload, schema_version="1",
                                containment_ok=True))[0]
-    # the nested certificate verifies, and must be one of X
+    # the nested certificate verifies, and must be one of X: the X of
+    # another, {0}, has the core {0}, which the subring {0, 2, 4, 6} leaves
     cert = dict(payload["certificate"], f=payload["certificate"]["f"][:-1])
     ok, details = verify_payload(dict(payload, certificate=cert))
     assert not ok and details == ["|F| != k"]
     other = ax.approx_constant(ax.parse_set(ax.modular(8), "{0}"), "ring")
-    ok, details = verify_payload(dict(payload, certificate=other.to_json()))
-    assert not ok and "ring-mode certificate of x" in details[0]
+    assert verify_payload(dict(payload, certificate=other.to_json())) == (
+        False, ["subring outside the core 4X + X·4X"])
+    assert verify_payload(dict(payload, x=payload["x"][:-1])) == (
+        False, ["subring_search re-derives another x"])
     no_cert = {k: v for k, v in payload.items() if k != "certificate"}
     assert verify_payload(no_cert) == (
         False, ["no certificate of X (schema 4 nests one)"])

@@ -4,7 +4,8 @@ import pytest
 
 import apxring as ax
 from apxring.constructive import _Builder, eval_term
-from apxring.cover import first_uncovered
+from apxring.cover import ApproxCertificate, first_uncovered
+from apxring.errors import VerificationFailedError
 from apxring.sets import FiniteSet
 
 from corpus import certified_corpus
@@ -121,18 +122,21 @@ def test_bound_table_examples():
 
 
 def test_empty_set_constructive():
-    cert = ax.approx_constant(FiniteSet(Z, []), "ring")
-    w, fm, _ = ax.claim2_cover(3, cert)
-    assert len(w.target) == 0 and len(fm) == 0
-    assert len(ax.k11_cover(cert).target) == 0
+    # approx_constant writes no certificate of the empty set; one built
+    # by hand fails its own check before any cover is built
+    empty = FiniteSet(Z, [])
+    cert = ApproxCertificate(empty, 0, empty, "ring", True, {}, ({}, 1))
+    for build in (lambda: ax.claim2_cover(3, cert), lambda: ax.msum_cover(2, cert),
+                  lambda: ax.k11_cover(cert), lambda: ax.bound_table(cert, 3)):
+        with pytest.raises(VerificationFailedError,
+                           match="^certificate failed verification: x is empty$"):
+            build()
 
 
 def test_derivation_bookkeeping_all_corpus():
     # every constructed F_m element evaluates to its claimed value
     for name, x, cert in certified_corpus():
         b = _Builder(cert)
-        if len(x) == 0:
-            continue
         seq = b.f_sequence(3)
         for d, _count in seq:
             for v, term in d.items():
@@ -158,7 +162,7 @@ def test_k11_bound_holds_on_corpus():
 def test_growth_covering_reported_on_corpus_prefix():
     # covering numbers of X_n by translates of X exist for n <= 3
     for name, x, cert in certified_corpus():
-        if len(x) == 0 or not x.ring.is_finite:
+        if not x.ring.is_finite:
             continue
         prof = ax.growth_sequence(x, 3, with_covering=True)
         for e in prof.entries:

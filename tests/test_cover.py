@@ -11,8 +11,10 @@ import pytest
 
 import apxring as ax
 from apxring.constructive import _derive_term, eval_term
-from apxring.cover import cover_brute_force, make_witness
+from apxring.cover import cover_brute_force, lagrangian_floor, make_witness
 from apxring.errors import (
+    CrossRingError,
+    InvalidParamsError,
     NotSymmetricError,
     UncoverableError,
     VerificationFailedError,
@@ -146,19 +148,71 @@ def test_approx_constant_group_mode():
 
 
 def test_approx_constant_empty():
-    cert = ax.approx_constant(FiniteSet(Z, []), "ring")
-    assert cert.k == 0 and len(cert.witness_f) == 0
+    # an approximate subring is nonempty: the certificate decides it
+    for mode in ("ring", "group"):
+        for exact in (True, False):
+            with pytest.raises(InvalidParamsError,
+                               match="^an approximate subring is nonempty$"):
+                ax.approx_constant(FiniteSet(Z, []), mode, exact)
 
 
 def test_empty_target_payloads_verify():
-    # both write the lower bound ({}, 1): every cover needs 0 translates
+    # an empty target takes the general path: the empty cover, proven by
+    # the zero bound over d = |base|
     from apxring.serialize import verify_payload
     empty = FiniteSet(Z, [])
-    for payload in (ax.approx_constant(empty, "ring").to_json(),
-                    ax.cover_exact(empty, FiniteSet(Z, [0])).to_json()):
-        assert payload["lower_bound"] == {"weights": {}, "denominator": 1}
+    for base in (FiniteSet(Z, [0]), iset(-1, 1)):
+        w = ax.cover_exact(empty, base)
+        assert (w.translates, w.optimal) == ((), True)
+        assert w.stats["node_limit_hit"] is False and "elapsed" in w.stats
+        payload = w.to_json()
+        assert payload["lower_bound"] == {"weights": {}, "denominator": len(base)}
         ok, details = verify_payload(payload)
         assert ok and "every cover needs 0" in details[-1], details
+    payload = ax.cover_greedy(empty, iset(-1, 1)).to_json()
+    assert (payload["translates"], payload["optimal"]) == ([], False)
+    ok, details = verify_payload(payload)
+    assert ok and details[-1] == "minimality not certified (no lower bound)"
+    # the empty-X certificate, and the fact21 report over it, that the
+    # package once wrote: the certificate fails on its own and nested, and
+    # the report's constructive cover fails on its empty base
+    cert = {"schema_version": "4", "kind": "approx_certificate", "ring": "int",
+            "x": [], "k": 0, "f": [], "mode": "ring", "minimal": True,
+            "stats": {}, "lower_bound": {"weights": {}, "denominator": 1}}
+    witness = {"schema_version": "2", "kind": "cover_witness", "ring": "int",
+               "target": [], "base": [], "translates": [], "optimal": False,
+               "method": "constructive", "stats": {"count_bound": 0}}
+    row = {"schema_version": "1", "kind": "constructive_report", "m": 1,
+           "constructed_size": 0, "exact_size": 0, "bound_formula_value": 0,
+           "witness": witness, "certificate": cert}
+    report = {"schema_version": "1", "kind": "fact21_report",
+              "certificate": cert, "rows": [row]}
+    for payload in (cert, row, report):
+        assert verify_payload(payload) == (False, ["x is empty"])
+    assert verify_payload(witness) == (False, ["base set is empty"])
+    payload = dict(ax.cover_exact(iset(-2, 2), iset(-1, 1)).to_json(), base=[])
+    assert verify_payload(payload) == (False, ["base set is empty"])
+
+
+def test_incidence_checks_every_instance():
+    # _incidence is the one check of a cover instance: an empty base is
+    # uncoverable and sets of two rings cross, for the solvers, the bound
+    # and commensurability, which covers each set by the other
+    a, empty = iset(-1, 1), FiniteSet(Z, [])
+    for solve in (ax.cover_exact, ax.cover_greedy,
+                  lambda t, b: lagrangian_floor(t, b, {}, 1)):
+        with pytest.raises(UncoverableError, match="^base set is empty$"):
+            solve(a, empty)
+    for pair in ((a, empty), (empty, a), (empty, empty)):
+        with pytest.raises(UncoverableError, match="^base set is empty$"):
+            ax.commensurability(*pair)
+    m7 = ax.modular(7)
+    other = FiniteSet(m7, [0, 1, 6])
+    for solve in (ax.cover_exact, ax.cover_greedy, ax.commensurability,
+                  lambda t, b: lagrangian_floor(t, b, {}, 1)):
+        for pair in ((a, other), (other, a)):
+            with pytest.raises(CrossRingError):
+                solve(*pair)
 
 
 def test_certificate_derivations_stay_in_generated_subring():

@@ -621,6 +621,13 @@ _CLI_PAYLOADS = {
     # a mode other than ring or group is not read as group mode
     "approx-mode": (["approx", "--ring", "zmod:7", "--set", "{0,1,6}"],
                     lambda p: dict(p, mode="ringx")),
+    "approx-asymmetric": (["approx", "--ring", "zmod:7", "--set", "{0,1,6}"],
+                          lambda p: dict(p, x=["0", "1"])),
+    "approx-uncovered": (["approx", "--ring", "zmod:7", "--set", "{0,1,6}"],
+                         lambda p: dict(p, f=["3", "4"])),
+    "approx-lower-bound": (["approx", "--ring", "zmod:7", "--set", "{0,1,6}"],
+                           lambda p: dict(p, lower_bound=dict(
+                               p["lower_bound"], weights={"0": -1}))),
     "cover": (["cover", "--ring", "int", "--target", "{-2,-1,0,1,2}",
                "--base", "{-1,0,1}"],
               lambda p: dict(p, translates=p["translates"][:1])),
@@ -669,6 +676,16 @@ _CLI_PAYLOADS = {
     "classify-poschar-outside-core": (
         ["classify", "--mode", "poschar", "--ring", "zmod:8", "--set", "{0,2,6}"],
         lambda p: dict(p, subring=[str(v) for v in range(8)])),
+    "classify-poschar-comm": (
+        ["classify", "--mode", "poschar", "--ring", "zmod:8", "--set", "{0,2,6}"],
+        lambda p: dict(p, comm_s_by_x=dict(
+            p["comm_s_by_x"], translates=p["comm_s_by_x"]["translates"][:-1]))),
+    # the core has 97 elements, too many for the exhaustive pass, and
+    # ⟨X⟩ = Z/101 leaves it: no candidate, strategy "none"
+    "classify-poschar-none": (
+        ["classify", "--mode", "poschar", "--ring", "zmod:101", "--set",
+         "{0,1,2,3,98,99,100}"],
+        lambda p: dict(p, strategy="generated")),
     "model": (["model", "--ring", "zmod:9", "--set", "{0,1,8}", "--ideal",
                "{0,3,6}"],
               lambda p: dict(p, max_genericity=p["max_genericity"] + 1)),
@@ -689,6 +706,15 @@ _CLI_PAYLOADS = {
         lambda p: SweepReport(SweepSpec.parse(p["config"]), [
             {k: v for k, v in p["rows"][0].items() if k != "_witness"}
             | {"status": "ZeroDivisorError: made up"}, *p["rows"][1:]]).to_json()),
+}
+
+# the detail a tamper's FAILED names, where it pins the check reached
+_CLI_TAMPER_WHY = {
+    "approx-asymmetric": "x is not additively symmetric",
+    "approx-uncovered": "uncovered 0",
+    "approx-lower-bound": "lower bound needs integer weights >= 0 over d > 0",
+    "classify-poschar-comm": "comm_s_by_x: uncovered element 4",
+    "classify-poschar-none": "strategy 'generated' does not match the outcome",
 }
 
 
@@ -713,7 +739,8 @@ def test_cli_json_output_verifies(name, tmp_path, capsys):
     assert main(["verify", "--input", str(out)]) == 0
     assert capsys.readouterr().out.endswith("VERIFIED\n")
     assert main(["verify", "--input", str(bad)]) == 4
-    assert capsys.readouterr().out.endswith("FAILED\n")
+    text = capsys.readouterr().out
+    assert text.endswith("FAILED\n") and _CLI_TAMPER_WHY.get(name, "") in text, text
     bad.write_text(json.dumps(dict(payload, schema_version="99")), encoding="utf-8")
     assert main(["verify", "--input", str(bad)]) == 4
     text = capsys.readouterr().out
@@ -817,6 +844,18 @@ def test_cli_out_of_range_m_and_n_exit_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--input", str(bad)]) == 4
     assert capsys.readouterr().out.endswith("FAILED\n")
+
+
+def test_cli_empty_set_exits_2(capsys):
+    # every subcommand that certifies X first rejects an empty one
+    from apxring.cli import main
+    base = ["--ring", "zmod:7", "--set", "{}"]
+    for argv in (["approx", *base], ["approx", *base, "--mode", "group"],
+                 ["k11", *base], ["fact21", *base], ["classify", *base],
+                 ["classify", "--mode", "poschar", *base]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err == "precondition failed: an approximate subring is nonempty\n", err
 
 
 def test_cli_verify_malformed_payload_exits_2(tmp_path, capsys):
