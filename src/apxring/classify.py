@@ -39,18 +39,14 @@ from .rings import (
     GaloisField,
     IntegerRing,
     LazyPolyRing,
-    MatrixRing,
     ModularRing,
     PolyQuotientRing,
-    TableRing,
     _check_ideal,
     _coset_map,
     _escape,
     _is_prime,
-    _least_factor,
-    _poly_factor,
-    _poly_trim,
     check_same_ring,
+    find_zero_divisor,
 )
 from .sets import (
     DEFAULT_SET_CAP,
@@ -111,41 +107,6 @@ def is_subring(s):
         if pair is not None:
             return False, (name, *pair)
     return True, None
-
-
-def find_zero_divisor(ring):
-    """A pair (a, b) of nonzero elements with a·b = 0, or None, decided
-    from the ring's structure: none in Z, F_p[t], Galois fields and
-    one-element rings; (q, n/q) in Z/nZ, q the least prime factor of n; a
-    factoring of m in F_p[t]/(m); E₁₂(a), a ≠ 0, twice in d x d matrices,
-    d >= 2; elements nonzero in two different factors of a product (1 x 1
-    matrices and a product with one nontrivial factor embed that ring's
-    answer); the first zero product of nonzero elements in a table ring."""
-    if isinstance(ring, (IntegerRing, LazyPolyRing, GaloisField)) or \
-            ring.cardinality == 1:
-        return None
-    if isinstance(ring, ModularRing):
-        q = _least_factor(ring.n)
-        return None if q == ring.n else (q, ring.n // q)
-    if isinstance(ring, PolyQuotientRing):
-        return _poly_factor(ring.modulus, ring.p)
-    if isinstance(ring, TableRing):
-        return next(((a, b) for a, row in enumerate(ring.mul_table) if a
-                     for b, ab in enumerate(row) if b and ab == 0), None)
-    if isinstance(ring, MatrixRing):
-        if ring.d == 1:
-            pair = find_zero_divisor(ring.base)
-            return pair and tuple(((v,),) for v in pair)
-        z, a = ring.base.zero(), ring.base.element_at(1)
-        e12 = tuple(tuple(a if (i, j) == (0, 1) else z for j in range(ring.d))
-                    for i in range(ring.d))
-        return e12, e12
-    zero = ring.zero()              # a product ring
-    big = [i for i, f in enumerate(ring.factors) if f.cardinality > 1]
-    where = big[:2] if len(big) > 1 else big * 2
-    pair = ([ring.factors[i].element_at(1) for i in where] if len(big) > 1
-            else find_zero_divisor(ring.factors[big[0]]))
-    return pair and tuple((*zero[:i], v, *zero[i + 1:]) for i, v in zip(where, pair))
 
 
 def _core_witnessed_zero_divisor(core):
@@ -358,6 +319,12 @@ def _runs_exhaustive(core):
     return len(core) <= POS_CHAR_EXHAUSTIVE_LIMIT
 
 
+def _commensurability_floor(s, x):
+    """The counting bound max(⌈|S|/|X|⌉, ⌈|X|/|S|⌉) on the
+    commensurability of S and X: a translate of X holds |X| elements."""
+    return max(-(-len(s) // len(x)), -(-len(x) // len(s)))
+
+
 _SEED_MULTIPLES = range(1, 5)
 # every strategy tag ``pos_char_search`` can report
 _STRATEGY_TAGS = frozenset({"none", "generated", "exhaustive",
@@ -411,15 +378,16 @@ def pos_char_search(x, cert=None):
 
     if not candidates:
         return SubringSearchResult(x, cert, core, None, "none")
-    # ties on the constant resolve by strategy order, then smaller S; a
-    # candidate whose counting bound max(⌈|S|/|X|⌉, ⌈|X|/|S|⌉) already
-    # loses cannot win with its real constant
+    # ties on the constant resolve by strategy order, then smaller S.
+    # Candidates go by counting bound: once one's bound loses, every
+    # later one's does, and none can win with its real constant
+    ranked = sorted(((_commensurability_floor(fs, x), rank, len(fs),
+                      tuple(map(ring.sort_key, fs))), fs, tag)
+                    for fs, (rank, tag) in candidates.items())
     best = None
-    for fs, (rank, tag) in candidates.items():
-        order = (rank, len(fs), tuple(ring.sort_key(e) for e in fs))
-        floor = max(-(-len(fs) // len(x)), -(-len(x) // len(fs)))
+    for (floor, *order), fs, tag in ranked:
         if best is not None and (floor, *order) >= best[0]:
-            continue
+            break
         comm = commensurability(fs, x)
         key = (comm.constant, *order)
         if best is None or key < best[0]:
@@ -576,10 +544,10 @@ def gallery(name, **params):
         if not isinstance(p, int) or p < 3 or not _is_prime(p):
             raise InvalidParamsError("y-set needs an odd prime p >= 3")
         ring = GaloisField(p, 2)
-        t = (0, 1)  # the class of t: outside the prime subfield by degree
+        t = ring.parse("t")  # outside the prime subfield by degree
         elems = {ring.zero()}
         for c in range(p):
-            const = (c,) if c else ()
+            const = ring.parse(str(c))
             elems.add(ring.add(t, const))
             elems.add(ring.add(ring.neg(t), const))
         return GalleryItem(name, {"p": p}, ring, FiniteSet(ring, elems),
@@ -589,7 +557,7 @@ def gallery(name, **params):
         if not isinstance(p, int) or not _is_prime(p):
             raise InvalidParamsError("linear-polys needs a prime p")
         ring = LazyPolyRing(p)
-        elems = {_poly_trim((a, b)) for a in range(p) for b in range(p)}
+        elems = {ring.parse(f"{a}+{b}t") for a in range(p) for b in range(p)}
         return GalleryItem(name, {"p": p}, ring, FiniteSet(ring, elems),
                            "no additively commensurable subring contains it")
     if name == "linear-quo":
@@ -597,7 +565,7 @@ def gallery(name, **params):
         if not isinstance(p, int) or not _is_prime(p) or not isinstance(d, int) or d < 2:
             raise InvalidParamsError("linear-quo needs a prime p and degree d >= 2")
         ring = PolyQuotientRing(p, (0,) * d + (1,))
-        elems = {_poly_trim((a, b)) for a in range(p) for b in range(p)}
+        elems = {ring.parse(f"{a}+{b}t") for a in range(p) for b in range(p)}
         return GalleryItem(name, {"p": p, "d": d}, ring, FiniteSet(ring, elems),
                            "commensurable with a subring inside the core")
     if name == "interval":

@@ -13,7 +13,7 @@ fewest covering translates first, and starts from an incumbent, the
 smaller of the greedy cover and one dive: a path without backtracking
 that starts where the coverers reach least.
 Everything is deterministic: pools are processed in canonical element
-order and ties always break toward the smaller canonical encoding, so
+order and ties always break toward the element first in that order, so
 repeated runs reproduce witnesses bit for bit.
 
 The exact search stops as soon as its incumbent meets a lower bound.
@@ -64,7 +64,7 @@ from .rings import check_same_ring
 from .sets import (
     FiniteSet,
     difference_set,
-    is_symmetric,
+    missing_negative,
     prodset,
     sumset,
     union,
@@ -177,7 +177,7 @@ def _instance(a, b):
 
 def cover_greedy(a, b):
     """Greedy cover by ``_greedy_lists``: the translate covering most
-    uncovered elements, ties toward the smaller canonical encoding."""
+    uncovered elements, ties toward the element first in canonical order."""
     t0 = time.perf_counter()
     _targets, pool, coverers = _incidence(a, b)
     chosen = [pool[r] for r in _greedy_lists(coverers, len(pool))]
@@ -624,11 +624,14 @@ class ApproxCertificate:
             return False, f"unknown mode {_clip(repr(self.mode))}"
         if len(self.x) == 0:
             return False, "x is empty"
-        if not is_symmetric(self.x):
-            return False, "x is not additively symmetric"
+        ring = self.ring
+        missing = missing_negative(self.x)
+        if missing is not None:
+            return False, ("x is not additively symmetric: missing "
+                           f"{ring.render(missing)}")
         if len(self.witness_f) != self.k:
             return False, "|F| != k"
-        ring, target = self.ring, self.target()
+        target = self.target()
         missing = first_uncovered(target, self.x, self.witness_f)
         if missing is not None:
             return False, f"uncovered {ring.render(missing)}"
@@ -675,10 +678,9 @@ def approx_constant(x, mode="ring", exact=True):
     if len(x) == 0:
         raise InvalidParamsError("an approximate subring is nonempty")
     ring = x.ring
-    for v in x.elements():
-        if ring.neg(v) not in x:
-            raise NotSymmetricError(
-                f"set is not symmetric: missing {ring.render(ring.neg(v))}")
+    missing = missing_negative(x)
+    if missing is not None:
+        raise NotSymmetricError(f"set is not symmetric: missing {ring.render(missing)}")
     t = _certificate_target(x, mode)
     w = cover_exact(t, x) if exact else cover_greedy(t, x)
     f = FiniteSet(ring, w.translates)

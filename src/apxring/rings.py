@@ -1,22 +1,17 @@
-"""Computable rings with canonical element encodings.
+"""Computable rings.
 
 Backends: integers mod n, polynomial quotient rings F_p[t]/(m), Galois
 fields, d x d matrix rings, finite products, explicit Cayley tables, and
 two lazy (infinite) backends: the integers and F_p[t].
 
 Rings are never assumed unital or commutative; no operation here uses a
-multiplicative identity.  Finite backends expose a fixed dense indexing
-of their elements with the additive zero at index 0 (lexicographic on
-coordinates / coefficients, documented per backend below); lazy backends
-expose hashable canonical encodings only and refuse enumeration loudly.
-
-Every element has one canonical encoding, and a set holds no other:
-``sets.FiniteSet`` hands every set it builds to ``Ring.check_elements``,
-which raises ValueError naming the first element that is not one.
-Finite backends look each element up in their dense indexing (Z/nZ and
-table rings test that every element is an int, then the least and the
-greatest), F_p[t] tests each coefficient tuple, and Z tests that every
-element is an int.
+multiplicative identity.  The elements of a finite ring are its dense
+indices, the ints 0..n-1 with the additive zero at 0, in an order
+documented per backend below (``_RangeRing``).  Lazy backends have
+canonical encodings (ints on Z, trimmed coefficient tuples on F_p[t])
+and refuse enumeration loudly.  ``sets.FiniteSet`` hands every set it
+builds to ``Ring.check_elements``, which raises ValueError naming the
+first value that is not an element.
 
 Ring DSL, one line per ring.  A descriptor is its ring's identity,
 ``parse_ring(r.descriptor) == r`` on every backend, and ``str(ring)``
@@ -40,19 +35,17 @@ t with ^ for powers and integer coefficients ("t^2+2t+1"); matrices as
 [[..],[..]] with rows of inner elements; tuples as (..,..); a bare index
 for table rings.
 
-Small finite tuple rings run on index tables.  A polyquo, gf, mat or
-prod ring with at most ``TABLE_LIMIT`` (256) elements builds add, neg
-and mul tables over its dense indices, plus an encoding -> index dict,
-once per descriptor in the process (``_build_tables``); every later
-handle with that descriptor shares them.  An operation is then two dict
-lookups and three indexings, and ``index_of``, ``element_at`` and
-``sort_key`` read the same index.  Encodings, ``parse``/``render`` and
-the dense index order are those of the raw tuple arithmetic, which also
-runs above the limit and is what the tables are built from, on an
-additive generating set only.  256 is fixed, not a setting: every index
-fits in a byte, so a table row is one ``bytes`` object, and at 256
-elements the build takes 10-16 ms on a 2-vCPU host.  On a tabulated
-ring an operand that is not a canonical encoding raises ValueError.
+Tuple codes never leave this module.  A polyquo, gf, mat or prod ring
+(``_TupleRing``) reads an index as a coefficient tuple, a tuple of
+matrix entries or a tuple of factor elements only in its raw arithmetic,
+``_build_tables``, ``parse`` and ``render``.  With at most
+``TABLE_LIMIT`` (256) elements it builds add, neg and mul tables once
+per descriptor in the process, from the raw arithmetic on an additive
+generating set only, and runs the table ops table rings run: one
+guarded lookup in a ``bytes`` row.  Above the limit an op decodes its
+operands, runs the raw op and encodes the result.  256 is fixed, not a
+setting: every index fits in a byte, and at 256 elements the build
+takes 10-16 ms on a 2-vCPU host.
 
 Handles are immutable after construction and all operations are pure,
 so they are safe for unrestricted concurrent use.  Two threads building
@@ -233,8 +226,8 @@ def find_irreducible(p, k):
 class Ring:
     """Common surface of every backend.
 
-    Subclasses define ``add``/``neg``/``mul``/``zero`` on canonical
-    encodings, plus encoding <-> dense index maps for finite backends.
+    Subclasses define ``add``/``neg``/``mul``/``zero`` on elements: the
+    dense indices of a finite ring, canonical encodings on a lazy one.
     ``descriptor`` is the canonical DSL string and doubles as the
     identity used by cross-ring checks; ``str`` cuts it short.
     """
@@ -266,9 +259,7 @@ class Ring:
     # enumeration / indexing --------------------------------------------
     def elements(self):
         """All elements in dense-index order, zero first (finite only)."""
-        if not self.is_finite:
-            raise InfiniteRingError(f"{self} is infinite")
-        return (self.element_at(i) for i in range(self.cardinality))
+        raise InfiniteRingError(f"{self} is infinite")
 
     def element_at(self, i):
         raise InfiniteRingError(f"{self} has no dense indexing")
@@ -277,14 +268,13 @@ class Ring:
         raise InfiniteRingError(f"{self} has no dense indexing")
 
     def sort_key(self, x):
-        """Total order on encodings; dense index on finite backends."""
-        return self.index_of(x)
+        """Total order on elements; the dense index on finite backends."""
+        raise NotImplementedError
 
     def check_elements(self, elems):
         """Raise ValueError("<x!r> is not an element of <descriptor>") for
-        the first x of the set ``elems`` that is not a canonical encoding."""
-        for x in elems:
-            self.index_of(x)
+        the first x of the set ``elems`` that is not an element."""
+        raise NotImplementedError
 
     # text --------------------------------------------------------------
     def parse(self, text):
@@ -315,35 +305,90 @@ def check_same_ring(ring, *others):
 
 
 class _RangeRing(Ring):
-    """Finite backend whose encodings are the ints 0..n-1, index = value,
-    so once every element is an int the least and the greatest decide a
-    set's check."""
+    """A finite ring: its elements are the ints 0..n-1, index = value,
+    0 the additive zero.  Once every element of a set is an int, the
+    least and the greatest decide its check.
+
+    ``add_table``, ``neg_table`` and ``mul_table`` hold the ring's
+    operations on indices, a row per element (``add_table[x][y]`` is
+    x + y), ``bytes`` rows up to 256 elements.  ``add``, ``neg`` and
+    ``mul`` read them behind one guard and raise ValueError naming an
+    operand that is not an element.  Z/nZ computes mod n instead, and a
+    tuple ring above ``TABLE_LIMIT``, which has no tables, runs its raw
+    arithmetic on codes (``_TupleRing``).
+    """
+
+    add_table = neg_table = mul_table = None
 
     def zero(self):
         return 0
 
+    def add(self, x, y):
+        rows = self.add_table
+        if rows is None:
+            return self._encode(self._add_raw(self._code(x), self._code(y)))
+        try:
+            if x | y >= 0:          # both ints >= 0, or a TypeError
+                return rows[x][y]
+        except (IndexError, TypeError):
+            pass
+        raise self._not_element(x, y)
+
+    def neg(self, x):
+        row = self.neg_table
+        if row is None:
+            return self._encode(self._neg_raw(self._code(x)))
+        try:
+            if x >= 0:
+                return row[x]
+        except (IndexError, TypeError):
+            pass
+        raise self._not_element(x)
+
+    def mul(self, x, y):
+        rows = self.mul_table
+        if rows is None:
+            return self._encode(self._mul_raw(self._code(x), self._code(y)))
+        try:
+            if x | y >= 0:
+                return rows[x][y]
+        except (IndexError, TypeError):
+            pass
+        raise self._not_element(x, y)
+
+    def _not_element(self, *operands):
+        """The ValueError naming the first operand that is not an element."""
+        for x in operands:
+            if not isinstance(x, int) or not 0 <= x < self.cardinality:
+                return ValueError(f"{x!r} is not an element of {self}")
+
+    def elements(self):
+        return range(self.cardinality)
+
     def element_at(self, i):
-        if not 0 <= i < self.n:
+        if not 0 <= i < self.cardinality:
             raise IndexError(i)
         return i
 
     def index_of(self, x):
-        if not isinstance(x, int) or not 0 <= x < self.n:
-            raise ValueError(f"{x!r} is not an element of {self}")
+        if isinstance(x, int) and 0 <= x < self.cardinality:
+            return x
+        raise self._not_element(x)
+
+    def sort_key(self, x):
         return x
 
     def check_elements(self, elems):
         IntegerRing.check_elements(self, elems)         # every element an int
-        for x in (min(elems), max(elems)) if elems else ():
-            if not 0 <= x < self.n:
-                self.index_of(x)                        # raises, naming x
+        if elems and (min(elems) < 0 or max(elems) >= self.cardinality):
+            raise self._not_element(min(elems), max(elems))
 
     def render(self, x):
         return str(x)
 
 
 class ModularRing(_RangeRing):
-    """Z/nZ."""
+    """Z/nZ: the element x is the residue x."""
 
     def __init__(self, n):
         if n < 2:
@@ -415,19 +460,19 @@ class IntegerRing(Ring):
         return str(x)
 
 
-class _TupleRing(Ring):
-    """Finite backend with tuple encodings, run on index tables when it
-    has at most ``TABLE_LIMIT`` elements.
+class _TupleRing(_RangeRing):
+    """A finite ring whose elements have tuple codes inside this module.
 
-    Subclasses define the raw arithmetic and indexing (``_add_raw``,
-    ``_neg_raw``, ``_mul_raw``, ``_element_at_raw``, ``_index_of_raw``)
-    and call ``_tabulate`` once their descriptor is set.  ``add``,
-    ``neg`` and ``mul`` stay methods of the class on both paths, so
-    wrapping them on the class sees every call.  The tables are shared
-    by descriptor, the identity ``Ring.__eq__`` already uses.
+    Subclasses define ``_decode`` (index -> code), ``_encode`` (code ->
+    index) and the raw arithmetic on codes (``_add_raw``, ``_neg_raw``,
+    ``_mul_raw``), and call ``_tabulate`` once their descriptor is set.
+    With at most ``TABLE_LIMIT`` elements the ring runs on tables, shared
+    by descriptor, the identity ``Ring.__eq__`` already uses; above it an
+    op decodes its operands (``_code``, which checks them), runs the raw
+    op and encodes the result.  ``add``, ``neg`` and ``mul`` are
+    ``_RangeRing``'s on both paths, so wrapping them on the class sees
+    every call.
     """
-
-    _index = None                # encoding -> index; None: raw arithmetic
 
     def _tabulate(self):
         if self.cardinality > TABLE_LIMIT:
@@ -435,68 +480,20 @@ class _TupleRing(Ring):
         tables = _TABLES.get(self.descriptor)
         if tables is None:
             tables = _TABLES.setdefault(self.descriptor, _build_tables(self))
-        self._elems, self._index, self._add, self._neg, self._mul = tables
+        self.add_table, self.neg_table, self.mul_table = tables
 
-    def _not_element(self, *operands):
-        bad = next(x for x in operands if x not in self._index)
-        return ValueError(f"{bad!r} is not an element of {self}")
-
-    def add(self, x, y):
-        index = self._index
-        if index is None:
-            return self._add_raw(x, y)
-        try:
-            return self._elems[self._add[index[x]][index[y]]]
-        except KeyError:
-            raise self._not_element(x, y) from None
-
-    def neg(self, x):
-        index = self._index
-        if index is None:
-            return self._neg_raw(x)
-        try:
-            return self._elems[self._neg[index[x]]]
-        except KeyError:
-            raise self._not_element(x) from None
-
-    def mul(self, x, y):
-        index = self._index
-        if index is None:
-            return self._mul_raw(x, y)
-        try:
-            return self._elems[self._mul[index[x]][index[y]]]
-        except KeyError:
-            raise self._not_element(x, y) from None
-
-    def element_at(self, i):
-        if not 0 <= i < self.cardinality:
-            raise IndexError(i)
-        if self._index is None:
-            return self._element_at_raw(i)
-        return self._elems[i]
-
-    def index_of(self, x):
-        index = self._index
-        try:
-            return self._index_of_raw(x) if index is None else index[x]
-        except (KeyError, TypeError, ValueError):
-            raise ValueError(f"{x!r} is not an element of {self}") from None
-
-    def check_elements(self, elems):
-        if self._index is None:
-            super().check_elements(elems)
-        elif not self._index.keys() >= elems:
-            raise self._not_element(*elems)
+    def _code(self, x):
+        return self._decode(self.index_of(x))
 
 
 class PolyQuotientRing(_TupleRing):
     """F_p[t] / (m(t)) for a monic modulus m of degree d >= 1.
 
-    Encodings are coefficient tuples of length < d (lowest degree first,
-    trimmed).  Dense index reads the coefficient vector as a base-p
-    number with the degree-(d-1) coefficient most significant, so the
-    order is lexicographic on (c_{d-1}, ..., c_0) and zero comes first.
-    Index tables up to ``TABLE_LIMIT`` elements (see ``_TupleRing``).
+    Codes are coefficient tuples of length < d (lowest degree first,
+    trimmed).  The index reads the coefficients as a base-p number with
+    the degree-(d-1) coefficient most significant, so the order is
+    lexicographic on (c_{d-1}, ..., c_0) and zero comes first.  Tables up
+    to ``TABLE_LIMIT`` elements (see ``_TupleRing``).
     """
 
     def __init__(self, p, modulus):
@@ -531,27 +528,25 @@ class PolyQuotientRing(_TupleRing):
     def _mul_raw(self, x, y):
         return _poly_divmod(_poly_mul(x, y, self.p), self.modulus, self.p)[1]
 
-    def zero(self):
-        return ()
-
-    def _element_at_raw(self, i):
+    def _decode(self, i):
         coeffs = []
-        for _ in range(self.degree):
-            coeffs.append(i % self.p)
-            i //= self.p
-        return _poly_trim(coeffs)
+        while i:                     # the last digit taken is nonzero
+            i, c = divmod(i, self.p)
+            coeffs.append(c)
+        return tuple(coeffs)
 
-    def _index_of_raw(self, x):
-        if len(x) > self.degree or not _is_poly(x, self.p):
-            raise ValueError
-        return sum(c * self.p ** e for e, c in enumerate(x))
+    def _encode(self, code):
+        i = 0
+        for c in reversed(code):
+            i = i * self.p + c
+        return i
 
     def parse(self, text):
         coeffs = _poly_parse(text, self.p)
-        return _poly_divmod(coeffs, self.modulus, self.p)[1]
+        return self._encode(_poly_divmod(coeffs, self.modulus, self.p)[1])
 
     def render(self, x):
-        return _poly_render(x)
+        return _poly_render(self._decode(x))
 
 
 class GaloisField(PolyQuotientRing):
@@ -622,11 +617,11 @@ class LazyPolyRing(Ring):
 class MatrixRing(_TupleRing):
     """d x d matrices over a finite base ring.
 
-    Encodings are tuples of row tuples of base encodings.  Index order
-    is mixed-radix over the base indices, entry (0,0) most significant;
-    the zero matrix sits at index 0.  Index tables up to ``TABLE_LIMIT``
-    elements (see ``_TupleRing``); the raw arithmetic they are built
-    from runs on the base ring's operations, tabulated or not.
+    Codes are tuples of the d^2 entries, base elements row by row.  The
+    index is mixed-radix over them, entry (0,0) most significant, so the
+    zero matrix sits at index 0.  Tables up to ``TABLE_LIMIT`` elements
+    (see ``_TupleRing``); the raw arithmetic they are built from runs on
+    the base ring's operations.
     """
 
     def __init__(self, base, d):
@@ -642,51 +637,35 @@ class MatrixRing(_TupleRing):
         self._tabulate()
 
     def _add_raw(self, x, y):
-        b = self.base
-        return tuple(tuple(b.add(u, v) for u, v in zip(rx, ry))
-                     for rx, ry in zip(x, y))
+        return tuple(map(self.base.add, x, y))
 
     def _neg_raw(self, x):
-        b = self.base
-        return tuple(tuple(b.neg(u) for u in row) for row in x)
+        return tuple(map(self.base.neg, x))
 
     def _mul_raw(self, x, y):
-        b = self.base
-        d = self.d
+        b, d = self.base, self.d
         out = []
-        for i in range(d):
-            row = []
+        for i in range(0, d * d, d):
             for j in range(d):
-                acc = b.zero()
+                acc = 0
                 for k in range(d):
-                    acc = b.add(acc, b.mul(x[i][k], y[k][j]))
-                row.append(acc)
-            out.append(tuple(row))
+                    acc = b.add(acc, b.mul(x[i + k], y[k * d + j]))
+                out.append(acc)
         return tuple(out)
 
-    def zero(self):
-        z = self.base.zero()
-        return tuple(tuple(z for _ in range(self.d)) for _ in range(self.d))
-
-    def _element_at_raw(self, i):
+    def _decode(self, i):
         n = self.base.cardinality
         cells = []
         for _ in range(self.d * self.d):
-            cells.append(self.base.element_at(i % n))
-            i //= n
-        cells.reverse()
-        it = iter(cells)
-        return tuple(tuple(next(it) for _ in range(self.d))
-                     for _ in range(self.d))
+            i, c = divmod(i, n)
+            cells.append(c)
+        return tuple(reversed(cells))
 
-    def _index_of_raw(self, x):
-        if {len(x), *map(len, x)} != {self.d}:
-            raise ValueError
+    def _encode(self, code):
         n = self.base.cardinality
         i = 0
-        for row in x:
-            for cell in row:
-                i = i * n + self.base.index_of(cell)
+        for cell in code:
+            i = i * n + cell
         return i
 
     def parse(self, text):
@@ -695,20 +674,20 @@ class MatrixRing(_TupleRing):
             raise ParseError(f"expected {self.d} rows", text, 0)
         if any(len(cells) != self.d for cells in rows):
             raise ParseError(f"expected {self.d} entries per row", text, 0)
-        return tuple(tuple(self.base.parse(c) for c in cells) for cells in rows)
+        return self._encode(self.base.parse(c) for cells in rows for c in cells)
 
     def render(self, x):
-        return "[" + ",".join(
-            "[" + ",".join(self.base.render(c) for c in row) + "]"
-            for row in x) + "]"
+        cells, d = list(map(self.base.render, self._decode(x))), self.d
+        return "[" + ",".join("[" + ",".join(cells[i:i + d]) + "]"
+                              for i in range(0, d * d, d)) + "]"
 
 
 class ProductRing(_TupleRing):
     """Finite product of finite rings; componentwise operations.
 
-    Index order is mixed-radix with the first factor most significant,
-    so (0, 0, ..., 0) comes first.  Index tables up to ``TABLE_LIMIT``
-    elements (see ``_TupleRing``).
+    Codes are tuples of factor elements.  The index is mixed-radix over
+    them with the first factor most significant, so (0, 0, ..., 0) comes
+    first.  Tables up to ``TABLE_LIMIT`` elements (see ``_TupleRing``).
     """
 
     def __init__(self, factors):
@@ -732,35 +711,32 @@ class ProductRing(_TupleRing):
     def _mul_raw(self, x, y):
         return tuple(f.mul(u, v) for f, u, v in zip(self.factors, x, y))
 
-    def zero(self):
-        return tuple(f.zero() for f in self.factors)
-
-    def _element_at_raw(self, i):
+    def _decode(self, i):
         coords = []
         for f in reversed(self.factors):
-            coords.append(f.element_at(i % f.cardinality))
-            i //= f.cardinality
-        coords.reverse()
-        return tuple(coords)
+            i, u = divmod(i, f.cardinality)
+            coords.append(u)
+        return tuple(reversed(coords))
 
-    def _index_of_raw(self, x):
+    def _encode(self, code):
         i = 0
-        for f, u in zip(self.factors, x, strict=True):
-            i = i * f.cardinality + f.index_of(u)
+        for f, u in zip(self.factors, code):
+            i = i * f.cardinality + u
         return i
 
     def parse(self, text):
         parts = _split_enclosed(text, "()")
         if len(parts) != len(self.factors):
             raise ParseError(f"expected {len(self.factors)} coordinates", text, 0)
-        return tuple(f.parse(p) for f, p in zip(self.factors, parts))
+        return self._encode(f.parse(p) for f, p in zip(self.factors, parts))
 
     def render(self, x):
-        return "(" + ",".join(f.render(u) for f, u in zip(self.factors, x)) + ")"
+        coords = zip(self.factors, self._decode(x))
+        return "(" + ",".join(f.render(u) for f, u in coords) + ")"
 
 
 class TableRing(_RangeRing):
-    """Ring given by explicit Cayley tables; elements are indices 0..n-1.
+    """Ring given by explicit Cayley tables on its elements 0..n-1.
 
     Construction checks the table shapes, that every element has an
     additive order and that every row of the addition table holds 0 (the
@@ -780,14 +756,15 @@ class TableRing(_RangeRing):
         self.descriptor = (f"table:{n}:{_table_hex(add_table, n, 'addition')}:"
                            f"{_table_hex(mul_table, n, 'multiplication')}")
         self.n = n
-        self.add_table = tuple(tuple(r) for r in add_table)
-        self.mul_table = tuple(tuple(r) for r in mul_table)
+        row = bytes if n <= 256 else tuple
+        self.add_table = tuple(map(row, add_table))
+        self.mul_table = tuple(map(row, mul_table))
         self.cardinality = n
         self.characteristic = self._exponent()
-        for i, row in enumerate(self.add_table):
-            if 0 not in row:
+        for i, add_row in enumerate(self.add_table):
+            if 0 not in add_row:
                 raise RingConstructionError(f"element {i} has no additive inverse")
-        self._neg = tuple(row.index(0) for row in self.add_table)
+        self.neg_table = row(add_row.index(0) for add_row in self.add_table)
 
     def _exponent(self):
         out = 1
@@ -801,15 +778,6 @@ class TableRing(_RangeRing):
                 order += 1
             out = math.lcm(out, order)
         return out
-
-    def add(self, x, y):
-        return self.add_table[x][y]
-
-    def neg(self, x):
-        return self._neg[x]
-
-    def mul(self, x, y):
-        return self.mul_table[x][y]
 
     def parse(self, text):
         s = text.strip()
@@ -919,30 +887,29 @@ def _span(n, row):
 
 
 def _build_tables(ring):
-    """``(elements, index, add, neg, mul)`` of a finite ring with at most
-    ``TABLE_LIMIT`` elements, from its raw arithmetic.
+    """``(add, neg, mul)`` tables of a tuple ring with at most
+    ``TABLE_LIMIT`` elements, from its raw arithmetic on codes.
 
-    ``elements`` lists the encodings in dense-index order and ``index``
-    inverts it; ``add`` and ``mul`` hold one ``bytes`` row of indices per
-    element (``add[i][j]`` is the index of element i + element j) and
-    ``neg`` one byte per element.  Raw arithmetic runs only on the greedy
-    additive generating set G of ``_span``: each generator g costs n raw
-    sums x + g.  Every other element t is reached as s + g from an
-    element s reached before it (``_span``'s triples), so its rows
-    compose rows already built: (s + g) + y = s + (g + y) and
-    (s + g)·y = s·y + g·y; and a generator's products follow from those
-    with generators, g·(s + h) = g·s + g·h.  That is |G|n raw sums, |G|^2
-    raw products and O(n^2) index lookups in all, against 2n^2 raw
-    operations for reading the tables off pair by pair.
+    ``add`` and ``mul`` hold one ``bytes`` row of indices per element
+    (``add[i][j]`` is the index of i + j) and ``neg`` one byte per
+    element.  Raw arithmetic runs only on the greedy additive generating
+    set G of ``_span``: each generator g costs n raw sums x + g.  Every
+    other element t is reached as s + g from an element s reached before
+    it (``_span``'s triples), so its rows compose rows already built:
+    (s + g) + y = s + (g + y) and (s + g)·y = s·y + g·y; and a
+    generator's products follow from those with generators,
+    g·(s + h) = g·s + g·h.  That is |G|n raw sums, |G|^2 raw products and
+    O(n^2) index lookups in all, against 2n^2 raw operations for reading
+    the tables off pair by pair.
     """
     n = ring.cardinality
-    elems = tuple(ring._element_at_raw(i) for i in range(n))
-    index = {e: i for i, e in enumerate(elems)}
+    codes = [ring._decode(i) for i in range(n)]
+    encode = ring._encode
     add, mul = [None] * n, [None] * n
     add[0], mul[0] = bytes(range(n)), bytes(n)
 
     def add_row(g):
-        add[g] = bytes([index[ring._add_raw(x, elems[g])] for x in elems])
+        add[g] = bytes([encode(ring._add_raw(x, codes[g])) for x in codes])
         return add[g]
 
     gens, derived = _span(n, add_row)
@@ -953,14 +920,14 @@ def _build_tables(ring):
         # g·(s + h) = g·s + g·h: raw products only among generators
         row = [0] * n
         for h in gens:
-            row[h] = index[ring._mul_raw(elems[g], elems[h])]
+            row[h] = encode(ring._mul_raw(codes[g], codes[h]))
         for t, s, h in derived:
             row[t] = add[row[s]][row[h]]
         mul[g] = bytes(row)
     for t, s, h in derived:
         mul[t] = bytes([add[u][v] for u, v in zip(mul[s], mul[h])])
     neg = bytes(row.index(0) for row in add)
-    return elems, index, tuple(add), neg, tuple(mul)
+    return tuple(add), neg, tuple(mul)
 
 
 def _first_difference(have, want):
@@ -1090,6 +1057,40 @@ def table_ring(add_table, mul_table):
     if why is not None:
         raise RingConstructionError(why)
     return ring
+
+
+def find_zero_divisor(ring):
+    """A pair (a, b) of nonzero elements with a·b = 0, or None, decided
+    from the ring's structure: none in Z, F_p[t], Galois fields and
+    one-element rings; (q, n/q) in Z/nZ, q the least prime factor of n; a
+    factoring of m in F_p[t]/(m); E₁₂, the matrix unit with the base
+    ring's element 1 at (0, 1), twice in d x d matrices, d >= 2;
+    elements nonzero in two different factors of a product (1 x 1
+    matrices and a product with one nontrivial factor embed that ring's
+    answer); the first zero product of nonzero elements in a table ring."""
+    if isinstance(ring, (IntegerRing, LazyPolyRing, GaloisField)) or \
+            ring.cardinality == 1:
+        return None
+    if isinstance(ring, ModularRing):
+        q = _least_factor(ring.n)
+        return None if q == ring.n else (q, ring.n // q)
+    if isinstance(ring, PolyQuotientRing):
+        pair = _poly_factor(ring.modulus, ring.p)
+        return pair and tuple(map(ring._encode, pair))
+    if isinstance(ring, TableRing):
+        return next(((a, b) for a, row in enumerate(ring.mul_table) if a
+                     for b, ab in enumerate(row) if b and ab == 0), None)
+    if isinstance(ring, MatrixRing):
+        if ring.d == 1:                 # a 1 x 1 matrix's index is its entry's
+            return find_zero_divisor(ring.base)
+        e12 = ring._encode([0, 1] + [0] * (ring.d ** 2 - 2))   # row by row
+        return e12, e12
+    big = [i for i, f in enumerate(ring.factors) if f.cardinality > 1]
+    where = big[:2] if len(big) > 1 else big * 2
+    pair = (1, 1) if len(big) > 1 else find_zero_divisor(ring.factors[big[0]])
+    return pair and tuple(
+        ring._encode([v if k == i else 0 for k in range(len(ring.factors))])
+        for i, v in zip(where, pair))
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,15 @@ F ⊆ ⟨X⟩, so the derivations schema 1-3 stored are ignored,
 no subring inside the core has a smaller constant, the classifier's own
 step for the no-zero-divisor hypothesis), and every other field is
 re-derived by the builder that wrote it, run on the payload's inputs and
-re-checked witnesses, and compared.  Every payload, nested ones too,
-must be of a schema version its kind's verifier reads, and nested
-payloads verify by their own kind, which must be the kind their slot
-holds; a sweep's rows must be its config's instances in order and hold,
-key for key, the fields ``sweep.row_fields`` takes from their witnesses,
-and a row without a witness must equal its instance's re-run.  It
-returns (ok, details) and never raises on a merely *invalid* payload —
-malformed ones do raise.
+re-checked witnesses, and compared as JSON values: 2 is not 2.0, and 1
+is not true.  Every payload, nested ones too, must be of a schema
+version its kind's verifier reads, with the leaves that verifier reads
+directly of their JSON types, and nested payloads verify by their own
+kind, which must be the kind their slot holds; a sweep's rows must be
+its config's instances in order and hold, key for key, the fields
+``sweep.row_fields`` takes from their witnesses, and a row without a
+witness must equal its instance's re-run.  It returns (ok, details) and
+never raises on a merely *invalid* payload — malformed ones do raise.
 """
 
 from __future__ import annotations
@@ -37,6 +38,12 @@ from .cover import (
 from .errors import ApxError, ZeroDivisorError, _clip
 from .rings import parse_ring
 from .sets import FiniteSet, growth_sequence
+
+
+def _differs(a, b):
+    """Whether a and b are different JSON values: 2 is not 2.0, and 1 is
+    not true."""
+    return a is not b and json.dumps(a, sort_keys=True) != json.dumps(b, sort_keys=True)
 
 
 def _ring_and_set(payload, key):
@@ -85,16 +92,29 @@ _SCHEMA_VERSIONS = {
 }
 
 
+# the leaves each kind's verifier reads directly, with their JSON types
+_LEAF_TYPES = {
+    "cover_witness": {"optimal": bool},
+    "approx_certificate": {"k": int, "minimal": bool},
+    "classification_report": {"small_threshold": int},
+    "growth_profile": {"covering": bool},
+}
+_TYPE_NAMES = {int: "an int", bool: "true or false"}
+
+
 def _kind_fault(payload, kind):
     """[why] when ``payload``, where a ``kind`` payload belongs, is of
-    another kind or of a schema version its verifier does not read;
+    another kind, of a schema version its verifier does not read, or
+    holds a leaf its verifier reads directly of another JSON type;
     else []."""
     have, version = payload.get("kind"), payload["schema_version"]
     if have != kind:
         return [f"kind {have!r} where {kind} belongs"]
     if version not in _SCHEMA_VERSIONS[kind]:
         return [f"unknown {kind} schema_version {_clip(repr(version))}"]
-    return []
+    return [f"{key} {json.dumps(payload[key])} is not {_TYPE_NAMES[t]}"
+            for key, t in _LEAF_TYPES.get(kind, {}).items()
+            if key in payload and type(payload[key]) is not t][:1]
 
 
 def _cover_witness(payload):
@@ -135,7 +155,7 @@ def _certificate(payload):
     lb = payload.get("lower_bound")
     cert = ApproxCertificate(
         x, payload["k"], _parse_set(ring, payload["f"]),
-        payload.get("mode", "ring"), bool(payload.get("minimal")),
+        payload.get("mode", "ring"), payload.get("minimal", False),
         payload.get("stats", {}),
         None if lb is None else ({ring.parse(e): w for e, w in lb["weights"].items()},
                                  lb["denominator"]))
@@ -179,7 +199,7 @@ def _rebuilt(name, build, payload, flat=False):
         return False, [f"{name} does not rebuild: {exc}"]
     keys = ({k for k, v in rebuilt.items() if not isinstance(v, dict)}
             - {"schema_version"} if flat else rebuilt.keys() | payload.keys())
-    wrong = sorted(k for k in keys if rebuilt.get(k) != payload.get(k))
+    wrong = sorted(k for k in keys if _differs(rebuilt.get(k), payload.get(k)))
     if wrong:
         return False, [f"{name} re-derives another " + ", ".join(wrong)]
     return True, [f"{name} re-derived"]
@@ -213,9 +233,10 @@ def _verify_subring_search(payload):
     """The certificate must verify; the subring must be one inside the
     core with the witnessed constant; where the exhaustive pass runs, no
     subring inside the core may have a smaller constant against X, the
-    certificate's."""
-    from .classify import (SubringSearchResult, _runs_exhaustive, core_set,
-                           is_subring, subrings_within)
+    certificate's.  A subring whose counting bound reaches the claimed
+    constant cannot, and is not covered."""
+    from .classify import (SubringSearchResult, _commensurability_floor,
+                           _runs_exhaustive, core_set, is_subring, subrings_within)
     if "certificate" not in payload:
         return False, ["no certificate of X (schema 4 nests one)"]
     ok, details, cert = _certificate(payload["certificate"])
@@ -239,6 +260,8 @@ def _verify_subring_search(payload):
     if _runs_exhaustive(core):
         claimed = math.inf if comm is None else comm.constant
         for sub in subrings_within(core):
+            if _commensurability_floor(sub, x) >= claimed:
+                continue
             c = commensurability(sub, x).constant
             if c < claimed:
                 return False, [f"exhaustive pass: a subring of {len(sub)} "
@@ -250,11 +273,11 @@ def _verify_subring_search(payload):
 
 def _differing(row, expected, whose):
     """A line for each key of ``row`` or ``expected`` that the two hold
-    otherwise, x compared as a set."""
+    otherwise, as JSON values (``_differs``), x compared as a set."""
     return [f"{key} {row.get(key)!r} differs from {whose} {expected.get(key)!r}"
             for key in sorted(row.keys() | expected.keys())
             if (sorted(row.get(key, ())) != sorted(expected.get(key, ()))
-                if key == "x" else row.get(key) != expected.get(key))]
+                if key == "x" else _differs(row.get(key), expected.get(key)))]
 
 
 def _row_faults(row, instance, ring, spec):

@@ -5,8 +5,9 @@ X_{n+1} = X_n*X_n + (X_n + X_n), iterated sums and products, and
 subrings of a finite ring grown by cosets (``_grow``): the closure
 ⟨gens⟩, and the steps of ``classify.subrings_within``'s lattice walk.
 
-Sets are immutable and duplicate-free: a ring plus a frozenset of
-canonical encodings, on every ring.  A sumset runs one of three kernels:
+Sets are immutable and duplicate-free: a ring plus a frozenset of its
+elements, the ints 0..n-1 of a finite ring and canonical encodings on Z
+and F_p[t].  A sumset runs one of three kernels:
 
 - offset mask (Z and Z/nZ): the larger operand as one integer bitmask
   offset by its minimum, shifted once per element of the smaller; on
@@ -52,10 +53,10 @@ DEFAULT_SET_CAP = 2 ** 24    # cardinality cap for derived sets
 
 
 class FiniteSet:
-    """Immutable finite subset of one ring: a frozenset of canonical
-    encodings, the same on every ring.  Every set is built here, and
-    ``ring.check_elements`` raises ValueError naming an element that is
-    not a canonical encoding, so every kernel may rely on them.
+    """Immutable finite subset of one ring: a frozenset of its elements,
+    dense indices on a finite ring.  Every set is built here, and
+    ``ring.check_elements`` raises ValueError naming a value that is not
+    an element, so every kernel may rely on them.
     ``sumset`` adds two sets by an offset mask on Z and Z/nZ, by packed
     digits on F_p[t] and by hashed pairs elsewhere (see the module
     docstring).  Iteration is in the backend's canonical order (its sort
@@ -284,8 +285,11 @@ def difference_set(a, b):
     return sumset(a, negate(b))
 
 
-def is_symmetric(a):
-    return all(a.ring.neg(x) in a for x in a.elements())
+def missing_negative(a):
+    """The least −x in canonical order with x in a and −x not in a, or
+    None when a = −a."""
+    missing = {a.ring.neg(x) for x in a.elements()} - a.elements()
+    return min(missing, key=a.ring.sort_key, default=None)
 
 
 def growth_step(a):
@@ -330,6 +334,7 @@ def growth_sequence(x, n_max, with_covering=False):
     With ``with_covering``, each entry carries the number of additive
     translates of ``x`` covering it: exact for targets up to
     2048 elements, a greedy upper bound beyond that (method recorded).
+    An empty x covers nothing: UncoverableError, from the cover layer.
     """
     if n_max < 0:
         raise InvalidParamsError("n must be >= 0")
@@ -339,7 +344,7 @@ def growth_sequence(x, n_max, with_covering=False):
         if n > 0:
             cur = growth_step(cur)
         cov = method = None
-        if with_covering and len(x) > 0:
+        if with_covering:
             from .cover import cover_exact, cover_greedy  # cycle: cover uses sets
             w = (cover_exact(cur, x) if len(cur) <= _COVERING_EXACT_LIMIT
                  else cover_greedy(cur, x))

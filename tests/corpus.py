@@ -40,14 +40,10 @@ def corpus_sets():
     lp2 = ax.gallery("linear-polys", p=2)
     out.append(("linear-polys-2", lp2.xset))
 
-    mat = ax.parse_ring("mat:2:zmod:2")
-    out.append(("mat2-nilpotent",
-                ax.FiniteSet(mat, [mat.zero(),
-                                   ((1, 0), (0, 1)),
-                                   ((0, 1), (0, 0))])))
-    prod = ax.parse_ring("prod:(zmod:2,zmod:3)")
-    out.append(("prod-mixed",
-                ax.FiniteSet(prod, [prod.zero(), (1, 1), (1, 2)])))
+    out.append(_mk("mat2-nilpotent", ax.parse_ring("mat:2:zmod:2"),
+                   "{[[0,0],[0,0]], [[1,0],[0,1]], [[0,1],[0,0]]}"))
+    out.append(_mk("prod-mixed", ax.parse_ring("prod:(zmod:2,zmod:3)"),
+                   "{(0,0), (1,1), (1,2)}"))
     zm = ax.zero_multiplication_ring(8)
     out.append(("zeromul8", ax.FiniteSet(zm, [0, 1, 7])))
     return out

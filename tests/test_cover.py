@@ -138,6 +138,16 @@ def test_approx_constant_interval():
 def test_approx_constant_not_symmetric():
     with pytest.raises(NotSymmetricError):
         ax.approx_constant(FiniteSet(Z, [1]), "ring")
+    # the solver and the certificate check name the same element: the
+    # least missing negative in canonical order (0, 1, -1, 2, -2, ... on Z)
+    gf = ax.parse_ring("gf:3^2:t^2+1")
+    for x, least in ((FiniteSet(Z, [0, 1, -1, 2, 3]), "-2"),
+                     (ax.parse_set(gf, "{0,1,t}"), "2")):
+        with pytest.raises(NotSymmetricError, match=f"missing {least}$"):
+            ax.approx_constant(x, "ring")
+        cert = ax.ApproxCertificate(x, 1, x, "ring", False)
+        assert cert.verify() == (
+            False, f"x is not additively symmetric: missing {least}")
 
 
 def test_approx_constant_group_mode():

@@ -205,24 +205,28 @@ def test_enumeration():
     assert list(ax.modular(3).elements()) == [0, 1, 2]
     prod = ax.parse_ring("prod:(zmod:2,zmod:2)")
     elems = list(prod.elements())
-    assert len(elems) == 4 and elems[0] == (0, 0)
+    assert elems == [0, 1, 2, 3]
+    assert list(map(prod.render, elems)) == ["(0,0)", "(0,1)", "(1,0)", "(1,1)"]
     with pytest.raises(InfiniteRingError):
         list(ax.parse_ring("int").elements())
 
 
 def test_dense_index_zero_first():
-    for backend in all_backends():
+    # a finite ring's elements are its indices, zero at 0
+    rings = [*all_backends(), *map(parse_ring, TABULATED), *map(parse_ring, ABOVE_LIMIT)]
+    for backend in rings:
         if backend.is_finite:
-            assert backend.element_at(0) == backend.zero()
+            assert backend.zero() == backend.element_at(0) == 0
             n = backend.cardinality
-            seen = {backend.index_of(backend.element_at(i)) for i in range(n)}
-            assert seen == set(range(n))
+            assert list(backend.elements()) == list(range(n))
+            assert all(backend.element_at(i) == backend.index_of(i)
+                       == backend.sort_key(i) == i for i in range(n))
 
 
 def test_parse_examples():
     assert ax.modular(7).parse("12") == 5
     pq = ax.parse_ring("polyquo:5:t^3")
-    assert pq.parse("2+t") == (2, 1)
+    assert pq.parse("2+t") == 7 and pq.render(7) == "t+2"    # 2 + 1·5
     lp = ax.parse_ring("poly:3")
     assert lp.parse("t^2+2t") == (0, 2, 1)
     with pytest.raises(ParseError):
@@ -248,8 +252,8 @@ def test_dsl_round_trip():
     # the descriptor is the ring: it parses back to an equal handle with
     # the same operations, on every backend, corpus ring and table handle
     r = ax.parse_ring("prod:(zmod:4,zmod:2)")
-    sub, _, _ = ax.subring_table(r, [(0, 0), (2, 0), (0, 1), (2, 1)])
-    quo, _ = ax.quotient_ring(r, [(0, 0), (2, 0)])
+    sub, _, _ = ax.subring_table(r, _elems(r, "(0,0)", "(2,0)", "(0,1)", "(2,1)"))
+    quo, _ = ax.quotient_ring(r, _elems(r, "(0,0)", "(2,0)"))
     rings = {*all_backends(), *(x.ring for _, x in corpus_sets()), sub, quo}
     assert sum(ring.descriptor.startswith("table:") for ring in rings) == 4
     for ring in rings:
@@ -297,8 +301,7 @@ def test_axioms_all_backends():
 
 def test_matrix_ring_noncommutative():
     m = ax.parse_ring("mat:2:zmod:2")
-    a = ((0, 1), (0, 0))
-    b = ((0, 0), (1, 0))
+    a, b = _elems(m, "[[0,1],[0,0]]", "[[0,0],[1,0]]")
     assert m.mul(a, b) != m.mul(b, a)
 
 
@@ -363,7 +366,7 @@ def test_quotient_examples():
 
 def test_quotient_projection_homomorphism_exhaustive():
     r = ax.parse_ring("polyquo:2:t^2")             # F_2[t]/t^2
-    ideal = [(), (0, 1)]                           # (t)
+    ideal = _elems(r, "0", "t")                    # (t)
     q, proj = ax.quotient_ring(r, ideal)
     assert q.cardinality == 2
     check_ring_axioms(q)
@@ -434,13 +437,13 @@ def test_subring_table():
 def test_distinct_table_rings_compare_unequal():
     # same size, different tables: the descriptors must tell them apart
     r = ax.parse_ring("prod:(zmod:4,zmod:2)")
-    a, _, _ = ax.subring_table(r, [(0, 0), (2, 0)])     # zero product
-    b, _, _ = ax.subring_table(r, [(0, 0), (0, 1)])     # (0,1)^2 = (0,1)
+    a, _, _ = ax.subring_table(r, _elems(r, "(0,0)", "(2,0)"))   # zero product
+    b, _, _ = ax.subring_table(r, _elems(r, "(0,0)", "(0,1)"))   # (0,1)^2 = (0,1)
     assert a.mul_table != b.mul_table
     assert a != b and a.descriptor != b.descriptor
-    assert ax.subring_table(r, [(0, 0), (2, 0)])[0] == a
-    q1, _ = ax.quotient_ring(r, [(0, 0), (0, 1)])       # Z/4
-    q2, _ = ax.quotient_ring(r, [(0, 0), (2, 0)])       # Z/2 x Z/2
+    assert ax.subring_table(r, _elems(r, "(0,0)", "(2,0)"))[0] == a
+    q1, _ = ax.quotient_ring(r, _elems(r, "(0,0)", "(0,1)"))     # Z/4
+    q2, _ = ax.quotient_ring(r, _elems(r, "(0,0)", "(2,0)"))     # Z/2 x Z/2
     assert q1.cardinality == q2.cardinality == 4
     assert q1 != q2 and q1.descriptor != q2.descriptor
     for x, y in ((a, b), (q1, q2)):
@@ -451,12 +454,12 @@ def test_distinct_table_rings_compare_unequal():
     # a and b differ only in multiplication, and a product or matrix ring
     # over each multiplies by its own table
     assert a.add_table == b.add_table
-    unit = ((1, 0), (0, 0))
     for t, one_one in ((a, 0), (b, 1)):
         prod = parse_ring(f"prod:({t.descriptor},zmod:2)")
         mat = parse_ring(f"mat:2:{t.descriptor}")
-        assert prod.mul((1, 1), (1, 1)) == (one_one, 1)
-        assert mat.mul(unit, unit) == ((one_one, 0), (0, 0))
+        ones, unit = prod.parse("(1,1)"), mat.parse("[[1,0],[0,0]]")
+        assert prod.render(prod.mul(ones, ones)) == f"({one_one},1)"
+        assert mat.render(mat.mul(unit, unit)) == f"[[{one_one},0],[0,0]]"
 
 
 def _exhaustive_table_check(add, mul):
@@ -580,63 +583,75 @@ def test_table_check_matches_exhaustive_oracle():
 
 TABULATED = ["gf:5^2:t^2+2", "polyquo:5:t^3", "mat:2:zmod:3",
              "mat:2:polyquo:2:t^2", "prod:(gf:2^2:t^2+t+1,zmod:4)"]
+ABOVE_LIMIT = ["gf:7^3:t^3+t^2+1", "mat:2:zmod:5", "mat:3:zmod:2",
+               "polyquo:2:t^10+t^7+1"]
+
+
+def _elems(ring, *texts):
+    return [ring.parse(t) for t in texts]
+
+
+def _check_against_raw(ring, pairs):
+    # oracle: each op against the raw tuple arithmetic through decode and
+    # encode, and each operand's text parsing back to it
+    codes = {a: ring._decode(a) for pair in pairs for a in pair}
+    encode = ring._encode
+    for a, code in codes.items():
+        assert ring.parse(ring.render(a)) == a
+        assert ring.neg(a) == encode(ring._neg_raw(code)), (ring, a)
+    for a, b in pairs:
+        assert ring.add(a, b) == encode(ring._add_raw(codes[a], codes[b])), (ring, a, b)
+        assert ring.mul(a, b) == encode(ring._mul_raw(codes[a], codes[b])), (ring, a, b)
 
 
 def test_index_tables_match_raw_arithmetic():
-    # oracle: the tables built from additive generators against the raw
-    # tuple arithmetic on every pair; the small backends above included
+    # the tables built from additive generators, on every pair; the small
+    # backends above included
     rings = {r.descriptor: r for r in all_backends() if isinstance(r, _TupleRing)}
     rings.update((d, parse_ring(d)) for d in TABULATED)
     assert rings["mat:2:polyquo:2:t^2"].cardinality == TABLE_LIMIT
     for ring in rings.values():
-        assert ring._index is not None, ring
-        pool = [ring._element_at_raw(i) for i in range(ring.cardinality)]
-        assert list(ring.elements()) == pool
-        assert [ring.neg(a) for a in pool] == [ring._neg_raw(a) for a in pool]
-        for i, a in enumerate(pool):
-            assert ring.index_of(a) == ring.sort_key(a) == ring._index_of_raw(a) == i
-            assert ring.parse(ring.render(a)) == a
-            assert ([ring.add(a, b) for b in pool]
-                    == [ring._add_raw(a, b) for b in pool]), (ring, a)
-            assert ([ring.mul(a, b) for b in pool]
-                    == [ring._mul_raw(a, b) for b in pool]), (ring, a)
-    # encodings, text and index order as before the tables
+        assert ring.add_table is not None, ring
+        assert [ring._encode(ring._decode(i)) for i in ring.elements()] \
+            == list(ring.elements())
+        _check_against_raw(ring, list(itertools.product(ring.elements(), repeat=2)))
+    # text and index order as before the tables
     g = parse_ring("gf:5^2:t^2+2")
-    assert g.element_at(7) == (2, 1) and g.render((2, 1)) == "t+2"
-    assert g.parse("3t^2") == (4,) and g.index_of((0, 1)) == 5
+    assert g.render(7) == "t+2" and g._decode(7) == (2, 1)
+    assert g.parse("3t^2") == 4 and g.parse("t") == 5
     m = parse_ring("mat:2:polyquo:2:t^2")
-    top = ((1, 1), (1, 1))
-    assert m.element_at(255) == (top, top) and m.index_of((((), ()), ((), (1,)))) == 1
-    assert m.render(m.element_at(255)) == "[[t+1,t+1],[t+1,t+1]]"
+    assert m.render(255) == "[[t+1,t+1],[t+1,t+1]]" and m.parse("[[0,0],[0,1]]") == 1
     p = parse_ring("prod:(gf:2^2:t^2+t+1,zmod:4)")
-    assert p.parse("(t,3)") == ((0, 1), 3) and p.index_of(((0, 1), 3)) == 11
+    assert p.parse("(t,3)") == 11 and p._decode(11) == (2, 3)
 
 
 def test_rings_above_table_limit_run_raw():
-    ring = parse_ring("mat:2:zmod:5")
-    assert ring.cardinality > TABLE_LIMIT and ring._index is None
     rng = random.Random(5)
-    for _ in range(200):
-        a, b = (ring.element_at(rng.randrange(625)) for _ in range(2))
-        assert ring.add(a, b) == ring._add_raw(a, b)
-        assert ring.mul(a, b) == ring._mul_raw(a, b)
-        assert ring.index_of(a) == ring._index_of_raw(a)
-    assert ring.mul(((1, 2), (3, 4)), ((0, 1), (1, 0))) == ((2, 1), (4, 3))
+    for dsl in ABOVE_LIMIT:
+        ring = parse_ring(dsl)
+        n = ring.cardinality
+        assert n > TABLE_LIMIT and ring.add_table is None
+        _check_against_raw(ring, [(rng.randrange(n), rng.randrange(n))
+                                  for _ in range(200)])
+        with pytest.raises(ValueError, match=f"^{n} is not an element of "):
+            ring.add(0, n)
+    ring = parse_ring("mat:2:zmod:5")
+    a, b, ab = _elems(ring, "[[1,2],[3,4]]", "[[0,1],[1,0]]", "[[2,1],[4,3]]")
+    assert ring.mul(a, b) == ab
 
 
 def test_tabulated_ring_rejects_non_canonical_operands():
-    ring = parse_ring("gf:5^2:t^2+2")
-    one = ring.parse("1")
-    for bad in [(5,), (1, 0), (0, 0, 1), 3]:
-        for call in (lambda: ring.add(one, bad), lambda: ring.add(bad, one),
-                     lambda: ring.mul(bad, one), lambda: ring.neg(bad),
-                     lambda: ring.index_of(bad)):
-            with pytest.raises(ValueError) as info:
-                call()
-            assert f"{bad!r} is not an element of gf:5^2:t^2+2" in str(info.value)
-    m = parse_ring("mat:2:zmod:3")
-    with pytest.raises(ValueError, match=r"\(\(0, 3\), \(0, 0\)\) is not an element of mat:2:zmod:3"):
-        m.add(m.zero(), ((0, 3), (0, 0)))
+    # table ops on tuple rings and table rings alike
+    for ring in (parse_ring("gf:5^2:t^2+2"), parse_ring("mat:2:zmod:3"),
+                 ax.zero_multiplication_ring(8)):
+        one = ring.element_at(1)
+        for bad in [-1, ring.cardinality, (5,), "a"]:
+            for call in (lambda: ring.add(one, bad), lambda: ring.add(bad, one),
+                         lambda: ring.mul(one, bad), lambda: ring.mul(bad, one),
+                         lambda: ring.neg(bad), lambda: ring.index_of(bad)):
+                with pytest.raises(ValueError) as info:
+                    call()
+                assert str(info.value) == f"{bad!r} is not an element of {ring}"
 
 
 def test_class_level_wrappers_see_every_tabulated_op(monkeypatch):
@@ -662,7 +677,7 @@ def test_class_level_wrappers_see_every_tabulated_op(monkeypatch):
                 monkeypatch.setattr(cls, op, counting(vars(cls)[op], op))
     after = parse_ring("mat:2:zmod:3")
     for ring in (before, after):
-        assert ring._index is not None
+        assert ring.add_table is not None
         del seen[:]
         pool = list(ring.elements())[:9]
         for a in pool:

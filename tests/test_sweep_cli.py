@@ -1,6 +1,7 @@
 """Sweep harness determinism and the apx command line surface."""
 
 import ast
+import dataclasses
 import importlib
 import json
 import os
@@ -592,6 +593,17 @@ def test_verify_reruns_rows_without_a_witness():
 DATA = Path(__file__).parent / "data"
 
 
+@pytest.mark.parametrize("cfg", ["nzd", "poschar"])
+def test_benchmark_sweep_csv_golden(cfg):
+    # the benchmark's sweeps at seed 1, byte for byte, from its own
+    # configs: a change that moves a row shows here first
+    spec = SweepSpec.load(str(Path(__file__).parents[1] / "perfbench" / "data"
+                              / f"{cfg}.cfg"))
+    report = run_sweep(dataclasses.replace(spec, seed=1))
+    assert report.to_csv() == \
+        (DATA / f"perfbench_{cfg}_seed1.csv").read_text(encoding="utf-8")
+
+
 def _rows_edited(p, *rows):
     return dict(p, rows=[*rows, *p["rows"][len(rows):]])
 
@@ -747,6 +759,58 @@ def test_cli_json_output_verifies(name, tmp_path, capsys):
     assert "schema_version '99'" in text and text.endswith("FAILED\n"), text
 
 
+def _row_edit(p, **edit):
+    return _rows_edited(p, dict(p["rows"][0], **edit))
+
+
+# a leaf of another JSON type than the builder writes, which == compares
+# equal (2 == 2.0, 1 == true) or bool() reads as a claim
+_TYPE_MUTATIONS = {
+    "certificate-k-float": ("k2", lambda p: dict(p, k=2.0)),
+    "certificate-k-true": ("k1", lambda p: dict(p, k=True)),
+    "certificate-minimal-string": ("k2", lambda p: dict(p, minimal="yes")),
+    "cover-optimal-one": ("cover", lambda p: dict(p, optimal=1)),
+    "cover-optimal-string": ("cover", lambda p: dict(p, optimal="no")),
+    "classify-k-float": ("classify", lambda p: dict(p, k=float(p["k"]))),
+    "classify-threshold-float": ("classify", lambda p: dict(p, small_threshold=0.0)),
+    "classify-core-is-subring-int": ("classify", lambda p: dict(
+        p, core_is_subring=int(p["core_is_subring"]))),
+    "growth-covering-one": ("growth", lambda p: dict(p, covering=1)),
+    "sweep-row-core-is-subring-int": ("sweep", lambda p: _row_edit(
+        p, core_is_subring=int(p["rows"][0]["core_is_subring"]))),
+    "sweep-row-x-size-float": ("sweep", lambda p: _row_edit(
+        p, x_size=float(p["rows"][0]["x_size"]))),
+}
+
+
+@pytest.fixture(scope="module")
+def type_mutation_payloads():
+    m7 = ax.modular(7)
+    x = ax.parse_set(m7, "{0,1,6}")
+    sweep = run_sweep(SweepSpec.parse(spec_text(rings="zmod:7", max_size=3)))
+    payloads = {
+        "k2": ax.approx_constant(x),
+        "k1": ax.approx_constant(ax.parse_set(ax.modular(9), "{0,3,6}")),
+        "cover": ax.cover_exact(ax.parse_set(m7, "{0,1,2,5,6}"), x),
+        "classify": ax.nzd_classify(x, small_threshold=0),
+        "growth": ax.growth_sequence(x, 1, with_covering=True),
+        "sweep": sweep,
+    }
+    # as read back from a file
+    return {k: json.loads(json.dumps(v.to_json())) for k, v in payloads.items()}
+
+
+@pytest.mark.parametrize("name", sorted(_TYPE_MUTATIONS))
+def test_verify_fails_leaves_of_the_wrong_json_type(name, type_mutation_payloads):
+    source, mutate = _TYPE_MUTATIONS[name]
+    payload = type_mutation_payloads[source]
+    assert verify_payload(payload)[0], source
+    bad = json.loads(json.dumps(mutate(payload)))
+    assert (bad == payload) != name.endswith("-string")   # == cannot tell the rest
+    ok, details = verify_payload(bad)
+    assert not ok, details
+
+
 def test_verify_fails_an_unknown_kind():
     assert verify_payload({"kind": "cover_witnes", "schema_version": "2"}) == (
         False, ["unknown payload kind 'cover_witnes'"])
@@ -856,6 +920,26 @@ def test_cli_empty_set_exits_2(capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err == "precondition failed: an approximate subring is nonempty\n", err
+
+
+def test_growth_covering_of_empty_set_exits_2(tmp_path, capsys):
+    # an empty X covers no X_n: the covering run fails as `apx cover` with
+    # an empty base does, and a payload claiming null coverings fails
+    from apxring.cli import main
+    empty = ax.FiniteSet(ax.parse_ring("int"), [])
+    with pytest.raises(ax.UncoverableError, match="^base set is empty$"):
+        ax.growth_sequence(empty, 2, with_covering=True)
+    for argv in (["growth", "--ring", "int", "--set", "{}", "--covering"],
+                 ["cover", "--ring", "int", "--target", "{1}", "--base", "{}"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == "precondition failed: base set is empty\n"
+    out = tmp_path / "growth.json"
+    assert main(["growth", "--ring", "int", "--set", "{}", "--json",
+                 "--output", str(out)]) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert [e["size"] for e in payload["entries"]] == [0, 0, 0, 0]
+    assert verify_payload(dict(payload, covering=True)) == (
+        False, ["growth_profile does not rebuild: base set is empty"])
 
 
 def test_cli_verify_malformed_payload_exits_2(tmp_path, capsys):
