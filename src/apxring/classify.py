@@ -49,7 +49,6 @@ from .rings import (
     find_zero_divisor,
 )
 from .sets import (
-    DEFAULT_SET_CAP,
     FiniteSet,
     _grow,
     closure,
@@ -61,10 +60,10 @@ from .sets import (
 )
 
 
-def core_set(x, cap=DEFAULT_SET_CAP):
+def core_set(x):
     """4X + X·(4X), with 4X the four-fold sumset."""
-    four = iterated_sum(x, 4, cap)
-    return sumset(four, prodset(x, four, cap), cap)
+    four = iterated_sum(x, 4)
+    return sumset(four, prodset(x, four))
 
 
 def core_set_bruteforce(x):

@@ -17,12 +17,13 @@ C -> l·C + F; covers of sums of words accumulate left to right as
 (C_new + G) + F; the power-set step is F_{m+1} = (G_m + F) + F with G_m
 the union of the word-sum covers of the F_m terms.  Every sum is taken
 two sets at a time by one capped sum of value -> term dicts: a value
-keeps the first term found in canonical order, a sum over the cap
-raises, and the final witness is always re-verified — a verification
-failure here means an implementation bug and is surfaced, never
-corrected.  One fixed cap, INTERMEDIATE_CAP, holds every set the
-recursions build and the msum and core targets; the word and power-set
-targets keep the sets default.
+keeps the first term found in canonical order, and the final witness is
+always re-verified — a verification failure here means an
+implementation bug and is surfaced, never corrected.  The cap is the
+one every derived set meets, ``sets.SET_CAP``: each dict the recursions
+build passes ``sets._guard`` under the name of its stage ("word cover
+of length 3", "G_2", "F_3"), and the targets and sumsets are built by
+the ``sets`` kernels, which guard themselves.
 
 ``bound_formula_value`` reports the no-collapse size the recursion
 guarantees a priori (K per letter, products over summed words), which
@@ -35,18 +36,16 @@ from dataclasses import dataclass
 
 from .classify import core_set
 from .cover import cover_exact, make_witness
-from .errors import (BudgetExceededError, InvalidParamsError,
-                     VerificationFailedError)
+from .errors import InvalidParamsError, VerificationFailedError
 from .sets import (
     FiniteSet,
+    _guard,
     difference_set,
     iterated_sum,
     msum,
     power_products,
     sumset,
 )
-
-INTERMEDIATE_CAP = 2 ** 20
 
 
 def eval_term(ring, term):
@@ -103,16 +102,10 @@ class _Builder:
         self._word_memo = {}
         self._term_memo = {}
 
-    def _cap_check(self, d, what):
-        if len(d) > INTERMEDIATE_CAP:
-            raise BudgetExceededError(
-                f"{what} exceeded the intermediate cap {INTERMEDIATE_CAP}",
-                partial=FiniteSet(self.ring, d.keys()))
-
     def _plus(self, d, e, what):
         """d + e as a dict value -> term, a + b taking the term d[a] + e[b]:
         the first pair in canonical order wins.  BudgetExceededError
-        names ``what`` when it has more than INTERMEDIATE_CAP values."""
+        names ``what`` when it has more than SET_CAP values."""
         add = self.ring.add
         out = {}
         es = sorted(e, key=self.key)
@@ -121,8 +114,7 @@ class _Builder:
                 v = add(a, b)
                 if v not in out:
                     out[v] = d[a] + e[b]
-        self._cap_check(out, what)
-        return out
+        return _guard(self.ring, out, what)
 
     def word_cover(self, word):
         """Cover of (x_{k}···x_0)X: base F, step l·C + F.
@@ -184,7 +176,7 @@ class _Builder:
                 gm_count += cov_count
                 for v in sorted(cov, key=self.key):
                     gm.setdefault(v, cov[v])
-            self._cap_check(gm, f"G_{m}")
+            _guard(ring, gm, f"G_{m}")
             nxt = self._plus(self._plus(gm, self.f_cover, f"G_{m} + F"),
                              self.f_cover, f"F_{m + 1}")
             for v, t in nxt.items():
@@ -227,16 +219,13 @@ def msum_cover(m, cert):
     _require_ring_cert(cert)
     ring = cert.ring
     seq = _Builder(cert).f_sequence(m)
-    f_prime = set()
-    count_prime = 0
-    for d, count in seq:
-        f_prime |= d.keys()
-        count_prime += count
-    f_prime_set = FiniteSet(ring, f_prime)
-    translates = iterated_sum(f_prime_set, m, INTERMEDIATE_CAP)
+    f_prime_set = _guard(ring, FiniteSet(ring, (v for d, _ in seq for v in d)),
+                         f"F'_{m}")
+    count_prime = sum(count for _, count in seq)
+    translates = iterated_sum(f_prime_set, m)
     for _ in range(m - 1):
-        translates = sumset(translates, cert.witness_f, INTERMEDIATE_CAP)
-    target = msum(cert.x, m, INTERMEDIATE_CAP)
+        translates = sumset(translates, cert.witness_f)
+    target = msum(cert.x, m)
     count = count_prime ** m * cert.k ** (m - 1)
     return make_witness(target, cert.x, sorted(translates, key=ring.sort_key),
                         False, "constructive",
@@ -254,8 +243,8 @@ def k11_cover(cert):
     _require_ring_cert(cert)
     ring = cert.ring
     x = cert.x
-    s = iterated_sum(cert.witness_f, 11, INTERMEDIATE_CAP)
-    target = core_set(x, INTERMEDIATE_CAP)
+    s = iterated_sum(cert.witness_f, 11)
+    target = core_set(x)
     bound = cert.k ** 11
     if len(s) > bound:
         raise VerificationFailedError(

@@ -58,7 +58,8 @@ class UncoverableError(ApxError):
 
 
 class BudgetExceededError(ApxError):
-    """A derived set outgrew its cardinality cap; carries partial data."""
+    """A derived set outgrew ``sets.SET_CAP``; the message names the
+    stage that overran, and ``partial`` is the over-cap set (FiniteSet)."""
 
     def __init__(self, message, partial=None):
         super().__init__(message)
@@ -78,6 +79,7 @@ class ZeroDivisorError(ApxError):
 
 
 class InvalidParamsError(ApxError):
-    """Bad parameters: a gallery item's, m < 1, n < 0, an empty X (no
-    approximate subring), characteristic 0 for the subring search, or an
-    ideal inside no X_m up to the model check's depth."""
+    """Bad parameters: a gallery item's, m < 1, n < 0, a sweep's jobs < 1,
+    an empty X (no approximate subring), characteristic 0 for the
+    subring search, or an ideal inside no X_m up to the model check's
+    depth."""

@@ -1108,18 +1108,20 @@ def _escape(op, lefts, rights, inside):
 
 
 def _check_ideal(ring, within, ideal):
-    """NotAnIdealError, with ring elements as witness, unless the set
-    ``ideal`` inside the subring ``within`` holds 0, is closed under +
-    and absorbs products with ``within`` on both sides.  A finite set
-    closed under + is an additive subgroup: the multiples of each x
-    repeat, so −x is among them."""
+    """NotAnIdealError, with 0 or the least escaping pair in canonical
+    order as witness, unless the set ``ideal`` inside the subring
+    ``within`` (in canonical order) holds 0, is closed under + and absorbs
+    products with ``within`` on both sides.  A finite set closed under +
+    is an additive subgroup: the multiples of each x repeat, so −x is
+    among them."""
     zero = ring.zero()
     if zero not in ideal:
         raise NotAnIdealError("ideal does not contain 0", (zero,))
+    elems = sorted(ideal, key=ring.sort_key)
     for why, op, lefts, rights in (
-            ("not closed under addition", ring.add, ideal, ideal),
-            ("not absorbing on the left", ring.mul, within, ideal),
-            ("not absorbing on the right", ring.mul, ideal, within)):
+            ("not closed under addition", ring.add, elems, elems),
+            ("not absorbing on the left", ring.mul, within, elems),
+            ("not absorbing on the right", ring.mul, elems, within)):
         pair = _escape(op, lefts, rights, ideal)
         if pair is not None:
             raise NotAnIdealError(

@@ -29,9 +29,11 @@ and F_p[t].  A sumset runs one of three kernels:
 A product set runs the packed-digit kernel on F_p[t] and ``ring.mul`` on
 every pair elsewhere.
 
-Every derived set but the closure, which stays inside its finite ring,
-respects a cardinality cap; exceeding it raises the typed
-BudgetExceededError so parameter sweeps can skip rather than die.
+One cap, SET_CAP, bounds every derived set but the closure (which stays
+inside its finite ring): each kernel here and each value -> term dict of
+``constructive`` passes ``_guard``, whose BudgetExceededError names the
+stage that overran, so sweeps and ``apx`` exit 3 rather than run out of
+memory (a frozenset of 2^21 ints takes about 135 MB on 64-bit CPython).
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .rings import (
     check_same_ring,
 )
 
-DEFAULT_SET_CAP = 2 ** 24    # cardinality cap for derived sets
+SET_CAP = 2 ** 20    # cardinality cap for every derived set
 
 
 class FiniteSet:
@@ -125,12 +127,13 @@ def load_set_file(ring, path):
     return FiniteSet(ring, elems)
 
 
-def _guard(out, cap):
-    """The derived set ``out``, or BudgetExceededError when it has more
-    than ``cap`` elements."""
-    if len(out) > cap:
-        raise BudgetExceededError(
-            f"derived set exceeded cap {cap}", partial=out)
+def _guard(ring, out, what):
+    """``out``, a sized collection of elements of ``ring``, or
+    BudgetExceededError naming ``what`` when it has more than SET_CAP
+    elements; the error's ``partial`` is FiniteSet(ring, out)."""
+    if len(out) > SET_CAP:
+        raise BudgetExceededError(f"{what} exceeded cap {SET_CAP}",
+                                  partial=FiniteSet(ring, out))
     return out
 
 
@@ -235,7 +238,7 @@ def _prodset_poly(a, b):
     return _unpacked({u * v for u in xs for v in ys}, w, p)
 
 
-def sumset(a, b, cap=DEFAULT_SET_CAP):
+def sumset(a, b):
     """{x + y : x in a, y in b}."""
     check_same_ring(a.ring, b.ring)
     if len(a) > len(b):
@@ -250,20 +253,21 @@ def sumset(a, b, cap=DEFAULT_SET_CAP):
         out = _sumset_poly(a, b)
     if out is None:
         out = _sumset_sparse(a, b)
-    return _guard(FiniteSet(ring, out), cap)
+    return _guard(ring, FiniteSet(ring, out), "sumset")
 
 
-def prodset(a, b, cap=DEFAULT_SET_CAP):
+def prodset(a, b):
     """{x * y : x in a, y in b}."""
     check_same_ring(a.ring, b.ring)
     ring = a.ring
     if isinstance(ring, LazyPolyRing):
-        return _guard(FiniteSet(ring, _prodset_poly(a, b)), cap)
-    out = set()
-    for x in a.elements():
-        for y in b.elements():
-            out.add(ring.mul(x, y))
-    return _guard(FiniteSet(ring, out), cap)
+        out = _prodset_poly(a, b)
+    else:
+        out = set()
+        for x in a.elements():
+            for y in b.elements():
+                out.add(ring.mul(x, y))
+    return _guard(ring, FiniteSet(ring, out), "product set")
 
 
 def negate(a):
@@ -303,7 +307,7 @@ class GrowthEntry:
     xset: FiniteSet
     size: int
     covering: int | None = None        # translates of the base covering X_n
-    covering_method: str | None = None # "exact" | "greedy"
+    covering_method: str | None = None # "exact" (optimal) | "greedy" (bound)
 
 
 @dataclass(frozen=True)
@@ -332,9 +336,10 @@ def growth_sequence(x, n_max, with_covering=False):
     for n_max < 0.
 
     With ``with_covering``, each entry carries the number of additive
-    translates of ``x`` covering it: exact for targets up to
-    2048 elements, a greedy upper bound beyond that (method recorded).
-    An empty x covers nothing: UncoverableError, from the cover layer.
+    translates of ``x`` covering it, "exact" when proven optimal and
+    "greedy" when an upper bound: the greedy cover of a target above
+    2048 elements, or an exact search stopped at its node limit.  An
+    empty x covers nothing: UncoverableError, from the cover layer.
     """
     if n_max < 0:
         raise InvalidParamsError("n must be >= 0")
@@ -353,7 +358,7 @@ def growth_sequence(x, n_max, with_covering=False):
     return GrowthProfile(x, tuple(entries), with_covering)
 
 
-def power_products(x, m, cap=DEFAULT_SET_CAP):
+def power_products(x, m):
     """(X^m, X^{<=m}): products of exactly / at most m elements.
 
     Associativity makes parenthesization irrelevant, so X^{k+1} is
@@ -363,27 +368,24 @@ def power_products(x, m, cap=DEFAULT_SET_CAP):
         raise InvalidParamsError("m must be >= 1")
     powers = [x]
     for _ in range(m - 1):
-        powers.append(prodset(powers[-1], x, cap))
-    acc = set()
-    for pw in powers:
-        acc |= pw.elements()
-    return powers[-1], _guard(FiniteSet(x.ring, acc), cap)
+        powers.append(prodset(powers[-1], x))
+    up_to = FiniteSet(x.ring, chain.from_iterable(p.elements() for p in powers))
+    return powers[-1], _guard(x.ring, up_to, f"X^<={m}")
 
 
-def iterated_sum(a, m, cap=DEFAULT_SET_CAP):
+def iterated_sum(a, m):
     """m-fold sumset a + a + ... + a."""
     if m < 1:
         raise InvalidParamsError("m must be >= 1")
     out = a
     for _ in range(m - 1):
-        out = sumset(out, a, cap)
+        out = sumset(out, a)
     return out
 
 
-def msum(x, m, cap=DEFAULT_SET_CAP):
+def msum(x, m):
     """m(X^{<=m}): sums of m elements, each a product of at most m."""
-    _, up_to = power_products(x, m, cap)
-    return iterated_sum(up_to, m, cap)
+    return iterated_sum(power_products(x, m)[1], m)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 from .classify import nzd_classify, pos_char_search
 from .cover import approx_constant
-from .errors import ApxError, BudgetExceededError, ParseError
+from .errors import (ApxError, BudgetExceededError, InvalidParamsError,
+                     ParseError)
 from .rings import _split_top_level, parse_ring
 from .sets import FiniteSet
 
@@ -103,9 +104,10 @@ class SweepSpec:
         for key, fixed, read in _FIXED:
             if value(key, read(fixed), read) != read(fixed):
                 raise ParseError(f"schema {SCHEMA_VERSION} fixes {key} = {fixed}")
-        for key in ("max_size", "instances_per_ring"):
-            if value(key, 1) < 1:
-                raise ParseError(f"{key} = {kv[key]} is below 1")
+        for key, least in (("max_size", 1), ("instances_per_ring", 1),
+                           ("small_threshold", -1)):
+            if value(key, least) < least:
+                raise ParseError(f"{key} = {kv[key]} is below {least}")
         rings = tuple(_split_top_level(kv.get("rings", "")))
         return cls(
             mode=mode,
@@ -316,7 +318,10 @@ class SweepReport:
 
 
 def run_sweep(spec, jobs=1):
-    """Run every instance of the family; never aborts on row errors."""
+    """Run every instance of the family on ``jobs`` >= 1 processes (one:
+    in this one); never aborts on row errors."""
+    if jobs < 1:
+        raise InvalidParamsError(f"jobs = {jobs} is below 1")
     rings = {dsl: parse_ring(dsl) for dsl in spec.rings}
     inputs = [(i, dsl, tuple(map(rings[dsl].render, elems)),
                spec.mode, spec.small_threshold)

@@ -575,3 +575,24 @@ def test_y_set_constants_strictly_increase():
         ks.append(cert.k)
     assert ks == sorted(ks) and ks[0] < ks[1]
     assert ks[0] == 2                          # pinned oracle regression value
+
+
+def test_reduction_mod_n_maps_core_and_bounds_constant():
+    # φ: Z -> Z/nZ is a ring map, so φ(4X + X·4X) = 4φX + φX·4φX; and
+    # φF + φX covers φX·φX ∪ (φX + φX) when F + X covers X·X ∪ (X + X),
+    # so a minimal K(φX) is at most K(X)
+    z = ax.parse_ring("int")
+    for bits in range(16):
+        half = [v for v in range(1, 5) if bits >> (v - 1) & 1]
+        x = FiniteSet(z, [0, *half, *(-v for v in half)])
+        core, k = ax.core_set(x), ax.approx_constant(x).k
+        for n in (5, 6, 7, 8, 9, 12):
+            zn = ax.modular(n)
+
+            def phi(s):
+                return FiniteSet(zn, (v % n for v in s.elements()))
+
+            assert ax.core_set(phi(x)) == phi(core), (sorted(x), n)
+            cert = ax.approx_constant(phi(x))
+            if cert.minimal:
+                assert cert.k <= k, (sorted(x), n)

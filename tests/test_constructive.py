@@ -1,11 +1,13 @@
 """Constructive covers: word products, power sets, m(X^{<=m}), K^11."""
 
+import re
+
 import pytest
 
 import apxring as ax
 from apxring.constructive import _Builder, eval_term
 from apxring.cover import ApproxCertificate, first_uncovered
-from apxring.errors import VerificationFailedError
+from apxring.errors import BudgetExceededError, VerificationFailedError
 from apxring.sets import FiniteSet
 
 from corpus import certified_corpus
@@ -167,3 +169,37 @@ def test_growth_covering_reported_on_corpus_prefix():
         prof = ax.growth_sequence(x, 3, with_covering=True)
         for e in prof.entries:
             assert e.covering is not None and e.covering >= 1, name
+
+
+def test_budget_overrun_names_its_stage(monkeypatch, capsys):
+    # every dict and set the recursions build meets the one cap,
+    # sets.SET_CAP, and the error names the stage that overran
+    import apxring.sets as sets_mod
+    from apxring.cli import main
+
+    def overruns(build, cap, stage):
+        monkeypatch.setattr(sets_mod, "SET_CAP", cap)
+        with pytest.raises(BudgetExceededError,
+                           match=f"^{re.escape(stage)} exceeded cap {cap}$") as info:
+            build()
+        partial = info.value.partial
+        assert isinstance(partial, FiniteSet) and len(partial) > cap
+
+    interval = interval_cert()                        # X = {-1,0,1}, F = {-1,1}
+    window = ax.approx_constant(ax.parse_set(ax.modular(12), "{0,1,11}"))
+    wide = ax.approx_constant(FiniteSet(Z, range(-2, 3)))  # F = {-2,2}
+    for cert, cap, stage in ((interval, 5, "word-sum cover"),
+                             (interval, 6, "G_2 + F"), (interval, 7, "F_3"),
+                             (window, 5, "G_2")):
+        overruns(lambda: ax.msum_cover(3, cert), cap, stage)
+        overruns(lambda: ax.bound_table(cert, 3), cap, stage)
+    # 2·(2·F + F) + F has 8 elements, 2·F + F has 4
+    overruns(lambda: _Builder(wide).word_cover((2, 2, 2)), 4,
+             "word cover of length 3")
+    # S_11 has 12 elements and X·4X has 25; for {-1,0,1}, 4X + X·4X has 17
+    overruns(lambda: ax.k11_cover(wide), 17, "product set")
+    overruns(lambda: ax.k11_cover(interval), 12, "sumset")
+    monkeypatch.setattr(sets_mod, "SET_CAP", 17)
+    assert main(["k11", "--ring", "int", "--set", "{-2,-1,0,1,2}"]) == 3
+    assert capsys.readouterr().err == (
+        "budget exceeded: product set exceeded cap 17\n")

@@ -364,6 +364,39 @@ def test_quotient_examples():
             assert proj1(r6.mul(x, y)) == q1.mul(proj1(x), proj1(y))
 
 
+def test_ideal_witness_is_least_pair_in_canonical_order():
+    # {0,3,11} in Z/16: (3,3) is the least pair whose sum, 6, escapes
+    with pytest.raises(NotAnIdealError,
+                       match=r"not closed under addition at \(3,3\)$") as info:
+        ax.quotient_ring(ax.modular(16), [0, 3, 11])
+    assert info.value.witness == (3, 3)
+    rng = random.Random(32)
+    for dsl in ("zmod:16", "zmod:24", "zmod:36", "mat:2:zmod:2",
+                "polyquo:2:t^4", "prod:(zmod:2,zmod:8)"):
+        r = ax.parse_ring(dsl)
+        elems = list(r.elements())
+
+        def least(ideal):
+            for op, lefts, rights in ((r.add, ideal, ideal), (r.mul, elems, ideal),
+                                      (r.mul, ideal, elems)):
+                bad = [(a, b) for a in lefts for b in rights
+                       if op(a, b) not in ideal]
+                if bad:
+                    return min(bad, key=lambda p: (r.sort_key(p[0]),
+                                                   r.sort_key(p[1])))
+            return None
+
+        for _ in range(40):
+            ideal = {r.zero(), *rng.sample(elems[1:], rng.randrange(1, 6))}
+            pair = least(ideal)
+            if pair is None:
+                ax.quotient_ring(r, ideal)
+                continue
+            with pytest.raises(NotAnIdealError) as info:
+                ax.quotient_ring(r, ideal)
+            assert info.value.witness == pair, (dsl, sorted(ideal))
+
+
 def test_quotient_projection_homomorphism_exhaustive():
     r = ax.parse_ring("polyquo:2:t^2")             # F_2[t]/t^2
     ideal = _elems(r, "0", "t")                    # (t)

@@ -222,19 +222,29 @@ def test_closure_cost():
     assert len(r) == 10007
 
 
-def test_budget_exceeded_typed():
+def test_budget_exceeded_typed(monkeypatch):
+    # one cap, sets.SET_CAP, read by every kernel when it runs
+    import apxring.sets as sets_mod
     m199 = ax.modular(199)
     gf9 = ax.parse_ring("gf:3^2:t^2+1")
     f5t = ax.parse_ring("poly:5")
     cases = [(iset(-300, 300), 100),                      # Z offset-mask kernel
              (FiniteSet(m199, range(100)), 10),           # Z/nZ offset mask and fold
              (FiniteSet(gf9, gf9.elements()), 5),         # hashed pairs
-             (FiniteSet(f5t, (f5t.parse(f"t^{i}") for i in range(10))), 20)]  # hashed pairs
+             (FiniteSet(f5t, (f5t.parse(f"t^{i}") for i in range(10))), 20)]  # F_p[t]
     for a, cap in cases:
-        with pytest.raises(BudgetExceededError) as exc:
-            ax.sumset(a, a, cap=cap)
-        assert len(exc.value.partial) > cap
-        assert len(ax.sumset(a, a, cap=len(exc.value.partial))) == len(exc.value.partial)
+        full = FiniteSet(a.ring, _sumset_sparse(a, a))
+        monkeypatch.setattr(sets_mod, "SET_CAP", cap)
+        with pytest.raises(BudgetExceededError,
+                           match=f"^sumset exceeded cap {cap}$") as exc:
+            ax.sumset(a, a)
+        assert len(exc.value.partial) > cap and exc.value.partial == full
+        # one element over the cap raises; at the cap the sum passes
+        monkeypatch.setattr(sets_mod, "SET_CAP", len(full) - 1)
+        with pytest.raises(BudgetExceededError):
+            ax.sumset(a, a)
+        monkeypatch.setattr(sets_mod, "SET_CAP", len(full))
+        assert ax.sumset(a, a) == full
 
 
 def test_mask_kernel_agrees_with_pairs():

@@ -15,7 +15,7 @@ import pytest
 
 import apxring as ax
 from apxring.classify import GALLERY_NAMES
-from apxring.errors import ParseError
+from apxring.errors import InvalidParamsError, ParseError
 from apxring.serialize import verify_payload
 from apxring.sweep import SweepReport, SweepSpec, generate_instances, run_sweep
 
@@ -90,7 +90,9 @@ def test_spec_rejects_other_values_of_fixed_keys(key, value, tmp_path, capsys):
     (spec_text() + "max_size = 3\n", "repeated key 'max_size'"),
     (spec_text(max_size=-2), "max_size = -2 is below 1"),
     (spec_text(instances_per_ring=-3), "instances_per_ring = -3 is below 1"),
-], ids=["unknown", "repeated", "max_size", "instances_per_ring"])
+    (spec_text(small_threshold=-7), "small_threshold = -7 is below -1"),
+], ids=["unknown", "repeated", "max_size", "instances_per_ring",
+        "small_threshold"])
 def test_spec_rejects_unknown_repeated_and_out_of_range_keys(text, why, tmp_path,
                                                              capsys):
     # each used to parse: a misspelt key was skipped, the last of two
@@ -103,6 +105,18 @@ def test_spec_rejects_unknown_repeated_and_out_of_range_keys(text, why, tmp_path
     assert main(["sweep", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "precondition failed:" in err and why in err
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_sweep_rejects_jobs_below_1(jobs, tmp_path, capsys):
+    from apxring.cli import main
+    with pytest.raises(InvalidParamsError, match=f"^jobs = {jobs} is below 1$"):
+        run_sweep(SweepSpec.parse(spec_text()), jobs=jobs)
+    cfg = tmp_path / "ok.cfg"
+    cfg.write_text(spec_text())
+    assert main(["sweep", "--config", str(cfg), "--jobs", str(jobs)]) == 2
+    assert capsys.readouterr().err == (
+        f"precondition failed: jobs = {jobs} is below 1\n")
 
 
 def test_spec_product_ring():
@@ -481,6 +495,15 @@ def test_cli_model():
     assert code == 0
     assert "max constant 3 = cosets of I meeting X" in out
     assert "constants (3, 1) (exact)" in out and "subsets" not in out
+
+
+def test_cli_model_names_least_escaping_pair(capsys):
+    # the ideal check names the least escaping pair in canonical order
+    from apxring.cli import main
+    assert main(["model", "--ring", "zmod:16", "--set", "{0,1,15}",
+                 "--ideal", "{0,3,11}"]) == 2
+    assert capsys.readouterr().err == (
+        "precondition failed: not closed under addition at (3,3)\n")
 
 
 def test_cli_classify():
