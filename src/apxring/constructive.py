@@ -105,7 +105,7 @@ class _Builder:
     def _plus(self, d, e, what):
         """d + e as a dict value -> term, a + b taking the term d[a] + e[b]:
         the first pair in canonical order wins.  BudgetExceededError
-        names ``what`` when it has more than SET_CAP values."""
+        names ``what`` once the values pass SET_CAP, checked after each a."""
         add = self.ring.add
         out = {}
         es = sorted(e, key=self.key)
@@ -114,7 +114,8 @@ class _Builder:
                 v = add(a, b)
                 if v not in out:
                     out[v] = d[a] + e[b]
-        return _guard(self.ring, out, what)
+            _guard(self.ring, out, what)
+        return out
 
     def word_cover(self, word):
         """Cover of (x_{k}···x_0)X: base F, step l·C + F.

@@ -71,6 +71,7 @@ from .sets import (
 )
 
 DEFAULT_NODE_LIMIT = 10 ** 6
+DEPTH_LIMIT = 500            # translates the recursive search can choose
 
 
 @dataclass(frozen=True)
@@ -243,7 +244,9 @@ def cover_exact(a, b, node_limit=DEFAULT_NODE_LIMIT):
     the search starts from that translate.
 
     Returns an optimal witness, or the best incumbent flagged non-optimal
-    when the node limit is hit before the bound is met.  The witness
+    when the node limit is hit before the bound is met, or unsearched
+    (``stats["depth_limit_hit"]``) when it has over ``DEPTH_LIMIT``
+    translates, too deep for the recursive search.  The witness
     carries the bound's integer weights as ``lower_bound`` and its value
     as ``stats["lower_bound"]``.  ``stats["nodes"]`` counts the dive's
     path, one node per translate, plus the nodes of the search; the
@@ -304,7 +307,8 @@ def cover_exact(a, b, node_limit=DEFAULT_NODE_LIMIT):
             dfs(covered | masks[r], chosen, at + 1)
             chosen.pop()
 
-    if floor < cutoff:
+    too_deep = floor < cutoff and cutoff > DEPTH_LIMIT
+    if floor < cutoff and not too_deep:
         stall_at = n_targets * len(set(masks))
         order = sorted(range(n_targets), key=lambda e: (len(coverers[e]), e))
         ring = a.ring
@@ -319,10 +323,11 @@ def cover_exact(a, b, node_limit=DEFAULT_NODE_LIMIT):
     dfs = None
     chosen_elems = sorted((pool[r] for r in best), key=a.ring.sort_key)
     stats = {"nodes": dived + nodes, "elapsed": time.perf_counter() - t0,
-             "node_limit_hit": hit_limit, "lower_bound": floor}
+             "node_limit_hit": hit_limit, "depth_limit_hit": too_deep,
+             "lower_bound": floor}
     weights = {targets[e]: w for e, w in enumerate(bound[1]) if w}
-    return make_witness(a, b, chosen_elems, not hit_limit or cutoff <= floor,
-                        "exact", stats, (weights, bound[2]))
+    return make_witness(a, b, chosen_elems, cutoff <= floor or not (
+        hit_limit or too_deep), "exact", stats, (weights, bound[2]))
 
 
 def _dive(coverers, masks, full):

@@ -36,16 +36,20 @@ t with ^ for powers and integer coefficients ("t^2+2t+1"); matrices as
 for table rings.
 
 Tuple codes never leave this module.  A polyquo, gf, mat or prod ring
-(``_TupleRing``) reads an index as a coefficient tuple, a tuple of
-matrix entries or a tuple of factor elements only in its raw arithmetic,
-``_build_tables``, ``parse`` and ``render``.  With at most
-``TABLE_LIMIT`` (256) elements it builds add, neg and mul tables once
-per descriptor in the process, from the raw arithmetic on an additive
-generating set only, and runs the table ops table rings run: one
-guarded lookup in a ``bytes`` row.  Above the limit an op decodes its
-operands, runs the raw op and encodes the result.  256 is fixed, not a
-setting: every index fits in a byte, and at 256 elements the build
-takes 10-16 ms on a 2-vCPU host.
+(``_TupleRing``) is, as an additive group, the product of its ``parts``:
+d copies of Z/pZ, d^2 copies of the matrix entries' ring, or the
+factors.  Its index is a mixed-radix number over the parts'
+cardinalities, most significant first, and the digits are its code: the
+coefficients from t^(d-1) down, the entries row by row, or the factor
+elements.  One codec and one coordinatewise addition serve all four;
+codes appear only in the raw arithmetic, ``_build_tables``, ``parse``
+and ``render``.  With at most ``TABLE_LIMIT`` (256) elements the ring
+builds add, neg and mul tables once per descriptor in the process, from
+the raw arithmetic on an additive generating set only, and runs the
+table ops table rings run: one guarded lookup in a ``bytes`` row.  Above
+the limit an op decodes its operands, runs the raw op and encodes the
+result.  256 is fixed, not a setting: every index fits in a byte, and at
+256 elements the build takes 10-16 ms on a 2-vCPU host.
 
 Handles are immutable after construction and all operations are pure,
 so they are safe for unrestricted concurrent use.  Two threads building
@@ -57,6 +61,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 import struct
 
@@ -104,15 +109,6 @@ def _poly_trim(coeffs):
     return tuple(c)
 
 
-def _poly_add(a, b, p):
-    pairs = itertools.zip_longest(a, b, fillvalue=0)
-    return _poly_trim([(u + v) % p for u, v in pairs])
-
-
-def _poly_neg(a, p):
-    return _poly_trim((-v) % p for v in a)
-
-
 def _poly_mul(a, b, p):
     if not a or not b:
         return ()
@@ -142,8 +138,6 @@ def _poly_divmod(a, modulus, p):
 
 
 def _poly_render(coeffs):
-    if not coeffs:
-        return "0"
     terms = []
     for e in range(len(coeffs) - 1, -1, -1):
         c = coeffs[e]
@@ -155,7 +149,7 @@ def _poly_render(coeffs):
             terms.append(f"{c}t" if c != 1 else "t")
         else:
             terms.append(f"{c}t^{e}" if c != 1 else f"t^{e}")
-    return "+".join(terms)
+    return "+".join(terms) or "0"
 
 
 _TERM_RE = re.compile(r"([+-]?)\s*(\d+)?\s*(t(?:\^(\d+))?)?")
@@ -461,26 +455,55 @@ class IntegerRing(Ring):
 
 
 class _TupleRing(_RangeRing):
-    """A finite ring whose elements have tuple codes inside this module.
+    """A finite ring that is, as an additive group, the product of its
+    ``parts``: smaller finite rings, the most significant first.
 
-    Subclasses define ``_decode`` (index -> code), ``_encode`` (code ->
-    index) and the raw arithmetic on codes (``_add_raw``, ``_neg_raw``,
-    ``_mul_raw``), and call ``_tabulate`` once their descriptor is set.
-    With at most ``TABLE_LIMIT`` elements the ring runs on tables, shared
-    by descriptor, the identity ``Ring.__eq__`` already uses; above it an
-    op decodes its operands (``_code``, which checks them), runs the raw
-    op and encodes the result.  ``add``, ``neg`` and ``mul`` are
-    ``_RangeRing``'s on both paths, so wrapping them on the class sees
-    every call.
+    An element's code is its tuple of coordinates, one element of each
+    part, and its index reads them as a mixed-radix number over the
+    parts' cardinalities, so the zero tuple sits at index 0.  Addition
+    and negation run coordinate by coordinate through each part's
+    ``add`` and ``neg``; the cardinality and characteristic are the
+    parts' product and lcm.  Subclasses pass a descriptor and their
+    parts to ``__init__`` and define only the raw product ``_mul_raw``
+    on codes, ``parse`` and ``render``.  With at most ``TABLE_LIMIT``
+    elements the ring runs on tables, shared by descriptor, the identity
+    ``Ring.__eq__`` already uses; above it an op decodes its operands
+    (``_code``, which checks them), runs the raw op and encodes the
+    result.  ``add``, ``neg`` and ``mul`` are ``_RangeRing``'s on both
+    paths, so wrapping them on the class sees every call.
     """
 
-    def _tabulate(self):
-        if self.cardinality > TABLE_LIMIT:
-            return
-        tables = _TABLES.get(self.descriptor)
-        if tables is None:
-            tables = _TABLES.setdefault(self.descriptor, _build_tables(self))
-        self.add_table, self.neg_table, self.mul_table = tables
+    def __init__(self, descriptor, parts):
+        self.descriptor = descriptor
+        self.parts = tuple(parts)
+        places, size = [], 1             # each coordinate's place value
+        for f in reversed(self.parts):
+            places.append(size)
+            size *= f.cardinality
+        self._places = tuple(reversed(places))
+        self.cardinality = size
+        self.characteristic = math.lcm(*(f.characteristic for f in self.parts))
+        if self.cardinality <= TABLE_LIMIT:
+            tables = _TABLES.get(descriptor)
+            if tables is None:
+                tables = _TABLES.setdefault(descriptor, _build_tables(self))
+            self.add_table, self.neg_table, self.mul_table = tables
+
+    def _decode(self, i):
+        code = []
+        for w in self._places:
+            c, i = divmod(i, w)
+            code.append(c)
+        return tuple(code)
+
+    def _encode(self, code):
+        return sum(map(operator.mul, code, self._places))
+
+    def _add_raw(self, x, y):
+        return tuple([f.add(u, v) for f, u, v in zip(self.parts, x, y)])
+
+    def _neg_raw(self, x):
+        return tuple([f.neg(u) for f, u in zip(self.parts, x)])
 
     def _code(self, x):
         return self._decode(self.index_of(x))
@@ -489,11 +512,11 @@ class _TupleRing(_RangeRing):
 class PolyQuotientRing(_TupleRing):
     """F_p[t] / (m(t)) for a monic modulus m of degree d >= 1.
 
-    Codes are coefficient tuples of length < d (lowest degree first,
-    trimmed).  The index reads the coefficients as a base-p number with
-    the degree-(d-1) coefficient most significant, so the order is
-    lexicographic on (c_{d-1}, ..., c_0) and zero comes first.  Tables up
-    to ``TABLE_LIMIT`` elements (see ``_TupleRing``).
+    Parts: d copies of Z/pZ, the coefficient of t^(d-1) first, so the
+    index is the base-p number c_{d-1}...c_0 and the order is
+    lexicographic on (c_{d-1}, ..., c_0).  ``_poly`` turns a code into
+    a coefficient tuple, lowest degree first and zeros left on top, and
+    ``_unpoly`` a trimmed one back.
     """
 
     def __init__(self, p, modulus):
@@ -508,10 +531,7 @@ class PolyQuotientRing(_TupleRing):
         self.modulus = modulus
         self.degree = len(modulus) - 1
         self._validate()
-        self.descriptor = self._describe()
-        self.cardinality = p ** self.degree
-        self.characteristic = p
-        self._tabulate()
+        super().__init__(self._describe(), [ModularRing(p)] * self.degree)
 
     def _validate(self):
         pass
@@ -519,34 +539,22 @@ class PolyQuotientRing(_TupleRing):
     def _describe(self):
         return f"polyquo:{self.p}:{_poly_render(self.modulus)}"
 
-    def _add_raw(self, x, y):
-        return _poly_add(x, y, self.p)
+    def _poly(self, code):
+        return code[::-1]
 
-    def _neg_raw(self, x):
-        return _poly_neg(x, self.p)
+    def _unpoly(self, coeffs):
+        return (0,) * (self.degree - len(coeffs)) + coeffs[::-1]
 
     def _mul_raw(self, x, y):
-        return _poly_divmod(_poly_mul(x, y, self.p), self.modulus, self.p)[1]
-
-    def _decode(self, i):
-        coeffs = []
-        while i:                     # the last digit taken is nonzero
-            i, c = divmod(i, self.p)
-            coeffs.append(c)
-        return tuple(coeffs)
-
-    def _encode(self, code):
-        i = 0
-        for c in reversed(code):
-            i = i * self.p + c
-        return i
+        prod = _poly_mul(self._poly(x), self._poly(y), self.p)
+        return self._unpoly(_poly_divmod(prod, self.modulus, self.p)[1])
 
     def parse(self, text):
         coeffs = _poly_parse(text, self.p)
-        return self._encode(_poly_divmod(coeffs, self.modulus, self.p)[1])
+        return self._encode(self._unpoly(_poly_divmod(coeffs, self.modulus, self.p)[1]))
 
     def render(self, x):
-        return _poly_render(self._decode(x))
+        return _poly_render(self._poly(self._decode(x)))
 
 
 class GaloisField(PolyQuotientRing):
@@ -582,10 +590,12 @@ class LazyPolyRing(Ring):
         self.characteristic = p
 
     def add(self, x, y):
-        return _poly_add(x, y, self.p)
+        p, pairs = self.p, itertools.zip_longest(x, y, fillvalue=0)
+        return _poly_trim([(u + v) % p for u, v in pairs])
 
     def neg(self, x):
-        return _poly_neg(x, self.p)
+        p = self.p
+        return _poly_trim([(-v) % p for v in x])
 
     def mul(self, x, y):
         return _poly_mul(x, y, self.p)
@@ -617,11 +627,9 @@ class LazyPolyRing(Ring):
 class MatrixRing(_TupleRing):
     """d x d matrices over a finite base ring.
 
-    Codes are tuples of the d^2 entries, base elements row by row.  The
-    index is mixed-radix over them, entry (0,0) most significant, so the
-    zero matrix sits at index 0.  Tables up to ``TABLE_LIMIT`` elements
-    (see ``_TupleRing``); the raw arithmetic they are built from runs on
-    the base ring's operations.
+    Parts: d^2 copies of the base ring, the entries row by row, so entry
+    (0,0) is most significant.  The raw product runs on the base ring's
+    operations.
     """
 
     def __init__(self, base, d):
@@ -631,16 +639,7 @@ class MatrixRing(_TupleRing):
             raise RingConstructionError("matrix base ring must be finite")
         self.base = base
         self.d = d
-        self.descriptor = f"mat:{d}:{base.descriptor}"
-        self.cardinality = base.cardinality ** (d * d)
-        self.characteristic = base.characteristic
-        self._tabulate()
-
-    def _add_raw(self, x, y):
-        return tuple(map(self.base.add, x, y))
-
-    def _neg_raw(self, x):
-        return tuple(map(self.base.neg, x))
+        super().__init__(f"mat:{d}:{base.descriptor}", [base] * (d * d))
 
     def _mul_raw(self, x, y):
         b, d = self.base, self.d
@@ -652,21 +651,6 @@ class MatrixRing(_TupleRing):
                     acc = b.add(acc, b.mul(x[i + k], y[k * d + j]))
                 out.append(acc)
         return tuple(out)
-
-    def _decode(self, i):
-        n = self.base.cardinality
-        cells = []
-        for _ in range(self.d * self.d):
-            i, c = divmod(i, n)
-            cells.append(c)
-        return tuple(reversed(cells))
-
-    def _encode(self, code):
-        n = self.base.cardinality
-        i = 0
-        for cell in code:
-            i = i * n + cell
-        return i
 
     def parse(self, text):
         rows = [_split_enclosed(row, "[]") for row in _split_enclosed(text, "[]")]
@@ -683,12 +667,8 @@ class MatrixRing(_TupleRing):
 
 
 class ProductRing(_TupleRing):
-    """Finite product of finite rings; componentwise operations.
-
-    Codes are tuples of factor elements.  The index is mixed-radix over
-    them with the first factor most significant, so (0, 0, ..., 0) comes
-    first.  Tables up to ``TABLE_LIMIT`` elements (see ``_TupleRing``).
-    """
+    """Finite product of finite rings, its factors the parts, with
+    componentwise operations."""
 
     def __init__(self, factors):
         factors = tuple(factors)
@@ -696,42 +676,20 @@ class ProductRing(_TupleRing):
             raise RingConstructionError("product of zero rings")
         if any(not f.is_finite for f in factors):
             raise RingConstructionError("product factors must be finite")
-        self.factors = factors
-        self.descriptor = "prod:(" + ",".join(f.descriptor for f in factors) + ")"
-        self.cardinality = math.prod(f.cardinality for f in factors)
-        self.characteristic = math.lcm(*(f.characteristic for f in factors))
-        self._tabulate()
-
-    def _add_raw(self, x, y):
-        return tuple(f.add(u, v) for f, u, v in zip(self.factors, x, y))
-
-    def _neg_raw(self, x):
-        return tuple(f.neg(u) for f, u in zip(self.factors, x))
+        super().__init__(
+            "prod:(" + ",".join(f.descriptor for f in factors) + ")", factors)
 
     def _mul_raw(self, x, y):
-        return tuple(f.mul(u, v) for f, u, v in zip(self.factors, x, y))
-
-    def _decode(self, i):
-        coords = []
-        for f in reversed(self.factors):
-            i, u = divmod(i, f.cardinality)
-            coords.append(u)
-        return tuple(reversed(coords))
-
-    def _encode(self, code):
-        i = 0
-        for f, u in zip(self.factors, code):
-            i = i * f.cardinality + u
-        return i
+        return tuple(f.mul(u, v) for f, u, v in zip(self.parts, x, y))
 
     def parse(self, text):
-        parts = _split_enclosed(text, "()")
-        if len(parts) != len(self.factors):
-            raise ParseError(f"expected {len(self.factors)} coordinates", text, 0)
-        return self._encode(f.parse(p) for f, p in zip(self.factors, parts))
+        coords = _split_enclosed(text, "()")
+        if len(coords) != len(self.parts):
+            raise ParseError(f"expected {len(self.parts)} coordinates", text, 0)
+        return self._encode(f.parse(c) for f, c in zip(self.parts, coords))
 
     def render(self, x):
-        coords = zip(self.factors, self._decode(x))
+        coords = zip(self.parts, self._decode(x))
         return "(" + ",".join(f.render(u) for f, u in coords) + ")"
 
 
@@ -903,7 +861,7 @@ def _build_tables(ring):
     the tables off pair by pair.
     """
     n = ring.cardinality
-    codes = [ring._decode(i) for i in range(n)]
+    codes = list(itertools.product(*(range(f.cardinality) for f in ring.parts)))
     encode = ring._encode
     add, mul = [None] * n, [None] * n
     add[0], mul[0] = bytes(range(n)), bytes(n)
@@ -1076,7 +1034,7 @@ def find_zero_divisor(ring):
         return None if q == ring.n else (q, ring.n // q)
     if isinstance(ring, PolyQuotientRing):
         pair = _poly_factor(ring.modulus, ring.p)
-        return pair and tuple(map(ring._encode, pair))
+        return pair and tuple(ring._encode(ring._unpoly(f)) for f in pair)
     if isinstance(ring, TableRing):
         return next(((a, b) for a, row in enumerate(ring.mul_table) if a
                      for b, ab in enumerate(row) if b and ab == 0), None)
@@ -1085,11 +1043,11 @@ def find_zero_divisor(ring):
             return find_zero_divisor(ring.base)
         e12 = ring._encode([0, 1] + [0] * (ring.d ** 2 - 2))   # row by row
         return e12, e12
-    big = [i for i, f in enumerate(ring.factors) if f.cardinality > 1]
+    big = [i for i, f in enumerate(ring.parts) if f.cardinality > 1]
     where = big[:2] if len(big) > 1 else big * 2
-    pair = (1, 1) if len(big) > 1 else find_zero_divisor(ring.factors[big[0]])
+    pair = (1, 1) if len(big) > 1 else find_zero_divisor(ring.parts[big[0]])
     return pair and tuple(
-        ring._encode([v if k == i else 0 for k in range(len(ring.factors))])
+        ring._encode([v if k == i else 0 for k in range(len(ring.parts))])
         for i, v in zip(where, pair))
 
 

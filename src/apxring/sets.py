@@ -23,7 +23,7 @@ and F_p[t].  A sumset runs one of three kernels:
   only the distinct results are unpacked.  Products use the same
   packing (Kronecker substitution) with digits wide enough for any
   coefficient of the product, reduced mod p while unpacking;
-- hashed pairs (every other ring, and the Z and Z/nZ case above):
+- hashed pairs (``_pairs``; every other ring, and the Z and Z/nZ case above):
   ``ring.add`` on every pair.
 
 A product set runs the packed-digit kernel on F_p[t] and ``ring.mul`` on
@@ -34,12 +34,16 @@ inside its finite ring): each kernel here and each value -> term dict of
 ``constructive`` passes ``_guard``, whose BudgetExceededError names the
 stage that overran, so sweeps and ``apx`` exit 3 rather than run out of
 memory (a frozenset of 2^21 ints takes about 135 MB on 64-bit CPython).
+The pair loops (``_pairs``, ``_packed_pairs``, ``_Builder._plus``) stop
+after the outer element that takes them past the cap, so ``partial``
+holds more than SET_CAP elements of the result and at most SET_CAP plus
+the inner operand's size; the offset mask decodes SET_CAP + 1 at most.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain, compress, islice
 
 from .errors import (BudgetExceededError, CrossRingError, InfiniteRingError,
                      InvalidParamsError, ParseError)
@@ -147,12 +151,15 @@ def _bits(m, lo=0):
     return compress(range(lo, lo + len(flags)), flags)
 
 
-def _sumset_sparse(a, b):
-    ring = a.ring
+def _pairs(op, xs, ys):
+    """{op(x, y) : x in xs, y in ys}, x outer, stopping after the first
+    x that takes the set past SET_CAP."""
     out = set()
-    for x in a.elements():
-        for y in b.elements():
-            out.add(ring.add(x, y))
+    for x in xs:
+        for y in ys:
+            out.add(op(x, y))
+        if len(out) > SET_CAP:
+            break
     return out
 
 
@@ -176,15 +183,18 @@ def _sumset_mask(a, b, n=None):
         out |= mask << (x - lo_a)
     lo = lo_a + lo_b
     if n is None:
-        return _bits(out, lo)
-    # Z/nZ: bit p stands for the residue of lo + p.  Bits p and p + n
-    # agree and p < 2n - 1, so one fold leaves only bits below n; from
-    # bit n - lo on, the residues wrap round to 0.
-    if out >> n:
-        out = out & ((1 << n) - 1) | out >> n
-    lo %= n
-    hi = out >> (n - lo)
-    return chain(_bits(out ^ hi << (n - lo), lo), _bits(hi))
+        elems = _bits(out, lo)
+    else:
+        # Z/nZ: bit p stands for the residue of lo + p.  Bits p and p + n
+        # agree and p < 2n - 1, so one fold leaves only bits below n;
+        # from bit n - lo on, the residues wrap round to 0.
+        if out >> n:
+            out = out & ((1 << n) - 1) | out >> n
+        lo %= n
+        hi = out >> (n - lo)
+        elems = chain(_bits(out ^ hi << (n - lo), lo), _bits(hi))
+    # one element past the cap is all _guard needs
+    return elems if out.bit_count() <= SET_CAP else islice(elems, SET_CAP + 1)
 
 
 def _packed(a, w):
@@ -213,6 +223,27 @@ def _unpacked(vs, w, p):
     return out
 
 
+def _packed_pairs(xs, ys, rows, reduce):
+    """``reduce`` (raw values -> the set of their results) of the set
+    ``rows(us)`` of raw values on us × ys, stopping like ``_pairs`` once
+    the results pass SET_CAP.  Each result has a raw value, so with at
+    most SET_CAP pairs, or until the distinct raw values pass the cap,
+    each is reduced once, at the end; after that, row by row."""
+    if len(xs) * len(ys) <= SET_CAP:
+        return reduce(rows(xs))
+    rest, raw = iter(xs), set()
+    for u in rest:
+        raw |= rows((u,))
+        if len(raw) > SET_CAP:
+            break
+    out = reduce(raw)
+    for u in rest if len(out) <= SET_CAP else ():
+        out |= reduce(rows((u,)))
+        if len(out) > SET_CAP:
+            break
+    return out
+
+
 def _sumset_poly(a, b):
     """Packed-digit kernel for F_p[t] sums: w = bit_length(p) + 1 bits a
     digit hold 2p − 2, and a digit d of a raw sum is at least p exactly
@@ -223,8 +254,10 @@ def _sumset_poly(a, b):
     ones = ((1 << w * n) - 1) // ((1 << w) - 1)         # 1 in every digit
     lift, top = ((1 << w - 1) - p) * ones, ones << w - 1
     xs, ys = _packed(a, w), _packed(b, w)
-    raw = {u + v for u in xs for v in ys}
-    return _unpacked({s - (((s + lift) & top) >> w - 1) * p for s in raw}, w, p)
+    sums = _packed_pairs(
+        xs, ys, lambda us: {u + v for u in us for v in ys},
+        lambda raw: {s - (((s + lift) & top) >> w - 1) * p for s in raw})
+    return _unpacked(sums, w, p)
 
 
 def _prodset_poly(a, b):
@@ -235,7 +268,8 @@ def _prodset_poly(a, b):
     terms = min(max(map(len, s.elements()), default=0) for s in (a, b))
     w = (terms * (p - 1) ** 2).bit_length() or 1
     xs, ys = _packed(a, w), _packed(b, w)
-    return _unpacked({u * v for u in xs for v in ys}, w, p)
+    return _packed_pairs(xs, ys, lambda us: {u * v for u in us for v in ys},
+                         lambda raw: _unpacked(raw, w, p))
 
 
 def sumset(a, b):
@@ -252,7 +286,7 @@ def sumset(a, b):
     elif isinstance(ring, LazyPolyRing):
         out = _sumset_poly(a, b)
     if out is None:
-        out = _sumset_sparse(a, b)
+        out = _pairs(ring.add, a.elements(), b.elements())
     return _guard(ring, FiniteSet(ring, out), "sumset")
 
 
@@ -263,10 +297,7 @@ def prodset(a, b):
     if isinstance(ring, LazyPolyRing):
         out = _prodset_poly(a, b)
     else:
-        out = set()
-        for x in a.elements():
-            for y in b.elements():
-                out.add(ring.mul(x, y))
+        out = _pairs(ring.mul, a.elements(), b.elements())
     return _guard(ring, FiniteSet(ring, out), "product set")
 
 

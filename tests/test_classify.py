@@ -596,3 +596,95 @@ def test_reduction_mod_n_maps_core_and_bounds_constant():
             cert = ax.approx_constant(phi(x))
             if cert.minimal:
                 assert cert.k <= k, (sorted(x), n)
+
+
+def _first_coordinate(text):
+    # "(a,b,..)" -> "a", at bracket depth 0
+    depth = 0
+    for i, ch in enumerate(text[1:-1], 1):
+        depth += (ch in "([") - (ch in ")]")
+        if ch == "," and depth == 0:
+            return text[1:i]
+    return text[1:-1]
+
+
+def _symmetric_sets(ring, rng, count):
+    # {0} and one or two ± pairs of random elements, in a fixed order
+    pool = (list(ring.elements()) if ring.is_finite
+            else [ring.parse(f"{a}t+{b}") for a in range(ring.p) for b in range(ring.p)]
+            + [ring.parse("t^2"), ring.parse("t^2+1")])
+    out = set()
+    for _ in range(20 * count):             # bounded: a tiny ring has few
+        picks = rng.sample(pool, rng.randint(1, 2))
+        out.add(frozenset({ring.zero(), *picks, *map(ring.neg, picks)}))
+        if len(out) == count:
+            break
+    return [FiniteSet(ring, s) for s in sorted(out, key=lambda s: sorted(
+        map(ring.sort_key, s)))]
+
+
+def test_text_named_maps_map_core_and_bound_constant():
+    # ROADMAP item 13, second slice: a ring map φ sends the core
+    # 4X + X·4X onto 4φX + φX·4φX, and a cover F + X of X·X ∪ (X + X) to
+    # one of φX·φX ∪ (φX + φX), so K(φX) <= K(X) when both are minimal.
+    # Each φ is named by text, φ(x) = target.parse(source.render(x)):
+    # reduction mod d | n, entrywise on matrices, mod h | g in F_p[t]/(g),
+    # F_p[t] onto F_p[t]/(g), and a product onto its first factor
+    import random
+    rng = random.Random(13)
+    maps = [("zmod:12", "zmod:4"), ("zmod:12", "zmod:6"), ("zmod:12", "zmod:3"),
+            ("zmod:8", "zmod:2"), ("mat:2:zmod:4", "mat:2:zmod:2"),
+            ("polyquo:2:t^3", "polyquo:2:t^2"), ("polyquo:2:t^4+t^2", "polyquo:2:t^2+1"),
+            ("polyquo:3:t^3", "polyquo:3:t"), ("poly:3", "gf:3^2:t^2+1"),
+            ("poly:2", "gf:2^2:t^2+t+1"), ("prod:(zmod:4,zmod:3)", "zmod:4"),
+            ("prod:(gf:2^2:t^2+t+1,zmod:2)", "gf:2^2:t^2+t+1")]
+    checked = total = 0
+    for src_dsl, dst_dsl in maps:
+        src, dst = ax.parse_ring(src_dsl), ax.parse_ring(dst_dsl)
+        text = _first_coordinate if src_dsl.startswith("prod:") else str
+
+        def one(v):
+            return dst.parse(text(src.render(v)))
+
+        def phi(s):
+            return FiniteSet(dst, map(one, s.elements()))
+
+        sets = _symmetric_sets(src, rng, 8)
+        elems = set().union(*(x.elements() for x in sets))
+        for a in elems:                     # φ is a ring map on what it meets
+            for b in elems:
+                assert one(src.add(a, b)) == dst.add(one(a), one(b))
+                assert one(src.mul(a, b)) == dst.mul(one(a), one(b))
+        for x in sets:
+            total += 1
+            where = (src_dsl, dst_dsl, x.render())
+            assert ax.core_set(phi(x)) == phi(ax.core_set(x)), where
+            cert, image = ax.approx_constant(x), ax.approx_constant(phi(x))
+            if cert.minimal and image.minimal:
+                assert image.k <= cert.k, where
+                checked += 1
+    assert checked == total == 8 * len(maps)
+
+
+def test_frobenius_preserves_constant_and_core():
+    # x -> x^p is an automorphism of F_{p^k}: it maps the core onto the
+    # core and certificates onto certificates both ways
+    import random
+    rng = random.Random(17)
+    for dsl in ("gf:2^3:t^3+t+1", "gf:3^2:t^2+1", "gf:5^2:t^2+2", "gf:2^4:t^4+t+1"):
+        ring = ax.parse_ring(dsl)
+
+        def frob(v):
+            out = v
+            for _ in range(ring.characteristic - 1):
+                out = ring.mul(out, v)
+            return out
+
+        assert sorted(map(frob, ring.elements())) == list(ring.elements())
+        for x in _symmetric_sets(ring, rng, 8):
+            fx = FiniteSet(ring, map(frob, x.elements()))
+            core = ax.core_set(x)
+            assert ax.core_set(fx) == FiniteSet(ring, map(frob, core.elements()))
+            cert, image = ax.approx_constant(x), ax.approx_constant(fx)
+            assert cert.minimal and image.minimal
+            assert (image.k, len(ax.core_set(fx))) == (cert.k, len(core)), x.render()

@@ -655,6 +655,31 @@ def test_node_limit_returns_a_checkable_unproven_cover(tmp_path, capsys):
     assert unproven in printed and printed.endswith("VERIFIED\n")
 
 
+def test_deep_incumbent_is_returned_unsearched(tmp_path, capsys):
+    # {0..3299} by translates of {0, 1, 3}: the greedy needs 1320
+    # translates and the root bound proves 1100, so a search would recurse
+    # past the interpreter's limit; the unproven incumbent comes back
+    from apxring.cli import main
+    from apxring.cover import DEPTH_LIMIT, first_uncovered
+    target = tmp_path / "target.txt"
+    target.write_text("".join(f"{i}\n" for i in range(3300)), encoding="utf-8")
+    out = tmp_path / "cover.json"
+    assert main(["cover", "--ring", "int", "--target", f"@{target}",
+                 "--base", "{0,1,3}", "--json", "--output", str(out)]) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    stats = payload["stats"]
+    assert (len(payload["translates"]), payload["optimal"]) == (1320, False)
+    assert stats["depth_limit_hit"] and not stats["node_limit_hit"]
+    assert (stats["nodes"], stats["lower_bound"]) == (1320, 1100) and 1320 > DEPTH_LIMIT
+    translates = [int(t) for t in payload["translates"]]
+    assert first_uncovered(iset(0, 3299), FiniteSet(Z, {0, 1, 3}), translates) is None
+    capsys.readouterr()
+    assert main(["verify", "--input", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "minimality not certified (lower bound 1100 < 1320)" in printed
+    assert printed.endswith("VERIFIED\n")
+
+
 def test_dive_covers_and_never_beats_the_optimum():
     from apxring import cover
     rng = random.Random(10)

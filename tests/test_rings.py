@@ -650,12 +650,112 @@ def test_index_tables_match_raw_arithmetic():
         _check_against_raw(ring, list(itertools.product(ring.elements(), repeat=2)))
     # text and index order as before the tables
     g = parse_ring("gf:5^2:t^2+2")
-    assert g.render(7) == "t+2" and g._decode(7) == (2, 1)
+    assert g.render(7) == "t+2" and g._decode(7) == (1, 2)
     assert g.parse("3t^2") == 4 and g.parse("t") == 5
     m = parse_ring("mat:2:polyquo:2:t^2")
     assert m.render(255) == "[[t+1,t+1],[t+1,t+1]]" and m.parse("[[0,0],[0,1]]") == 1
     p = parse_ring("prod:(gf:2^2:t^2+t+1,zmod:4)")
     assert p.parse("(t,3)") == 11 and p._decode(11) == (2, 3)
+
+
+def _split_top(text):
+    # the comma-separated items of text at bracket depth 0
+    items, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch in "([") - (ch in ")]")
+        if ch == "," and depth == 0:
+            items.append(text[start:i])
+            start = i + 1
+    return items + [text[start:]]
+
+
+def _text_oracle(ring):
+    """(read, add, neg, mul, write) for a tuple ring: its arithmetic on
+    values read off rendered elements, never through its index codec.
+    polyquo and gf compute in poly:p and reduce by the descriptor's
+    modulus by long division; mat loops over base-ring operations on the
+    entries; prod runs each factor's operations on the coordinates."""
+    if ring.descriptor.startswith(("polyquo:", "gf:")):
+        lazy = parse_ring(f"poly:{ring.characteristic}")
+        m, p = lazy.parse(ring.descriptor.rsplit(":", 1)[1]), ring.characteristic
+
+        def reduce(c):
+            c = list(c)
+            while len(c) >= len(m):                 # m is monic
+                lead, shift = c[-1], len(c) - len(m)
+                for i, v in enumerate(m):
+                    c[shift + i] = (c[shift + i] - lead * v) % p
+                while c and c[-1] == 0:
+                    c.pop()
+            return tuple(c)
+
+        return (lazy.parse, lambda u, v: reduce(lazy.add(u, v)), lazy.neg,
+                lambda u, v: reduce(lazy.mul(u, v)), lazy.render)
+    if ring.descriptor.startswith("mat:"):
+        _mat, d, inner = ring.descriptor.split(":", 2)
+        b, d = parse_ring(inner), int(d)
+
+        def mul(x, y):
+            out = []
+            for i in range(d):
+                for j in range(d):
+                    acc = b.zero()
+                    for k in range(d):
+                        acc = b.add(acc, b.mul(x[i * d + k], y[k * d + j]))
+                    out.append(acc)
+            return tuple(out)
+
+        def write(x):
+            rows = (",".join(map(b.render, x[i:i + d])) for i in range(0, d * d, d))
+            return "[" + ",".join(f"[{r}]" for r in rows) + "]"
+
+        return (lambda t: tuple(b.parse(e) for row in _split_top(t[1:-1])
+                                for e in _split_top(row[1:-1])),
+                lambda x, y: tuple(map(b.add, x, y)), lambda x: tuple(map(b.neg, x)),
+                mul, write)
+    fs = [parse_ring(f) for f in _split_top(ring.descriptor[6:-1])]
+    return (lambda t: tuple(f.parse(c) for f, c in zip(fs, _split_top(t[1:-1]))),
+            lambda x, y: tuple(f.add(u, v) for f, u, v in zip(fs, x, y)),
+            lambda x: tuple(f.neg(u) for f, u in zip(fs, x)),
+            lambda x, y: tuple(f.mul(u, v) for f, u, v in zip(fs, x, y)),
+            lambda x: "(" + ",".join(f.render(u) for f, u in zip(fs, x)) + ")")
+
+
+def test_tuple_ring_ops_match_text_oracles():
+    # every pair of the tabulated rings and the small backends, 200
+    # seeded pairs above the table limit: the rendered result of each op
+    # against the text oracle's
+    rng = random.Random(29)
+    rings = [r for r in all_backends() if isinstance(r, _TupleRing)]
+    rings += map(parse_ring, TABULATED + ABOVE_LIMIT)
+    for ring in rings:
+        read, add, neg, mul, write = _text_oracle(ring)
+        n = ring.cardinality
+        pairs = (itertools.product(range(n), repeat=2) if n <= TABLE_LIMIT else
+                 [(rng.randrange(n), rng.randrange(n)) for _ in range(200)])
+        texts, wrote = {}, {}
+
+        def text(i):
+            if i not in texts:
+                texts[i] = ring.render(i)
+            return texts[i]
+
+        def oracle(v):
+            if v not in wrote:
+                wrote[v] = write(v)
+            return wrote[v]
+
+        values = {}
+        for a, b in pairs:
+            for i in (a, b):
+                if i not in values:
+                    values[i] = read(text(i))
+                    assert text(ring.neg(i)) == oracle(neg(values[i])), (ring, i)
+            u, v = values[a], values[b]
+            assert text(ring.add(a, b)) == oracle(add(u, v)), (ring, a, b)
+            assert text(ring.mul(a, b)) == oracle(mul(u, v)), (ring, a, b)
+        if n <= TABLE_LIMIT:                # distinct elements read apart
+            assert len(set(values.values())) == n, ring
 
 
 def test_rings_above_table_limit_run_raw():

@@ -14,7 +14,6 @@ from apxring.sets import (
     FiniteSet,
     _bits,
     _sumset_mask,
-    _sumset_sparse,
     intersect,
     missing_negative,
     union,
@@ -26,6 +25,12 @@ Z = ax.parse_ring("int")
 
 def iset(lo, hi):
     return FiniteSet(Z, range(lo, hi + 1))
+
+
+def pairwise_sum(a, b):
+    # oracle: ring.add on every pair
+    add = a.ring.add
+    return FiniteSet(a.ring, {add(x, y) for x in a.elements() for y in b.elements()})
 
 
 def test_sumset_examples():
@@ -222,36 +227,87 @@ def test_closure_cost():
     assert len(r) == 10007
 
 
+def _rows_past(cap, outer, inner, op):
+    # oracle: op(x, y) for x in outer, row by row, until past the cap
+    out = set()
+    for x in outer:
+        out.update(op(x, y) for y in inner)
+        if len(out) > cap:
+            break
+    return out
+
+
 def test_budget_exceeded_typed(monkeypatch):
-    # one cap, sets.SET_CAP, read by every kernel when it runs
+    # one cap, sets.SET_CAP, read by every kernel when it runs.  A kernel
+    # stops once past it: the pair loops after the outer element that
+    # took them past (partial: more than the cap, all in the true result,
+    # at most the cap plus the inner operand), the offset mask after
+    # decoding cap + 1 elements
     import apxring.sets as sets_mod
+    from apxring.constructive import _Builder
     m199 = ax.modular(199)
-    gf9 = ax.parse_ring("gf:3^2:t^2+1")
-    f5t = ax.parse_ring("poly:5")
-    cases = [(iset(-300, 300), 100),                      # Z offset-mask kernel
-             (FiniteSet(m199, range(100)), 10),           # Z/nZ offset mask and fold
-             (FiniteSet(gf9, gf9.elements()), 5),         # hashed pairs
-             (FiniteSet(f5t, (f5t.parse(f"t^{i}") for i in range(10))), 20)]  # F_p[t]
-    for a, cap in cases:
-        full = FiniteSet(a.ring, _sumset_sparse(a, a))
+    mat = ax.parse_ring("mat:2:zmod:3")
+    f5t, f2t = ax.parse_ring("poly:5"), ax.parse_ring("poly:2")
+    some = FiniteSet(mat, range(0, 81, 4))
+    lows = [f2t.parse(t) for t in ("0", "1", "t", "t+1", "t^2", "t^2+1", "t^2+t",
+                                   "t^2+t+1")]
+    mixed = FiniteSet(f2t, lows + [f2t.parse(f"t^{i}") for i in range(3, 9)])
+    lin = FiniteSet(f5t, (f5t.parse(f"{k}t^{i}+1") for i in range(6) for k in range(3)))
+    cases = [  # set, cap, op, stage, partial: True for the least cap + 1
+        (iset(-300, 300), 100, "add", "sumset", True),                 # Z mask
+        (FiniteSet(m199, range(100)), 10, "add", "sumset", True),      # Z/nZ mask
+        (some, 30, "add", "sumset", False),                            # hashed pairs
+        (some, 30, "mul", "product set", False),                       # generic products
+        (FiniteSet(f5t, (f5t.parse(f"t^{i}") for i in range(10))), 20,  # F_p[t] sums
+         "add", "sumset", False),
+        (mixed, 28, "add", "sumset", False),   # raw sums and results pass at row 3
+        (mixed, 42, "add", "sumset", False),   # raw sums pass at row 4, results at 5
+        (lin, 40, "mul", "product set", False)]                        # F_p[t] products
+    for a, cap, op, stage, least in cases:
+        ring, kernel = a.ring, {"add": ax.sumset, "mul": ax.prodset}[op]
+        fn = getattr(ring, op)
+        full = FiniteSet(ring, {fn(x, y) for x in a.elements() for y in a.elements()})
         monkeypatch.setattr(sets_mod, "SET_CAP", cap)
         with pytest.raises(BudgetExceededError,
-                           match=f"^sumset exceeded cap {cap}$") as exc:
-            ax.sumset(a, a)
-        assert len(exc.value.partial) > cap and exc.value.partial == full
-        # one element over the cap raises; at the cap the sum passes
+                           match=f"^{stage} exceeded cap {cap}$") as exc:
+            kernel(a, a)
+        partial = exc.value.partial
+        assert cap < len(partial) <= cap + len(a) and partial <= full
+        if least:
+            assert partial == FiniteSet(ring, sorted(full.elements())[:cap + 1])
+        else:
+            assert partial == FiniteSet(ring, _rows_past(cap, a.elements(),
+                                                         a.elements(), fn))
+        assert len(partial) < len(full)
+        # one element over the cap raises; at the cap the set passes
         monkeypatch.setattr(sets_mod, "SET_CAP", len(full) - 1)
         with pytest.raises(BudgetExceededError):
-            ax.sumset(a, a)
+            kernel(a, a)
         monkeypatch.setattr(sets_mod, "SET_CAP", len(full))
-        assert ax.sumset(a, a) == full
+        assert kernel(a, a) == full
+    # constructive's value -> term sums, outer and inner in canonical order
+    builder = _Builder(ax.approx_constant(iset(-1, 1)))
+    d = {v: ((v,),) for v in range(-20, 21)}
+    e = {v: ((v,),) for v in range(0, 100, 7)}
+    full = {a + b for a in d for b in e}
+    monkeypatch.setattr(sets_mod, "SET_CAP", 50)
+    with pytest.raises(BudgetExceededError, match="^G_2 exceeded cap 50$") as exc:
+        builder._plus(d, e, "G_2")
+    assert exc.value.partial == FiniteSet(Z, _rows_past(50, sorted(d, key=Z.sort_key),
+                                                        sorted(e), int.__add__))
+    assert 50 < len(exc.value.partial) <= 50 + len(e)
+    monkeypatch.setattr(sets_mod, "SET_CAP", len(full) - 1)
+    with pytest.raises(BudgetExceededError):
+        builder._plus(d, e, "G_2")
+    monkeypatch.setattr(sets_mod, "SET_CAP", len(full))
+    assert set(builder._plus(d, e, "G_2")) == full
 
 
 def test_mask_kernel_agrees_with_pairs():
     rng = random.Random(11)
 
     def check(a, b, n=None):
-        pairs = FiniteSet(a.ring, _sumset_sparse(a, b))
+        pairs = pairwise_sum(a, b)
         out = _sumset_mask(a, b, n)
         if out is not None:
             out = FiniteSet(a.ring, out)
@@ -299,7 +355,7 @@ def test_poly_kernels_agree_with_pairs():
             return (*(rng.randrange(p) for _ in range(d)), rng.randrange(1, p))
 
         def check(a, b):
-            assert ax.sumset(a, b) == FiniteSet(ring, _sumset_sparse(a, b))
+            assert ax.sumset(a, b) == pairwise_sum(a, b)
             assert ax.prodset(a, b) == FiniteSet(
                 ring, {ring.mul(x, y) for x in a for y in b})
 
@@ -438,7 +494,7 @@ _int_sets = st.one_of(
 def test_int_kernel_matches_pairs(xs, ys, same):
     a = FiniteSet(Z, xs)
     b = a if same else FiniteSet(Z, ys)
-    assert ax.sumset(a, b) == FiniteSet(Z, _sumset_sparse(a, b))
+    assert ax.sumset(a, b) == pairwise_sum(a, b)
     assert ax.sumset(a, FiniteSet(Z, [7])) == FiniteSet(Z, (7 + v for v in xs))
 
 

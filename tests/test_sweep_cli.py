@@ -407,6 +407,26 @@ def test_public_surface_has_callers():
     assert [n for n in ax.__all__ if n not in used and n not in ORACLES] == []
 
 
+def test_package_imports_only_the_standard_library():
+    # numpy, scipy and every other third-party package stay out of src/,
+    # which keeps pyproject.toml's dependencies empty
+    src = Path(__file__).resolve().parents[1] / "src" / "apxring"
+    allowed = {*sys.stdlib_module_names, "apxring"}
+    outside = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [] if node.level else [node.module]
+            else:
+                continue
+            outside += [(path.name, n) for n in names
+                        if n.partition(".")[0] not in allowed]
+    assert outside == []
+    assert len(list(src.glob("*.py"))) >= 10
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
