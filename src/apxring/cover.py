@@ -71,7 +71,6 @@ from .sets import (
 )
 
 DEFAULT_NODE_LIMIT = 10 ** 6
-DEPTH_LIMIT = 500            # translates the recursive search can choose
 
 
 @dataclass(frozen=True)
@@ -244,9 +243,7 @@ def cover_exact(a, b, node_limit=DEFAULT_NODE_LIMIT):
     the search starts from that translate.
 
     Returns an optimal witness, or the best incumbent flagged non-optimal
-    when the node limit is hit before the bound is met, or unsearched
-    (``stats["depth_limit_hit"]``) when it has over ``DEPTH_LIMIT``
-    translates, too deep for the recursive search.  The witness
+    when the node limit is hit before the bound is met.  The witness
     carries the bound's integer weights as ``lower_bound`` and its value
     as ``stats["lower_bound"]``.  ``stats["nodes"]`` counts the dive's
     path, one node per translate, plus the nodes of the search; the
@@ -273,13 +270,15 @@ def cover_exact(a, b, node_limit=DEFAULT_NODE_LIMIT):
     nodes = 0
     hit_limit = False
 
-    def dfs(covered, chosen, at):
-        # order[:at] is covered
+    def visit(covered, chosen, at):
+        # order[:at] is covered.  The node's search frame: covered, its
+        # first uncovered place in order and an iterator over the
+        # coverers there, most uncovered first; None for a leaf
         nonlocal nodes, cutoff, hit_limit, bound, floor
         nodes += 1
         if nodes > node_limit:
             hit_limit = True
-            return
+            return None
         if nodes == stall_at and not _regular(masks, base_size):
             raised = _ascent(coverers, masks, floor, cutoff, label)
             if raised is not None:
@@ -289,45 +288,54 @@ def cover_exact(a, b, node_limit=DEFAULT_NODE_LIMIT):
             if len(chosen) < cutoff:
                 best[:] = chosen
                 cutoff = len(chosen)
-            return
+            return None
         left = full & ~covered
         need = len(chosen)
         for m in parts:
             need += -(-(m & left).bit_count() // base_size)
         if need >= cutoff:
-            return
+            return None
         while covered >> order[at] & 1:
             at += 1
-        opts = sorted([(-(masks[r] & left).bit_count(), r)
-                       for r in coverers[order[at]]])
-        for _fresh, r in opts:
-            if hit_limit or len(chosen) + 1 >= cutoff or cutoff <= floor:
-                break
-            chosen.append(r)
-            dfs(covered | masks[r], chosen, at + 1)
-            chosen.pop()
+        return covered, at, iter(sorted([(-(masks[r] & left).bit_count(), r)
+                                         for r in coverers[order[at]]]))
 
-    too_deep = floor < cutoff and cutoff > DEPTH_LIMIT
-    if floor < cutoff and not too_deep:
+    if floor < cutoff:
         stall_at = n_targets * len(set(masks))
         order = sorted(range(n_targets), key=lambda e: (len(coverers[e]), e))
         ring = a.ring
+        covered, chosen = 0, []
         if ring.is_finite and n_targets == ring.cardinality:
             # covers of the whole ring shift by -t_1 onto covers holding 0 + b
             r0 = pool.index(ring.zero())
-            dfs(masks[r0], [r0], 0)
-        else:
-            dfs(0, [], 0)
-    # dfs refers to itself: drop the cycle so its lists go now, not at a
-    # garbage collection
-    dfs = None
+            covered, chosen = masks[r0], [r0]
+        # depth first on an explicit stack, so no incumbent is too deep:
+        # a frame per inner node on the path, each after the first
+        # entered by appending its pick to chosen
+        frame = visit(covered, chosen, 0)
+        stack = [frame] if frame else []
+        while stack:
+            depth = len(stack)
+            covered, at, tries = stack[-1]
+            for _fresh, r in tries:
+                if hit_limit or len(chosen) + 1 >= cutoff or cutoff <= floor:
+                    break
+                chosen.append(r)
+                frame = visit(covered | masks[r], chosen, at + 1)
+                if frame:
+                    stack.append(frame)
+                    break
+                chosen.pop()
+            if len(stack) == depth:         # no child to enter: backtrack
+                stack.pop()
+                if stack:
+                    chosen.pop()
     chosen_elems = sorted((pool[r] for r in best), key=a.ring.sort_key)
     stats = {"nodes": dived + nodes, "elapsed": time.perf_counter() - t0,
-             "node_limit_hit": hit_limit, "depth_limit_hit": too_deep,
-             "lower_bound": floor}
+             "node_limit_hit": hit_limit, "lower_bound": floor}
     weights = {targets[e]: w for e, w in enumerate(bound[1]) if w}
-    return make_witness(a, b, chosen_elems, cutoff <= floor or not (
-        hit_limit or too_deep), "exact", stats, (weights, bound[2]))
+    return make_witness(a, b, chosen_elems, not hit_limit or cutoff <= floor,
+                        "exact", stats, (weights, bound[2]))
 
 
 def _dive(coverers, masks, full):

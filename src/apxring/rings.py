@@ -481,6 +481,8 @@ class _TupleRing(_RangeRing):
             places.append(size)
             size *= f.cardinality
         self._places = tuple(reversed(places))
+        self._adds = tuple(f.add for f in self.parts)
+        self._negs = tuple(f.neg for f in self.parts)
         self.cardinality = size
         self.characteristic = math.lcm(*(f.characteristic for f in self.parts))
         if self.cardinality <= TABLE_LIMIT:
@@ -500,10 +502,10 @@ class _TupleRing(_RangeRing):
         return sum(map(operator.mul, code, self._places))
 
     def _add_raw(self, x, y):
-        return tuple([f.add(u, v) for f, u, v in zip(self.parts, x, y)])
+        return tuple([add(u, v) for add, u, v in zip(self._adds, x, y)])
 
     def _neg_raw(self, x):
-        return tuple([f.neg(u) for f, u in zip(self.parts, x)])
+        return tuple([neg(u) for neg, u in zip(self._negs, x)])
 
     def _code(self, x):
         return self._decode(self.index_of(x))

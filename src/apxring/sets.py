@@ -225,19 +225,13 @@ def _unpacked(vs, w, p):
 
 def _packed_pairs(xs, ys, rows, reduce):
     """``reduce`` (raw values -> the set of their results) of the set
-    ``rows(us)`` of raw values on us × ys, stopping like ``_pairs`` once
-    the results pass SET_CAP.  Each result has a raw value, so with at
-    most SET_CAP pairs, or until the distinct raw values pass the cap,
-    each is reduced once, at the end; after that, row by row."""
+    ``rows(us)`` of raw values on us × ys.  With at most SET_CAP pairs
+    each distinct raw value is reduced once; above that, row by row,
+    stopping like ``_pairs`` once the results pass SET_CAP."""
     if len(xs) * len(ys) <= SET_CAP:
         return reduce(rows(xs))
-    rest, raw = iter(xs), set()
-    for u in rest:
-        raw |= rows((u,))
-        if len(raw) > SET_CAP:
-            break
-    out = reduce(raw)
-    for u in rest if len(out) <= SET_CAP else ():
+    out = set()
+    for u in xs:
         out |= reduce(rows((u,)))
         if len(out) > SET_CAP:
             break

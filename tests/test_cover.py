@@ -655,12 +655,13 @@ def test_node_limit_returns_a_checkable_unproven_cover(tmp_path, capsys):
     assert unproven in printed and printed.endswith("VERIFIED\n")
 
 
-def test_deep_incumbent_is_returned_unsearched(tmp_path, capsys):
-    # {0..3299} by translates of {0, 1, 3}: the greedy needs 1320
-    # translates and the root bound proves 1100, so a search would recurse
-    # past the interpreter's limit; the unproven incumbent comes back
+def test_deep_search_stops_at_the_node_limit(tmp_path, capsys):
+    # {0..3299} by translates of {0, 1, 3}: the dive needs 1320 translates
+    # and the root bound proves 1100, so the search goes more than 1300
+    # picks deep, past the interpreter's recursion limit, until the node
+    # limit stops it with the unproven incumbent
     from apxring.cli import main
-    from apxring.cover import DEPTH_LIMIT, first_uncovered
+    from apxring.cover import DEFAULT_NODE_LIMIT, first_uncovered
     target = tmp_path / "target.txt"
     target.write_text("".join(f"{i}\n" for i in range(3300)), encoding="utf-8")
     out = tmp_path / "cover.json"
@@ -669,8 +670,8 @@ def test_deep_incumbent_is_returned_unsearched(tmp_path, capsys):
     payload = json.loads(out.read_text(encoding="utf-8"))
     stats = payload["stats"]
     assert (len(payload["translates"]), payload["optimal"]) == (1320, False)
-    assert stats["depth_limit_hit"] and not stats["node_limit_hit"]
-    assert (stats["nodes"], stats["lower_bound"]) == (1320, 1100) and 1320 > DEPTH_LIMIT
+    assert stats["node_limit_hit"] and stats["lower_bound"] == 1100
+    assert stats["nodes"] == 1320 + DEFAULT_NODE_LIMIT + 1
     translates = [int(t) for t in payload["translates"]]
     assert first_uncovered(iset(0, 3299), FiniteSet(Z, {0, 1, 3}), translates) is None
     capsys.readouterr()

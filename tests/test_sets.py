@@ -260,8 +260,8 @@ def test_budget_exceeded_typed(monkeypatch):
         (some, 30, "mul", "product set", False),                       # generic products
         (FiniteSet(f5t, (f5t.parse(f"t^{i}") for i in range(10))), 20,  # F_p[t] sums
          "add", "sumset", False),
-        (mixed, 28, "add", "sumset", False),   # raw sums and results pass at row 3
-        (mixed, 42, "add", "sumset", False),   # raw sums pass at row 4, results at 5
+        (mixed, 28, "add", "sumset", False),   # results pass at row 3
+        (mixed, 42, "add", "sumset", False),   # results pass at row 5
         (lin, 40, "mul", "product set", False)]                        # F_p[t] products
     for a, cap, op, stage, least in cases:
         ring, kernel = a.ring, {"add": ax.sumset, "mul": ax.prodset}[op]
