@@ -30,7 +30,7 @@ _EXPORTS = {name: module for module, names in {
         "UncoverableError", "VerificationFailedError", "ZeroDivisorError"),
     "rings": (
         "modular", "parse_ring", "quotient_ring", "subring_table",
-        "table_ring", "zero_multiplication_ring"),
+        "zero_multiplication_ring"),
     "sets": (
         "ClosureResult", "FiniteSet", "GrowthProfile", "closure",
         "difference_set", "growth_sequence", "growth_step", "iterated_sum",

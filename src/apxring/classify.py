@@ -108,24 +108,6 @@ def is_subring(s):
     return True, None
 
 
-def _core_witnessed_zero_divisor(core):
-    """Weakened hypothesis: a zero divisor inside Y = core witnessed by
-    an element of 2(Y·Y + (Y+Y))."""
-    ring = core.ring
-    body = sumset(prodset(core, core), sumset(core, core))
-    window = iterated_sum(body, 2)
-    zero = ring.zero()
-    for c in sorted(window.elements(), key=ring.sort_key):
-        if c == zero:
-            continue
-        for y in core:
-            if y == zero:
-                continue
-            if ring.mul(c, y) == zero or ring.mul(y, c) == zero:
-                return (c, y)
-    return None
-
-
 @dataclass(frozen=True)
 class ClassificationReport:
     x: FiniteSet
@@ -137,13 +119,12 @@ class ClassificationReport:
     k11_bound: int
     verdict: str                     # "small" | "structured" | "counterexample-candidate"
     small_threshold: int
-    hypothesis: str                  # "ambient" | "core-witnessed"
     comm_result: CommensurabilityResult = field(compare=False)
 
     def to_json(self):
         ring = self.x.ring
         return {
-            "schema_version": "2",
+            "schema_version": "3",
             "kind": "classification_report",
             "ring": ring.descriptor,
             "x": [ring.render(v) for v in self.x],
@@ -154,40 +135,44 @@ class ClassificationReport:
             "k11_bound": self.k11_bound,
             "verdict": self.verdict,
             "small_threshold": self.small_threshold,
-            "hypothesis": self.hypothesis,
             "certificate": self.certificate.to_json(),
             "comm_core_by_x": self.comm_result.witness_ab.to_json(),
             "comm_x_by_core": self.comm_result.witness_ba.to_json(),
         }
 
 
-def nzd_classify(x, small_threshold=None, hypothesis="ambient", cert=None):
+def _check_no_zero_divisors(ring):
+    """The paper's hypothesis on the ring: ZeroDivisorError naming the
+    pair ``find_zero_divisor`` finds from the ring's structure, if any."""
+    pair = find_zero_divisor(ring)
+    if pair is not None:
+        raise ZeroDivisorError(
+            f"zero divisors {ring.render(pair[0])}·{ring.render(pair[1])} = 0")
+
+
+def nzd_classify(x, small_threshold=None, cert=None):
     """Dichotomy check over a ring without zero divisors.
 
-    Certifies K, computes the core 4X + X·4X and measures its exact
+    Checks the ring first (``_check_no_zero_divisors``), then certifies
+    K, computes the core 4X + X·4X and measures its exact
     commensurability with X; ``classification_report`` derives the rest.
-
-    ``hypothesis`` is "ambient" (the ring has no zero divisors, decided
-    exactly from its structure by ``find_zero_divisor``) or
-    "core-witnessed" (the weakened form local to Y = 4X + X·4X); either
-    raises ZeroDivisorError naming what it found.
     ``cert`` is an exact ring-mode certificate of X already computed,
-    as by ``approx_constant(x, "ring")``; without it K is certified here
-    first, so X's preconditions are the certificate's: an empty X raises
+    as by ``approx_constant(x, "ring")``; without it K is certified here,
+    so X's preconditions are the certificate's: an empty X raises
     InvalidParamsError, and an asymmetric one NotSymmetricError.
     """
+    _check_no_zero_divisors(x.ring)
     if cert is None:
         cert = approx_constant(x, "ring")
     core = core_set(x)
-    hyp = _hypothesis(core, hypothesis)
     return classification_report(x, cert, core, commensurability(core, x),
-                                 small_threshold, hyp)
+                                 small_threshold)
 
 
-def classification_report(x, cert, core, comm, small_threshold, hyp):
+def classification_report(x, cert, core, comm, small_threshold):
     """The report on X from its ring-mode certificate (ValueError for any
-    other), core, commensurability of core and X, threshold (None: 4K^2)
-    and hypothesis.  Verdicts: "small" when |X| < small_threshold, the
+    other), core, commensurability of core and X and threshold (None:
+    4K^2).  Verdicts: "small" when |X| < small_threshold, the
     dichotomy's escape hatch, else "structured" when the core is a
     subring within the K^11 bound, else "counterexample-candidate"."""
     if cert.x != x or cert.mode != "ring":
@@ -203,26 +188,7 @@ def classification_report(x, cert, core, comm, small_threshold, hyp):
     verdict = ("small" if len(x) < small_threshold else
                "structured" if structured else "counterexample-candidate")
     return ClassificationReport(x, k, cert, core, subring_ok, comm.constant,
-                                k11, verdict, small_threshold, hyp, comm)
-
-
-def _hypothesis(core, hypothesis):
-    """The report's ``hypothesis`` field, "ambient" or "core-witnessed",
-    once the check it names finds no zero divisor: ``find_zero_divisor``
-    on the whole ring, or the check inside the core window.
-    ZeroDivisorError when one is found, ValueError for any other name."""
-    ring = core.ring
-    if hypothesis == "ambient":
-        pair = find_zero_divisor(ring)
-        if pair is not None:
-            raise ZeroDivisorError(
-                f"zero divisors {ring.render(pair[0])}·{ring.render(pair[1])} = 0")
-    elif hypothesis == "core-witnessed":
-        if _core_witnessed_zero_divisor(core) is not None:
-            raise ZeroDivisorError("zero divisor inside the core window")
-    else:
-        raise ValueError(f"unknown hypothesis {hypothesis!r}")
-    return hypothesis
+                                k11, verdict, small_threshold, comm)
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +300,9 @@ def pos_char_search(x, cert=None):
     """Search for a subring S ⊆ 4X + X·4X minimizing commensurability
     with X.  ``cert`` is an exact ring-mode certificate of X already
     computed, as by ``approx_constant(x, "ring")``; without it K is
-    certified here, once the ring is finite of positive characteristic,
-    so X's preconditions are the certificate's, as in ``nzd_classify``.
-    Three strategies, in this order:
+    certified here, once the ring is finite, so X's preconditions are
+    the certificate's, as in ``nzd_classify``.  Three strategies, in
+    this order:
 
       generated   S = ⟨X⟩ when it stays inside the core
       seeded      S = ⟨X ∩ kX ∩ core⟩ for k <= 4, once per distinct seed
@@ -352,8 +318,6 @@ def pos_char_search(x, cert=None):
     ring = x.ring
     if not ring.is_finite:
         raise InfiniteRingError("subring search needs a finite ring")
-    if ring.characteristic <= 0:
-        raise InvalidParamsError("ring must have positive characteristic")
     if cert is None:
         cert = approx_constant(x, "ring")
     core = core_set(x)

@@ -139,8 +139,7 @@ def _cmd_classify(args):
     ring = parse_ring(args.ring)
     x = _load_set(ring, args.set)
     if args.mode == "nzd":
-        report = nzd_classify(x, small_threshold=args.small_threshold,
-                              hypothesis=args.hypothesis)
+        report = nzd_classify(x, small_threshold=args.small_threshold)
         _emit(args, report.to_json(), [
             f"K = {report.k}  |X| = {len(x)}  threshold = {report.small_threshold}",
             f"core: {len(report.core)} elements, subring = {report.core_is_subring}",
@@ -283,8 +282,6 @@ def build_parser():
     common(p)
     p.add_argument("--mode", choices=("nzd", "poschar"), default="nzd")
     p.add_argument("--small-threshold", type=int, default=None)
-    p.add_argument("--hypothesis", choices=("ambient", "core-witnessed"),
-                   default="ambient")
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("model", help="finite locally-compact-model checks")

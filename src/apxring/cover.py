@@ -52,6 +52,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     InvalidParamsError,
@@ -626,7 +627,9 @@ class ApproxCertificate:
     def ring(self):
         return self.x.ring
 
+    @cached_property
     def target(self):
+        """X*X ∪ (X+X) in ring mode, X+X in group mode, built once."""
         return _certificate_target(self.x, self.mode)
 
     def verify(self):
@@ -644,7 +647,7 @@ class ApproxCertificate:
                            f"{ring.render(missing)}")
         if len(self.witness_f) != self.k:
             return False, "|F| != k"
-        target = self.target()
+        target = self.target
         missing = first_uncovered(target, self.x, self.witness_f)
         if missing is not None:
             return False, f"uncovered {ring.render(missing)}"

@@ -75,11 +75,10 @@ class VerificationFailedError(ApxError):
 
 
 class ZeroDivisorError(ApxError):
-    """Ambient ring, or the core's window, has zero divisors."""
+    """The ring has zero divisors."""
 
 
 class InvalidParamsError(ApxError):
     """Bad parameters: a gallery item's, m < 1, n < 0, a sweep's jobs < 1,
-    an empty X (no approximate subring), characteristic 0 for the
-    subring search, or an ideal inside no X_m up to the model check's
-    depth."""
+    an empty X (no approximate subring), or an ideal inside no X_m up
+    to the model check's depth."""

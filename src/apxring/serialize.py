@@ -9,7 +9,7 @@ F ⊆ ⟨X⟩, so the derivations schema 1-3 stored are ignored,
 ``classify.is_subring`` and the core for a found subring,
 ``classify.subrings_within`` for the claim of the exhaustive pass that
 no subring inside the core has a smaller constant, the classifier's own
-step for the no-zero-divisor hypothesis), and every other field is
+check that the ring has no zero divisors), and every other field is
 re-derived by the builder that wrote it, run on the payload's inputs and
 re-checked witnesses, and compared as JSON values: 2 is not 2.0, and 1
 is not true.  Every payload, nested ones too, must be of a schema
@@ -55,17 +55,21 @@ def _parse_set(ring, texts):
     return FiniteSet(ring, (ring.parse(e) for e in texts))
 
 
-def _minimality(payload, target, base, k):
-    """(ok, note) for the payload's ``lower_bound``, re-evaluated in
-    integers over the rows of target − base and summed over the
+def _bound(ring, payload):
+    """The payload's ``lower_bound`` as (weights, denominator), or None."""
+    lb = payload.get("lower_bound")
+    return None if lb is None else (
+        {ring.parse(e): w for e, w in lb["weights"].items()}, lb["denominator"])
+
+
+def _minimality(bound, target, base, k):
+    """(ok, note) for a ``lower_bound`` parsed by ``_bound``, re-evaluated
+    in integers over the rows of target − base and summed over the
     components those rows form (``cover.lagrangian_floor``).  Malformed
     weights fail; a bound short of k only goes uncertified."""
-    lb = payload.get("lower_bound")
-    if lb is None:
+    if bound is None:
         return True, "minimality not certified (no lower bound)"
-    ring = target.ring
-    d = lb["denominator"]
-    weights = {ring.parse(e): w for e, w in lb["weights"].items()}
+    weights, d = bound
     if not all(type(v) is int and v >= 0 for v in (d, *weights.values())) \
             or d == 0:
         return False, "lower bound needs integer weights >= 0 over d > 0"
@@ -81,7 +85,7 @@ def _minimality(payload, target, base, k):
 _SCHEMA_VERSIONS = {
     "cover_witness": ("1", "2"),
     "approx_certificate": ("1", "2", "3", "4"),
-    "classification_report": ("1", "2"),
+    "classification_report": ("1", "2", "3"),
     "subring_search": ("1", "2", "3", "4"),
     "sweep_report": ("1",),
     "constructive_report": ("1",),
@@ -140,7 +144,7 @@ def _cover_witness(payload):
     missing = first_uncovered(target, base, w.translates)
     if missing is not None:
         return False, [f"uncovered element {ring.render(missing)}"], w
-    ok, note = _minimality(payload, target, base, k)
+    ok, note = _minimality(_bound(ring, payload), target, base, k)
     details = [f"cover of {len(target)} elements by {k} translates", note]
     return ok, details if ok else [note], w
 
@@ -152,17 +156,14 @@ def _certificate(payload):
     if why:
         return False, why, None
     ring, x = _ring_and_set(payload, "x")
-    lb = payload.get("lower_bound")
     cert = ApproxCertificate(
         x, payload["k"], _parse_set(ring, payload["f"]),
         payload.get("mode", "ring"), payload.get("minimal", False),
-        payload.get("stats", {}),
-        None if lb is None else ({ring.parse(e): w for e, w in lb["weights"].items()},
-                                 lb["denominator"]))
+        payload.get("stats", {}), _bound(ring, payload))
     ok, why = cert.verify()
     if not ok:
         return False, [why], cert
-    ok, note = _minimality(payload, cert.target(), x, cert.k)
+    ok, note = _minimality(cert.lower_bound, cert.target, x, cert.k)
     if not ok:
         return False, [note], cert
     details = [f"K = {cert.k} certificate re-verified", note]
@@ -206,25 +207,32 @@ def _rebuilt(name, build, payload, flat=False):
 
 
 def _verify_classification(payload):
-    """X and its ring are the verified certificate's; the top-level ones
+    """X and its ring are the verified certificate's, and the ring must
+    have no zero divisors, the hypothesis schemas 1 and 2 named
+    ("ambient", the only one they may name); the top-level X and ring
     are re-derived with every other field."""
-    from .classify import _hypothesis, classification_report, core_set
+    from .classify import _check_no_zero_divisors, classification_report, core_set
     ok, details, cert = _certificate(payload["certificate"])
     if not ok:
         return ok, details
+    if payload["schema_version"] in ("1", "2"):
+        if payload["hypothesis"] != "ambient":
+            return False, [f"hypothesis {_clip(repr(payload['hypothesis']))} "
+                           "is not 'ambient', the ring's own"]
+    elif "hypothesis" in payload:
+        return False, ["schema 3 names no hypothesis"]
     x = cert.x
-    core = core_set(x)
-    claimed = payload["hypothesis"]
     try:
-        hyp = _hypothesis(core, claimed)
-    except (ValueError, ZeroDivisorError) as exc:
-        return False, [f"hypothesis {claimed!r} fails: {exc}"]
+        _check_no_zero_divisors(x.ring)
+    except ZeroDivisorError as exc:
+        return False, [str(exc)]
+    core = core_set(x)
     why, comm = _commensurability(
         payload, ("comm_core_by_x", "comm_x_by_core"), core, x)
     if why is not None:
         return False, [why]
     ok, det = _rebuilt("classification_report", lambda: classification_report(
-        x, cert, core, comm, payload["small_threshold"], hyp).to_json(),
+        x, cert, core, comm, payload["small_threshold"]).to_json(),
         payload, flat=True)
     return ok, details + det if ok else det
 

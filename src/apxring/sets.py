@@ -23,21 +23,23 @@ and F_p[t].  A sumset runs one of three kernels:
   only the distinct results are unpacked.  Products use the same
   packing (Kronecker substitution) with digits wide enough for any
   coefficient of the product, reduced mod p while unpacking;
-- hashed pairs (``_pairs``; every other ring, and the Z and Z/nZ case above):
+- hashed pairs (every other ring, and the Z and Z/nZ case above):
   ``ring.add`` on every pair.
 
 A product set runs the packed-digit kernel on F_p[t] and ``ring.mul`` on
-every pair elsewhere.
+every pair elsewhere.  Every kernel but the offset mask takes its pairs
+through ``_pairs``: one set comprehension up to SET_CAP pairs, row by
+row above it.
 
-One cap, SET_CAP, bounds every derived set but the closure (which stays
-inside its finite ring): each kernel here and each value -> term dict of
-``constructive`` passes ``_guard``, whose BudgetExceededError names the
-stage that overran, so sweeps and ``apx`` exit 3 rather than run out of
-memory (a frozenset of 2^21 ints takes about 135 MB on 64-bit CPython).
-The pair loops (``_pairs``, ``_packed_pairs``, ``_Builder._plus``) stop
-after the outer element that takes them past the cap, so ``partial``
-holds more than SET_CAP elements of the result and at most SET_CAP plus
-the inner operand's size; the offset mask decodes SET_CAP + 1 at most.
+One cap, SET_CAP, bounds every derived set: each kernel here, the span
+``_grow`` builds and each value -> term dict of ``constructive`` pass
+``_guard``, whose BudgetExceededError names the stage that overran, so
+sweeps and ``apx`` exit 3 rather than run out of memory (a frozenset of
+2^21 ints takes about 135 MB on 64-bit CPython).  The row loops
+(``_pairs`` above SET_CAP pairs, ``_Builder._plus``) stop after the
+outer element that takes them past the cap, so ``partial`` holds more
+than SET_CAP elements of the result and at most SET_CAP plus the inner
+operand's size; the offset mask decodes SET_CAP + 1 at most.
 """
 
 from __future__ import annotations
@@ -151,18 +153,6 @@ def _bits(m, lo=0):
     return compress(range(lo, lo + len(flags)), flags)
 
 
-def _pairs(op, xs, ys):
-    """{op(x, y) : x in xs, y in ys}, x outer, stopping after the first
-    x that takes the set past SET_CAP."""
-    out = set()
-    for x in xs:
-        for y in ys:
-            out.add(op(x, y))
-        if len(out) > SET_CAP:
-            break
-    return out
-
-
 def _sumset_mask(a, b, n=None):
     """Offset-mask kernel for Z, or for Z/nZ given its modulus n: the
     elements of a + b, or None when the unreduced span of the result
@@ -223,16 +213,16 @@ def _unpacked(vs, w, p):
     return out
 
 
-def _packed_pairs(xs, ys, rows, reduce):
-    """``reduce`` (raw values -> the set of their results) of the set
-    ``rows(us)`` of raw values on us × ys.  With at most SET_CAP pairs
-    each distinct raw value is reduced once; above that, row by row,
-    stopping like ``_pairs`` once the results pass SET_CAP."""
+def _pairs(xs, ys, rows):
+    """The set ``rows(us)`` of results on us × ys, for us = xs in one set
+    comprehension when there are at most SET_CAP pairs; above that the
+    union of ``rows((u,))`` for u in xs, stopping after the first u that
+    takes it past SET_CAP."""
     if len(xs) * len(ys) <= SET_CAP:
-        return reduce(rows(xs))
+        return rows(xs)
     out = set()
     for u in xs:
-        out |= reduce(rows((u,)))
+        out |= rows((u,))
         if len(out) > SET_CAP:
             break
     return out
@@ -248,9 +238,9 @@ def _sumset_poly(a, b):
     ones = ((1 << w * n) - 1) // ((1 << w) - 1)         # 1 in every digit
     lift, top = ((1 << w - 1) - p) * ones, ones << w - 1
     xs, ys = _packed(a, w), _packed(b, w)
-    sums = _packed_pairs(
-        xs, ys, lambda us: {u + v for u in us for v in ys},
-        lambda raw: {s - (((s + lift) & top) >> w - 1) * p for s in raw})
+    sums = _pairs(xs, ys, lambda us: {
+        s - (((s + lift) & top) >> w - 1) * p
+        for s in {u + v for u in us for v in ys}})
     return _unpacked(sums, w, p)
 
 
@@ -262,8 +252,8 @@ def _prodset_poly(a, b):
     terms = min(max(map(len, s.elements()), default=0) for s in (a, b))
     w = (terms * (p - 1) ** 2).bit_length() or 1
     xs, ys = _packed(a, w), _packed(b, w)
-    return _packed_pairs(xs, ys, lambda us: {u * v for u in us for v in ys},
-                         lambda raw: _unpacked(raw, w, p))
+    return _pairs(xs, ys, lambda us: _unpacked(
+        {u * v for u in us for v in ys}, w, p))
 
 
 def sumset(a, b):
@@ -280,7 +270,8 @@ def sumset(a, b):
     elif isinstance(ring, LazyPolyRing):
         out = _sumset_poly(a, b)
     if out is None:
-        out = _pairs(ring.add, a.elements(), b.elements())
+        add, ys = ring.add, b.elements()
+        out = _pairs(a.elements(), ys, lambda us: {add(u, v) for u in us for v in ys})
     return _guard(ring, FiniteSet(ring, out), "sumset")
 
 
@@ -291,7 +282,8 @@ def prodset(a, b):
     if isinstance(ring, LazyPolyRing):
         out = _prodset_poly(a, b)
     else:
-        out = _pairs(ring.mul, a.elements(), b.elements())
+        mul, ys = ring.mul, b.elements()
+        out = _pairs(a.elements(), ys, lambda us: {mul(u, v) for u in us for v in ys})
     return _guard(ring, FiniteSet(ring, out), "product set")
 
 
@@ -423,7 +415,8 @@ class ClosureResult:
 
 def _grow(ring, span, gens, inside=None):
     """⟨gens⟩ as a set, grown from ``span`` ({0}, or a subring that some
-    of gens generate); None once a coset leaves ``inside``, if given.  A
+    of gens generate); None once a coset leaves ``inside``, if given, and
+    BudgetExceededError("closure …") once the span passes SET_CAP.  A
     value g to try outside the span joins by the cosets span₀ + k·g,
     k = 1, 2, … until k·g ∈ span₀ (the span before g joined); then x·g
     and g·x join the values to try for each generator x.  Cost: about
@@ -441,6 +434,7 @@ def _grow(ring, span, gens, inside=None):
             if inside is not None and not coset <= inside:
                 return None
             span |= coset
+            _guard(ring, span, "closure")
             kg = ring.add(kg, g)
         tries += (p for x in gens for p in (ring.mul(x, g), ring.mul(g, x)))
     return span

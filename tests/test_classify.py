@@ -172,22 +172,6 @@ def test_nzd_classify_rejects_zero_divisors():
         ax.nzd_classify(ax.parse_set(m6, "{0,1,5}"))
 
 
-def test_nzd_weakened_hypothesis():
-    # Z/6 has zero divisors, but the core of {0,2,4} is a copy of Z/3:
-    # the weakened (core-local) check passes where the ambient one fails
-    m6 = ax.modular(6)
-    x = ax.parse_set(m6, "{0,2,4}")
-    with pytest.raises(ZeroDivisorError):
-        ax.nzd_classify(x)
-    rep = ax.nzd_classify(x, hypothesis="core-witnessed")
-    assert rep.core_is_subring
-    # Z/8 with X = {0,4}: 4*4 = 0 inside the core, witnessed locally
-    m8 = ax.modular(8)
-    with pytest.raises(ZeroDivisorError):
-        ax.nzd_classify(ax.parse_set(m8, "{0,4}"),
-                        hypothesis="core-witnessed")
-
-
 def test_structured_verdict_bound_invariant():
     import random
     rng = random.Random(4)
@@ -506,32 +490,54 @@ def test_verify_payload_rechecks_exhaustive_subring_search():
 
 
 def test_verify_payload_rechecks_the_hypothesis():
-    # a report built by hand for zmod:8, which has zero divisors, claims
-    # either hypothesis; nzd_classify itself raises on both
+    # the one hypothesis is the paper's: the ring has no zero divisors.
+    # nzd_classify checks it before any solve; a report built by hand for
+    # zmod:8 fails on the ring.  Schemas 1 and 2 named the hypothesis,
+    # and only "ambient" verifies; schema 3 names none
     from apxring.classify import classification_report
     from apxring.serialize import verify_payload
     x = ax.parse_set(ax.modular(8), "{0,1,7}")
     cert = ax.approx_constant(x, "ring")
     core = ax.core_set(x)
     comm = ax.commensurability(core, x)
-    for hypothesis, why in (("ambient", "zero divisors 2·4 = 0"),
-                            ("core-witnessed", "zero divisor inside the core")):
-        with pytest.raises(ZeroDivisorError):
-            ax.nzd_classify(x, small_threshold=0, hypothesis=hypothesis)
-        report = classification_report(x, cert, core, comm, 0, hypothesis)
-        assert (report.verdict, report.core_is_subring) == ("structured", True)
-        ok, details = verify_payload(report.to_json())
-        assert not ok and why in details[0], details
-    # schema 1 tagged the ambient hypothesis with how it was established;
-    # such a report fails, on a ring without zero divisors too
+    with pytest.raises(ZeroDivisorError, match="^zero divisors 2·4 = 0$"):
+        ax.nzd_classify(x, small_threshold=0)
+    # asymmetric, so a solve would raise NotSymmetricError first
+    with pytest.raises(ZeroDivisorError):
+        ax.nzd_classify(ax.parse_set(ax.modular(8), "{0,1}"))
+    payload = classification_report(x, cert, core, comm, 0).to_json()
+    assert (payload["verdict"], payload["core_is_subring"]) == ("structured", True)
+    for legacy in ({}, {"schema_version": "2", "hypothesis": "ambient"}):
+        assert verify_payload(dict(payload, **legacy)) == (
+            False, ["zero divisors 2·4 = 0"])
     x = ax.parse_set(ax.modular(7), "{0,1,6}")
     payload = ax.nzd_classify(x, small_threshold=0).to_json()
-    assert (payload["schema_version"], payload["hypothesis"]) == ("2", "ambient")
+    assert payload["schema_version"] == "3" and "hypothesis" not in payload
     assert verify_payload(payload)[0]
-    ok, details = verify_payload(dict(payload, schema_version="1",
-                                      hypothesis="ambient/known-domain"))
-    assert not ok and details == ["hypothesis 'ambient/known-domain' fails: "
-                                  "unknown hypothesis 'ambient/known-domain'"]
+    assert verify_payload(dict(payload, hypothesis="ambient")) == (
+        False, ["schema 3 names no hypothesis"])
+    for version in ("1", "2"):
+        assert verify_payload(dict(payload, schema_version=version,
+                                   hypothesis="ambient"))[0]
+        for other in ("core-witnessed", "ambient/known-domain"):
+            assert verify_payload(dict(payload, schema_version=version,
+                                       hypothesis=other)) == (
+                False, [f"hypothesis {other!r} is not 'ambient', the ring's own"])
+
+
+def test_cli_classify_checks_the_ring_only(capsys):
+    # Z/10403 = Z/101 × Z/103: classify exits 2 naming the pair, and the
+    # option that once chose another hypothesis is gone
+    from apxring.cli import main
+    args = ["classify", "--ring", "zmod:10403", "--set", "{0,1,10402}",
+            "--small-threshold", "0"]
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        "precondition failed: zero divisors 101·103 = 0\n")
+    with pytest.raises(SystemExit) as info:
+        main([*args, "--hypothesis", "ambient"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --hypothesis ambient" in capsys.readouterr().err
 
 
 def test_gallery_y_set():
@@ -627,6 +633,10 @@ def test_text_named_maps_map_core_and_bound_constant():
     # ROADMAP item 13, second slice: a ring map φ sends the core
     # 4X + X·4X onto 4φX + φX·4φX, and a cover F + X of X·X ∪ (X + X) to
     # one of φX·φX ∪ (φX + φX), so K(φX) <= K(X) when both are minimal.
+    # It sends a subring S to a subring φS and covers of S by X and of X
+    # by S to covers of the images, so commensurability(φS, φX) <=
+    # commensurability(S, X) when all four covers are optimal; S is ⟨X⟩
+    # in a finite ring and the constants F_p in F_p[t].
     # Each φ is named by text, φ(x) = target.parse(source.render(x)):
     # reduction mod d | n, entrywise on matrices, mod h | g in F_p[t]/(g),
     # F_p[t] onto F_p[t]/(g), and a product onto its first factor
@@ -638,10 +648,12 @@ def test_text_named_maps_map_core_and_bound_constant():
             ("polyquo:3:t^3", "polyquo:3:t"), ("poly:3", "gf:3^2:t^2+1"),
             ("poly:2", "gf:2^2:t^2+t+1"), ("prod:(zmod:4,zmod:3)", "zmod:4"),
             ("prod:(gf:2^2:t^2+t+1,zmod:2)", "gf:2^2:t^2+t+1")]
-    checked = total = 0
+    checked = comm_checked = total = 0
     for src_dsl, dst_dsl in maps:
         src, dst = ax.parse_ring(src_dsl), ax.parse_ring(dst_dsl)
         text = _first_coordinate if src_dsl.startswith("prod:") else str
+        constants = None if src.is_finite else ax.parse_set(
+            src, "{" + ",".join(map(str, range(src.p))) + "}")
 
         def one(v):
             return dst.parse(text(src.render(v)))
@@ -663,7 +675,15 @@ def test_text_named_maps_map_core_and_bound_constant():
             if cert.minimal and image.minimal:
                 assert image.k <= cert.k, where
                 checked += 1
-    assert checked == total == 8 * len(maps)
+            s = ax.closure(x) if src.is_finite else constants
+            assert ax.is_subring(s)[0] and ax.is_subring(phi(s))[0], where
+            comm = ax.commensurability(s, x)
+            image_comm = ax.commensurability(phi(s), phi(x))
+            if all(w.optimal for c in (comm, image_comm)
+                   for w in (c.witness_ab, c.witness_ba)):
+                assert image_comm.constant <= comm.constant, where
+                comm_checked += 1
+    assert checked == comm_checked == total == 8 * len(maps)
 
 
 def test_frobenius_preserves_constant_and_core():

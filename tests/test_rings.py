@@ -21,6 +21,7 @@ from apxring.rings import (
     IntegerRing,
     Ring,
     TableRing,
+    _RangeRing,
     _TupleRing,
     _check_tables,
     _poly_trim,
@@ -131,10 +132,10 @@ def test_invalid_descriptors():
     # non-associative multiplication table
     add = [[(i + j) % 2 for j in range(2)] for i in range(2)]
     ok_mul = [[0, 0], [0, 1]]
-    assert ax.table_ring(add, ok_mul).cardinality == 2
+    assert TableRing(add, ok_mul).cardinality == 2
     with pytest.raises(RingConstructionError, match="associative|distributivity"):
-        ax.table_ring(add, [[0, 1], [1, 1]])
-    with pytest.raises(RingConstructionError, match="additive order"):
+        TableRing(add, [[0, 1], [1, 1]])
+    with pytest.raises(RingConstructionError, match="element 1 has no additive inverse"):
         TableRing([[0, 1], [1, 1]], ok_mul)        # 1 + 1 + ... never 0
     # every element has an additive order (1 -> 2 -> 0 along column 1),
     # but row 1 holds no 0, so 1 has no negative
@@ -164,22 +165,34 @@ def test_literals_reject_empty_items(parse, text, capsys):
         assert "precondition failed: empty item" in err and text[1:-1] in err
 
 
+class _UncheckedTables(_RangeRing):
+    """Index tables behind the finite-ring ops with no axiom check, so
+    the oracle can judge tables that ``TableRing`` refuses to build."""
+
+    def __init__(self, add, mul):
+        self.descriptor = f"unchecked:{add}:{mul}"
+        self.cardinality = len(add)
+        self.add_table, self.mul_table = tuple(map(bytes, add)), tuple(map(bytes, mul))
+        self.neg_table = bytes(row.index(0) for row in self.add_table)
+
+
 def test_direct_table_ring_checked_by_check_ring_axioms():
-    # TableRing checks shape, additive orders and negatives only; the
-    # axioms are table_ring's job, and the oracle's here
+    # TableRing refuses tables that break a ring axiom, naming the first
+    # law they break; the oracle, given the same tables unchecked, fails
+    # them too, and passes the ring TableRing builds once they hold
     add = [[(i + j) % 2 for j in range(2)] for i in range(2)]
-    bad = TableRing(add, [[0, 1], [1, 1]])
-    with pytest.raises(AssertionError, match="associative|distributivity"):
-        check_ring_axioms(bad)
     # F_2^2 with the bilinear product e1·e1 = e2, e2·e1 = e1: distributive,
     # but (e1·e1)·e1 = e1 while e1·(e1·e1) = 0
     xor = [[i ^ j for j in range(4)] for i in range(4)]
     mul = [[((a & b & 1) << 1) ^ (a >> 1 & b & 1) for b in range(4)]
            for a in range(4)]
-    with pytest.raises(AssertionError, match="multiplication not associative"):
-        check_ring_axioms(TableRing(xor, mul))
-    with pytest.raises(RingConstructionError, match="multiplication not assoc"):
-        ax.table_ring(xor, mul)
+    for tables, law in (((add, [[0, 1], [1, 1]]), "associative|distributivity"),
+                        ((xor, mul), "multiplication not associative")):
+        with pytest.raises(RingConstructionError, match=law):
+            TableRing(*tables)
+        with pytest.raises(AssertionError, match=law):
+            check_ring_axioms(_UncheckedTables(*tables))
+    check_ring_axioms(TableRing(add, [[0, 0], [0, 1]]))
 
 
 def test_element_ops_examples():
@@ -428,12 +441,12 @@ def test_table_file_round_trip(tmp_path):
 
 
 def test_table_descriptor_examples():
-    f2 = ax.table_ring([[0, 1], [1, 0]], [[0, 0], [0, 1]])
+    f2 = TableRing([[0, 1], [1, 0]], [[0, 0], [0, 1]])
     assert f2.descriptor == "table:2:00010100:00000001"
     # above 256 elements each entry takes two bytes, most significant first
     n = 257
-    big = ax.table_ring([[(i + j) % n for j in range(n)] for i in range(n)],
-                        [[0] * n for _ in range(n)])
+    big = TableRing([[(i + j) % n for j in range(n)] for i in range(n)],
+                    [[0] * n for _ in range(n)])
     add_hex = big.descriptor.split(":")[2]
     assert len(add_hex) == 4 * n * n and add_hex[4 * (n - 1):4 * n] == "0100"
     assert parse_ring(big.descriptor) == big

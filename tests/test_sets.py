@@ -237,6 +237,30 @@ def _rows_past(cap, outer, inner, op):
     return out
 
 
+def test_closure_passes_the_cap(monkeypatch, capsys):
+    # the closure is a derived set like any other: once its span passes
+    # SET_CAP it raises BudgetExceededError naming "closure", with part of
+    # ⟨X⟩ as partial, and apx model exits 3.  From {0} each coset of
+    # {0, ±1} in Z/101 adds one element, so the span stops at cap + 1
+    import apxring.sets as sets_mod
+    from apxring.cli import main
+    m101 = ax.modular(101)
+    x = ax.parse_set(m101, "{0,1,100}")
+    monkeypatch.setattr(sets_mod, "SET_CAP", 50)
+    with pytest.raises(BudgetExceededError, match="^closure exceeded cap 50$") as exc:
+        ax.closure(x)
+    assert exc.value.partial == FiniteSet(m101, range(51))
+    assert main(["model", "--ring", "zmod:101", "--set", "{0,1,100}",
+                 "--ideal", "{0}"]) == 3
+    assert capsys.readouterr().err == "budget exceeded: closure exceeded cap 50\n"
+    # one element over the cap raises; at the cap the closure passes
+    monkeypatch.setattr(sets_mod, "SET_CAP", 100)
+    with pytest.raises(BudgetExceededError):
+        ax.closure(x)
+    monkeypatch.setattr(sets_mod, "SET_CAP", 101)
+    assert ax.closure(x) == FiniteSet(m101, range(101))
+
+
 def test_budget_exceeded_typed(monkeypatch):
     # one cap, sets.SET_CAP, read by every kernel when it runs.  A kernel
     # stops once past it: the pair loops after the outer element that

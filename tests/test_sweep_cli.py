@@ -248,6 +248,23 @@ def test_sweep_poschar_smoke():
     assert ok, details
 
 
+def test_poschar_row_without_a_subring():
+    # X = {0, ±1, ±2} over zmod:101: the core has 49 > 32 elements, so the
+    # exhaustive pass does not run; ⟨X⟩ = Z/101 leaves the core, and every
+    # seed equals X.  The row finds no subring, its commensurability cell
+    # is empty, and its witness verifies
+    from apxring.sweep import _run_row
+    spec = SweepSpec.parse(spec_text(mode="poschar", rings="zmod:101"))
+    row = _run_row((0, "zmod:101", ("0", "1", "2", "99", "100"), "poschar",
+                    spec.small_threshold))
+    assert (row["strategy"], row["commensurability"]) == ("none", None)
+    assert SweepReport(spec, [row]).to_csv().splitlines()[1] == \
+        "0,zmod:101,5,101,2,none,False,False,0,,49,ok,{0 1 2 99 100}"
+    assert verify_payload(row["_witness"]) == (True, [
+        "K = 2 certificate re-verified",
+        "minimality certified: every cover needs 2", "subring_search re-derived"])
+
+
 def _tampered(payload):
     """Copies of a report payload, each with one claimed constant changed."""
     if payload["kind"] == "subring_search":
@@ -257,7 +274,7 @@ def _tampered(payload):
         yield dict(payload, strategy="seeded:5X")
         yield dict(payload, strategy="none")
         return
-    yield dict(payload, hypothesis=payload["hypothesis"] + "?")
+    yield dict(payload, hypothesis="ambient")
     yield dict(payload, k=payload["k"] + 1)
     yield dict(payload, k11_bound=payload["k11_bound"] + 1)
     yield dict(payload, core_is_subring=not payload["core_is_subring"])
@@ -607,12 +624,13 @@ def test_poschar_cores_csv_golden():
 def test_nzd_sweep_csv_golden():
     # byte-for-byte pin of K, verdict, core and commensurability over
     # prime zmod and gf rings, which have no zero divisors, so every row
-    # holds under the ambient hypothesis
+    # has a witness: a schema-3 report, which names no hypothesis
     data = Path(__file__).parent / "data"
     report = run_sweep(SweepSpec.load(str(data / "nzd_small.cfg")))
     assert report.to_csv() == \
         (data / "nzd_small.csv").read_text(encoding="utf-8")
-    assert {r["_witness"]["hypothesis"] for r in report.rows} == {"ambient"}
+    assert all(r["_witness"]["schema_version"] == "3" and "hypothesis" not in r["_witness"]
+               for r in report.rows)
 
 
 def test_verify_reruns_rows_without_a_witness():
