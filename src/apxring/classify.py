@@ -150,20 +150,17 @@ def _check_no_zero_divisors(ring):
             f"zero divisors {ring.render(pair[0])}·{ring.render(pair[1])} = 0")
 
 
-def nzd_classify(x, small_threshold=None, cert=None):
+def nzd_classify(x, small_threshold=None):
     """Dichotomy check over a ring without zero divisors.
 
-    Checks the ring first (``_check_no_zero_divisors``), then certifies
-    K, computes the core 4X + X·4X and measures its exact
+    Checks the ring first (``_check_no_zero_divisors``), so no solve runs
+    over a ring with zero divisors, then certifies K itself: an empty X
+    raises InvalidParamsError, and an asymmetric one NotSymmetricError.
+    It computes the core 4X + X·4X and measures its exact
     commensurability with X; ``classification_report`` derives the rest.
-    ``cert`` is an exact ring-mode certificate of X already computed,
-    as by ``approx_constant(x, "ring")``; without it K is certified here,
-    so X's preconditions are the certificate's: an empty X raises
-    InvalidParamsError, and an asymmetric one NotSymmetricError.
     """
     _check_no_zero_divisors(x.ring)
-    if cert is None:
-        cert = approx_constant(x, "ring")
+    cert = approx_constant(x, "ring")
     core = core_set(x)
     return classification_report(x, cert, core, commensurability(core, x),
                                  small_threshold)
@@ -296,13 +293,11 @@ _STRATEGY_TAGS = frozenset({"none", "generated", "exhaustive",
                            *(f"seeded:{k}X" for k in _SEED_MULTIPLES)})
 
 
-def pos_char_search(x, cert=None):
+def pos_char_search(x):
     """Search for a subring S ⊆ 4X + X·4X minimizing commensurability
-    with X.  ``cert`` is an exact ring-mode certificate of X already
-    computed, as by ``approx_constant(x, "ring")``; without it K is
-    certified here, once the ring is finite, so X's preconditions are
-    the certificate's, as in ``nzd_classify``.  Three strategies, in
-    this order:
+    with X.  K is certified here once the ring is known to be finite, so
+    X's preconditions are the certificate's, as in ``nzd_classify``.
+    Three strategies, in this order:
 
       generated   S = ⟨X⟩ when it stays inside the core
       seeded      S = ⟨X ∩ kX ∩ core⟩ for k <= 4, once per distinct seed
@@ -318,8 +313,7 @@ def pos_char_search(x, cert=None):
     ring = x.ring
     if not ring.is_finite:
         raise InfiniteRingError("subring search needs a finite ring")
-    if cert is None:
-        cert = approx_constant(x, "ring")
+    cert = approx_constant(x, "ring")
     core = core_set(x)
     candidates = {}          # subring -> (rank, tag) of the first to find it
 

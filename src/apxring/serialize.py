@@ -13,7 +13,8 @@ check that the ring has no zero divisors), and every other field is
 re-derived by the builder that wrote it, run on the payload's inputs and
 re-checked witnesses, and compared as JSON values: 2 is not 2.0, and 1
 is not true.  Every payload, nested ones too, must be of a schema
-version its kind's verifier reads, with the leaves that verifier reads
+version its kind's verifier reads, with no key its builder does not
+write but an older schema's, and the leaves that verifier reads
 directly of their JSON types, and nested payloads verify by their own
 kind, which must be the kind their slot holds; a sweep's rows must be
 its config's instances in order and hold, key for key, the fields
@@ -31,6 +32,7 @@ from .cover import (
     ApproxCertificate,
     CommensurabilityResult,
     CoverWitness,
+    approx_constant,
     commensurability,
     first_uncovered,
     lagrangian_floor,
@@ -105,6 +107,16 @@ _LEAF_TYPES = {
 }
 _TYPE_NAMES = {int: "an int", bool: "true or false"}
 
+# the keys that only older schemas, which the verifiers still read, held
+_LEGACY_KEYS = {
+    ("approx_certificate", "1"): "membership f_location derivations",
+    ("approx_certificate", "2"): "f_location derivations",
+    ("approx_certificate", "3"): "f_location derivations",
+    ("classification_report", "1"): "hypothesis",
+    ("classification_report", "2"): "hypothesis",
+    ("subring_search", "1"): "containment_ok",
+}
+
 
 def _kind_fault(payload, kind):
     """[why] when ``payload``, where a ``kind`` payload belongs, is of
@@ -119,6 +131,16 @@ def _kind_fault(payload, kind):
     return [f"{key} {json.dumps(payload[key])} is not {_TYPE_NAMES[t]}"
             for key, t in _LEAF_TYPES.get(kind, {}).items()
             if key in payload and type(payload[key]) is not t][:1]
+
+
+def _unknown_key(payload, rebuilt):
+    """[why] when ``payload`` holds a key that ``rebuilt``, the payload
+    re-derived from it, does not and no older schema of its kind held
+    (``_LEGACY_KEYS``); else []."""
+    version = payload["schema_version"]
+    unknown = payload.keys() - rebuilt.keys() - set(
+        _LEGACY_KEYS.get((payload["kind"], version), "").split())
+    return [f"schema {version} names no {_clip(min(unknown))}"] if unknown else []
 
 
 def _cover_witness(payload):
@@ -139,14 +161,19 @@ def _cover_witness(payload):
     if len(base) == 0:
         return False, ["base set is empty"], None
     translates = tuple(ring.parse(e) for e in payload["translates"])
-    w = CoverWitness(target, base, translates, optimal, method)
+    w = CoverWitness(target, base, translates, optimal, method,
+                     lower_bound=_bound(ring, payload))
     k = len(set(w.translates))
     missing = first_uncovered(target, base, w.translates)
     if missing is not None:
         return False, [f"uncovered element {ring.render(missing)}"], w
-    ok, note = _minimality(_bound(ring, payload), target, base, k)
-    details = [f"cover of {len(target)} elements by {k} translates", note]
-    return ok, details if ok else [note], w
+    ok, note = _minimality(w.lower_bound, target, base, k)
+    if not ok:
+        return False, [note], w
+    why = _unknown_key(payload, w.to_json())
+    if why:
+        return False, why, w
+    return True, [f"cover of {len(target)} elements by {k} translates", note], w
 
 
 def _certificate(payload):
@@ -166,6 +193,9 @@ def _certificate(payload):
     ok, note = _minimality(cert.lower_bound, cert.target, x, cert.k)
     if not ok:
         return False, [note], cert
+    why = _unknown_key(payload, cert.to_json())
+    if why:
+        return False, why, cert
     details = [f"K = {cert.k} certificate re-verified", note]
     if payload.get("schema_version") == "1":
         details.append("schema v1: membership and f_location.in_x2 ignored, "
@@ -193,11 +223,15 @@ def _rebuilt(name, build, payload, flat=False):
     """(ok, details): ``build()``, a payload, must equal ``payload`` on
     every key of either, or with ``flat`` on every key of its own but the
     schema version and the nested payloads, which verify by their own
-    kind.  A build that raises fails."""
+    kind, and ``payload`` may hold no other key but an older schema's
+    (``_unknown_key``).  A build that raises fails."""
     try:
         rebuilt = build()
     except (ApxError, ValueError) as exc:
         return False, [f"{name} does not rebuild: {exc}"]
+    why = _unknown_key(payload, rebuilt) if flat else []
+    if why:
+        return False, why
     keys = ({k for k, v in rebuilt.items() if not isinstance(v, dict)}
             - {"schema_version"} if flat else rebuilt.keys() | payload.keys())
     wrong = sorted(k for k in keys if _differs(rebuilt.get(k), payload.get(k)))
@@ -215,12 +249,10 @@ def _verify_classification(payload):
     ok, details, cert = _certificate(payload["certificate"])
     if not ok:
         return ok, details
-    if payload["schema_version"] in ("1", "2"):
-        if payload["hypothesis"] != "ambient":
-            return False, [f"hypothesis {_clip(repr(payload['hypothesis']))} "
-                           "is not 'ambient', the ring's own"]
-    elif "hypothesis" in payload:
-        return False, ["schema 3 names no hypothesis"]
+    if payload["schema_version"] in ("1", "2") \
+            and payload["hypothesis"] != "ambient":
+        return False, [f"hypothesis {_clip(repr(payload['hypothesis']))} "
+                       "is not 'ambient', the ring's own"]
     x = cert.x
     try:
         _check_no_zero_divisors(x.ring)
@@ -292,7 +324,9 @@ def _row_faults(row, instance, ring, spec):
     """Why a sweep row is not the row of its config's ``instance``
     (instance_id, ring and rendered x, over ``ring``) and of its
     witness, or, without a witness, not the failing row a re-run of the
-    instance under ``spec`` gives: empty when it is."""
+    instance under ``spec`` gives: empty when it is.  Sweeps that
+    certified K before the classifier ran wrote it on failing rows too;
+    such a K must be X's constant."""
     from .sweep import _run_row, row_fields
     faults = _differing({key: row[key] for key in instance if key in row},
                         instance, "the config's")
@@ -305,6 +339,11 @@ def _row_faults(row, instance, ring, spec):
         rerun = _run_row((instance["instance_id"], instance["ring"], instance["x"],
                           spec.mode, spec.small_threshold))
         rerun.pop("_witness", None)
+        if "K" in row:
+            try:
+                rerun["K"] = approx_constant(_parse_set(ring, instance["x"])).k
+            except ApxError:
+                pass
         return _differing(row, rerun, "a re-run's")
     ok, det = verify_payload(w)
     if not ok:

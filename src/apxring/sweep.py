@@ -6,8 +6,10 @@ finite rings, collects one row per instance, and aggregates empirical
 constants: ``empirical_N[K]`` (largest |X| among non-structured rows per
 K) for nzd sweeps and ``empirical_C[(K, L)]`` (largest commensurability
 constant per approximation-constant / characteristic cell, written
-"K,L" in JSON) for poschar sweeps.  Every X holds 0, and every row
-certifies the exact K and solves its covers exactly.  Rows are
+"K,L" in JSON) for poschar sweeps.  Every X holds 0, and every row's
+classifier certifies the exact K and solves its covers exactly.  An ok
+row's K comes from its witness (``row_fields``); a failing row has an
+empty K, as it has no witness.  Rows are
 generated and assembled in a fixed order, so identical configs produce
 byte-identical CSV output; per-row failures are recorded in the status
 column and never abort the sweep.
@@ -34,7 +36,6 @@ import random
 from dataclasses import dataclass
 
 from .classify import nzd_classify, pos_char_search
-from .cover import approx_constant
 from .errors import (ApxError, BudgetExceededError, InvalidParamsError,
                      ParseError)
 from .rings import _split_top_level, parse_ring
@@ -223,14 +224,11 @@ def _run_row(args):
         "status": "ok",
     }
     try:
-        cert = approx_constant(x, "ring")
-        row["K"] = cert.k
         if mode == "nzd":
             threshold = None if small_threshold < 0 else small_threshold
-            witness = nzd_classify(x, small_threshold=threshold,
-                                   cert=cert).to_json()
+            witness = nzd_classify(x, small_threshold=threshold).to_json()
         else:
-            witness = pos_char_search(x, cert=cert).to_json()
+            witness = pos_char_search(x).to_json()
         row.update(row_fields(witness, ring), _witness=witness)
     except BudgetExceededError as exc:
         row["status"] = f"budget-exceeded: {exc}"

@@ -465,6 +465,28 @@ def test_verify_payload_rechecks_core_and_subring():
     assert not ok and details == ["not a subring: add 2 4"]
 
 
+def test_reports_need_a_ring_mode_certificate_of_x():
+    # a report rests on X's own ring-mode certificate: another X's raises
+    # ValueError, and a payload that nests a group-mode certificate of X
+    # does not rebuild
+    from apxring.classify import classification_report
+    from apxring.serialize import verify_payload
+    ring = ax.modular(7)
+    x = ax.parse_set(ring, "{0,1,6}")
+    core = ax.core_set(x)
+    other = ax.approx_constant(ax.parse_set(ring, "{0,2,5}"), "ring")
+    with pytest.raises(ValueError, match="^cert must be a ring-mode certificate of x$"):
+        classification_report(x, other, core, ax.commensurability(core, x), None)
+    group = ax.approx_constant(x, "group").to_json()
+    assert verify_payload(group)[0]
+    for payload, name, slot in (
+            (ax.nzd_classify(x, small_threshold=0), "classification_report", "cert"),
+            (ax.pos_char_search(x), "subring_search", "certificate")):
+        assert verify_payload(dict(payload.to_json(), certificate=group)) == (
+            False, [f"{name} does not rebuild: {slot} must be a ring-mode "
+                    "certificate of x"])
+
+
 def test_verify_payload_rechecks_exhaustive_subring_search():
     # over Z/4 the subrings {0, 2} and Z/4 have constant 2 against
     # X = {0, ±1}; {0} is a subring inside the core with constant 3
@@ -708,3 +730,32 @@ def test_frobenius_preserves_constant_and_core():
             cert, image = ax.approx_constant(x), ax.approx_constant(fx)
             assert cert.minimal and image.minimal
             assert (image.k, len(ax.core_set(fx))) == (cert.k, len(core)), x.render()
+
+
+def test_conjugation_preserves_constant_and_core():
+    # ROADMAP item 13: v -> g·v·g⁻¹ with g = [[1,1],[0,1]] is an
+    # automorphism of a matrix ring: it maps the core onto the core and
+    # certificates onto certificates both ways, and on mat:2:zmod:2 it
+    # keeps the subring search's constant (on mat:2:zmod:3 some searches
+    # stall at the node limit, so their constants are not optimal)
+    import random
+    rng = random.Random(13)
+    for dsl in ("mat:2:zmod:2", "mat:2:zmod:3"):
+        ring = ax.parse_ring(dsl)
+        g, one = ring.parse("[[1,1],[0,1]]"), ring.parse("[[1,0],[0,1]]")
+        g_inv = next(h for h in ring.elements() if ring.mul(g, h) == one)
+
+        def conj(v):
+            return ring.mul(ring.mul(g, v), g_inv)
+
+        assert sorted(map(conj, ring.elements())) == list(ring.elements())
+        for x in _symmetric_sets(ring, rng, 8):
+            cx = FiniteSet(ring, map(conj, x.elements()))
+            core = ax.core_set(x)
+            assert ax.core_set(cx) == FiniteSet(ring, map(conj, core.elements()))
+            cert, image = ax.approx_constant(x), ax.approx_constant(cx)
+            assert cert.minimal and image.minimal
+            assert (image.k, len(ax.core_set(cx))) == (cert.k, len(core)), x.render()
+            if dsl == "mat:2:zmod:2":
+                assert ax.pos_char_search(cx).commensurability == \
+                    ax.pos_char_search(x).commensurability, x.render()

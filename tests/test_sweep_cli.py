@@ -194,30 +194,21 @@ def test_sweep_deterministic_and_parallel_identical():
 
 
 def test_nzd_rows_certify_k_once(monkeypatch):
+    # the classifier is the one place a row's K is certified: one
+    # certificate per row, in both modes
     import apxring.classify as classify_mod
-    import apxring.sweep as sweep_mod
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args[0])
         return ax.approx_constant(*args, **kwargs)
 
-    monkeypatch.setattr(sweep_mod, "approx_constant", counted)
     monkeypatch.setattr(classify_mod, "approx_constant", counted)
-    report = run_sweep(SweepSpec.parse(spec_text()))
-    assert len(calls) == len(report.rows) > 0
-
-
-def test_nzd_classify_reuses_certificate():
-    ring = ax.modular(7)
-    x = ax.parse_set(ring, "{0,1,6}")
-    cert = ax.approx_constant(x, "ring", exact=True)
-    given_cert = ax.nzd_classify(x, small_threshold=1, cert=cert)
-    assert given_cert.certificate is cert
-    assert given_cert == ax.nzd_classify(x, small_threshold=1)
-    other = ax.approx_constant(ax.parse_set(ring, "{0,2,5}"), "ring")
-    with pytest.raises(ValueError):
-        ax.nzd_classify(x, cert=other)
+    for mode in ("nzd", "poschar"):
+        calls.clear()
+        report = run_sweep(SweepSpec.parse(spec_text(mode=mode)))
+        assert len(calls) == len(report.rows) > 0
+        assert all(r["status"] == "ok" for r in report.rows)
 
 
 def test_sweep_random_policy_deterministic():
@@ -651,18 +642,64 @@ def test_verify_reruns_rows_without_a_witness():
         "row 0: verdict 'structured' differs from a re-run's None"])
 
 
+def test_zero_divisor_rows_solve_nothing(monkeypatch):
+    # over rings with zero divisors an nzd row ends at the ring check:
+    # no cover is solved, in the sweep or in apx verify's re-run of its
+    # witness-less rows, and no K is written without a witness
+    import apxring.cover as cover_mod
+    cover_exact, calls = cover_mod.cover_exact, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return cover_exact(*args, **kwargs)
+
+    monkeypatch.setattr(cover_mod, "cover_exact", counted)
+    report = run_sweep(SweepSpec.parse(spec_text(
+        rings="mat:2:zmod:2, polyquo:2:t^4", policy="random", seed=3,
+        instances_per_ring=5)))
+    assert len(report.rows) == 10 and all(
+        r["status"].startswith("ZeroDivisorError: ") and "K" not in r
+        for r in report.rows)
+    assert report.to_csv().splitlines()[1] == (
+        "0,mat:2:zmod:2,4,2,,,,,,,ZeroDivisorError: zero divisors "
+        "[[0;1];[0;0]]·[[0;1];[0;0]] = 0,{[[0;0];[0;0]] [[0;1];[1;0]] "
+        "[[1;0];[0;1]] [[1;0];[1;1]]}")
+    payload = report.to_json()
+    assert verify_payload(payload) == (True, ["sweep_report re-derived"])
+    assert calls == []
+    # sweeps that certified K before the classifier ran wrote it on
+    # failing rows too (row 0 held 3): such a row verifies when its K is
+    # X's constant
+    assert verify_payload(_row_edit(payload, K=3)) == (
+        True, ["sweep_report re-derived"])
+    assert verify_payload(_row_edit(payload, K=4)) == (
+        False, ["row 0: K 4 differs from a re-run's 3"])
+
+
 DATA = Path(__file__).parent / "data"
+
+
+# sha256 prefixes of the benchmark's sweep CSVs at seeds 2 and 3
+_BENCHMARK_CSV_SHA256 = {
+    "nzd": {2: "4dd73647d4a17be4", 3: "7ccfa26ca64b532b"},
+    "poschar": {2: "10302c5d2da0e0ba", 3: "598605d5f07bf375"},
+}
 
 
 @pytest.mark.parametrize("cfg", ["nzd", "poschar"])
 def test_benchmark_sweep_csv_golden(cfg):
-    # the benchmark's sweeps at seed 1, byte for byte, from its own
-    # configs: a change that moves a row shows here first
+    # the benchmark's sweeps from its own configs, byte for byte at seed
+    # 1 and by hash at seeds 2 and 3: a change that moves a row shows
+    # here first
+    import hashlib
     spec = SweepSpec.load(str(Path(__file__).parents[1] / "perfbench" / "data"
                               / f"{cfg}.cfg"))
     report = run_sweep(dataclasses.replace(spec, seed=1))
     assert report.to_csv() == \
         (DATA / f"perfbench_{cfg}_seed1.csv").read_text(encoding="utf-8")
+    for seed, prefix in _BENCHMARK_CSV_SHA256[cfg].items():
+        csv = run_sweep(dataclasses.replace(spec, seed=seed)).to_csv()
+        assert hashlib.sha256(csv.encode()).hexdigest()[:16] == prefix, seed
 
 
 def _rows_edited(p, *rows):
@@ -870,6 +907,52 @@ def test_verify_fails_leaves_of_the_wrong_json_type(name, type_mutation_payloads
     assert (bad == payload) != name.endswith("-string")   # == cannot tell the rest
     ok, details = verify_payload(bad)
     assert not ok, details
+
+
+def test_verify_fails_unknown_keys(type_mutation_payloads):
+    # a key outside its kind's, of any JSON type, fails at the top level,
+    # in a nested payload and in a sweep row's witness; an older schema's
+    # key fails under any other schema and passes under its own
+    search = ax.pos_char_search(ax.parse_set(ax.modular(8), "{0,2,6}")).to_json()
+    top = {name: type_mutation_payloads[name] for name in ("cover", "k2", "classify")}
+    top["search"] = search
+    nested = [(type_mutation_payloads["classify"], "certificate", ""),
+              (type_mutation_payloads["classify"], "comm_core_by_x",
+               "comm_core_by_x: "),
+              (search, "certificate", ""), (search, "comm_x_by_s", "comm_x_by_s: ")]
+    sweep = type_mutation_payloads["sweep"]
+    for value in (123, 1.5, "x", True, None, [], {"a": 1}):
+        for name, payload in top.items():
+            assert verify_payload(dict(payload, bogus=value)) == (
+                False, [f"schema {payload['schema_version']} names no bogus"]), name
+        for payload, slot, where in nested:
+            inner = payload[slot]
+            bad = dict(payload, **{slot: dict(inner, bogus=value)})
+            assert verify_payload(bad) == (False, [
+                f"{where}schema {inner['schema_version']} names no bogus"]), slot
+        row = sweep["rows"][0]
+        bad = _row_edit(sweep, _witness=dict(row["_witness"], bogus=value))
+        assert verify_payload(bad) == (False, ["row 0: schema 3 names no bogus"])
+    for payload, key in ((type_mutation_payloads["k2"], "derivations"),
+                         (type_mutation_payloads["k2"], "membership"),
+                         (search, "containment_ok"),
+                         (type_mutation_payloads["classify"], "hypothesis")):
+        version = payload["schema_version"]
+        assert verify_payload(dict(payload, **{key: "ambient"})) == (
+            False, [f"schema {version} names no {key}"])
+    # certificates of schemas 2 and 3 carried the constant f_location
+    # "T-X" pool and their derivations, which the cover re-proves; they
+    # verify alone and nested in a schema-2 classification report
+    cert, report = type_mutation_payloads["k2"], type_mutation_payloads["classify"]
+    for version in ("2", "3"):
+        old = dict(cert, schema_version=version, f_location={"pool": "T-X"},
+                   derivations={})
+        assert verify_payload(old)[0], version
+        nested = dict(report, schema_version="2", hypothesis="ambient",
+                      certificate=old)
+        assert verify_payload(nested) == (True, [
+            "K = 2 certificate re-verified", "minimality certified: every cover needs 2",
+            "classification_report re-derived"]), version
 
 
 def test_verify_fails_an_unknown_kind():
