@@ -91,11 +91,15 @@ def _cmd_cover(args):
     base = _load_set(ring, args.base)
     w = (cover_greedy(target, base) if args.greedy
          else cover_exact(target, base, node_limit=args.node_limit))
-    _emit(args, w.to_json(), [
-        f"cover of {len(target)} elements by {len(w.translates)} translates",
-        f"optimal = {w.optimal}  method = {w.method}",
-        "translates = {" + ", ".join(ring.render(t) for t in w.translates) + "}",
-    ])
+    lines = [f"cover of {len(target)} elements by {len(w.translates)} translates",
+             f"optimal = {w.optimal}  method = {w.method}"]
+    if not args.greedy:
+        s = w.stats
+        lines.append(f"nodes = {s['nodes']}  revisits = {s['revisits']}  "
+                     f"lower bound = {s['lower_bound']}  "
+                     f"node limit hit = {s['node_limit_hit']}")
+    lines.append("translates = {" + ", ".join(ring.render(t) for t in w.translates) + "}")
+    _emit(args, w.to_json(), lines)
     return 0
 
 

@@ -30,13 +30,18 @@ denominator, evaluated exactly, component by component, as a Lagrangian
 bound of the covering LP (Beasley 1990), so any weights >= 0 give a
 valid bound: counting (w = 1 over |base|), cheap fractional (1 /
 largest translate holding the element), a greedy packing (targets
-pairwise in no common translate), and, only when the search stalls on
-an irregular instance, a subgradient ascent whose float weights run
-through the same evaluator and are rounded before the exact one.  The
-weights travel with the witness, so ``apx verify`` recomputes the
-components and re-checks the minimality claim instead of trusting it.
-Covers of the whole finite ring shift onto covers holding 0 + base, so
-that search starts from 0 + base.
+pairwise in no common translate), and a subgradient ascent whose float
+weights run through the same evaluator and are rounded before the
+exact one.  The ascent runs at most once per call, and only where it
+can close: no Lagrangian bound exceeds room, the cost of the uniform
+fractional cover (1 / |base| on every translate), so it runs only when
+room reaches the incumbent.  The weights travel with the witness, so
+``apx verify`` recomputes the components and re-checks the minimality
+claim instead of trusting it.  Covers of the whole finite ring shift
+onto covers holding 0 + base, so that search starts from 0 + base.
+The exact search does not repeat itself: a table maps each covered set
+it entered to the fewest picks it was entered with, and a visit to a
+set entered with no more picks returns at once.
 
 approx_constant certifies the minimal K with X*X ∪ (X+X) ⊆ F + X
 (ring mode; group mode drops the product part).  It decides X's
@@ -72,6 +77,7 @@ from .sets import (
 )
 
 DEFAULT_NODE_LIMIT = 10 ** 6
+_TABLE_SIZE = 1 << 16                  # searched states cover_exact keeps
 
 
 @dataclass(frozen=True)
@@ -227,29 +233,45 @@ def cover_exact(a, b, node_limit=DEFAULT_NODE_LIMIT):
 
     Depth-first branch and bound from the greedy cover's picks
     (``_greedy_lists``), replaced by the cover of ``_dive`` when the
-    root bound leaves greedy unproven and the dive is strictly smaller.  A node branches on its first
-    uncovered target in one order fixed per call, fewest coverers first
-    (ties toward the lower index), and tries its coverers by most
-    uncovered targets (ties toward the lower rank).  Every coverer of an
-    uncovered target still holds it, so that target is the one with
-    fewest live coverers.  A node is pruned by Σ_C ceil(|C ∖ covered| /
-    |b|) over the connected components C of the target/translate
-    incidence, since each translate lies in one of them.  The search stops as
-    soon as the incumbent meets a proven lower bound: the best root
-    bound of ``_root_floor``, raised by ``_ascent`` once the search has
-    spent |targets| × |distinct masks| nodes without closing (skipped
-    on regular instances, where counting already equals the LP
-    optimum).  Both are summed over the components.  When a is the
-    whole finite ring, every cover shifts to one that holds 0 + b, so
-    the search starts from that translate.
+    root bound leaves greedy unproven and the dive is strictly smaller.
+    A node branches on its first uncovered target in one order fixed per
+    call, fewest coverers first (ties toward the lower index), and tries
+    its coverers by most uncovered targets (ties toward the lower rank).
+    Every coverer of an uncovered target still holds it, so that target
+    is the one with fewest live coverers.  A node is pruned by Σ_C
+    ceil(|C ∖ covered| / |b|) over the connected components C of the
+    target/translate incidence, since each translate lies in one of
+    them.
+
+    A table maps each covered mask the search entered to the fewest
+    picks it was entered with, and a visit to a mask entered with no
+    more picks returns at once.  This is sound: covered grows strictly
+    along a path, so the earlier entry is no ancestor and its subtree
+    was searched in full, with a cutoff that has only fallen since, and
+    below a mask the search depends only on the picks and the cutoff.
+    Such a visit still counts as a node.  The table stops growing at
+    ``_TABLE_SIZE`` masks, so its memory is bounded.
+
+    The search stops as soon as the incumbent meets a proven lower
+    bound: the best root bound of ``_root_floor``, raised at most once
+    per call by ``_ascent``.  The ascent runs once the search has spent
+    |targets| × |distinct masks| nodes without closing, or else once
+    when the search ends exhausted above the bound, when the incumbent
+    is the optimum and the best target for its steps; either way only if
+    ``_room``, the cost of the uniform fractional cover, reaches the
+    incumbent, as no Lagrangian bound exceeds it.  All bounds are summed
+    over the components.  When a is the whole finite ring, every cover
+    shifts to one that holds 0 + b, so the search starts from that
+    translate.
 
     Returns an optimal witness, or the best incumbent flagged non-optimal
     when the node limit is hit before the bound is met.  The witness
     carries the bound's integer weights as ``lower_bound`` and its value
     as ``stats["lower_bound"]``.  ``stats["nodes"]`` counts the dive's
     path, one node per translate, plus the nodes of the search; the
-    node limit bounds the search alone.  An empty a gets the empty
-    cover, proven optimal by the zero bound over d = |b|.
+    node limit bounds the search alone.  ``stats["revisits"]`` counts
+    the search's visits that the table cut off.  An empty a gets the
+    empty cover, proven optimal by the zero bound over d = |b|.
     """
     t0 = time.perf_counter()
     targets, pool, coverers, masks, full = _instance(a, b)
@@ -268,30 +290,43 @@ def cover_exact(a, b, node_limit=DEFAULT_NODE_LIMIT):
         if dived < cutoff:
             best, cutoff = dive, len(dive)
 
-    nodes = 0
-    hit_limit = False
+    nodes = revisits = 0
+    hit_limit = ascended = False
+    room = _room(masks, label, len(parts), base_size)
+    seen = {}                               # covered -> fewest picks entered with
+
+    def ascend():
+        nonlocal bound, floor, ascended
+        ascended = True
+        raised = _ascent(coverers, masks, floor, cutoff, label)
+        if raised is not None:
+            bound = raised
+            floor = bound[0]
 
     def visit(covered, chosen, at):
         # order[:at] is covered.  The node's search frame: covered, its
         # first uncovered place in order and an iterator over the
         # coverers there, most uncovered first; None for a leaf
-        nonlocal nodes, cutoff, hit_limit, bound, floor
+        nonlocal nodes, revisits, cutoff, hit_limit
         nodes += 1
         if nodes > node_limit:
             hit_limit = True
             return None
-        if nodes == stall_at and not _regular(masks, base_size):
-            raised = _ascent(coverers, masks, floor, cutoff, label)
-            if raised is not None:
-                bound = raised
-                floor = bound[0]
+        if nodes == stall_at and room >= cutoff:
+            ascend()
+        picks = len(chosen)
+        if seen.get(covered, picks + 1) <= picks:
+            revisits += 1
+            return None
+        if len(seen) < _TABLE_SIZE or covered in seen:
+            seen[covered] = picks
         if covered == full:
-            if len(chosen) < cutoff:
+            if picks < cutoff:
                 best[:] = chosen
-                cutoff = len(chosen)
+                cutoff = picks
             return None
         left = full & ~covered
-        need = len(chosen)
+        need = picks
         for m in parts:
             need += -(-(m & left).bit_count() // base_size)
         if need >= cutoff:
@@ -331,8 +366,11 @@ def cover_exact(a, b, node_limit=DEFAULT_NODE_LIMIT):
                 stack.pop()
                 if stack:
                     chosen.pop()
+        if not (hit_limit or ascended) and floor < cutoff <= room:
+            ascend()                        # cutoff is now the optimum
     chosen_elems = sorted((pool[r] for r in best), key=a.ring.sort_key)
-    stats = {"nodes": dived + nodes, "elapsed": time.perf_counter() - t0,
+    stats = {"nodes": dived + nodes, "revisits": revisits,
+             "elapsed": time.perf_counter() - t0,
              "node_limit_hit": hit_limit, "lower_bound": floor}
     weights = {targets[e]: w for e, w in enumerate(bound[1]) if w}
     return make_witness(a, b, chosen_elems, not hit_limit or cutoff <= floor,
@@ -513,10 +551,16 @@ def _root_floor(coverers, masks, base_size, cutoff, parts, label):
     return max(bound, (sum(w), w, 1), key=lambda t: t[0])
 
 
-def _regular(masks, base_size):
-    """Every mask holds |base| targets, as every target has |base|
-    coverers: then ceil(|targets| / |base|) is the LP bound."""
-    return all(m.bit_count() == base_size for m in masks)
+def _room(masks, label, n_parts, base_size):
+    """Σ_C max(1, ceil(translates in C / |b|)) over the components: the
+    cost of the uniform fractional cover, 1 / |b| on every translate,
+    which covers each target exactly once.  No Lagrangian bound exceeds
+    it; on a regular instance, every mask of |b| targets, it is the
+    counting bound."""
+    count = [0] * n_parts
+    for m in masks:
+        count[label[(m & -m).bit_length() - 1]] += 1
+    return sum(max(1, -(-c // base_size)) for c in count)
 
 
 def _ascent(coverers, masks, floor, cutoff, label):

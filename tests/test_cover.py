@@ -8,6 +8,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import apxring as ax
 from apxring.constructive import _derive_term, eval_term
@@ -624,9 +626,53 @@ def test_anchors_proven_under_default_limit():
     assert w.optimal and len(w.translates) == row.exact_size == 10
 
 
+def test_searched_states_are_not_searched_again(monkeypatch):
+    # a state entered again with no fewer picks is cut off.  Searching
+    # every state each time it is reached, these proofs took 634,536
+    # nodes (X = {a + bt : a, b in {0, ±1}} over F_5[t]), 12,097 and
+    # 23,400 (y-set(11), y-set(13))
+    from apxring import cover
+    from apxring.classify import gallery
+    ring = ax.parse_ring("poly:5")
+    x = FiniteSet(ring, [ring.parse(v) for v in (
+        "0", "1", "-1", "t", "-t", "1+t", "1-t", "-1+t", "-1-t")])
+    cert = ax.approx_constant(x, "ring")
+    assert (cert.k, cert.minimal, cert.stats["node_limit_hit"]) == (8, True, False)
+    assert cert.stats["nodes"] <= 10 ** 4 and cert.stats["revisits"] > 0
+    for p, before in ((11, 12_097), (13, 23_400)):
+        cert = ax.approx_constant(gallery("y-set", p=p).xset, "ring")
+        assert (cert.k, cert.minimal) == ((p + 1) // 2, True)
+        assert cert.stats["nodes"] < before, p
+    # a full table stops growing, and the search still proves K
+    nodes = cert.stats["nodes"]
+    monkeypatch.setattr(cover, "_TABLE_SIZE", 4)
+    cert = ax.approx_constant(gallery("y-set", p=13).xset, "ring")
+    assert (cert.k, cert.minimal) == (7, True) and cert.stats["nodes"] > nodes
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([ax.modular(n) for n in (16, 23, 31)] + [Z]),
+       st.sets(st.integers(-20, 20), min_size=8, max_size=16),
+       st.sets(st.integers(-6, 6), min_size=2, max_size=4))
+def test_full_table_covers_match_brute_force(ring, a, b):
+    # a table of 4 searched states fills in every search past a few
+    # nodes, about a quarter of these instances; the cover is still
+    # optimal and proven
+    from apxring import cover
+    if ring.is_finite:
+        a, b = ({v % ring.cardinality for v in s} for s in (a, b))
+    a, b = FiniteSet(ring, a), FiniteSet(ring, b)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cover, "_TABLE_SIZE", 4)
+        w = ax.cover_exact(a, b)
+    k, _ = cover_brute_force(a, b, difference_set(a, b))
+    assert w.optimal and len(w.translates) == k
+    assert w.stats["lower_bound"] <= k
+
+
 def test_node_limit_returns_a_checkable_unproven_cover(tmp_path, capsys):
     # the certificate instance of y-set(11): T = X·X ∪ (X+X), base X,
-    # pool T − X.  Proving 6 takes about 12,000 nodes; stopped at 100,
+    # pool T − X.  Proving 6 takes about 4,000 nodes; stopped at 100,
     # the incumbent still covers and its payload says what is unproven
     from apxring.classify import gallery
     from apxring.cli import main
@@ -639,6 +685,8 @@ def test_node_limit_returns_a_checkable_unproven_cover(tmp_path, capsys):
     assert len(w.translates) == 6 and first_uncovered(t, x, w.translates) is None
     assert not w.optimal and w.stats["node_limit_hit"]
     assert w.stats["lower_bound"] == 5
+    # the dive's 6 nodes and the search's 101st, which stops it
+    assert w.stats["nodes"] == 6 + 101 and 0 < w.stats["revisits"] < 101
     unproven = "minimality not certified (lower bound 5 < 6)"
     ok, details = verify_payload(w.to_json())
     assert ok and unproven in details, details
@@ -650,35 +698,54 @@ def test_node_limit_returns_a_checkable_unproven_cover(tmp_path, capsys):
     assert (len(payload["translates"]), payload["optimal"]) == (6, False)
     assert payload["stats"]["node_limit_hit"]
     capsys.readouterr()
+    assert main(["cover", "--ring", x.ring.descriptor, "--target", t.render(),
+                 "--base", x.render(), "--node-limit", "100"]) == 0
+    assert (f"nodes = 107  revisits = {w.stats['revisits']}  lower bound = 5  "
+            "node limit hit = True\n") in capsys.readouterr().out
     assert main(["verify", "--input", str(out)]) == 0
     printed = capsys.readouterr().out
     assert unproven in printed and printed.endswith("VERIFIED\n")
 
 
-def test_deep_search_stops_at_the_node_limit(tmp_path, capsys):
+def _deep_cover(tmp_path, capsys, *extra):
     # {0..3299} by translates of {0, 1, 3}: the dive needs 1320 translates
     # and the root bound proves 1100, so the search goes more than 1300
-    # picks deep, past the interpreter's recursion limit, until the node
-    # limit stops it with the unproven incumbent
+    # picks deep, past the interpreter's recursion limit.  The payload
+    # of `apx cover`, after checking the cover and that `apx verify`
+    # passes it without certifying its minimality
     from apxring.cli import main
-    from apxring.cover import DEFAULT_NODE_LIMIT, first_uncovered
+    from apxring.cover import first_uncovered
     target = tmp_path / "target.txt"
     target.write_text("".join(f"{i}\n" for i in range(3300)), encoding="utf-8")
     out = tmp_path / "cover.json"
     assert main(["cover", "--ring", "int", "--target", f"@{target}",
-                 "--base", "{0,1,3}", "--json", "--output", str(out)]) == 0
+                 "--base", "{0,1,3}", *extra, "--json", "--output", str(out)]) == 0
     payload = json.loads(out.read_text(encoding="utf-8"))
-    stats = payload["stats"]
-    assert (len(payload["translates"]), payload["optimal"]) == (1320, False)
-    assert stats["node_limit_hit"] and stats["lower_bound"] == 1100
-    assert stats["nodes"] == 1320 + DEFAULT_NODE_LIMIT + 1
     translates = [int(t) for t in payload["translates"]]
+    assert len(translates) == 1320 and payload["stats"]["lower_bound"] == 1100
     assert first_uncovered(iset(0, 3299), FiniteSet(Z, {0, 1, 3}), translates) is None
     capsys.readouterr()
     assert main(["verify", "--input", str(out)]) == 0
     printed = capsys.readouterr().out
     assert "minimality not certified (lower bound 1100 < 1320)" in printed
     assert printed.endswith("VERIFIED\n")
+    return payload
+
+
+def test_deep_search_stops_at_the_node_limit(tmp_path, capsys):
+    # the node limit stops the deep search with the unproven incumbent
+    payload = _deep_cover(tmp_path, capsys, "--node-limit", "2000")
+    stats = payload["stats"]
+    assert not payload["optimal"] and stats["node_limit_hit"]
+    assert stats["nodes"] == 1320 + 2000 + 1
+
+
+def test_deep_search_is_proven_under_default_limit(tmp_path, capsys):
+    # searched states are not searched again, so the default limit lets
+    # the search exhaust its tree: 1320 is optimal, though the stored
+    # bound still reads 1100 and proves no more
+    payload = _deep_cover(tmp_path, capsys)
+    assert payload["optimal"] and not payload["stats"]["node_limit_hit"]
 
 
 def test_dive_covers_and_never_beats_the_optimum():
