@@ -1,26 +1,32 @@
 """Self-contained JSON payloads and from-scratch re-verification.
 
+Each payload kind has one schema, the one its builder writes
+(``_SCHEMA_VERSIONS``).  A payload verifies only while today's builder
+re-derives it, and a schema bump retires the older version: its
+payloads fail as of an unknown schema_version.  As every payload holds
+its own ring and sets, re-running the command that wrote one rebuilds
+it at today's schema.
+
 Every payload carries its ring DSL and rendered elements, so
 ``verify_payload`` rebuilds it without any ambient state, by one rule:
 what a payload proves by a witness is re-checked by the package's own
 checker (``cover.first_uncovered`` for covers with their lower bounds,
 ``ApproxCertificate.verify`` for certificates, whose cover also proves
-F ⊆ ⟨X⟩, so the derivations schema 1-3 stored are ignored,
-``classify.is_subring`` and the core for a found subring,
+F ⊆ ⟨X⟩, ``classify.is_subring`` and the core for a found subring,
 ``classify.subrings_within`` for the claim of the exhaustive pass that
 no subring inside the core has a smaller constant, the classifier's own
 check that the ring has no zero divisors), and every other field is
 re-derived by the builder that wrote it, run on the payload's inputs and
 re-checked witnesses, and compared as JSON values: 2 is not 2.0, and 1
-is not true.  Every payload, nested ones too, must be of a schema
-version its kind's verifier reads, with no key its builder does not
-write but an older schema's, and the leaves that verifier reads
-directly of their JSON types, and nested payloads verify by their own
-kind, which must be the kind their slot holds; a sweep's rows must be
-its config's instances in order and hold, key for key, the fields
-``sweep.row_fields`` takes from their witnesses, and a row without a
-witness must equal its instance's re-run.  It returns (ok, details) and
-never raises on a merely *invalid* payload — malformed ones do raise.
+is not true.  Every payload, nested ones too, must be of its kind's
+schema version, with no key its builder does not write, and the leaves
+its verifier reads directly of their JSON types, and nested payloads
+verify by their own kind, which must be the kind their slot holds; a
+sweep's rows must be its config's instances in order and hold, key for
+key, the fields ``sweep.row_fields`` takes from their witnesses, and a
+row without a witness must equal its instance's re-run.  It returns
+(ok, details) and never raises on a merely *invalid* payload — malformed
+ones do raise.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ from .cover import (
     ApproxCertificate,
     CommensurabilityResult,
     CoverWitness,
-    approx_constant,
     commensurability,
     first_uncovered,
     lagrangian_floor,
@@ -83,18 +88,18 @@ def _minimality(bound, target, base, k):
     return True, f"minimality not certified (lower bound {floor} < {k})"
 
 
-# every schema version of each kind that its verifier reads
+# the one schema version of each kind, the one its builder writes
 _SCHEMA_VERSIONS = {
-    "cover_witness": ("1", "2"),
-    "approx_certificate": ("1", "2", "3", "4"),
-    "classification_report": ("1", "2", "3"),
-    "subring_search": ("1", "2", "3", "4"),
-    "sweep_report": ("1",),
-    "constructive_report": ("1",),
-    "fact21_report": ("1",),
-    "gallery_item": ("1",),
-    "model_check": ("2",),
-    "growth_profile": ("2",),
+    "cover_witness": "2",
+    "approx_certificate": "4",
+    "classification_report": "3",
+    "subring_search": "4",
+    "sweep_report": "1",
+    "constructive_report": "1",
+    "fact21_report": "1",
+    "gallery_item": "1",
+    "model_check": "2",
+    "growth_profile": "2",
 }
 
 
@@ -107,26 +112,16 @@ _LEAF_TYPES = {
 }
 _TYPE_NAMES = {int: "an int", bool: "true or false"}
 
-# the keys that only older schemas, which the verifiers still read, held
-_LEGACY_KEYS = {
-    ("approx_certificate", "1"): "membership f_location derivations",
-    ("approx_certificate", "2"): "f_location derivations",
-    ("approx_certificate", "3"): "f_location derivations",
-    ("classification_report", "1"): "hypothesis",
-    ("classification_report", "2"): "hypothesis",
-    ("subring_search", "1"): "containment_ok",
-}
-
 
 def _kind_fault(payload, kind):
     """[why] when ``payload``, where a ``kind`` payload belongs, is of
-    another kind, of a schema version its verifier does not read, or
+    another kind, of another schema version than its builder writes, or
     holds a leaf its verifier reads directly of another JSON type;
     else []."""
     have, version = payload.get("kind"), payload["schema_version"]
     if have != kind:
         return [f"kind {have!r} where {kind} belongs"]
-    if version not in _SCHEMA_VERSIONS[kind]:
+    if version != _SCHEMA_VERSIONS[kind]:
         return [f"unknown {kind} schema_version {_clip(repr(version))}"]
     return [f"{key} {json.dumps(payload[key])} is not {_TYPE_NAMES[t]}"
             for key, t in _LEAF_TYPES.get(kind, {}).items()
@@ -135,19 +130,18 @@ def _kind_fault(payload, kind):
 
 def _unknown_key(payload, rebuilt):
     """[why] when ``payload`` holds a key that ``rebuilt``, the payload
-    re-derived from it, does not and no older schema of its kind held
-    (``_LEGACY_KEYS``); else []."""
-    version = payload["schema_version"]
-    unknown = payload.keys() - rebuilt.keys() - set(
-        _LEGACY_KEYS.get((payload["kind"], version), "").split())
-    return [f"schema {version} names no {_clip(min(unknown))}"] if unknown else []
+    re-derived from it, does not; else []."""
+    unknown = payload.keys() - rebuilt.keys()
+    return [f"schema {payload['schema_version']} names no "
+            f"{_clip(min(unknown))}"] if unknown else []
 
 
 def _cover_witness(payload):
-    """(ok, details, witness or None) of a cover witness payload.  Its
-    method is exact, greedy or constructive; only an exact cover may
-    claim to be optimal, as no other builder proves it; and its base is
-    nonempty, as ``cover._incidence`` requires of every instance."""
+    """(ok, details, witness or None) of a cover witness payload, its
+    keys unchecked (``_standalone``).  Its method is exact, greedy or
+    constructive; only an exact cover may claim to be optimal, as no
+    other builder proves it; and its base is nonempty, as
+    ``cover._incidence`` requires of every instance."""
     why = _kind_fault(payload, "cover_witness")
     if why:
         return False, why, None
@@ -170,37 +164,38 @@ def _cover_witness(payload):
     ok, note = _minimality(w.lower_bound, target, base, k)
     if not ok:
         return False, [note], w
-    why = _unknown_key(payload, w.to_json())
-    if why:
-        return False, why, w
     return True, [f"cover of {len(target)} elements by {k} translates", note], w
 
 
 def _certificate(payload):
-    """(ok, details, certificate) of a certificate payload; no
-    certificate when it is of another kind."""
+    """(ok, details, certificate) of a certificate payload, its keys
+    unchecked (``_standalone``); no certificate when it is of another
+    kind."""
     why = _kind_fault(payload, "approx_certificate")
     if why:
         return False, why, None
     ring, x = _ring_and_set(payload, "x")
     cert = ApproxCertificate(
-        x, payload["k"], _parse_set(ring, payload["f"]),
-        payload.get("mode", "ring"), payload.get("minimal", False),
-        payload.get("stats", {}), _bound(ring, payload))
+        x, payload["k"], _parse_set(ring, payload["f"]), payload["mode"],
+        payload["minimal"], payload["stats"], _bound(ring, payload))
     ok, why = cert.verify()
     if not ok:
         return False, [why], cert
     ok, note = _minimality(cert.lower_bound, cert.target, x, cert.k)
     if not ok:
         return False, [note], cert
-    why = _unknown_key(payload, cert.to_json())
-    if why:
-        return False, why, cert
-    details = [f"K = {cert.k} certificate re-verified", note]
-    if payload.get("schema_version") == "1":
-        details.append("schema v1: membership and f_location.in_x2 ignored, "
-                       "F ⊆ ⟨X⟩ re-proven from the cover")
-    return True, details, cert
+    return True, [f"K = {cert.k} certificate re-verified", note], cert
+
+
+def _standalone(check):
+    """Verifier of a payload that ``check`` verifies, read on its own: it
+    may hold no key its object's ``to_json`` does not write.  Nested, it
+    is held to the rebuilt payload that nests it (``_rebuilt``)."""
+    def verify(payload):
+        ok, details, obj = check(payload)
+        why = _unknown_key(payload, obj.to_json()) if ok else []
+        return (False, why) if why else (ok, details)
+    return verify
 
 
 def _commensurability(payload, keys, a, b):
@@ -221,17 +216,23 @@ def _commensurability(payload, keys, a, b):
 
 def _rebuilt(name, build, payload, flat=False):
     """(ok, details): ``build()``, a payload, must equal ``payload`` on
-    every key of either, or with ``flat`` on every key of its own but the
-    schema version and the nested payloads, which verify by their own
-    kind, and ``payload`` may hold no other key but an older schema's
-    (``_unknown_key``).  A build that raises fails."""
+    every key of either; or, with ``flat``, on every key of its own but
+    the schema version and the nested payloads, which verify by their
+    own kind, and neither ``payload`` nor a payload nested in it may
+    hold a key the rebuilt one does not (``_unknown_key``).  A build
+    that raises fails."""
     try:
         rebuilt = build()
     except (ApxError, ValueError) as exc:
         return False, [f"{name} does not rebuild: {exc}"]
-    why = _unknown_key(payload, rebuilt) if flat else []
+    # a nested certificate's faults are the payload's own, a witness's
+    # are named by its slot, as when they verify
+    why = _unknown_key(payload, rebuilt) + [
+        ("" if key == "certificate" else f"{key}: ") + w
+        for key, inner in rebuilt.items() if isinstance(inner, dict)
+        for w in _unknown_key(payload[key], inner)] if flat else []
     if why:
-        return False, why
+        return False, why[:1]
     keys = ({k for k, v in rebuilt.items() if not isinstance(v, dict)}
             - {"schema_version"} if flat else rebuilt.keys() | payload.keys())
     wrong = sorted(k for k in keys if _differs(rebuilt.get(k), payload.get(k)))
@@ -242,17 +243,12 @@ def _rebuilt(name, build, payload, flat=False):
 
 def _verify_classification(payload):
     """X and its ring are the verified certificate's, and the ring must
-    have no zero divisors, the hypothesis schemas 1 and 2 named
-    ("ambient", the only one they may name); the top-level X and ring
-    are re-derived with every other field."""
+    have no zero divisors; the top-level X and ring are re-derived with
+    every other field."""
     from .classify import _check_no_zero_divisors, classification_report, core_set
     ok, details, cert = _certificate(payload["certificate"])
     if not ok:
         return ok, details
-    if payload["schema_version"] in ("1", "2") \
-            and payload["hypothesis"] != "ambient":
-        return False, [f"hypothesis {_clip(repr(payload['hypothesis']))} "
-                       "is not 'ambient', the ring's own"]
     x = cert.x
     try:
         _check_no_zero_divisors(x.ring)
@@ -277,8 +273,6 @@ def _verify_subring_search(payload):
     constant cannot, and is not covered."""
     from .classify import (SubringSearchResult, _commensurability_floor,
                            _runs_exhaustive, core_set, is_subring, subrings_within)
-    if "certificate" not in payload:
-        return False, ["no certificate of X (schema 4 nests one)"]
     ok, details, cert = _certificate(payload["certificate"])
     if not ok:
         return ok, details
@@ -324,9 +318,7 @@ def _row_faults(row, instance, ring, spec):
     """Why a sweep row is not the row of its config's ``instance``
     (instance_id, ring and rendered x, over ``ring``) and of its
     witness, or, without a witness, not the failing row a re-run of the
-    instance under ``spec`` gives: empty when it is.  Sweeps that
-    certified K before the classifier ran wrote it on failing rows too;
-    such a K must be X's constant."""
+    instance under ``spec`` gives: empty when it is."""
     from .sweep import _run_row, row_fields
     faults = _differing({key: row[key] for key in instance if key in row},
                         instance, "the config's")
@@ -339,11 +331,6 @@ def _row_faults(row, instance, ring, spec):
         rerun = _run_row((instance["instance_id"], instance["ring"], instance["x"],
                           spec.mode, spec.small_threshold))
         rerun.pop("_witness", None)
-        if "K" in row:
-            try:
-                rerun["K"] = approx_constant(_parse_set(ring, instance["x"])).k
-            except ApxError:
-                pass
         return _differing(row, rerun, "a re-run's")
     ok, det = verify_payload(w)
     if not ok:
@@ -423,8 +410,8 @@ def _verify_growth(payload):
 
 
 _VERIFIERS = {
-    "cover_witness": lambda p: _cover_witness(p)[:2],
-    "approx_certificate": lambda p: _certificate(p)[:2],
+    "cover_witness": _standalone(_cover_witness),
+    "approx_certificate": _standalone(_certificate),
     "classification_report": _verify_classification,
     "subring_search": _verify_subring_search,
     "sweep_report": _verify_sweep,

@@ -145,7 +145,8 @@ def test_nzd_classify_window_structured():
 def test_empty_set_is_no_counterexample(capsys):
     # the empty set is no approximate subring: classify exits 2, and the
     # report it once wrote, a "counterexample-candidate" with no
-    # commensurability witnesses, fails on its certificate
+    # commensurability witnesses, fails on its retired schema and, at
+    # today's, on its certificate
     from apxring.cli import main
     from apxring.serialize import verify_payload
     m7 = ax.modular(7)
@@ -153,17 +154,19 @@ def test_empty_set_is_no_counterexample(capsys):
         ax.nzd_classify(FiniteSet(m7, []))
     assert main(["classify", "--ring", "zmod:7", "--set", "{}", "--json"]) == 2
     assert "an approximate subring is nonempty" in capsys.readouterr().err
-    cert = {"schema_version": "3", "kind": "approx_certificate", "ring": "zmod:7",
+    cert = {"schema_version": "4", "kind": "approx_certificate", "ring": "zmod:7",
             "x": [], "k": 0, "f": [], "mode": "ring", "minimal": True,
-            "stats": {}, "lower_bound": {"weights": {}, "denominator": 1},
-            "derivations": {}}
-    payload = {"schema_version": "2", "kind": "classification_report",
+            "stats": {}, "lower_bound": {"weights": {}, "denominator": 1}}
+    payload = {"schema_version": "3", "kind": "classification_report",
                "ring": "zmod:7", "x": [], "k": 0, "core_size": 0,
                "core_is_subring": False, "commensurability_to_x": None,
                "k11_bound": 0, "verdict": "counterexample-candidate",
-               "small_threshold": 0, "hypothesis": "ambient",
-               "certificate": cert}
+               "small_threshold": 0, "certificate": cert}
     assert verify_payload(payload) == (False, ["x is empty"])
+    old = dict(payload, schema_version="2", hypothesis="ambient",
+               certificate=dict(cert, schema_version="3", derivations={}))
+    assert verify_payload(old) == (
+        False, ["unknown classification_report schema_version '2'"])
 
 
 def test_nzd_classify_rejects_zero_divisors():
@@ -444,9 +447,11 @@ def test_verify_payload_rechecks_core_and_subring():
     res = ax.pos_char_search(ax.parse_set(ax.modular(8), "{0,2,4,6}"))
     payload = res.to_json()
     assert verify_payload(payload)[0]
-    # schema 1 carried containment_ok, which the verifier never read
+    # schema 1 carried containment_ok, and schemas 1-3 nested no
+    # certificate: both are retired
     assert verify_payload(dict(payload, schema_version="1",
-                               containment_ok=True))[0]
+                               containment_ok=True)) == (
+        False, ["unknown subring_search schema_version '1'"])
     # the nested certificate verifies, and must be one of X: the X of
     # another, {0}, has the core {0}, which the subring {0, 2, 4, 6} leaves
     cert = dict(payload["certificate"], f=payload["certificate"]["f"][:-1])
@@ -458,8 +463,8 @@ def test_verify_payload_rechecks_core_and_subring():
     assert verify_payload(dict(payload, x=payload["x"][:-1])) == (
         False, ["subring_search re-derives another x"])
     no_cert = {k: v for k, v in payload.items() if k != "certificate"}
-    assert verify_payload(no_cert) == (
-        False, ["no certificate of X (schema 4 nests one)"])
+    with pytest.raises(KeyError, match="certificate"):
+        verify_payload(no_cert)
     payload["subring"] = ["0", "2", "4"]       # 2 + 4 = 6 escapes
     ok, details = verify_payload(payload)
     assert not ok and details == ["not a subring: add 2 4"]
@@ -514,8 +519,8 @@ def test_verify_payload_rechecks_exhaustive_subring_search():
 def test_verify_payload_rechecks_the_hypothesis():
     # the one hypothesis is the paper's: the ring has no zero divisors.
     # nzd_classify checks it before any solve; a report built by hand for
-    # zmod:8 fails on the ring.  Schemas 1 and 2 named the hypothesis,
-    # and only "ambient" verifies; schema 3 names none
+    # zmod:8 fails on the ring.  Schemas 1 and 2 named the hypothesis;
+    # they are retired, and schema 3 names none
     from apxring.classify import classification_report
     from apxring.serialize import verify_payload
     x = ax.parse_set(ax.modular(8), "{0,1,7}")
@@ -529,9 +534,9 @@ def test_verify_payload_rechecks_the_hypothesis():
         ax.nzd_classify(ax.parse_set(ax.modular(8), "{0,1}"))
     payload = classification_report(x, cert, core, comm, 0).to_json()
     assert (payload["verdict"], payload["core_is_subring"]) == ("structured", True)
-    for legacy in ({}, {"schema_version": "2", "hypothesis": "ambient"}):
-        assert verify_payload(dict(payload, **legacy)) == (
-            False, ["zero divisors 2·4 = 0"])
+    assert verify_payload(payload) == (False, ["zero divisors 2·4 = 0"])
+    assert verify_payload(dict(payload, schema_version="2", hypothesis="ambient")) == (
+        False, ["unknown classification_report schema_version '2'"])
     x = ax.parse_set(ax.modular(7), "{0,1,6}")
     payload = ax.nzd_classify(x, small_threshold=0).to_json()
     assert payload["schema_version"] == "3" and "hypothesis" not in payload
@@ -539,12 +544,10 @@ def test_verify_payload_rechecks_the_hypothesis():
     assert verify_payload(dict(payload, hypothesis="ambient")) == (
         False, ["schema 3 names no hypothesis"])
     for version in ("1", "2"):
-        assert verify_payload(dict(payload, schema_version=version,
-                                   hypothesis="ambient"))[0]
-        for other in ("core-witnessed", "ambient/known-domain"):
+        for hypothesis in ("ambient", "core-witnessed", "ambient/known-domain"):
             assert verify_payload(dict(payload, schema_version=version,
-                                       hypothesis=other)) == (
-                False, [f"hypothesis {other!r} is not 'ambient', the ring's own"])
+                                       hypothesis=hypothesis)) == (
+                False, [f"unknown classification_report schema_version '{version}'"])
 
 
 def test_cli_classify_checks_the_ring_only(capsys):

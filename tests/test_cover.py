@@ -28,7 +28,7 @@ from apxring.sets import (
     sumset,
     union,
 )
-from corpus import corpus_sets
+from corpus import certified_corpus, corpus_sets
 
 Z = ax.parse_ring("int")
 
@@ -282,6 +282,23 @@ def test_derivations_are_read_off_the_pool():
                 assert eval_term(ring, term) == v
 
 
+def test_ring_certificate_bounds_group_constant_and_triple_sumset():
+    # F + X covers X·X ∪ (X + X), so it covers X + X: a minimal ring-mode
+    # K is at least the minimal group-mode K.  And X + X ⊆ F + X gives
+    # X + X + X ⊆ F + X + X ⊆ F + F + X, so an optimal cover of 3X by
+    # translates of X takes at most |F + F| of them
+    checked = 0
+    for name, x, cert in certified_corpus():
+        group = ax.approx_constant(x, "group")
+        w = ax.cover_exact(sumset(sumset(x, x), x), x)
+        if cert.minimal and group.minimal and w.optimal:
+            assert cert.k >= group.k, name
+            assert len(set(w.translates)) <= len(sumset(cert.witness_f,
+                                                        cert.witness_f)), name
+            checked += 1
+    assert checked == len(corpus_sets())
+
+
 def test_derive_term_rejects_value_outside_pool():
     # T - X = {-3..3} for X = {-1, 0, 1}; in Z/8, T - X = X for the evens
     x = iset(-1, 1)
@@ -332,18 +349,22 @@ def test_certificate_json_round_trip():
     assert not ok
 
 
-def test_schema3_certificate_derivations_are_ignored():
+def test_schema3_certificate_derivations_are_rejected():
     # schema 1-3 certificates stored a term per translate; the cover now
-    # proves F ⊆ ⟨X⟩, so forged terms do not fail a sound certificate
-    # and sound terms do not save one whose translate meets no target
+    # proves F ⊆ ⟨X⟩, so their schema is retired, today's names no
+    # derivations, and a translate that meets no target fails
     from apxring.serialize import verify_payload
     cert = ax.approx_constant(iset(-2, 2), "ring", exact=True)
-    forged = {f: [["7"], ["-3"]] for f in cert.to_json()["f"]}
-    v3 = dict(cert.to_json(), schema_version="3", derivations=forged)
-    ok, details = verify_payload(v3)
+    payload = cert.to_json()
+    forged = {f: [["7"], ["-3"]] for f in payload["f"]}
+    v3 = dict(payload, schema_version="3", derivations=forged)
+    assert verify_payload(v3) == (
+        False, ["unknown approx_certificate schema_version '3'"])
+    assert verify_payload(dict(payload, derivations=forged)) == (
+        False, ["schema 4 names no derivations"])
+    ok, details = verify_payload(payload)
     assert ok and details[0] == f"K = {cert.k} certificate re-verified", details
-    stray = dict(v3, k=cert.k + 1, f=[*v3["f"], "40"],
-                 derivations=dict(forged, **{"40": [["2"], ["2"] * 20]}))
+    stray = dict(payload, k=cert.k + 1, f=[*payload["f"], "40"])
     assert verify_payload(stray) == (False, ["translate 40 meets no target"])
 
 
@@ -799,16 +820,15 @@ def test_minimality_certificate_checked_not_trusted():
                 {"weights": {"42": 1}, "denominator": 1}):
         ok, details = verify_payload(dict(payload, lower_bound=bad))
         assert not ok, bad
-    # a payload without a bound, or from before bounds, still verifies
-    old = dict(payload, schema_version="1")
-    del old["lower_bound"]
-    ok, details = verify_payload(old)
-    assert ok and details[1].startswith("minimality not certified")
+    # a payload without a bound verifies, uncertified; one from before
+    # bounds is of a retired schema
     cert = ax.approx_constant(iset(-2, 2), "ring")
-    old = dict(cert.to_json(), schema_version="2")
-    del old["lower_bound"]
-    ok, details = verify_payload(old)
-    assert ok and details[1].startswith("minimality not certified")
+    for bound, old in ((payload, "1"), (cert.to_json(), "2")):
+        unbound = {k: v for k, v in bound.items() if k != "lower_bound"}
+        ok, details = verify_payload(unbound)
+        assert ok and details[1].startswith("minimality not certified")
+        assert verify_payload(dict(unbound, schema_version=old)) == (False, [
+            f"unknown {bound['kind']} schema_version '{old}'"])
 
 
 def test_cli_cover_ranges_over_every_translate(tmp_path, capsys):

@@ -555,18 +555,23 @@ def test_cli_verify_round_trip(tmp_path):
     assert code == 4 and "FAILED" in out
 
 
-def test_cli_verify_accepts_v1_certificate(tmp_path):
+def test_cli_verify_rejects_v1_certificate(tmp_path):
     # v1 payloads carried "membership" and f_location["in_x2"]; the cover
     # alone proves F inside the generated subring, every translate
-    # meeting the target
+    # meeting the target, so schema 1 is retired and today's names neither
     cert = ax.approx_constant(ax.parse_set(ax.modular(7), "{0,1,6}"), "ring")
     payload = cert.to_json()
-    payload.update(schema_version="1", membership="closure")
-    payload["f_location"] = {"in_x2": True}
-    path = tmp_path / "v1.json"
+    path = tmp_path / "v4.json"
     path.write_text(json.dumps(payload))
     code, out, _ = run_cli("verify", "--input", str(path))
-    assert code == 0 and "VERIFIED" in out and "schema v1" in out
+    assert code == 0 and "VERIFIED" in out
+    payload.update(membership="closure", f_location={"in_x2": True})
+    assert verify_payload(payload) == (False, ["schema 4 names no f_location"])
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(dict(payload, schema_version="1")))
+    code, out, _ = run_cli("verify", "--input", str(path))
+    assert code == 4 and out == (
+        "unknown approx_certificate schema_version '1'\nFAILED\n"), out
 
 
 def test_cli_sweep_deterministic_csv(tmp_path):
@@ -668,12 +673,11 @@ def test_zero_divisor_rows_solve_nothing(monkeypatch):
     assert verify_payload(payload) == (True, ["sweep_report re-derived"])
     assert calls == []
     # sweeps that certified K before the classifier ran wrote it on
-    # failing rows too (row 0 held 3): such a row verifies when its K is
-    # X's constant
-    assert verify_payload(_row_edit(payload, K=3)) == (
-        True, ["sweep_report re-derived"])
-    assert verify_payload(_row_edit(payload, K=4)) == (
-        False, ["row 0: K 4 differs from a re-run's 3"])
+    # failing rows too (row 0 held 3): today's re-run writes none
+    for k in (3, 4):
+        assert verify_payload(_row_edit(payload, K=k)) == (
+            False, [f"row 0: K {k} differs from a re-run's None"])
+    assert calls == []
 
 
 DATA = Path(__file__).parent / "data"
@@ -912,7 +916,7 @@ def test_verify_fails_leaves_of_the_wrong_json_type(name, type_mutation_payloads
 def test_verify_fails_unknown_keys(type_mutation_payloads):
     # a key outside its kind's, of any JSON type, fails at the top level,
     # in a nested payload and in a sweep row's witness; an older schema's
-    # key fails under any other schema and passes under its own
+    # key fails, and so does its schema
     search = ax.pos_char_search(ax.parse_set(ax.modular(8), "{0,2,6}")).to_json()
     top = {name: type_mutation_payloads[name] for name in ("cover", "k2", "classify")}
     top["search"] = search
@@ -942,17 +946,19 @@ def test_verify_fails_unknown_keys(type_mutation_payloads):
             False, [f"schema {version} names no {key}"])
     # certificates of schemas 2 and 3 carried the constant f_location
     # "T-X" pool and their derivations, which the cover re-proves; they
-    # verify alone and nested in a schema-2 classification report
+    # fail alone, nested in today's classification report and nested in
+    # a schema-2 one
     cert, report = type_mutation_payloads["k2"], type_mutation_payloads["classify"]
     for version in ("2", "3"):
         old = dict(cert, schema_version=version, f_location={"pool": "T-X"},
                    derivations={})
-        assert verify_payload(old)[0], version
+        why = f"unknown approx_certificate schema_version '{version}'"
+        assert verify_payload(old) == (False, [why])
+        assert verify_payload(dict(report, certificate=old)) == (False, [why])
         nested = dict(report, schema_version="2", hypothesis="ambient",
                       certificate=old)
-        assert verify_payload(nested) == (True, [
-            "K = 2 certificate re-verified", "minimality certified: every cover needs 2",
-            "classification_report re-derived"]), version
+        assert verify_payload(nested) == (
+            False, ["unknown classification_report schema_version '2'"])
 
 
 def test_verify_fails_an_unknown_kind():
@@ -1090,8 +1096,14 @@ def test_cli_verify_malformed_payload_exits_2(tmp_path, capsys):
     # a payload without a key its verifier reads, or of the wrong type,
     # is bad input: a precondition failure naming the key or the type
     from apxring.cli import main
-    for payload, named in (({"kind": "classification_report", "schema_version": "2"},
+    cert = ax.approx_constant(ax.parse_set(ax.modular(7), "{0,1,6}")).to_json()
+    search = ax.pos_char_search(ax.parse_set(ax.modular(8), "{0,2,6}")).to_json()
+    without = [({k: v for k, v in p.items() if k != key}, repr(key))
+               for p, key in ((cert, "mode"), (cert, "minimal"), (cert, "stats"),
+                              (search, "certificate"))]
+    for payload, named in (({"kind": "classification_report", "schema_version": "3"},
                             "'certificate'"),
+                           *without,
                            ([], "'list'"),
                            ({"kind": "approx_certificate", "schema_version": "4",
                              "ring": "zmod:7"}, "'x'"),
