@@ -1,11 +1,15 @@
 """Desk-scale classification checks for approximate subrings.
 
-Built around the core set 4X + X·4X: the no-zero-divisor dichotomy
-(either X is small or the core is a subring K^11-commensurable with X,
-in a ring that ``find_zero_divisor`` shows, by its structure, has none),
+Built around the core set 4X + X·4X: the no-zero-divisor dichotomy,
 the positive-characteristic search for a commensurable subring inside
 the core, the finite locally-compact-model checks (quotient of ⟨X⟩ by an
 ideal sitting inside some X_m), and a gallery of named example sets.
+
+The dichotomy: for every finite K-approximate X in a ring without zero
+divisors, either |X| < N(K) or the core is a subring K^11-commensurable
+with X.  The paper gives N(K) no value, so ``nzd_classify`` reports the
+facts the dichotomy turns on, over a ring that ``find_zero_divisor``
+shows, by its structure, has none.
 
 Where the construction already guarantees a fact, it is not re-checked:
 subrings grown by cosets inside the core (``sets._grow``) are subrings
@@ -117,14 +121,12 @@ class ClassificationReport:
     core_is_subring: bool
     commensurability_to_x: int
     k11_bound: int
-    verdict: str                     # "small" | "structured" | "counterexample-candidate"
-    small_threshold: int
     comm_result: CommensurabilityResult = field(compare=False)
 
     def to_json(self):
         ring = self.x.ring
         return {
-            "schema_version": "3",
+            "schema_version": "4",
             "kind": "classification_report",
             "ring": ring.descriptor,
             "x": [ring.render(v) for v in self.x],
@@ -133,8 +135,6 @@ class ClassificationReport:
             "core_is_subring": self.core_is_subring,
             "commensurability_to_x": self.commensurability_to_x,
             "k11_bound": self.k11_bound,
-            "verdict": self.verdict,
-            "small_threshold": self.small_threshold,
             "certificate": self.certificate.to_json(),
             "comm_core_by_x": self.comm_result.witness_ab.to_json(),
             "comm_x_by_core": self.comm_result.witness_ba.to_json(),
@@ -150,7 +150,7 @@ def _check_no_zero_divisors(ring):
             f"zero divisors {ring.render(pair[0])}·{ring.render(pair[1])} = 0")
 
 
-def nzd_classify(x, small_threshold=None):
+def nzd_classify(x):
     """Dichotomy check over a ring without zero divisors.
 
     Checks the ring first (``_check_no_zero_divisors``), so no solve runs
@@ -162,30 +162,21 @@ def nzd_classify(x, small_threshold=None):
     _check_no_zero_divisors(x.ring)
     cert = approx_constant(x, "ring")
     core = core_set(x)
-    return classification_report(x, cert, core, commensurability(core, x),
-                                 small_threshold)
+    return classification_report(x, cert, core, commensurability(core, x))
 
 
-def classification_report(x, cert, core, comm, small_threshold):
+def classification_report(x, cert, core, comm):
     """The report on X from its ring-mode certificate (ValueError for any
-    other), core, commensurability of core and X and threshold (None:
-    4K^2).  Verdicts: "small" when |X| < small_threshold, the
-    dichotomy's escape hatch, else "structured" when the core is a
-    subring within the K^11 bound, else "counterexample-candidate"."""
+    other), core and commensurability of core and X: whether the core is
+    a subring, and its commensurability against K^11.  The dichotomy's
+    conclusion holds when both do; when it fails, |X| < N(K)."""
     if cert.x != x or cert.mode != "ring":
         raise ValueError("cert must be a ring-mode certificate of x")
-    k = cert.k
-    k11 = k ** 11
-    if small_threshold is None:
-        small_threshold = 4 * k * k
     # the whole finite ring is a subring by construction
     subring_ok = (core.ring.is_finite and len(core) == core.ring.cardinality
                   or is_subring(core)[0])
-    structured = subring_ok and comm.constant <= k11
-    verdict = ("small" if len(x) < small_threshold else
-               "structured" if structured else "counterexample-candidate")
-    return ClassificationReport(x, k, cert, core, subring_ok, comm.constant,
-                                k11, verdict, small_threshold, comm)
+    return ClassificationReport(x, cert.k, cert, core, subring_ok,
+                                comm.constant, cert.k ** 11, comm)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
 """apx: command line surface.
 
 Exit codes: 0 ok, 1 internal error, 2 precondition violated, 3 budget
-exceeded, 4 verification failure / counterexample candidate.  Output is
-a human-readable summary by default; --json writes the self-contained
-payload (re-checkable with ``apx verify``).  Each subcommand imports
-only the modules it runs.
+exceeded, 4 verification failure.  Output is a human-readable summary
+by default; --json writes the self-contained payload (re-checkable with
+``apx verify``).  Each subcommand imports only the modules it runs.
 """
 
 from __future__ import annotations
@@ -143,15 +142,17 @@ def _cmd_classify(args):
     ring = parse_ring(args.ring)
     x = _load_set(ring, args.set)
     if args.mode == "nzd":
-        report = nzd_classify(x, small_threshold=args.small_threshold)
+        report = nzd_classify(x)
+        comm, k11 = report.comm_result, report.k11_bound
+        exact = comm.witness_ab.optimal and comm.witness_ba.optimal
         _emit(args, report.to_json(), [
-            f"K = {report.k}  |X| = {len(x)}  threshold = {report.small_threshold}",
+            f"K = {report.k}  |X| = {len(x)}",
             f"core: {len(report.core)} elements, subring = {report.core_is_subring}",
-            f"commensurability(core, X) = {report.commensurability_to_x}"
-            f" (bound K^11 = {report.k11_bound})",
-            f"verdict: {report.verdict}",
+            f"commensurability(core, X) = {comm.constant}"
+            f" ({'exact' if exact else 'upper bound'})"
+            f" {'<=' if comm.constant <= k11 else '>'} K^11 = {k11}",
         ])
-        return 4 if report.verdict == "counterexample-candidate" else 0
+        return 0
     result = pos_char_search(x)
     _emit(args, result.to_json(), [
         f"strategy = {result.strategy_used}  exhaustive = {result.exhaustive}",
@@ -212,13 +213,12 @@ def _cmd_sweep(args):
             json.dump(report.to_json(), fh, indent=2, sort_keys=True)
             fh.write("\n")
     ok_rows = sum(1 for r in report.rows if r["status"] == "ok")
-    print(f"{len(report.rows)} instances, {ok_rows} ok, "
-          f"{len(report.counterexamples)} counterexample candidates")
+    print(f"{len(report.rows)} instances, {ok_rows} ok")
     for key, table in report.empirical.items():
         print(f"{key}: {table}")
     if not args.csv and not args.json_out:
         sys.stdout.write(csv_text)
-    return 4 if report.counterexamples else 0
+    return 0
 
 
 def _cmd_verify(args):
@@ -285,7 +285,6 @@ def build_parser():
     p = sub.add_parser("classify", help="dichotomy / subring-search checks")
     common(p)
     p.add_argument("--mode", choices=("nzd", "poschar"), default="nzd")
-    p.add_argument("--small-threshold", type=int, default=None)
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("model", help="finite locally-compact-model checks")

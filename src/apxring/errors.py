@@ -2,7 +2,7 @@
 
 The CLI maps these onto its exit-code contract: precondition failures
 (bad descriptors, cross-ring mixing, non-symmetric input, ...) exit 2,
-budget overruns exit 3, verification failures / counterexamples exit 4.
+budget overruns exit 3, verification failures exit 4.
 """
 
 

@@ -92,7 +92,7 @@ def _minimality(bound, target, base, k):
 _SCHEMA_VERSIONS = {
     "cover_witness": "2",
     "approx_certificate": "4",
-    "classification_report": "3",
+    "classification_report": "4",
     "subring_search": "4",
     "sweep_report": "1",
     "constructive_report": "1",
@@ -107,7 +107,6 @@ _SCHEMA_VERSIONS = {
 _LEAF_TYPES = {
     "cover_witness": {"optimal": bool},
     "approx_certificate": {"k": int, "minimal": bool},
-    "classification_report": {"small_threshold": int},
     "growth_profile": {"covering": bool},
 }
 _TYPE_NAMES = {int: "an int", bool: "true or false"}
@@ -260,8 +259,7 @@ def _verify_classification(payload):
     if why is not None:
         return False, [why]
     ok, det = _rebuilt("classification_report", lambda: classification_report(
-        x, cert, core, comm, payload["small_threshold"]).to_json(),
-        payload, flat=True)
+        x, cert, core, comm).to_json(), payload, flat=True)
     return ok, details + det if ok else det
 
 
@@ -329,7 +327,7 @@ def _row_faults(row, instance, ring, spec):
         if row.get("status") == "ok":
             return ["ok without a witness"]
         rerun = _run_row((instance["instance_id"], instance["ring"], instance["x"],
-                          spec.mode, spec.small_threshold))
+                          spec.mode))
         rerun.pop("_witness", None)
         return _differing(row, rerun, "a re-run's")
     ok, det = verify_payload(w)

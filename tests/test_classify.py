@@ -123,29 +123,29 @@ def test_nzd_classify_whole_field():
     g = ax.parse_ring("gf:3^2:t^2+1")
     x = FiniteSet(g, g.elements())
     rep = ax.nzd_classify(x)
-    assert rep.verdict == "structured"
-    assert rep.core == x and rep.commensurability_to_x == 1
-    assert rep.k == 1
+    assert rep.core == x and rep.core_is_subring
+    assert rep.commensurability_to_x == 1
+    assert rep.k == 1 and rep.k11_bound == 1
 
 
 def test_nzd_classify_zero_set_small():
     rep = ax.nzd_classify(FiniteSet(Z, [0]))
-    assert rep.verdict == "small"
+    assert (rep.k, len(rep.core), rep.core_is_subring) == (1, 1, True)
+    assert (rep.commensurability_to_x, rep.k11_bound) == (1, 1)
 
 
 def test_nzd_classify_window_structured():
     m7 = ax.modular(7)
-    rep = ax.nzd_classify(ax.parse_set(m7, "{0,1,6}"), small_threshold=0)
+    rep = ax.nzd_classify(ax.parse_set(m7, "{0,1,6}"))
     assert rep.k == 2
     assert len(rep.core) == 7 and rep.core_is_subring
-    assert rep.commensurability_to_x <= 3 <= 2 ** 11
-    assert rep.verdict == "structured"
+    assert rep.commensurability_to_x <= 3 <= 2 ** 11 == rep.k11_bound
 
 
 def test_empty_set_is_no_counterexample(capsys):
     # the empty set is no approximate subring: classify exits 2, and the
     # report it once wrote, a "counterexample-candidate" with no
-    # commensurability witnesses, fails on its retired schema and, at
+    # commensurability witnesses, fails on its retired schemas and, at
     # today's, on its certificate
     from apxring.cli import main
     from apxring.serialize import verify_payload
@@ -157,13 +157,16 @@ def test_empty_set_is_no_counterexample(capsys):
     cert = {"schema_version": "4", "kind": "approx_certificate", "ring": "zmod:7",
             "x": [], "k": 0, "f": [], "mode": "ring", "minimal": True,
             "stats": {}, "lower_bound": {"weights": {}, "denominator": 1}}
-    payload = {"schema_version": "3", "kind": "classification_report",
+    payload = {"schema_version": "4", "kind": "classification_report",
                "ring": "zmod:7", "x": [], "k": 0, "core_size": 0,
                "core_is_subring": False, "commensurability_to_x": None,
-               "k11_bound": 0, "verdict": "counterexample-candidate",
-               "small_threshold": 0, "certificate": cert}
+               "k11_bound": 0, "certificate": cert}
     assert verify_payload(payload) == (False, ["x is empty"])
-    old = dict(payload, schema_version="2", hypothesis="ambient",
+    old = dict(payload, schema_version="3", verdict="counterexample-candidate",
+               small_threshold=0)
+    assert verify_payload(old) == (
+        False, ["unknown classification_report schema_version '3'"])
+    old = dict(old, schema_version="2", hypothesis="ambient",
                certificate=dict(cert, schema_version="3", derivations={}))
     assert verify_payload(old) == (
         False, ["unknown classification_report schema_version '2'"])
@@ -176,6 +179,9 @@ def test_nzd_classify_rejects_zero_divisors():
 
 
 def test_structured_verdict_bound_invariant():
+    # in a prime field the core is {0} or the whole field, a subring
+    # either way, and the dichotomy's conclusion holds: its
+    # commensurability with X is within K^11
     import random
     rng = random.Random(4)
     for _ in range(20):
@@ -185,12 +191,9 @@ def test_structured_verdict_bound_invariant():
         for _ in range(rng.randrange(1, 4)):
             v = rng.randrange(1, p)
             elems |= {v, p - v}
-        rep = ax.nzd_classify(FiniteSet(ring, elems), small_threshold=1)
-        if rep.verdict == "structured":
-            assert rep.commensurability_to_x <= rep.k11_bound
-        # prime fields: subring core means {0} or everything
-        if rep.core_is_subring:
-            assert len(rep.core) in (1, p)
+        rep = ax.nzd_classify(FiniteSet(ring, elems))
+        assert rep.core_is_subring and len(rep.core) in (1, p)
+        assert rep.commensurability_to_x <= rep.k11_bound == rep.k ** 11
 
 
 def test_pos_char_search_examples():
@@ -433,8 +436,7 @@ def test_finite_model_check_witness_outside_subring():
 
 def test_verify_payload_rechecks_core_and_subring():
     from apxring.serialize import verify_payload
-    rep = ax.nzd_classify(ax.parse_set(ax.modular(7), "{0,1,6}"),
-                          small_threshold=0)
+    rep = ax.nzd_classify(ax.parse_set(ax.modular(7), "{0,1,6}"))
     payload = rep.to_json()
     assert verify_payload(payload)[0]
     # X is the nested certificate's; the top-level x is re-derived
@@ -481,11 +483,11 @@ def test_reports_need_a_ring_mode_certificate_of_x():
     core = ax.core_set(x)
     other = ax.approx_constant(ax.parse_set(ring, "{0,2,5}"), "ring")
     with pytest.raises(ValueError, match="^cert must be a ring-mode certificate of x$"):
-        classification_report(x, other, core, ax.commensurability(core, x), None)
+        classification_report(x, other, core, ax.commensurability(core, x))
     group = ax.approx_constant(x, "group").to_json()
     assert verify_payload(group)[0]
     for payload, name, slot in (
-            (ax.nzd_classify(x, small_threshold=0), "classification_report", "cert"),
+            (ax.nzd_classify(x), "classification_report", "cert"),
             (ax.pos_char_search(x), "subring_search", "certificate")):
         assert verify_payload(dict(payload.to_json(), certificate=group)) == (
             False, [f"{name} does not rebuild: {slot} must be a ring-mode "
@@ -520,7 +522,7 @@ def test_verify_payload_rechecks_the_hypothesis():
     # the one hypothesis is the paper's: the ring has no zero divisors.
     # nzd_classify checks it before any solve; a report built by hand for
     # zmod:8 fails on the ring.  Schemas 1 and 2 named the hypothesis;
-    # they are retired, and schema 3 names none
+    # they are retired, and schema 4 names none
     from apxring.classify import classification_report
     from apxring.serialize import verify_payload
     x = ax.parse_set(ax.modular(8), "{0,1,7}")
@@ -528,22 +530,22 @@ def test_verify_payload_rechecks_the_hypothesis():
     core = ax.core_set(x)
     comm = ax.commensurability(core, x)
     with pytest.raises(ZeroDivisorError, match="^zero divisors 2·4 = 0$"):
-        ax.nzd_classify(x, small_threshold=0)
+        ax.nzd_classify(x)
     # asymmetric, so a solve would raise NotSymmetricError first
     with pytest.raises(ZeroDivisorError):
         ax.nzd_classify(ax.parse_set(ax.modular(8), "{0,1}"))
-    payload = classification_report(x, cert, core, comm, 0).to_json()
-    assert (payload["verdict"], payload["core_is_subring"]) == ("structured", True)
+    payload = classification_report(x, cert, core, comm).to_json()
+    assert payload["core_is_subring"]
     assert verify_payload(payload) == (False, ["zero divisors 2·4 = 0"])
     assert verify_payload(dict(payload, schema_version="2", hypothesis="ambient")) == (
         False, ["unknown classification_report schema_version '2'"])
     x = ax.parse_set(ax.modular(7), "{0,1,6}")
-    payload = ax.nzd_classify(x, small_threshold=0).to_json()
-    assert payload["schema_version"] == "3" and "hypothesis" not in payload
+    payload = ax.nzd_classify(x).to_json()
+    assert payload["schema_version"] == "4" and "hypothesis" not in payload
     assert verify_payload(payload)[0]
     assert verify_payload(dict(payload, hypothesis="ambient")) == (
-        False, ["schema 3 names no hypothesis"])
-    for version in ("1", "2"):
+        False, ["schema 4 names no hypothesis"])
+    for version in ("1", "2", "3"):
         for hypothesis in ("ambient", "core-witnessed", "ambient/known-domain"):
             assert verify_payload(dict(payload, schema_version=version,
                                        hypothesis=hypothesis)) == (
@@ -552,17 +554,17 @@ def test_verify_payload_rechecks_the_hypothesis():
 
 def test_cli_classify_checks_the_ring_only(capsys):
     # Z/10403 = Z/101 × Z/103: classify exits 2 naming the pair, and the
-    # option that once chose another hypothesis is gone
+    # options that once chose another hypothesis or a size threshold are gone
     from apxring.cli import main
-    args = ["classify", "--ring", "zmod:10403", "--set", "{0,1,10402}",
-            "--small-threshold", "0"]
+    args = ["classify", "--ring", "zmod:10403", "--set", "{0,1,10402}"]
     assert main(args) == 2
     assert capsys.readouterr().err == (
         "precondition failed: zero divisors 101·103 = 0\n")
-    with pytest.raises(SystemExit) as info:
-        main([*args, "--hypothesis", "ambient"])
-    assert info.value.code == 2
-    assert "unrecognized arguments: --hypothesis ambient" in capsys.readouterr().err
+    for option in (["--hypothesis", "ambient"], ["--small-threshold", "0"]):
+        with pytest.raises(SystemExit) as info:
+            main([*args, *option])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
 
 def test_gallery_y_set():
@@ -713,7 +715,8 @@ def test_text_named_maps_map_core_and_bound_constant():
 
 def test_frobenius_preserves_constant_and_core():
     # x -> x^p is an automorphism of F_{p^k}: it maps the core onto the
-    # core and certificates onto certificates both ways
+    # core and certificates onto certificates both ways, so the
+    # dichotomy's facts (ROADMAP item 16) agree on X and its image
     import random
     rng = random.Random(17)
     for dsl in ("gf:2^3:t^3+t+1", "gf:3^2:t^2+1", "gf:5^2:t^2+2", "gf:2^4:t^4+t+1"):
@@ -730,9 +733,15 @@ def test_frobenius_preserves_constant_and_core():
             fx = FiniteSet(ring, map(frob, x.elements()))
             core = ax.core_set(x)
             assert ax.core_set(fx) == FiniteSet(ring, map(frob, core.elements()))
-            cert, image = ax.approx_constant(x), ax.approx_constant(fx)
-            assert cert.minimal and image.minimal
-            assert (image.k, len(ax.core_set(fx))) == (cert.k, len(core)), x.render()
+            rep, image = ax.nzd_classify(x), ax.nzd_classify(fx)
+            # K minimal and both covers optimal: the facts are exact, so
+            # they must agree
+            assert rep.certificate.minimal and image.certificate.minimal
+            assert all(w.optimal for r in (rep, image)
+                       for w in (r.comm_result.witness_ab, r.comm_result.witness_ba))
+            facts = [(r.k, len(r.core), r.core_is_subring, r.commensurability_to_x)
+                     for r in (rep, image)]
+            assert facts[0] == facts[1], x.render()
 
 
 def test_conjugation_preserves_constant_and_core():

@@ -35,7 +35,7 @@ def spec_text(**over):
         "require_zero": "true",
         "k_max": "0",
         "exact": "true",
-        "small_threshold": "1",
+        "small_threshold": "-1",
         "seed": "0",
     }
     base.update({k: str(v) for k, v in over.items()})
@@ -69,11 +69,13 @@ def test_checked_in_config_renders_its_key_lines(path):
 
 
 @pytest.mark.parametrize("key,value", [("exact", "false"), ("require_zero", "no"),
-                                       ("k_max", "3")])
+                                       ("k_max", "3"), ("small_threshold", "1")])
 def test_spec_rejects_other_values_of_fixed_keys(key, value, tmp_path, capsys):
-    # schema 1 fixes exact = true, require_zero = true and k_max = 0; any
-    # spelling of that value parses, any other value names the key
-    assert SweepSpec.parse(spec_text(exact="yes", require_zero="1", k_max="00")) \
+    # schema 1 fixes exact = true, require_zero = true, k_max = 0 and
+    # small_threshold = -1; any spelling of that value parses, any other
+    # value names the key
+    assert SweepSpec.parse(spec_text(exact="yes", require_zero="1", k_max="00",
+                                     small_threshold="-01")) \
         == SweepSpec.parse(spec_text())
     with pytest.raises(ParseError, match=key):
         SweepSpec.parse(spec_text(**{key: value}))
@@ -90,9 +92,7 @@ def test_spec_rejects_other_values_of_fixed_keys(key, value, tmp_path, capsys):
     (spec_text() + "max_size = 3\n", "repeated key 'max_size'"),
     (spec_text(max_size=-2), "max_size = -2 is below 1"),
     (spec_text(instances_per_ring=-3), "instances_per_ring = -3 is below 1"),
-    (spec_text(small_threshold=-7), "small_threshold = -7 is below -1"),
-], ids=["unknown", "repeated", "max_size", "instances_per_ring",
-        "small_threshold"])
+], ids=["unknown", "repeated", "max_size", "instances_per_ring"])
 def test_spec_rejects_unknown_repeated_and_out_of_range_keys(text, why, tmp_path,
                                                              capsys):
     # each used to parse: a misspelt key was skipped, the last of two
@@ -178,7 +178,6 @@ def test_sweep_nzd_smoke():
     spec = SweepSpec.parse(spec_text())
     report = run_sweep(spec)
     assert report.rows and all(r["status"] == "ok" for r in report.rows)
-    assert not report.counterexamples
     assert "empirical_N" in report.empirical
     ok, details = verify_payload(report.to_json())
     assert ok, details
@@ -246,8 +245,7 @@ def test_poschar_row_without_a_subring():
     # is empty, and its witness verifies
     from apxring.sweep import _run_row
     spec = SweepSpec.parse(spec_text(mode="poschar", rings="zmod:101"))
-    row = _run_row((0, "zmod:101", ("0", "1", "2", "99", "100"), "poschar",
-                    spec.small_threshold))
+    row = _run_row((0, "zmod:101", ("0", "1", "2", "99", "100"), "poschar"))
     assert (row["strategy"], row["commensurability"]) == ("none", None)
     assert SweepReport(spec, [row]).to_csv().splitlines()[1] == \
         "0,zmod:101,5,101,2,none,False,False,0,,49,ok,{0 1 2 99 100}"
@@ -270,9 +268,7 @@ def _tampered(payload):
     yield dict(payload, k11_bound=payload["k11_bound"] + 1)
     yield dict(payload, core_is_subring=not payload["core_is_subring"])
     yield dict(payload, commensurability_to_x=payload["commensurability_to_x"] + 1)
-    yield dict(payload, verdict=next(
-        v for v in ("small", "structured", "counterexample-candidate")
-        if v != payload["verdict"]))
+    yield dict(payload, verdict="small")
     ab, ba = payload["comm_core_by_x"], payload["comm_x_by_core"]
     if ab["target"] != ab["base"]:
         yield dict(payload, comm_core_by_x=ba, comm_x_by_core=ab)
@@ -282,9 +278,8 @@ def test_verify_payload_rederives_report_constants():
     # every row of an nzd and a poschar sweep verifies, and so does a
     # report whose core is no subring; each tampered copy fails, alone and
     # inside its sweep report
-    z = ax.nzd_classify(ax.parse_set(ax.parse_ring("int"), "{-1,0,1}"),
-                        small_threshold=0).to_json()
-    assert (z["core_is_subring"], z["verdict"]) == (False, "counterexample-candidate")
+    z = ax.nzd_classify(ax.parse_set(ax.parse_ring("int"), "{-1,0,1}")).to_json()
+    assert not z["core_is_subring"]
     payloads = [z]
     for mode, rings in (("nzd", "zmod:5, zmod:7, gf:2^2:t^2+t+1"),
                         ("poschar", "zmod:4, zmod:8, polyquo:2:t^2")):
@@ -535,9 +530,15 @@ def test_cli_model_names_least_escaping_pair(capsys):
 
 
 def test_cli_classify():
-    code, _, _ = run_cli("classify", "--ring", "zmod:7", "--set", "{0,1,6}",
-                         "--small-threshold", "0")
-    assert code == 0
+    # the facts the dichotomy turns on, and no verdict: exit 0 either way
+    code, out, _ = run_cli("classify", "--ring", "zmod:7", "--set", "{0,1,6}")
+    assert code == 0 and out.splitlines() == [
+        "K = 2  |X| = 3", "core: 7 elements, subring = True",
+        "commensurability(core, X) = 3 (exact) <= K^11 = 2048"]
+    code, out, _ = run_cli("classify", "--ring", "int", "--set", "{-1,0,1}")
+    assert code == 0 and out.splitlines()[1:] == [
+        "core: 17 elements, subring = False",
+        "commensurability(core, X) = 6 (exact) <= K^11 = 2048"]
 
 
 def test_cli_verify_round_trip(tmp_path):
@@ -620,13 +621,19 @@ def test_poschar_cores_csv_golden():
 def test_nzd_sweep_csv_golden():
     # byte-for-byte pin of K, verdict, core and commensurability over
     # prime zmod and gf rings, which have no zero divisors, so every row
-    # has a witness: a schema-3 report, which names no hypothesis
+    # has a witness: a schema-4 report, which names no hypothesis, verdict
+    # or threshold; schema 3 is retired
     data = Path(__file__).parent / "data"
     report = run_sweep(SweepSpec.load(str(data / "nzd_small.cfg")))
     assert report.to_csv() == \
         (data / "nzd_small.csv").read_text(encoding="utf-8")
-    assert all(r["_witness"]["schema_version"] == "3" and "hypothesis" not in r["_witness"]
-               for r in report.rows)
+    witnesses = [r["_witness"] for r in report.rows]
+    assert all(w["schema_version"] == "4" and not {
+        "hypothesis", "verdict", "small_threshold"} & w.keys() for w in witnesses)
+    assert verify_payload(dict(witnesses[0], schema_version="3")) == (
+        False, ["unknown classification_report schema_version '3'"])
+    # every core is a subring: no row bounds N(K)
+    assert _empirical_n(report) == {}
 
 
 def test_verify_reruns_rows_without_a_witness():
@@ -690,20 +697,40 @@ _BENCHMARK_CSV_SHA256 = {
 }
 
 
+# empirical_N of the benchmark's nzd sweep at seeds 1 to 3: lower bounds
+# on N(K), each from rows whose core is no subring
+_BENCHMARK_EMPIRICAL_N = {1: {2: 2, 3: 3}, 2: {2: 3, 3: 3}, 3: {2: 3}}
+
+
+def _empirical_n(report):
+    """The report's empirical_N, each cell checked to be the |X| of an ok
+    row of its K whose core is no subring, which proves N(K) > |X|."""
+    table = report.empirical["empirical_N"]
+    for k, size in table.items():
+        assert any(r["status"] == "ok" and not r["core_is_subring"]
+                   and (r["K"], r["x_size"]) == (k, size) for r in report.rows), k
+    return table
+
+
 @pytest.mark.parametrize("cfg", ["nzd", "poschar"])
 def test_benchmark_sweep_csv_golden(cfg):
     # the benchmark's sweeps from its own configs, byte for byte at seed
     # 1 and by hash at seeds 2 and 3: a change that moves a row shows
-    # here first
+    # here first; the nzd sweeps pin their empirical_N too
     import hashlib
     spec = SweepSpec.load(str(Path(__file__).parents[1] / "perfbench" / "data"
                               / f"{cfg}.cfg"))
     report = run_sweep(dataclasses.replace(spec, seed=1))
     assert report.to_csv() == \
         (DATA / f"perfbench_{cfg}_seed1.csv").read_text(encoding="utf-8")
+    reports = {1: report}
     for seed, prefix in _BENCHMARK_CSV_SHA256[cfg].items():
-        csv = run_sweep(dataclasses.replace(spec, seed=seed)).to_csv()
+        reports[seed] = run_sweep(dataclasses.replace(spec, seed=seed))
+        csv = reports[seed].to_csv()
         assert hashlib.sha256(csv.encode()).hexdigest()[:16] == prefix, seed
+    if cfg == "nzd":
+        assert {seed: _empirical_n(r) for seed, r in reports.items()} \
+            == _BENCHMARK_EMPIRICAL_N
 
 
 def _rows_edited(p, *rows):
@@ -765,21 +792,19 @@ _CLI_PAYLOADS = {
     "cover-greedy": (["cover", "--ring", "int", "--target", "{-2,-1,0,1,2}",
                       "--base", "{-1,0,1}", "--greedy"],
                      lambda p: dict(p, optimal=True)),
-    "classify-nzd": (["classify", "--ring", "zmod:7", "--set", "{0,1,6}",
-                      "--small-threshold", "0"],
+    "classify-nzd": (["classify", "--ring", "zmod:7", "--set", "{0,1,6}"],
                      lambda p: dict(p, verdict="small")),
     # a nested payload is of the kind its slot holds
-    "classify-nested-kind": (["classify", "--ring", "zmod:7", "--set", "{0,1,6}",
-                              "--small-threshold", "0"],
+    "classify-nested-kind": (["classify", "--ring", "zmod:7", "--set", "{0,1,6}"],
                              lambda p: dict(p, comm_core_by_x=dict(
                                  p["comm_core_by_x"], kind="approx_certificate"))),
     "classify-certificate-kind": (["classify", "--ring", "zmod:7", "--set",
-                                   "{0,1,6}", "--small-threshold", "0"],
+                                   "{0,1,6}"],
                                   lambda p: dict(p, certificate=dict(
                                       p["certificate"], kind="cover_witness"))),
     # a nested payload is of a schema version its kind's verifier reads
     **{f"classify-{slot}-schema": (["classify", "--ring", "zmod:7", "--set",
-                                    "{0,1,6}", "--small-threshold", "0"],
+                                    "{0,1,6}"],
                                    lambda p, slot=slot: dict(p, **{slot: dict(
                                        p[slot], schema_version="99")}))
        for slot in ("certificate", "comm_core_by_x")},
@@ -827,6 +852,7 @@ _CLI_TAMPER_WHY = {
     "approx-asymmetric": "x is not additively symmetric",
     "approx-uncovered": "uncovered 0",
     "approx-lower-bound": "lower bound needs integer weights >= 0 over d > 0",
+    "classify-nzd": "schema 4 names no verdict",
     "classify-poschar-comm": "comm_s_by_x: uncovered element 4",
     "classify-poschar-none": "strategy 'generated' does not match the outcome",
 }
@@ -874,7 +900,6 @@ _TYPE_MUTATIONS = {
     "cover-optimal-one": ("cover", lambda p: dict(p, optimal=1)),
     "cover-optimal-string": ("cover", lambda p: dict(p, optimal="no")),
     "classify-k-float": ("classify", lambda p: dict(p, k=float(p["k"]))),
-    "classify-threshold-float": ("classify", lambda p: dict(p, small_threshold=0.0)),
     "classify-core-is-subring-int": ("classify", lambda p: dict(
         p, core_is_subring=int(p["core_is_subring"]))),
     "growth-covering-one": ("growth", lambda p: dict(p, covering=1)),
@@ -894,7 +919,7 @@ def type_mutation_payloads():
         "k2": ax.approx_constant(x),
         "k1": ax.approx_constant(ax.parse_set(ax.modular(9), "{0,3,6}")),
         "cover": ax.cover_exact(ax.parse_set(m7, "{0,1,2,5,6}"), x),
-        "classify": ax.nzd_classify(x, small_threshold=0),
+        "classify": ax.nzd_classify(x),
         "growth": ax.growth_sequence(x, 1, with_covering=True),
         "sweep": sweep,
     }
@@ -936,11 +961,12 @@ def test_verify_fails_unknown_keys(type_mutation_payloads):
                 f"{where}schema {inner['schema_version']} names no bogus"]), slot
         row = sweep["rows"][0]
         bad = _row_edit(sweep, _witness=dict(row["_witness"], bogus=value))
-        assert verify_payload(bad) == (False, ["row 0: schema 3 names no bogus"])
+        assert verify_payload(bad) == (False, ["row 0: schema 4 names no bogus"])
     for payload, key in ((type_mutation_payloads["k2"], "derivations"),
                          (type_mutation_payloads["k2"], "membership"),
                          (search, "containment_ok"),
-                         (type_mutation_payloads["classify"], "hypothesis")):
+                         *((type_mutation_payloads["classify"], key)
+                           for key in ("hypothesis", "verdict", "small_threshold"))):
         version = payload["schema_version"]
         assert verify_payload(dict(payload, **{key: "ambient"})) == (
             False, [f"schema {version} names no {key}"])
@@ -1101,7 +1127,7 @@ def test_cli_verify_malformed_payload_exits_2(tmp_path, capsys):
     without = [({k: v for k, v in p.items() if k != key}, repr(key))
                for p, key in ((cert, "mode"), (cert, "minimal"), (cert, "stats"),
                               (search, "certificate"))]
-    for payload, named in (({"kind": "classification_report", "schema_version": "3"},
+    for payload, named in (({"kind": "classification_report", "schema_version": "4"},
                             "'certificate'"),
                            *without,
                            ([], "'list'"),
