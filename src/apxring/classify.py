@@ -158,11 +158,14 @@ def nzd_classify(x):
     raises InvalidParamsError, and an asymmetric one NotSymmetricError.
     It computes the core 4X + X·4X and measures its exact
     commensurability with X; ``classification_report`` derives the rest.
+    A core equal to X·X ∪ (X+X) is covered by the certificate's own
+    cover, not solved again, and with 0 ∈ X the cover of X by the core,
+    which holds X, is the translate 0 (``cover_exact``).
     """
     _check_no_zero_divisors(x.ring)
     cert = approx_constant(x, "ring")
     core = core_set(x)
-    return classification_report(x, cert, core, commensurability(core, x))
+    return classification_report(x, cert, core, commensurability(core, x, cert))
 
 
 def classification_report(x, cert, core, comm):
@@ -292,7 +295,8 @@ def pos_char_search(x):
 
       generated   S = ⟨X⟩ when it stays inside the core
       seeded      S = ⟨X ∩ kX ∩ core⟩ for k <= 4, once per distinct seed
-                  other than X itself (with 0 ∈ X every seed is X)
+                  other than X itself; skipped when 0 ∈ X, as then
+                  kX ⊇ X and the core ⊇ X, so every seed is X
       exhaustive  every subring inside the core (``subrings_within``)
                   when ``_runs_exhaustive`` says the core is small enough
 
@@ -300,6 +304,8 @@ def pos_char_search(x):
     leaves the core, so it is a subring inside the core by construction.
     Returns the best candidate (smallest constant, then smallest set),
     tagged with the winning strategy and whether the exhaustive pass ran.
+    A candidate equal to X·X ∪ (X+X) is covered by the certificate's own
+    cover, not solved again (``commensurability``).
     """
     ring = x.ring
     if not ring.is_finite:
@@ -315,7 +321,7 @@ def pos_char_search(x):
 
     offer(x, 0, "generated")
     seeds = {x}
-    for k in _SEED_MULTIPLES:
+    for k in _SEED_MULTIPLES if ring.zero() not in x else ():
         seed = intersect(x, intersect(iterated_sum(x, k), core))
         if len(seed) and seed not in seeds:
             seeds.add(seed)
@@ -336,7 +342,7 @@ def pos_char_search(x):
     for (floor, *order), fs, tag in ranked:
         if best is not None and (floor, *order) >= best[0]:
             break
-        comm = commensurability(fs, x)
+        comm = commensurability(fs, x, cert)
         key = (comm.constant, *order)
         if best is None or key < best[0]:
             best = (key, fs, tag, comm)

@@ -272,8 +272,21 @@ def cover_exact(a, b, node_limit=DEFAULT_NODE_LIMIT):
     node limit bounds the search alone.  ``stats["revisits"]`` counts
     the search's visits that the table cut off.  An empty a gets the
     empty cover, proven optimal by the zero bound over d = |b|.
+
+    A nonempty a ⊆ b builds no instance: it gets the witness the search
+    returns there, the translate 0 (the least element of every ring, so
+    greedy's first pick), proven by weight 1 on a's least element over
+    d = |b| after 0 nodes.  The rings are checked first, so a subset by
+    value in another ring still raises CrossRingError.
     """
     t0 = time.perf_counter()
+    if len(a) and a.elements() <= b.elements():
+        check_same_ring(a.ring, b.ring)
+        ring = a.ring
+        stats = {"nodes": 0, "revisits": 0, "elapsed": time.perf_counter() - t0,
+                 "node_limit_hit": False, "lower_bound": 1}
+        return make_witness(a, b, (ring.zero(),), True, "exact", stats,
+                            ({min(a.elements(), key=ring.sort_key): 1}, len(b)))
     targets, pool, coverers, masks, full = _instance(a, b)
     n_targets = len(targets)
     base_size = len(b)
@@ -657,6 +670,9 @@ class ApproxCertificate:
 
     ``lower_bound`` is (weights, denominator) as in ``lagrangian_floor``
     over the target and X; it proves minimality when its value reaches k.
+    ``cover`` is the witness ``approx_constant`` solved, which
+    ``commensurability`` reuses; None on a certificate read from a
+    payload, and not part of the payload.
     """
 
     x: FiniteSet
@@ -666,6 +682,7 @@ class ApproxCertificate:
     minimal: bool
     stats: dict = field(default_factory=dict, compare=False)
     lower_bound: tuple | None = field(default=None, compare=False)
+    cover: CoverWitness | None = field(default=None, compare=False, repr=False)
 
     @property
     def ring(self):
@@ -745,7 +762,7 @@ def approx_constant(x, mode="ring", exact=True):
     w = cover_exact(t, x) if exact else cover_greedy(t, x)
     f = FiniteSet(ring, w.translates)
     return ApproxCertificate(x, len(f), f, mode, w.optimal, dict(w.stats),
-                             w.lower_bound)
+                             w.lower_bound, w)
 
 
 # ---------------------------------------------------------------------------
@@ -766,11 +783,19 @@ class CommensurabilityResult:
         return max(self.k_ab, self.k_ba)
 
 
-def commensurability(a, b):
+def commensurability(a, b, cert=None):
     """Exact covers of each set by translates of the other; one that
     hits the node limit is flagged non-optimal.  An empty set is the base
-    of one of them: UncoverableError, from ``_incidence``."""
-    w_ab = cover_exact(a, b)
+    of one of them: UncoverableError, from ``_incidence``.
+
+    ``cert``, an ``approx_constant`` certificate, lends its cover when
+    that is an exact cover of a by b: the witness ``cover_exact(a, b)``
+    returns, so it is not solved again.  A greedy cover, or one of
+    another target or base, is never reused.
+    """
+    w_ab = cert and cert.cover
+    if not (w_ab and w_ab.method == "exact" and (w_ab.target, w_ab.base) == (a, b)):
+        w_ab = cover_exact(a, b)
     w_ba = cover_exact(b, a)
     return CommensurabilityResult(a, b, len(w_ab.translates),
                                   len(w_ba.translates), w_ab, w_ba)

@@ -172,6 +172,38 @@ def test_empty_set_is_no_counterexample(capsys):
         False, ["unknown classification_report schema_version '2'"])
 
 
+def test_core_equal_to_the_certificate_target_is_solved_once(monkeypatch):
+    # X·X ∪ (X+X) is the whole field here, and so is the core and the
+    # subring found: the certificate's cover is the core's cover by X,
+    # and X ⊆ core is the translate 0, so only the certificate builds an
+    # instance (three at one instance per cover); the payloads are those
+    # of fresh covers but for the time taken
+    import apxring.cover as cover_mod
+    m7 = ax.modular(7)
+    x = ax.parse_set(m7, "{0,1,2,5,6}")
+    core = ax.core_set(x)
+    assert core == ax.approx_constant(x).target == FiniteSet(m7, range(7))
+    built = []
+    instance = cover_mod._instance
+    monkeypatch.setattr(cover_mod, "_instance",
+                        lambda a, b: built.append((a, b)) or instance(a, b))
+    rep = ax.nzd_classify(x)
+    res = ax.pos_char_search(x)
+    assert built == [(core, x)] * 2
+    assert res.found == core and res.strategy_used == "generated"
+
+    def timeless(payload):
+        return dict(payload, stats={k: v for k, v in payload["stats"].items()
+                                    if k != "elapsed"})
+
+    for comm, cert in ((rep.comm_result, rep.certificate),
+                       (res.comm_result, res.certificate)):
+        assert comm.witness_ab is cert.cover
+        for w, (a, b) in ((comm.witness_ab, (core, x)),
+                          (comm.witness_ba, (x, core))):
+            assert timeless(w.to_json()) == timeless(ax.cover_exact(a, b).to_json())
+
+
 def test_nzd_classify_rejects_zero_divisors():
     m6 = ax.modular(6)
     with pytest.raises(ZeroDivisorError):

@@ -299,6 +299,94 @@ def test_ring_certificate_bounds_group_constant_and_triple_sumset():
     assert checked == len(corpus_sets())
 
 
+def test_cover_sandwich_on_corpus():
+    # counting bound <= exact <= greedy <= H(|X|)·exact: a translate holds
+    # |X| targets, the exact search starts from greedy's picks, and greedy
+    # is within the harmonic number of the largest translate (Johnson
+    # 1974, Lovász 1975, Chvátal 1979)
+    from fractions import Fraction
+    checked = 0
+    for name, x, cert in certified_corpus():
+        harmonic = sum(Fraction(1, i) for i in range(1, len(x) + 1))
+        for target in (cert.target, sumset(x, x)):
+            exact = ax.cover_exact(target, x)
+            greedy = ax.cover_greedy(target, x)
+            k, g = len(exact.translates), len(greedy.translates)
+            assert exact.optimal, name
+            assert -(-len(target) // len(x)) <= k <= g <= harmonic * k, name
+            checked += 1
+    assert checked == 2 * len(corpus_sets())
+
+
+def test_cover_of_a_subset_of_its_base_builds_no_instance(monkeypatch):
+    # a nonempty a ⊆ b is covered by the translate 0, proven by weight 1
+    # on a's least element over |b|, with no instance built; the bound
+    # and the size are checked by lagrangian_floor and the brute force
+    import apxring.cover as cover_mod
+    instance = cover_mod._instance
+    checked = 0
+    for name, x in corpus_sets():
+        ring = x.ring
+        least = min(x.elements() - {ring.zero()}, key=ring.sort_key)
+        xx = sumset(x, x)
+        for a, b in ((x, x), (FiniteSet(ring, [least]), x), (x, xx),
+                     (FiniteSet(ring, [ring.zero(), least]), xx)):
+            monkeypatch.setattr(cover_mod, "_instance", None)
+            w = ax.cover_exact(a, b)
+            monkeypatch.setattr(cover_mod, "_instance", instance)
+            first = min(a.elements(), key=ring.sort_key)
+            assert (w.target, w.base, w.translates, w.optimal, w.method) == (
+                a, b, (ring.zero(),), True, "exact"), name
+            assert w.lower_bound == ({first: 1}, len(b)), name
+            assert {k: v for k, v in w.stats.items() if k != "elapsed"} == {
+                "nodes": 0, "revisits": 0, "node_limit_hit": False,
+                "lower_bound": 1}, name
+            assert lagrangian_floor(a, b, *w.lower_bound) == 1, name
+            assert cover_brute_force(a, b, difference_set(a, b))[0] == 1, name
+            checked += 1
+    assert checked == 4 * len(corpus_sets())
+
+
+def test_cover_of_a_subset_keeps_its_errors():
+    # a subset by value in another ring is no subset; an empty a gets the
+    # empty cover and an empty b covers nothing, as at any other a and b
+    a = ax.parse_set(ax.modular(5), "{0,1}")
+    b = ax.parse_set(ax.modular(7), "{0,1,6}")
+    assert a.elements() <= b.elements()
+    with pytest.raises(CrossRingError):
+        ax.cover_exact(a, b)
+    empty = FiniteSet(b.ring, [])
+    w = ax.cover_exact(empty, b)
+    assert (w.translates, w.optimal, w.lower_bound) == ((), True, ({}, 3))
+    with pytest.raises(UncoverableError):
+        ax.cover_exact(b, empty)
+
+
+def test_commensurability_reuses_an_exact_certificate_cover(monkeypatch):
+    # the certificate's exact cover of X·X ∪ (X+X) is the cover of that
+    # target by X; a greedy one, or one of another target, is solved
+    import apxring.cover as cover_mod
+    x = ax.parse_set(ax.modular(7), "{0,1,6}")
+    cert = ax.approx_constant(x)
+    fresh = ax.cover_exact(cert.target, x)
+    built = []
+    instance = cover_mod._instance
+    monkeypatch.setattr(cover_mod, "_instance",
+                        lambda a, b: built.append((a, b)) or instance(a, b))
+    comm = ax.commensurability(cert.target, x, cert)
+    assert comm.witness_ab is cert.cover and comm.witness_ab == fresh
+    assert built == []                        # x ⊆ target: no instance either
+    greedy = ax.approx_constant(x, exact=False)
+    assert greedy.cover.method == "greedy"
+    comm = ax.commensurability(greedy.target, x, greedy)
+    assert comm.witness_ab == fresh and built == [(cert.target, x)]
+    comm = ax.commensurability(sumset(x, x), x, cert)
+    assert comm.witness_ab == ax.cover_exact(sumset(x, x), x)
+    # a certificate read from its payload holds no cover
+    from apxring.serialize import _certificate
+    assert _certificate(cert.to_json())[2].cover is None
+
+
 def test_derive_term_rejects_value_outside_pool():
     # T - X = {-3..3} for X = {-1, 0, 1}; in Z/8, T - X = X for the evens
     x = iset(-1, 1)
